@@ -21,16 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .geometry import Direction
 from .propagation import ScalarField
 
 RNG_ALGORITHM = "pcg64-seedseq"
-
-
-@dataclass(frozen=True)
-class PlaneWaveMode:
-    direction: Direction
-    amplitude: complex
 
 
 @dataclass(frozen=True)
@@ -71,11 +64,6 @@ class ModeSet:
     @property
     def n_modes(self) -> int:
         return len(self.theta)
-
-    @property
-    def modes(self) -> list[PlaneWaveMode]:
-        return [PlaneWaveMode(Direction(float(t), float(b)), complex(a))
-                for t, b, a in zip(self.theta, self.beta, self.amplitude)]
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -136,18 +124,26 @@ def mode_fourier_positions(m: ModeSet, f_lens: float) -> tuple[np.ndarray, np.nd
     return f_lens * np.sin(m.beta), f_lens * np.cos(m.beta) * np.sin(m.theta)
 
 
+def fourier_bins(m: ModeSet, g, template: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (row, col) pixel of each mode on the Fourier-plane grid of
+    `template`, with the optical axis at (w // 2, h // 2); bins may fall off
+    the grid.  `g` is the InteractionGeometry (only its Fourier-lens focal
+    length is used)."""
+    w, h = template.shape
+    xs, ys = mode_fourier_positions(m, g.lens_fourier_f)
+    return (np.rint(xs / template.pitch).astype(int) + w // 2,
+            np.rint(ys / template.pitch).astype(int) + h // 2)
+
+
 def fourier_intensity(m: ModeSet, g, template: ScalarField) -> ScalarField:
     """Pixel-binned Fourier-plane intensity: one |a_n|^2 contribution per mode.
 
-    `g` is the InteractionGeometry (only its Fourier-lens focal length is
-    used).  Idealizes the continuum delta of the lens transform as a
+    Modes whose bin falls off the grid are dropped.  Idealizes the continuum delta of the lens transform as a
     single-pixel bin; consistent with fourier_plane(field_from_modes(...))
     up to discretization leakage.
     """
     w, h = template.shape
-    xs, ys = mode_fourier_positions(m, g.lens_fourier_f)
-    ix = np.rint(xs / template.pitch).astype(int) + w // 2
-    iy = np.rint(ys / template.pitch).astype(int) + h // 2
+    ix, iy = fourier_bins(m, g, template)
     out = np.zeros((w, h), dtype=float)
     ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
     np.add.at(out, (ix[ok], iy[ok]), np.abs(m.amplitude[ok]) ** 2)

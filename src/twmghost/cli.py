@@ -166,13 +166,13 @@ def cmd_stats(args) -> int:
         samples = frame[frame > 0] if arm == "i1" else frame.ravel()
         label = f"spatial {arm}, shot {args.shot}"
     else:
-        frames = [getattr(s, arm) for s in framestack.iter_shots(args.stack)]
-        mean = np.mean(frames, axis=0)
+        # two streaming passes instead of holding every frame: memory stays
+        # bounded in the shot count
         if args.pixel:
-            px = _parse_pixel(args.pixel, mean.shape)
+            px = _parse_pixel(args.pixel, (header.width, header.height))
         else:
-            px = np.unravel_index(int(np.argmax(mean)), mean.shape)
-        samples = np.array([f[px] for f in frames])
+            px = statistics.auto_reference_pixel(framestack.iter_shots(args.stack), arm)
+        samples = np.array([getattr(s, arm)[px] for s in framestack.iter_shots(args.stack)])
         label = f"temporal {arm}, pixel {tuple(int(v) for v in px)}"
     fit = statistics.thermal_test(samples)
     out = _outdir(args.out)

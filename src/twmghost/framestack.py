@@ -24,11 +24,20 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CorruptStack
-from .pipeline import ShotRecord
 
 MAGIC = b"TWMG"
 VERSION = 1
 _HEAD = struct.Struct("<4sIIIIQI")
+
+
+@dataclass
+class ShotRecord:
+    """One laser shot: Fourier-plane map of the seed and image-plane map of
+    the generated field."""
+
+    i1: np.ndarray
+    i2: np.ndarray
+    shot_index: int
 
 
 @dataclass(frozen=True)

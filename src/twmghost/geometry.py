@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import DegenerateGeometry, GeometryError
 
-C_LIGHT = 299792458.0
-
 # cos^2(psi/2) below this is treated as counter-propagating
 DEGENERACY_TOL = 1e-12
 
@@ -35,9 +33,12 @@ class Direction:
     beta: float = 0.0
 
     def unit_vector(self) -> np.ndarray:
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        sb, cb = np.sin(self.beta), np.cos(self.beta)
-        return np.array([sb, cb * st, cb * ct])
+        return unit_vectors(self.theta, self.beta)
+
+
+def unit_vectors(theta, beta) -> np.ndarray:
+    """Unit vectors of the directions (theta, beta), stacked along axis 0."""
+    return np.stack([np.sin(beta), np.cos(beta) * np.sin(theta), np.cos(beta) * np.cos(theta)])
 
 
 @dataclass(frozen=True)
@@ -59,23 +60,24 @@ class WaveVector:
         """|k| = 2 pi n / lambda, rad/m."""
         return 2.0 * np.pi * self.index / self.wavelength
 
-    @property
-    def omega(self) -> float:
-        """Angular frequency, rad/s."""
-        return 2.0 * np.pi * C_LIGHT / self.wavelength
-
     def vector(self) -> np.ndarray:
         return self.magnitude * self.direction.unit_vector()
+
+
+def vector_angles(v: np.ndarray) -> tuple:
+    """Angles (theta, beta) of Cartesian vectors stacked along axis 0, not
+    necessarily normalized; the inverse of unit_vectors."""
+    ux, uy, uz = v / np.linalg.norm(v, axis=0)
+    return np.arctan2(uy, uz), np.arcsin(np.clip(ux, -1, 1))
 
 
 def direction_from_vector(v: np.ndarray) -> Direction:
     """Angles of a (not necessarily normalized) Cartesian direction."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0:
+    if np.linalg.norm(v) == 0:
         raise GeometryError("zero vector has no direction")
-    ux, uy, uz = v / n
-    return Direction(theta=float(np.arctan2(uy, uz)), beta=float(np.arcsin(np.clip(ux, -1, 1))))
+    theta, beta = vector_angles(v)
+    return Direction(theta=float(theta), beta=float(beta))
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,15 @@ class InteractionGeometry:
         return self.d * self.k2.magnitude / self.k3.magnitude
 
 
-def angle_between(d1: Direction, d2: Direction) -> float:
-    """Angle psi between two beam directions, in [0, pi]."""
+def angle_between(d1: Direction, d2: Direction):
+    """Angle psi between two beam directions, in [0, pi].
+
+    Like geometric_factor and image_offset, broadcasts over Directions whose
+    angles are arrays.
+    """
     c = (np.sin(d1.beta) * np.sin(d2.beta)
          + np.cos(d1.beta) * np.cos(d2.beta) * np.cos(d1.theta - d2.theta))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    return np.arccos(np.clip(c, -1.0, 1.0))
 
 
 def bisector_projection(d1: Direction, d2: Direction) -> float:
@@ -130,7 +136,7 @@ def bisector_projection(d1: Direction, d2: Direction) -> float:
     return float(np.cos(0.5 * angle_between(d1, d2)))
 
 
-def geometric_factor(d1: Direction, d2: Direction) -> float:
+def geometric_factor(d1: Direction, d2: Direction):
     """Pure geometrical factor entering the hyperbolic gain argument.
 
     f = (sin b1 + sin b2 + cos b1 sin t1 + cos b2 sin t2
@@ -141,12 +147,13 @@ def geometric_factor(d1: Direction, d2: Direction) -> float:
     """
     psi = angle_between(d1, d2)
     c2 = np.cos(0.5 * psi) ** 2
-    if c2 < DEGENERACY_TOL:
-        raise DegenerateGeometry(f"cos^2(psi/2) = {c2:.3e}; beams nearly counter-propagate")
+    if np.any(c2 < DEGENERACY_TOL):
+        raise DegenerateGeometry(f"cos^2(psi/2) = {np.min(c2):.3e}; "
+                                 "beams nearly counter-propagate")
     num = (np.sin(d1.beta) + np.sin(d2.beta)
            + np.cos(d1.beta) * np.sin(d1.theta) + np.cos(d2.beta) * np.sin(d2.theta)
            + np.cos(d1.beta) * np.cos(d1.theta) + np.cos(d2.beta) * np.cos(d2.theta))
-    return float(num / (2.0 * c2))
+    return num / (2.0 * c2)
 
 
 @dataclass(frozen=True)
@@ -168,12 +175,11 @@ def phase_mismatch(g: InteractionGeometry) -> PhaseMismatch:
                          bisector_projection=proj)
 
 
-def image_offset(s2: float, d2: Direction) -> tuple[float, float]:
+def image_offset(s2: float, d2: Direction) -> tuple:
     """Transverse detector-plane offset of the image formed by a beam along d2.
 
     x2bar = s2 sin(beta2), y2bar = s2 cos(beta2) sin(theta2).
     """
     if s2 <= 0:
         raise GeometryError("s2 must be positive")
-    return (float(s2 * np.sin(d2.beta)),
-            float(s2 * np.cos(d2.beta) * np.sin(d2.theta)))
+    return s2 * np.sin(d2.beta), s2 * np.cos(d2.beta) * np.sin(d2.theta)

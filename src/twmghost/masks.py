@@ -3,14 +3,28 @@
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import UnreadableFile, UnsupportedFormat
-from .pipeline import ObjectMask
+from .errors import InvalidSpec, UnreadableFile, UnsupportedFormat
 
 BUILTIN_THREE_HOLES = "three-holes"
+
+
+@dataclass(frozen=True)
+class ObjectMask:
+    """Amplitude transmission in [0, 1] on its own grid."""
+
+    transmission: np.ndarray
+    pitch: float
+
+    def __post_init__(self):
+        t = np.asarray(self.transmission, dtype=float)
+        if t.min() < 0 or t.max() > 1:
+            raise InvalidSpec("mask transmission values must lie in [0, 1]")
+        object.__setattr__(self, "transmission", t)
 
 
 def three_holes(width: int = 256, pitch: float = 52e-6, hole_diameter: float = 256e-6,

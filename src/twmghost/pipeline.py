@@ -14,31 +14,19 @@ squares the summed complex field is available for control studies).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import twm_core
-from .chaotic_source import (ModeSet, PlaneWaveMode, SourceSpec, fourier_intensity,
-                             mode_fourier_positions, sample_modes)
-from .errors import InvalidSpec
-from .geometry import (Direction, InteractionGeometry, direction_from_vector,
-                       geometric_factor, image_offset)
+from .chaotic_source import ModeSet, SourceSpec, fourier_bins, fourier_intensity, sample_modes
+from .errors import InvalidSpec, WeakLimitViolated
+from .framestack import ShotRecord
+from .geometry import (Direction, InteractionGeometry, geometric_factor, image_offset,
+                       unit_vectors, vector_angles)
+from .masks import ObjectMask
 from .propagation import ScalarField, free_propagate, lens_image_2f2f
-
-
-@dataclass(frozen=True)
-class ObjectMask:
-    """Amplitude transmission in [0, 1] on its own grid."""
-
-    transmission: np.ndarray
-    pitch: float
-
-    def __post_init__(self):
-        t = np.asarray(self.transmission, dtype=float)
-        if t.min() < 0 or t.max() > 1:
-            raise InvalidSpec("mask transmission values must lie in [0, 1]")
-        object.__setattr__(self, "transmission", t)
+from .twm_core import WEAK_LIMIT_ARG
 
 
 @dataclass(frozen=True)
@@ -54,16 +42,6 @@ class DetectorSpec:
             raise InvalidSpec("bit_depth must be one of 0, 8, 12, 16")
         if self.pixel_binning < 1:
             raise InvalidSpec("pixel_binning must be >= 1")
-
-
-@dataclass
-class ShotRecord:
-    """One laser shot: Fourier-plane map of the seed and image-plane map of
-    the generated field."""
-
-    i1: np.ndarray
-    i2: np.ndarray
-    shot_index: int
 
 
 def object_pitch_for_detector(g: InteractionGeometry, width: int, det_pitch: float) -> float:
@@ -87,25 +65,20 @@ def apply_detector(i: np.ndarray, det: DetectorSpec) -> np.ndarray:
     return np.rint(out / sat * levels) * (sat / levels)
 
 
-def phase_matching_filter(mode: PlaneWaveMode, g: InteractionGeometry,
-                          hard_cutoff: bool = False) -> float:
-    """Acceptance weight of one seed mode.
+def _idler_vectors(theta, beta, g: InteractionGeometry) -> np.ndarray:
+    """k3 - k1n for seed modes along the arrays (theta, beta), one per column."""
+    return g.k3.vector()[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
+
+
+def _acceptance_weights(theta, beta, g: InteractionGeometry, hard_cutoff=False):
+    """Phase-matching acceptance of seed modes along the arrays (theta, beta).
 
     The idler wavevector is taken along k3 - k1n (which minimizes the
     mismatch under energy conservation); the residual scalar mismatch is
     |k3 - k1n| - |k2| and the weight is sinc^2(dk L / 2), or a hard cutoff
     at |dk| L / 2 = pi.
     """
-    w = _acceptance_weights(np.array([mode.direction.theta]),
-                            np.array([mode.direction.beta]), g, hard_cutoff)
-    return float(w[0])
-
-
-def _acceptance_weights(theta, beta, g: InteractionGeometry, hard_cutoff=False):
-    k1, k2, k3 = g.k1.magnitude, g.k2.magnitude, g.k3.magnitude
-    u1 = np.stack([np.sin(beta), np.cos(beta) * np.sin(theta), np.cos(beta) * np.cos(theta)])
-    k2vec = g.k3.vector()[:, None] - k1 * u1
-    dk = np.linalg.norm(k2vec, axis=0) - k2
+    dk = np.linalg.norm(_idler_vectors(theta, beta, g), axis=0) - g.k2.magnitude
     arg = 0.5 * dk * g.crystal_length
     if hard_cutoff:
         return (np.abs(arg) < np.pi).astype(float)
@@ -114,11 +87,7 @@ def _acceptance_weights(theta, beta, g: InteractionGeometry, hard_cutoff=False):
 
 def _conjugate_directions(theta, beta, g: InteractionGeometry):
     """Idler directions for seed modes along (theta, beta): k2n || k3 - k1n."""
-    k1 = g.k1.magnitude
-    u1 = np.stack([np.sin(beta), np.cos(beta) * np.sin(theta), np.cos(beta) * np.cos(theta)])
-    k2vec = g.k3.vector()[:, None] - k1 * u1
-    ux, uy, uz = k2vec / np.linalg.norm(k2vec, axis=0)
-    return np.arctan2(uy, uz), np.arcsin(np.clip(ux, -1, 1))
+    return vector_angles(_idler_vectors(theta, beta, g))
 
 
 def _shift_zero_fill(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -137,19 +106,19 @@ def coherent_field(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex =
     """Complex generated field at the detector plane for a plane-wave seed.
 
     `gain_arg` is the weak-conversion argument g |a3| fgeo L used for the
-    pointwise conversion at the crystal plane.
+    pointwise conversion at the crystal plane: in the weak limit the seed is
+    undepleted and a2 = i g fgeo L conj(a1) a3(rF).
     """
+    if gain_arg > WEAK_LIMIT_ARG:
+        warnings.warn(f"weak-conversion argument {gain_arg:.3g} > {WEAK_LIMIT_ARG}",
+                      WeakLimitViolated, stacklevel=2)
     lam2 = g.k2.wavelength / g.k2.index
     obj = ScalarField(mask.transmission.astype(complex), mask.pitch,
                       g.k3.wavelength / g.k3.index, plane_label="object")
     a3_F = lens_image_2f2f(obj, g)
     # normalize the pump map so the weak-conversion argument peaks at gain_arg
     scale = max(np.abs(a3_F.grid).max(), 1e-300)
-    ev = twm_core.evolve_weak(
-        twm_core.CoupledAmplitudes(a1=np.full(a3_F.shape, seed_amp, dtype=complex),
-                                   a2=np.zeros(a3_F.shape, dtype=complex)),
-        twm_core.GainParams(g=gain_arg, a3=1.0, r=1.0), fgeo=1.0)
-    a2 = ev.a2 * a3_F.grid / scale  # a2 = i g fgeo r conj(a1) a3(rF), pump map applied
+    a2 = 1j * gain_arg * np.conj(seed_amp) * a3_F.grid / scale
     e2 = ScalarField(a2, a3_F.pitch, lam2, plane_label="crystal-out")
     return free_propagate(e2, g.s2, pad=2, bandlimit=True)
 
@@ -168,7 +137,7 @@ def coherent_image(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex =
     if seed_direction is not None:
         t2, b2 = _conjugate_directions(np.array([seed_direction.theta]),
                                        np.array([seed_direction.beta]), g)
-        xb, yb = image_offset(g.s2, Direction(float(t2[0]), float(b2[0])))
+        xb, yb = image_offset(g.s2, Direction(t2[0], b2[0]))
         i2 = _shift_zero_fill(i2, int(round(xb / e2.pitch)), int(round(yb / e2.pitch)))
     if det is not None:
         i2 = apply_detector(i2, det)
@@ -188,8 +157,8 @@ class ChaoticExperiment:
                  master_seed: int, det: DetectorSpec | None = None,
                  coherent_sum: bool = False, hard_cutoff: bool = False):
         if not spec.fixed_directions:
-            raise InvalidSpec("ChaoticExperiment requires fixed mode directions; "
-                              "use chaotic_shot for per-shot direction resampling")
+            raise InvalidSpec("ChaoticExperiment requires fixed mode directions "
+                              "(source fixed_directions = true)")
         self.mask, self.g, self.spec = mask, g, spec
         self.master_seed = master_seed
         self.det = det or DetectorSpec()
@@ -202,15 +171,12 @@ class ChaoticExperiment:
         self.theta1, self.beta1 = m0.theta, m0.beta
         t2, b2 = _conjugate_directions(m0.theta, m0.beta, g)
         self.theta2, self.beta2 = t2, b2
-        xb = g.s2 * np.sin(b2)
-        yb = g.s2 * np.cos(b2) * np.sin(t2)
+        seed, idler = Direction(m0.theta, m0.beta), Direction(t2, b2)
+        xb, yb = image_offset(g.s2, idler)
         self.px = np.rint(xb / self.pitch).astype(int)
         self.py = np.rint(yb / self.pitch).astype(int)
         self.accept = _acceptance_weights(m0.theta, m0.beta, g, hard_cutoff)
-        fge = np.array([geometric_factor(Direction(float(ta), float(ba)),
-                                         Direction(float(tb), float(bb)))
-                        for ta, ba, tb, bb in zip(m0.theta, m0.beta, t2, b2)])
-        self.mode_weight = self.accept * fge ** 2
+        self.mode_weight = self.accept * geometric_factor(seed, idler) ** 2
         # detector-plane template for the Fourier arm
         w, h = self.base_image.shape
         self.template = ScalarField(np.zeros((w, h)), self.pitch,
@@ -260,33 +226,7 @@ class ChaoticExperiment:
 
     def reference_mode_for_pixel(self, ref_pixel: tuple[int, int]) -> int:
         """Index of the mode whose Fourier-plane bin is `ref_pixel` (nearest)."""
-        xs, ys = mode_fourier_positions(self.modes_for_shot(0), self.g.lens_fourier_f)
-        w, h = self.template.shape
-        ix = np.rint(xs / self.pitch).astype(int) + w // 2
-        iy = np.rint(ys / self.pitch).astype(int) + h // 2
+        ix, iy = fourier_bins(self.modes_for_shot(0), self.g, self.template)
         d2 = (ix - ref_pixel[0]) ** 2 + (iy - ref_pixel[1]) ** 2
         return int(np.argmin(d2))
 
-
-def chaotic_shot(mask: ObjectMask, g: InteractionGeometry, modes: ModeSet,
-                 det: DetectorSpec | None = None) -> ShotRecord:
-    """One-off chaotic shot from an explicit ModeSet (builds the imaging
-    chain from scratch; use ChaoticExperiment for many-shot runs)."""
-    det = det or DetectorSpec()
-    base = coherent_field(mask, g)
-    base_image = np.abs(base.grid) ** 2
-    t2, b2 = _conjugate_directions(modes.theta, modes.beta, g)
-    accept = _acceptance_weights(modes.theta, modes.beta, g)
-    i2 = np.zeros_like(base_image)
-    for n in range(modes.n_modes):
-        fge = geometric_factor(Direction(float(modes.theta[n]), float(modes.beta[n])),
-                               Direction(float(t2[n]), float(b2[n])))
-        xb, yb = image_offset(g.s2, Direction(float(t2[n]), float(b2[n])))
-        i2 += (np.abs(modes.amplitude[n]) ** 2 * accept[n] * fge ** 2
-               * _shift_zero_fill(base_image, int(round(xb / base.pitch)),
-                                  int(round(yb / base.pitch))))
-    template = ScalarField(np.zeros(base_image.shape), base.pitch,
-                           g.k1.wavelength / g.k1.index)
-    i1 = fourier_intensity(modes, g, template).grid
-    return ShotRecord(i1=apply_detector(i1, det), i2=apply_detector(i2, det),
-                      shot_index=modes.shot_index)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from .errors import EmptyEnsemble, InsufficientSamples, ShapeMismatch
-from .pipeline import ShotRecord
+from .framestack import ShotRecord
 
 
 @dataclass
@@ -87,11 +87,15 @@ def correlate(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]) -> Correl
     return acc.result()
 
 
-def auto_reference_pixel(shots: Sequence[ShotRecord]) -> tuple[int, int]:
-    """Brightest pixel of the time-averaged Fourier map (best SNR choice)."""
+def auto_reference_pixel(shots: Iterable[ShotRecord], arm: str = "i1") -> tuple[int, int]:
+    """Brightest pixel of the time-averaged `arm` map, in one streaming pass.
+
+    On the Fourier map (arm "i1") this is the best-SNR reference pixel.
+    """
     mean = None
     for shot in shots:
-        mean = shot.i1.astype(float) if mean is None else mean + shot.i1
+        frame = getattr(shot, arm)
+        mean = frame.astype(float) if mean is None else mean + frame
     if mean is None:
         raise EmptyEnsemble("no shots")
     idx = np.unravel_index(int(np.argmax(mean)), mean.shape)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twmghost import framestack
+from twmghost import framestack, statistics
 from twmghost.cli import main
 
 
@@ -70,6 +70,24 @@ def test_stats_command(tmp_path, small_cfg):
     assert "ks_statistic" in report and "p_value" in report
     hist = np.loadtxt(st / "histogram.csv", delimiter=",", skiprows=1)
     assert hist.shape[1] == 3
+
+
+def test_stats_temporal_default_pixel_is_auto_reference(tmp_path, small_cfg):
+    # the brightest mean i1 pixel is the reconstruct reference pixel, and
+    # naming it explicitly changes no output byte
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
+    stack = out / "frames.twmg"
+    auto, given = tmp_path / "auto", tmp_path / "given"
+    assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i1",
+                 "--out", str(auto)]) == 0
+    ref = statistics.auto_reference_pixel(framestack.iter_shots(stack))
+    report = (auto / "stats_report.txt").read_text()
+    assert report.startswith(f"temporal i1, pixel {ref}\n")
+    assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i1",
+                 "--pixel", f"{ref[0]},{ref[1]}", "--out", str(given)]) == 0
+    for name in ("stats_report.txt", "histogram.csv"):
+        assert (auto / name).read_bytes() == (given / name).read_bytes()
 
 
 def test_seed_and_shots_overrides(tmp_path, small_cfg):

@@ -133,3 +133,29 @@ def test_image_offset_small_angle():
 
 def test_image_offset_on_axis_is_zero():
     assert image_offset(0.2, Direction(0.0, 0.0)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n_modes, spread", [(200, 5e-3), (2000, 5e-3), (24, 1e-3)])
+def test_broadcast_matches_scalar_loop(geometry, n_modes, spread):
+    # the vector forms must reproduce the per-direction scalar calls bit for bit
+    from twmghost.chaotic_source import SourceSpec, sample_modes
+    from twmghost.pipeline import _conjugate_directions
+
+    m = sample_modes(SourceSpec(n_modes=n_modes, angular_spread=spread), 12345, 0)
+    t2, b2 = _conjugate_directions(m.theta, m.beta, geometry)
+    seeds = [Direction(float(t), float(b)) for t, b in zip(m.theta, m.beta)]
+    idlers = [Direction(float(t), float(b)) for t, b in zip(t2, b2)]
+    seed, idler = Direction(m.theta, m.beta), Direction(t2, b2)
+    assert np.array_equal(geometric_factor(seed, idler),
+                          [geometric_factor(a, b) for a, b in zip(seeds, idlers)])
+    assert np.array_equal(angle_between(seed, idler),
+                          [angle_between(a, b) for a, b in zip(seeds, idlers)])
+    xb, yb = image_offset(geometry.s2, idler)
+    offsets = [image_offset(geometry.s2, d) for d in idlers]
+    assert np.array_equal(xb, [o[0] for o in offsets])
+    assert np.array_equal(yb, [o[1] for o in offsets])
+    # one counter-propagating pair among the modes makes the whole call fail
+    theta = np.append(m.theta, np.pi / 2)
+    with pytest.raises(DegenerateGeometry):
+        geometric_factor(Direction(theta, np.append(m.beta, 0.0)),
+                         Direction(np.append(t2, -np.pi / 2), np.append(b2, 0.0)))
