@@ -33,7 +33,7 @@ rho = np.corrcoef(shot0.i2.ravel(), exp.base_image.ravel())[0, 1]
 print(f"single shot vs coherent image: correlation {rho:+.3f} (no structure)")
 masks.save_pgm16(out / "single_shot.pgm", shot0.i2)
 
-# pick the brightest reference pixel on the Fourier arm and correlate
+# pick the single-mode (highest-contrast) reference bin on the Fourier arm and correlate
 probe = [exp.shot(s) for s in range(50)]
 ref = auto_reference_pixel(probe)
 mode = exp.reference_mode_for_pixel(ref)

@@ -59,7 +59,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("stats", help="thermal-statistics report from a stack")
     sp.add_argument("stack")
     sp.add_argument("--mode", choices=("spatial", "temporal"), default="spatial")
-    sp.add_argument("--pixel", help="'row,col' pixel for temporal mode (default: brightest)")
+    sp.add_argument("--pixel",
+                    help="'row,col' pixel for temporal mode (default: highest contrast)")
     sp.add_argument("--shot", type=int, default=0, help="shot index for spatial mode")
     sp.add_argument("--arm", choices=("i1", "i2"), default="i1")
     sp.add_argument("--out", default=".")

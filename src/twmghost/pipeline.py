@@ -9,7 +9,11 @@ Chaotic chain: the generated intensity is the incoherent sum of one
 shifted/inverted copy of the coherent image per seed mode, weighted by the
 mode intensity, its geometric gain factor and the phase-matching acceptance
 (this is the cross-terms-average-out shortcut; a coherent-sum mode that
-squares the summed complex field is available for control studies).
+squares the summed complex field is available for control studies).  The
+incoherent sum is a convolution of the coherent image with one impulse per
+mode, made by FFT on a padded grid; a per-mode copy stack is built instead
+when it is the cheaper product (few modes) and for the coherent sum, whose
+per-mode phase ramps make it no convolution.
 """
 
 from __future__ import annotations
@@ -90,6 +94,18 @@ def _conjugate_directions(theta, beta, g: InteractionGeometry):
     return vector_angles(_idler_vectors(theta, beta, g))
 
 
+def _next_5_smooth(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5: a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _shift_zero_fill(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Integer shift with zero fill (no wraparound)."""
     out = np.zeros_like(a)
@@ -148,9 +164,14 @@ class ChaoticExperiment:
     """Precomputed machinery for many-shot chaotic runs.
 
     Holds the base coherent image, the per-mode conjugate directions,
-    integer pixel offsets, geometric/acceptance weights and (in coherent-sum
-    mode) the per-mode complex copy stack, so that one shot reduces to a
-    weighted sum over modes.
+    integer pixel offsets and geometric/acceptance weights, so that one shot
+    reduces to a weighted sum over modes.  The incoherent sum is made by FFT
+    convolution of the base image with the shot's impulse map (one weighted
+    impulse per mode at its offset) when that costs fewer operations than
+    the product with a per-mode copy stack, n_modes W H > 2 Nx Ny log2(Nx Ny)
+    on the Nx x Ny padded grid; otherwise, and always for the coherent sum,
+    `flat_stack` holds one weighted copy per mode.  `flat_stack` is None on
+    the FFT path.
     """
 
     def __init__(self, mask: ObjectMask, g: InteractionGeometry, spec: SourceSpec,
@@ -181,6 +202,7 @@ class ChaoticExperiment:
         w, h = self.base_image.shape
         self.template = ScalarField(np.zeros((w, h)), self.pitch,
                                     g.k1.wavelength / g.k1.index, plane_label="fourier")
+        self.flat_stack = None
         if coherent_sum:
             shape = (spec.n_modes,) + self.base_field.shape
             k2 = g.k2.magnitude
@@ -193,6 +215,18 @@ class ChaoticExperiment:
                                       * ramp * _shift_zero_fill(self.base_field,
                                                                 self.px[n], self.py[n]))
             self.flat_stack = self.copy_stack.reshape(spec.n_modes, -1)
+            return
+        # a copy shifted by a whole grid side or more is all zero fill: leave
+        # it out, so that it cannot grow the padding
+        self.kept = np.flatnonzero((np.abs(self.px) < w) & (np.abs(self.py) < h))
+        px, py = self.px[self.kept], self.py[self.kept]
+        # at W + max|px| by H + max|py| no shifted copy wraps onto the image
+        nx = _next_5_smooth(w + int(np.abs(px).max(initial=0)))
+        ny = _next_5_smooth(h + int(np.abs(py).max(initial=0)))
+        if spec.n_modes * w * h > 2 * nx * ny * np.log2(nx * ny):
+            self.pad = (nx, ny)
+            self.impulse_index = (px % nx) * ny + py % ny
+            self.base_hat = np.fft.rfft2(self.base_image, self.pad)
         else:
             stack = np.empty((spec.n_modes,) + self.base_image.shape, dtype=float)
             for n in range(spec.n_modes):
@@ -208,8 +242,16 @@ class ChaoticExperiment:
         if self.coherent_sum:
             e2 = np.conj(m.amplitude) @ self.flat_stack
             i2 = np.abs(e2.reshape(self.base_image.shape)) ** 2
-        else:
+        elif self.flat_stack is not None:
             i2 = (np.abs(m.amplitude) ** 2 @ self.flat_stack).reshape(self.base_image.shape)
+        else:
+            weight = (np.abs(m.amplitude[self.kept]) ** 2) * self.mode_weight[self.kept]
+            kernel = np.bincount(self.impulse_index, weights=weight,
+                                 minlength=self.pad[0] * self.pad[1]).reshape(self.pad)
+            w, h = self.base_image.shape
+            i2 = np.fft.irfft2(np.fft.rfft2(kernel) * self.base_hat, self.pad)[:w, :h]
+            # round-off must not make an intensity negative
+            i2 = np.maximum(i2, 0.0)
         i1 = fourier_intensity(m, self.g, self.template).grid
         return ShotRecord(i1=apply_detector(i1, self.det),
                           i2=apply_detector(i2, self.det), shot_index=shot_index)

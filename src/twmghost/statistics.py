@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import EmptyEnsemble, InsufficientSamples, ShapeMismatch
 from .framestack import ShotRecord
@@ -87,18 +86,38 @@ def correlate(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]) -> Correl
     return acc.result()
 
 
-def auto_reference_pixel(shots: Iterable[ShotRecord], arm: str = "i1") -> tuple[int, int]:
-    """Brightest pixel of the time-averaged `arm` map, in one streaming pass.
+# A pixel whose intensity never changes reads a contrast of about sqrt(eps),
+# 1e-8, from the round-off of sum(I^2)/n - <I>^2; a thermal bin fed by M
+# modes reads 1/sqrt(M).
+THERMAL_CONTRAST_FLOOR = 1e-4
 
-    On the Fourier map (arm "i1") this is the best-SNR reference pixel.
+
+def auto_reference_pixel(shots: Iterable[ShotRecord], arm: str = "i1") -> tuple[int, int]:
+    """Pixel of highest temporal contrast sigma/<I> of the `arm` map among
+    pixels with <I> > 0, from sums of I and I^2 streamed in one pass.
+
+    A Fourier bin (arm "i1") fed by one thermal mode has contrast 1, one fed
+    by M modes 1/sqrt(M) (Goodman, Speckle Phenomena in Optics), so this is
+    a single-mode bin, whose covariance map is one copy of the image, not a
+    superposition of shifted copies.  When no pixel varies (deterministic
+    mode intensities) it is the brightest pixel.
     """
-    mean = None
+    s1 = s2 = None
+    n = 0
     for shot in shots:
         frame = getattr(shot, arm)
-        mean = frame.astype(float) if mean is None else mean + frame
-    if mean is None:
+        if s1 is None:
+            s1, s2 = np.zeros(frame.shape), np.zeros(frame.shape)
+        s1 += frame
+        s2 += frame * frame
+        n += 1
+    if s1 is None:
         raise EmptyEnsemble("no shots")
-    idx = np.unravel_index(int(np.argmax(mean)), mean.shape)
+    mean = s1 / n
+    sd = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
+    contrast = np.divide(sd, mean, out=np.zeros_like(mean), where=mean > 0)
+    pick = contrast if contrast.max() > THERMAL_CONTRAST_FLOOR else mean
+    idx = np.unravel_index(int(np.argmax(pick)), pick.shape)
     return (int(idx[0]), int(idx[1]))
 
 
@@ -108,6 +127,8 @@ def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 100:
         raise InsufficientSamples(f"need >= 100 samples, got {samples.size}")
+    from scipy import stats as sstats   # 0.9 s to import; only this test needs it
+
     mean = float(samples.mean())
     if mean <= 0:
         ks, p = 1.0, 0.0

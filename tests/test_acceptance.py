@@ -64,6 +64,9 @@ def reference(experiment, cfg):
     ix = np.rint(xs / experiment.pitch).astype(int) + cfg.width // 2
     iy = np.rint(ys / experiment.pitch).astype(int) + cfg.height // 2
     bins = list(zip(ix.tolist(), iy.tolist()))
+    # the automatic pick, from the frames alone, is a single-mode bin too
+    auto = auto_reference_pixel(probe)
+    assert bins.count(auto) == 1, f"auto reference {auto} is fed by {bins.count(auto)} modes"
     unique = [n for n, b in enumerate(bins) if bins.count(b) == 1]
     mode = max(unique, key=lambda n: mean_i1[bins[n]])
     ref = bins[mode]

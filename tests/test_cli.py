@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -144,3 +149,16 @@ def test_sampling_violation_is_numeric_error(tmp_path):
     p.write_text("[run]\nhole_diameter = 12e-3\nhole_spacing = 1e-3\n")
     assert main(["simulate-coherent", "--config", str(p),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import and only `stats` needs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, twmghost.cli; print('scipy.stats' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

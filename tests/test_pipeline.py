@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from twmghost import framestack, pipeline
 from twmghost.chaotic_source import ModeSet, SourceSpec, fourier_intensity, sample_modes
+from twmghost.cli import main as cli_main
+from twmghost.config import load_config
 from twmghost.errors import InvalidSpec
 from twmghost.geometry import Direction, geometric_factor, image_offset
 from twmghost.pipeline import (
@@ -208,6 +213,87 @@ def test_experiment_matches_one_off_shot(mask, geometry):
     rec_slow = _per_mode_shot(mask, geometry, exp.modes_for_shot(2))
     assert np.allclose(rec_fast.i2, rec_slow.i2, rtol=1e-9)
     assert np.array_equal(rec_fast.i1, rec_slow.i1)
+
+
+def _grid_config(width, n_modes):
+    return load_config(None, {("grid", "width"): width, ("grid", "height"): width,
+                              ("source", "n_modes"): n_modes})
+
+
+# (width, n_modes, FFT path): the copy-stack product is cheaper for few modes
+# on a small grid, the FFT convolution for many modes
+BOTH_PATHS = [(64, 20, False), (256, 200, True), (256, 2000, True)]
+
+
+def _assert_matches_per_mode_sum(exp, cfg, mask, shot):
+    rec = exp.shot(shot)
+    want = _per_mode_shot(mask, cfg.geometry, exp.modes_for_shot(shot))
+    assert np.abs(rec.i2 - want.i2).max() <= 1e-12 * np.abs(want.i2).max()
+    assert rec.i2.min() >= 0.0
+    assert np.array_equal(rec.i1, want.i1)
+
+
+@pytest.mark.parametrize("width, n_modes, fft", BOTH_PATHS)
+def test_shot_matches_per_mode_sum_on_both_paths(width, n_modes, fft):
+    cfg = _grid_config(width, n_modes)
+    mask = cfg.load_object_mask()
+    exp = ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed)
+    assert (exp.flat_stack is None) == fft
+    _assert_matches_per_mode_sum(exp, cfg, mask, 3)
+
+
+@pytest.mark.parametrize("width, n_modes, fft", BOTH_PATHS[:2])
+def test_mode_past_grid_edge_adds_nothing(monkeypatch, width, n_modes, fft):
+    # mode 0 tilted to 30 mrad: its image lands 375 px off axis, past the
+    # edge, with acceptance weight 0.008, enough to show if it wrapped around
+    def tilted(spec, master_seed, shot_index):
+        m = sample_modes(spec, master_seed, shot_index)
+        return dataclasses.replace(m, theta=np.concatenate([[0.03], m.theta[1:]]))
+
+    monkeypatch.setattr(pipeline, "sample_modes", tilted)
+    cfg = _grid_config(width, n_modes)
+    mask = cfg.load_object_mask()
+    exp = ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed)
+    assert abs(exp.py[0]) >= width and exp.accept[0] > 1e-3
+    assert (exp.flat_stack is None) == fft
+    if fft:
+        assert 0 not in exp.kept and max(exp.pad) < 2 * width
+    _assert_matches_per_mode_sum(exp, cfg, mask, 1)
+
+
+def test_fft_shot_is_never_negative(monkeypatch, mask, geometry):
+    # a base image exactly zero off a square: FFT round-off there has both
+    # signs, and no intensity may come out negative
+    def square(*args, **kwargs):
+        f = coherent_field(*args, **kwargs)
+        grid = np.zeros(f.shape, dtype=complex)
+        grid[96:160, 96:160] = 1.0
+        return ScalarField(grid, f.pitch, f.wavelength, plane_label=f.plane_label)
+
+    monkeypatch.setattr(pipeline, "coherent_field", square)
+    exp = ChaoticExperiment(mask, geometry, SourceSpec(n_modes=200, angular_spread=5e-3), 12345)
+    assert exp.flat_stack is None
+    a2 = np.abs(exp.modes_for_shot(0).amplitude) ** 2
+    want = sum(a2[n] * exp.expected_image(n) for n in range(200))
+    i2 = exp.shot(0).i2
+    assert i2.min() >= 0.0 and (want == 0).any()
+    assert np.abs(i2 - want).max() <= 1e-12 * want.max()
+
+
+def test_one_shot_run_repeats_shot_zero_on_fft_path(tmp_path):
+    ini = tmp_path / "fft.ini"
+    ini.write_text("[grid]\nwidth = 64\nheight = 64\n\n[source]\nn_modes = 200\n")
+    cfg = load_config(str(ini))
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
+    assert exp.flat_stack is None
+    first = []
+    for shots in ("1", "12"):
+        out = tmp_path / shots
+        assert cli_main(["simulate-chaotic", "--config", str(ini), "--shots", shots,
+                         "--out", str(out)]) == 0
+        rec = next(framestack.iter_shots(out / "frames.twmg"))
+        first.append(rec.i1.tobytes() + rec.i2.tobytes())
+    assert first[0] == first[1]
 
 
 def test_experiment_requires_fixed_directions(mask, geometry):

@@ -68,10 +68,25 @@ def test_accumulator_errors(rng):
 
 
 def test_auto_reference_pixel(rng):
-    shots = _synthetic_shots(rng, n=10)
-    for s in shots:
-        s.i1[9, 4] += 50.0
-    assert auto_reference_pixel(shots) == (9, 4)
+    # bins fed by two and three thermal modes are brighter (mean 2 and 3) but
+    # have contrast 1/sqrt(2) and 1/sqrt(3); the single-mode bin (contrast 1)
+    # is the reference
+    shots = []
+    for s in range(400):
+        i1 = np.zeros((16, 16))
+        i1[3, 5] = rng.exponential(1.0)
+        i1[9, 4] = rng.exponential(1.0, size=2).sum()
+        i1[12, 1] = rng.exponential(1.0, size=3).sum()
+        shots.append(ShotRecord(i1=i1, i2=i1.copy(), shot_index=s))
+    assert auto_reference_pixel(shots) == (3, 5)
+    assert auto_reference_pixel(shots, arm="i2") == (3, 5)
+    # deterministic intensities: no bin varies, so the brightest is picked
+    frame = np.zeros((16, 16))
+    frame[3, 5], frame[9, 4] = 1.0, 2.0
+    fixed = [ShotRecord(i1=frame.copy(), i2=frame.copy(), shot_index=s) for s in range(20)]
+    assert auto_reference_pixel(fixed) == (9, 4)
+    with pytest.raises(EmptyEnsemble):
+        auto_reference_pixel([])
 
 
 def test_thermal_test_accepts_exponential(rng):
