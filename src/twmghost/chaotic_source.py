@@ -92,13 +92,6 @@ def sample_modes(spec: SourceSpec, master_seed: int, shot_index: int) -> ModeSet
                    shot_index=shot_index, master_seed=master_seed)
 
 
-def concatenate(a: ModeSet, b: ModeSet) -> ModeSet:
-    return ModeSet(theta=np.concatenate([a.theta, b.theta]),
-                   beta=np.concatenate([a.beta, b.beta]),
-                   amplitude=np.concatenate([a.amplitude, b.amplitude]),
-                   shot_index=a.shot_index, master_seed=a.master_seed)
-
-
 def field_from_modes(m: ModeSet, template: ScalarField, chunk: int = 32) -> ScalarField:
     """Coherent sum of the plane-wave modes sampled on the template grid.
 

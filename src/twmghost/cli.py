@@ -118,7 +118,8 @@ def cmd_simulate_chaotic(args) -> int:
             for idx in range(cfg.shots):
                 yield compute(idx)
 
-    framestack.write_stack(stack_path, ordered_shots(), cfg.width, cfg.height,
+    width, height = cfg.detector.output_shape(cfg.width, cfg.height)
+    framestack.write_stack(stack_path, ordered_shots(), width, height,
                            cfg.shots, cfg.master_seed, RNG_ALGORITHM)
     (out / "manifest.ini").write_text(
         config.manifest_text(cfg, __version__, RNG_ALGORITHM))
@@ -127,10 +128,10 @@ def cmd_simulate_chaotic(args) -> int:
 
 
 def _parse_pixel(text, shape):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"pixel must be 'row,col', got {text!r}")
-    r, c = int(parts[0]), int(parts[1])
+    try:
+        r, c = (int(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"pixel must be 'row,col' in whole numbers, got {text!r}") from None
     if not (0 <= r < shape[0] and 0 <= c < shape[1]):
         raise UsageError(f"pixel ({r},{c}) outside grid {shape}")
     return r, c

@@ -27,8 +27,7 @@ DEFAULTS = {
         "lambda1": "1064e-9", "lambda2": "1064e-9", "lambda3": "532e-9",
         "n1": "1.0", "n2": "1.0", "n3": "1.0",
         "crystal_length": "4e-3",
-        "d_O": "0.6", "d_F": "0.2", "f": "0.3", "d": "0.4", "s2": "0.2",
-        "fourier_f": "0.15", "fourier_d": "0.15",
+        "f": "0.3", "d": "0.4", "s2": "0.2", "fourier_f": "0.15",
     },
     "source": {
         "n_modes": "200", "angular_spread": "5e-3", "amplitude_scale": "1.0",
@@ -74,7 +73,7 @@ class RunConfig:
 
 def _merged(path=None) -> dict:
     cp = configparser.ConfigParser()
-    cp.optionxform = str  # keep key case (d_O vs d_F)
+    cp.optionxform = str  # keep keys as written
     cp.read_dict(DEFAULTS)
     if path is not None:
         with open(path) as fh:
@@ -105,10 +104,8 @@ def _build(raw: dict) -> RunConfig:
         k1=WaveVector(Direction(), float(gs["lambda1"]), float(gs["n1"])),
         k2=WaveVector(Direction(), float(gs["lambda2"]), float(gs["n2"])),
         k3=WaveVector(Direction(), float(gs["lambda3"]), float(gs["n3"])),
-        crystal_length=float(gs["crystal_length"]),
-        d_O=float(gs["d_O"]), d_F=float(gs["d_F"]), f=float(gs["f"]),
-        d=float(gs["d"]), s2=float(gs["s2"]),
-        lens_fourier_f=float(gs["fourier_f"]), lens_fourier_d=float(gs["fourier_d"]))
+        crystal_length=float(gs["crystal_length"]), f=float(gs["f"]), d=float(gs["d"]),
+        s2=float(gs["s2"]), lens_fourier_f=float(gs["fourier_f"]))
     ss = raw["source"]
     source = SourceSpec(n_modes=int(ss["n_modes"]),
                         angular_spread=float(ss["angular_spread"]),

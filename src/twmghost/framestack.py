@@ -111,7 +111,3 @@ def iter_shots(path) -> Iterator[ShotRecord]:
             i1 = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
             i2 = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
             yield ShotRecord(i1=i1, i2=i2, shot_index=idx)
-
-
-def read_all(path) -> list[ShotRecord]:
-    return list(iter_shots(path))

@@ -30,7 +30,10 @@ from .geometry import (Direction, InteractionGeometry, geometric_factor, image_o
                        unit_vectors, vector_angles)
 from .masks import ObjectMask
 from .propagation import ScalarField, free_propagate, lens_image_2f2f
-from .twm_core import WEAK_LIMIT_ARG
+
+# above this weak-conversion argument the undepleted-seed, first-order
+# generation a2 = i g fgeo L conj(a1) a3 is no longer accurate
+WEAK_LIMIT_ARG = 0.1
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,10 @@ class DetectorSpec:
         if self.pixel_binning < 1:
             raise InvalidSpec("pixel_binning must be >= 1")
 
+    def output_shape(self, width: int, height: int) -> tuple[int, int]:
+        """Frame shape after binning; partial bins at the far edges are dropped."""
+        return width // self.pixel_binning, height // self.pixel_binning
+
 
 def object_pitch_for_detector(g: InteractionGeometry, width: int, det_pitch: float) -> float:
     """Object-plane pitch that makes the crystal/detector grid pitch come out
@@ -59,8 +66,8 @@ def apply_detector(i: np.ndarray, det: DetectorSpec) -> np.ndarray:
     out = np.asarray(i, dtype=float)
     if det.pixel_binning > 1:
         b = det.pixel_binning
-        w, h = out.shape
-        out = out[:w - w % b, :h - h % b].reshape(w // b, b, h // b, b).sum(axis=(1, 3))
+        w, h = det.output_shape(*out.shape)
+        out = out[:w * b, :h * b].reshape(w, b, h, b).sum(axis=(1, 3))
     if det.bit_depth == 0:
         return out.copy() if out is i else out
     sat = det.saturation_level if det.saturation_level > 0 else float(out.max()) or 1.0
@@ -74,19 +81,15 @@ def _idler_vectors(theta, beta, g: InteractionGeometry) -> np.ndarray:
     return g.k3.vector()[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
 
 
-def _acceptance_weights(theta, beta, g: InteractionGeometry, hard_cutoff=False):
+def _acceptance_weights(theta, beta, g: InteractionGeometry):
     """Phase-matching acceptance of seed modes along the arrays (theta, beta).
 
     The idler wavevector is taken along k3 - k1n (which minimizes the
     mismatch under energy conservation); the residual scalar mismatch is
-    |k3 - k1n| - |k2| and the weight is sinc^2(dk L / 2), or a hard cutoff
-    at |dk| L / 2 = pi.
+    |k3 - k1n| - |k2| and the weight is sinc^2(dk L / 2).
     """
     dk = np.linalg.norm(_idler_vectors(theta, beta, g), axis=0) - g.k2.magnitude
-    arg = 0.5 * dk * g.crystal_length
-    if hard_cutoff:
-        return (np.abs(arg) < np.pi).astype(float)
-    return np.sinc(arg / np.pi) ** 2
+    return np.sinc(0.5 * dk * g.crystal_length / np.pi) ** 2
 
 
 def _conjugate_directions(theta, beta, g: InteractionGeometry):
@@ -146,7 +149,8 @@ def coherent_image(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex =
 
     For an off-axis seed the generated beam direction is the phase-matching
     conjugate of the seed and the image is shifted by the corresponding
-    detector-plane offset (rounded to whole pixels).
+    detector-plane offset (rounded to whole pixels).  With pixel binning the
+    reported pitch is that of the binned pixels.
     """
     e2 = coherent_field(mask, g, seed_amp=seed_amp)
     i2 = np.abs(e2.grid) ** 2
@@ -155,9 +159,11 @@ def coherent_image(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex =
                                        np.array([seed_direction.beta]), g)
         xb, yb = image_offset(g.s2, Direction(t2[0], b2[0]))
         i2 = _shift_zero_fill(i2, int(round(xb / e2.pitch)), int(round(yb / e2.pitch)))
+    pitch = e2.pitch
     if det is not None:
         i2 = apply_detector(i2, det)
-    return ScalarField(i2, e2.pitch, e2.wavelength, plane_label="image")
+        pitch *= det.pixel_binning
+    return ScalarField(i2, pitch, e2.wavelength, plane_label="image")
 
 
 class ChaoticExperiment:
@@ -176,7 +182,7 @@ class ChaoticExperiment:
 
     def __init__(self, mask: ObjectMask, g: InteractionGeometry, spec: SourceSpec,
                  master_seed: int, det: DetectorSpec | None = None,
-                 coherent_sum: bool = False, hard_cutoff: bool = False):
+                 coherent_sum: bool = False):
         if not spec.fixed_directions:
             raise InvalidSpec("ChaoticExperiment requires fixed mode directions "
                               "(source fixed_directions = true)")
@@ -186,17 +192,16 @@ class ChaoticExperiment:
         self.coherent_sum = coherent_sum
         base = coherent_field(mask, g)
         self.pitch = base.pitch
-        self.base_field = base.grid
         self.base_image = np.abs(base.grid) ** 2
         m0 = sample_modes(spec, master_seed, 0)
-        self.theta1, self.beta1 = m0.theta, m0.beta
+        self.theta1 = m0.theta
         t2, b2 = _conjugate_directions(m0.theta, m0.beta, g)
         self.theta2, self.beta2 = t2, b2
         seed, idler = Direction(m0.theta, m0.beta), Direction(t2, b2)
         xb, yb = image_offset(g.s2, idler)
         self.px = np.rint(xb / self.pitch).astype(int)
         self.py = np.rint(yb / self.pitch).astype(int)
-        self.accept = _acceptance_weights(m0.theta, m0.beta, g, hard_cutoff)
+        self.accept = _acceptance_weights(m0.theta, m0.beta, g)
         self.mode_weight = self.accept * geometric_factor(seed, idler) ** 2
         # detector-plane template for the Fourier arm
         w, h = self.base_image.shape
@@ -204,17 +209,15 @@ class ChaoticExperiment:
                                     g.k1.wavelength / g.k1.index, plane_label="fourier")
         self.flat_stack = None
         if coherent_sum:
-            shape = (spec.n_modes,) + self.base_field.shape
             k2 = g.k2.magnitude
             x, yv = base.coords()
-            self.copy_stack = np.empty(shape, dtype=complex)
+            stack = np.empty((spec.n_modes, w, h), dtype=complex)
             for n in range(spec.n_modes):
                 ramp = np.exp(-1j * k2 * (np.sin(b2[n]) * x[:, None]
                                           + np.cos(b2[n]) * np.sin(t2[n]) * yv[None, :]))
-                self.copy_stack[n] = (np.sqrt(self.mode_weight[n])
-                                      * ramp * _shift_zero_fill(self.base_field,
-                                                                self.px[n], self.py[n]))
-            self.flat_stack = self.copy_stack.reshape(spec.n_modes, -1)
+                stack[n] = (np.sqrt(self.mode_weight[n])
+                            * ramp * _shift_zero_fill(base.grid, self.px[n], self.py[n]))
+            self.flat_stack = stack.reshape(spec.n_modes, -1)
             return
         # a copy shifted by a whole grid side or more is all zero fill: leave
         # it out, so that it cannot grow the padding

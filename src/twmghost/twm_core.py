@@ -14,12 +14,11 @@ numpy arrays so ensembles of parameter draws evolve in one call.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, WeakLimitViolated
+from .errors import InvalidSpec
 
 WEAK_LIMIT_ARG = 0.1
 
@@ -116,17 +115,6 @@ def evolve_matched(c0: CoupledAmplitudes, p: GainParams, fgeo=1.0) -> CoupledAmp
     a1 = a1_0 * ch + 1j * ph * np.conj(a2_0) * sh
     a2 = 1j * ph * np.conj(a1_0) * sh + a2_0 * ch
     return CoupledAmplitudes(a1=a1, a2=a2)
-
-
-def evolve_weak(c0: CoupledAmplitudes, p: GainParams, fgeo=1.0) -> CoupledAmplitudes:
-    """Weak-conversion limit: a1 unchanged, a2 = i g fgeo r conj(a1) a3."""
-    arg = np.max(p.g * np.abs(p.a3) * np.asarray(fgeo) * p.r)
-    if arg > WEAK_LIMIT_ARG:
-        warnings.warn(f"weak-conversion argument {arg:.3g} > {WEAK_LIMIT_ARG}",
-                      WeakLimitViolated, stacklevel=2)
-    a1_0 = np.asarray(c0.a1, dtype=complex)
-    a2 = 1j * p.g * fgeo * p.r * np.conj(a1_0) * p.a3
-    return CoupledAmplitudes(a1=a1_0, a2=a2 + 0.0 * np.asarray(c0.a2, dtype=complex))
 
 
 def ode_oracle(c0: CoupledAmplitudes, p: GainParams, steps: int = 4096) -> CoupledAmplitudes:

@@ -123,13 +123,41 @@ def test_usage_errors():
     assert main([]) == 1
 
 
-def test_bad_ref_pixel_is_usage_error(tmp_path, small_cfg):
+def test_bad_ref_pixel_is_usage_error(tmp_path, small_cfg, capsys):
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])
-    assert main(["reconstruct", str(out / "frames.twmg"),
-                 "--ref-pixel", "32"]) == 1
-    assert main(["reconstruct", str(out / "frames.twmg"),
-                 "--ref-pixel", "900,900"]) == 1
+    stack = str(out / "frames.twmg")
+    capsys.readouterr()
+    for text in ("32", "900,900", "a,b", "1.5,2", "1,2,3"):
+        assert main(["reconstruct", stack, "--ref-pixel", text]) == 1
+        assert main(["stats", stack, "--mode", "temporal", "--pixel", text,
+                     "--out", str(tmp_path / "st")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("usage error:") == 2 and "Traceback" not in err
+
+
+def test_pixel_binning_writes_binned_frames(tmp_path, small_cfg):
+    # the stack header and every frame have the detector's binned size
+    p = tmp_path / "binned.ini"
+    p.write_text(SMALL_CFG + "\n[detector]\npixel_binning = 2\n")
+    out = tmp_path / "run"
+    assert main(["simulate-chaotic", "--config", str(p), "--out", str(out)]) == 0
+    header, _ = framestack.read_header(out / "frames.twmg")
+    assert (header.width, header.height) == (32, 32)
+    assert main(["reconstruct", str(out / "frames.twmg"), "--out", str(tmp_path / "rec")]) == 0
+    gmap = np.loadtxt(tmp_path / "rec" / "correlation_map.csv", delimiter=",")
+    assert gmap.shape == (32, 32)
+
+
+def test_old_geometry_keys_replay_byte_identical(tmp_path, small_cfg):
+    # manifests written before d_O, d_F and fourier_d were dropped still load
+    # and replay the same stack: those keys never reached an output
+    old = tmp_path / "old.ini"
+    old.write_text(SMALL_CFG + "\n[geometry]\nd_O = 0.6\nd_F = 0.2\nfourier_d = 0.15\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(a)]) == 0
+    assert main(["simulate-chaotic", "--config", str(old), "--out", str(b)]) == 0
+    assert (a / "frames.twmg").read_bytes() == (b / "frames.twmg").read_bytes()
 
 
 def test_missing_stack_is_data_error(tmp_path):

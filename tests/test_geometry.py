@@ -7,12 +7,12 @@ from twmghost.geometry import (
     InteractionGeometry,
     WaveVector,
     angle_between,
-    bisector_projection,
-    direction_from_vector,
     geometric_factor,
     image_offset,
-    phase_mismatch,
+    unit_vectors,
+    vector_angles,
 )
+from twmghost.pipeline import _conjugate_directions, _idler_vectors
 
 
 def test_unit_vector_is_unit():
@@ -28,12 +28,15 @@ def test_on_axis_direction():
 
 
 def test_direction_roundtrip():
+    # vector_angles inverts unit_vectors, as _conjugate_directions relies on
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        d = Direction(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        back = direction_from_vector(d.unit_vector())
-        assert abs(back.theta - d.theta) < 1e-12
-        assert abs(back.beta - d.beta) < 1e-12
+    theta, beta = rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, 50)
+    back_theta, back_beta = vector_angles(unit_vectors(theta, beta))
+    assert np.max(np.abs(back_theta - theta)) < 1e-12
+    assert np.max(np.abs(back_beta - beta)) < 1e-12
+    # the length of the vector does not matter
+    back_theta, back_beta = vector_angles(3.7 * unit_vectors(theta, beta))
+    assert np.max(np.abs(back_theta - theta)) < 1e-12
 
 
 def test_wavevector_magnitude():
@@ -53,8 +56,10 @@ def test_angle_between_matches_dot_product():
 
 
 def test_bisector_projection_collinear():
+    # cos(psi/2), the projection on the bisector that geometric_factor
+    # divides by, is 1 for two beams along the same direction
     d = Direction(0.3, -0.2)
-    assert abs(bisector_projection(d, d) - 1.0) < 1e-14
+    assert abs(np.cos(0.5 * angle_between(d, d)) - 1.0) < 1e-14
 
 
 def test_geometric_factor_symmetric_planar():
@@ -78,51 +83,50 @@ def test_geometric_factor_degenerate():
         geometric_factor(d1, d2)
 
 
-def _make_geometry(theta1=0.0, theta3=0.0):
-    k1 = WaveVector(Direction(theta1, 0.0), 1064e-9, 1.0)
-    k2 = WaveVector(Direction(-theta1, 0.0), 1064e-9, 1.0)
-    k3 = WaveVector(Direction(theta3, 0.0), 532e-9, 1.0)
-    return InteractionGeometry(k1, k2, k3, crystal_length=4e-3,
-                               d_O=0.6, d_F=0.2, f=0.3, d=0.4, s2=0.2,
-                               lens_fourier_f=0.15)
+def _mismatch(theta, beta, g):
+    """The pipeline's scalar mismatch |k3 - k1n| - |k2| of each seed mode."""
+    return np.linalg.norm(_idler_vectors(theta, beta, g), axis=0) - g.k2.magnitude
 
 
-def test_phase_mismatch_collinear_degenerate_is_zero():
-    pm = phase_mismatch(_make_geometry())
-    assert abs(pm.magnitude) < 1e-6
-    assert abs(pm.bisector_projection) < 1e-12
+def test_phase_mismatch_collinear_degenerate_is_zero(geometry):
+    # degenerate collinear pumping (1064 + 1064 -> 532 nm) is phase matched
+    assert abs(_mismatch(np.zeros(1), np.zeros(1), geometry)[0]) < 1e-6
 
 
-def test_phase_mismatch_vector_is_k3_minus_k1_minus_k2():
-    g = _make_geometry(theta1=0.01)
-    pm = phase_mismatch(g)
-    expected = g.k3.vector() - g.k1.vector() - g.k2.vector()
-    assert np.allclose(pm.vector, expected)
-    assert abs(pm.magnitude - np.linalg.norm(expected)) < 1e-9 * g.k3.magnitude
+def test_phase_mismatch_vector_is_k3_minus_k1_minus_k2(geometry):
+    # with k2n along k3 - k1n the mismatch vector k3 - k1n - k2n is parallel
+    # to the idler, and its length is the scalar mismatch
+    theta, beta = np.array([0.01, -4e-3, 0.0]), np.array([0.0, 7e-3, -0.02])
+    t2, b2 = _conjugate_directions(theta, beta, geometry)
+    k1n = geometry.k1.magnitude * unit_vectors(theta, beta)
+    k2n = geometry.k2.magnitude * unit_vectors(t2, b2)
+    dk = geometry.k3.vector()[:, None] - k1n - k2n
+    assert np.allclose(dk, _idler_vectors(theta, beta, geometry) - k2n)
+    assert np.allclose(np.linalg.norm(dk, axis=0), np.abs(_mismatch(theta, beta, geometry)),
+                       rtol=1e-6)
+    cross = np.cross(dk, k2n, axis=0)
+    assert np.max(np.abs(cross)) < 1e-9 * geometry.k2.magnitude * np.max(np.abs(dk))
 
 
-def test_phase_mismatch_small_tilt_scaling():
-    # for small symmetric seed tilt theta, |dk| ~ k1 * theta^2 (quadratic);
+def test_phase_mismatch_small_tilt_scaling(geometry):
+    # for a small seed tilt theta, |dk| ~ k1 * theta^2 (quadratic);
     # finite-difference check of the quadratic coefficient
-    mags = [phase_mismatch(_make_geometry(theta1=t)).magnitude
-            for t in (1e-3, 2e-3)]
+    mags = _mismatch(np.array([1e-3, 2e-3]), np.zeros(2), geometry)
     assert mags[1] / mags[0] == pytest.approx(4.0, rel=1e-3)
-
-
-def test_image_distance():
-    g = _make_geometry()
-    assert g.image_distance() == pytest.approx(0.2, rel=1e-12)
 
 
 def test_geometry_validation():
     k1 = WaveVector(Direction(0, 0), 1064e-9, 1.0)
     k2 = WaveVector(Direction(0, 0), 1064e-9, 1.0)
     k3 = WaveVector(Direction(0, 0), 532e-9, 1.0)
-    with pytest.raises(GeometryError):
-        InteractionGeometry(k1, k2, k3, 4e-3, 0.6, 0.2, 0.3, 0.35, 0.2, 0.15)
+    InteractionGeometry(k1, k2, k3, 4e-3, 0.3, 0.4, 0.2, 0.15)
+    # the crystal must sit behind the lens: 0 < d < 2f
+    for d in (0.6, 0.7, 0.0, -0.1):
+        with pytest.raises(GeometryError):
+            InteractionGeometry(k1, k2, k3, 4e-3, 0.3, d, 0.2, 0.15)
     bad_k2 = WaveVector(Direction(0, 0), 900e-9, 1.0)
     with pytest.raises(GeometryError):
-        InteractionGeometry(k1, bad_k2, k3, 4e-3, 0.6, 0.2, 0.3, 0.4, 0.2, 0.15)
+        InteractionGeometry(k1, bad_k2, k3, 4e-3, 0.3, 0.4, 0.2, 0.15)
 
 
 def test_image_offset_small_angle():

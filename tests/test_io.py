@@ -24,19 +24,12 @@ def test_stack_roundtrip_bit_identical(tmp_path, rng):
     assert (header.width, header.height, header.n_shots) == (8, 8, 5)
     assert header.master_seed == 42
     assert header.rng_algorithm == "pcg64-seedseq"
-    back = framestack.read_all(path)
+    back = list(framestack.iter_shots(path))
     assert len(back) == 5
     for a, b in zip(recs, back):
         assert a.i1.tobytes() == b.i1.tobytes()
         assert a.i2.tobytes() == b.i2.tobytes()
         assert a.shot_index == b.shot_index
-
-
-def test_stack_iter_matches_read_all(tmp_path, rng):
-    path = tmp_path / "s.twmg"
-    framestack.write_stack(path, _records(rng), 8, 8, 5, 1, "pcg64-seedseq")
-    for a, b in zip(framestack.iter_shots(path), framestack.read_all(path)):
-        assert np.array_equal(a.i2, b.i2)
 
 
 def test_stack_file_size_is_exact(tmp_path, rng):
@@ -179,4 +172,4 @@ def test_manifest_echo():
     cp.optionxform = str
     cp.read_string(text)
     assert cp["run"]["master_seed"] == "12345"
-    assert cp["geometry"]["d_O"] == "0.6"
+    assert cp["geometry"]["f"] == "0.3"

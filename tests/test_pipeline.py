@@ -48,9 +48,9 @@ def _per_mode_shot(mask, g, modes, det=None):
                       shot_index=modes.shot_index)
 
 
-def _acceptance(theta, g, hard_cutoff=False):
+def _acceptance(theta, g):
     """Acceptance weight of one in-plane seed mode at angle theta."""
-    return float(_acceptance_weights(np.array([theta]), np.array([0.0]), g, hard_cutoff)[0])
+    return float(_acceptance_weights(np.array([theta]), np.array([0.0]), g)[0])
 
 
 # -- masks and detector model -------------------------------------------------
@@ -98,6 +98,14 @@ def test_apply_detector_binning():
     assert np.allclose(out, 4.0)                      # photon-count preserving
 
 
+def test_coherent_image_reports_binned_pitch(mask, geometry):
+    plain = coherent_image(mask, geometry)
+    binned = coherent_image(mask, geometry, det=DetectorSpec(pixel_binning=2))
+    assert binned.shape == (plain.shape[0] // 2, plain.shape[1] // 2)
+    assert binned.pitch == 2 * plain.pitch
+    assert binned.grid.sum() == pytest.approx(plain.grid.sum(), rel=1e-12)
+
+
 # -- acceptance filter --------------------------------------------------------
 
 def test_phase_matching_filter_on_axis_is_unity(geometry):
@@ -108,12 +116,6 @@ def test_phase_matching_filter_decreases_with_angle(geometry):
     ws = _acceptance_weights(np.array([0.0, 5e-3, 10e-3, 15e-3]), np.zeros(4), geometry)
     assert all(a > b for a, b in zip(ws, ws[1:]))
     assert all(0.0 <= w <= 1.0 for w in ws)
-
-
-def test_phase_matching_filter_hard_cutoff(geometry):
-    inside = _acceptance(2e-3, geometry, hard_cutoff=True)
-    outside = _acceptance(0.2, geometry, hard_cutoff=True)
-    assert inside == 1.0 and outside == 0.0
 
 
 def test_phase_matching_filter_sinc_form(geometry):
@@ -195,14 +197,16 @@ def test_single_mode_shot_is_scaled_coherent_image(mask, geometry):
 
 
 def test_incoherent_additivity(mask, geometry):
-    from twmghost.chaotic_source import concatenate
-
     spec = SourceSpec(n_modes=4, angular_spread=5e-3)
     a = sample_modes(spec, 21, 0)
     b = sample_modes(spec, 22, 0)
+    ab = ModeSet(theta=np.concatenate([a.theta, b.theta]),
+                 beta=np.concatenate([a.beta, b.beta]),
+                 amplitude=np.concatenate([a.amplitude, b.amplitude]),
+                 shot_index=0, master_seed=21)
     ia = _per_mode_shot(mask, geometry, a).i2
     ib = _per_mode_shot(mask, geometry, b).i2
-    iab = _per_mode_shot(mask, geometry, concatenate(a, b)).i2
+    iab = _per_mode_shot(mask, geometry, ab).i2
     assert np.allclose(iab, ia + ib, atol=1e-12 * max(iab.max(), 1e-300))
 
 

@@ -175,7 +175,7 @@ def _small_geometry():
     k2 = WaveVector(Direction(0, 0), 1064e-9, 1.0)
     k3 = WaveVector(Direction(0, 0), 532e-9, 1.0)
     return InteractionGeometry(k1, k2, k3, crystal_length=4e-3,
-                               d_O=0.6, d_F=0.2, f=0.3, d=0.4, s2=0.2,
+                               f=0.3, d=0.4, s2=0.2,
                                lens_fourier_f=0.15)
 
 

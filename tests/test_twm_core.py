@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from twmghost.errors import InvalidSpec, WeakLimitViolated
+from twmghost.pipeline import WEAK_LIMIT_ARG, coherent_field
 from twmghost.twm_core import (
     CoupledAmplitudes,
     GainParams,
     evolve_matched,
     evolve_mismatched,
-    evolve_weak,
     ode_oracle,
     q_parameter,
 )
@@ -129,22 +131,25 @@ def test_zero_pump_is_identity():
 
 
 def test_weak_limit_taylor_remainder():
-    # first-order generation: error vs full solution is O(arg^2)
+    # first-order generation a2 = i g r conj(a1) a3, the conversion that
+    # pipeline.coherent_field applies: its error against the full solution
+    # is the sinh remainder ~ arg^3/6, so doubling arg multiplies it by 8
     c0 = CoupledAmplitudes(1.0, 0.0)
     errs = []
     for arg in (1e-3, 2e-3):
         p = GainParams(g=arg, a3=1.0, dk=0.0, r=1.0)
         full = evolve_matched(c0, p)
-        weak = evolve_weak(c0, p)
-        errs.append(abs(full.a2 - weak.a2))
-    assert errs[1] / errs[0] == pytest.approx(8.0, rel=0.05)  # sinh remainder ~ arg^3/6
+        weak = 1j * p.g * p.r * np.conj(c0.a1) * p.a3
+        errs.append(abs(full.a2 - weak))
+    assert errs[1] / errs[0] == pytest.approx(8.0, rel=0.05)
 
 
-def test_weak_limit_warns_when_pushed():
-    c0 = CoupledAmplitudes(1.0, 0.0)
-    p = GainParams(g=0.5, a3=1.0, dk=0.0, r=1.0)
+def test_weak_limit_warns_when_pushed(mask, geometry):
     with pytest.warns(WeakLimitViolated):
-        evolve_weak(c0, p)
+        coherent_field(mask, geometry, gain_arg=2 * WEAK_LIMIT_ARG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", WeakLimitViolated)
+        coherent_field(mask, geometry, gain_arg=WEAK_LIMIT_ARG)
 
 
 def test_linearity_in_seed():
