@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -105,18 +106,22 @@ def cmd_simulate_chaotic(args) -> int:
                             coherent_sum=cfg.coherent_sum)
     stack_path = out / "frames.twmg"
 
-    def compute(idx):
-        return exp.shot(idx)
-
     def ordered_shots():
         # shots are pure functions of (seed, index): any schedule gives the
-        # same records, and they are written strictly in index order
+        # same records, and they are written strictly in index order, with
+        # at most 2 * threads shots in flight so memory stays bounded
         if args.threads and args.threads > 1:
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                yield from pool.map(compute, range(cfg.shots), chunksize=8)
+                pending = deque()
+                for idx in range(cfg.shots):
+                    pending.append(pool.submit(exp.shot, idx))
+                    if len(pending) == 2 * args.threads:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
         else:
             for idx in range(cfg.shots):
-                yield compute(idx)
+                yield exp.shot(idx)
 
     width, height = cfg.detector.output_shape(cfg.width, cfg.height)
     framestack.write_stack(stack_path, ordered_shots(), width, height,
@@ -141,7 +146,7 @@ def cmd_reconstruct(args) -> int:
     header, _ = framestack.read_header(args.stack)
     shape = (header.width, header.height)
     if args.ref_pixel == "auto":
-        ref = statistics.auto_reference_pixel(framestack.iter_shots(args.stack))
+        ref = statistics.auto_reference_pixel(framestack.iter_frames(args.stack, "i1"))
     else:
         ref = _parse_pixel(args.ref_pixel, shape)
     cm = statistics.correlate(framestack.iter_shots(args.stack), ref)
@@ -159,9 +164,8 @@ def cmd_stats(args) -> int:
     header, _ = framestack.read_header(args.stack)
     arm = args.arm
     if args.mode == "spatial":
-        for shot in framestack.iter_shots(args.stack):
-            if shot.shot_index == args.shot:
-                frame = getattr(shot, arm)
+        for idx, frame in enumerate(framestack.iter_frames(args.stack, arm)):
+            if idx == args.shot:
                 break
         else:
             raise CorruptStack(f"shot {args.shot} not in stack of {header.n_shots}")
@@ -173,8 +177,8 @@ def cmd_stats(args) -> int:
         if args.pixel:
             px = _parse_pixel(args.pixel, (header.width, header.height))
         else:
-            px = statistics.auto_reference_pixel(framestack.iter_shots(args.stack), arm)
-        samples = np.array([getattr(s, arm)[px] for s in framestack.iter_shots(args.stack)])
+            px = statistics.auto_reference_pixel(framestack.iter_frames(args.stack, arm))
+        samples = np.array([f[px] for f in framestack.iter_frames(args.stack, arm)])
         label = f"temporal {arm}, pixel {tuple(int(v) for v in px)}"
     fit = statistics.thermal_test(samples)
     out = _outdir(args.out)

@@ -118,6 +118,9 @@ def _build(raw: dict) -> RunConfig:
                        pixel_binning=int(ds["pixel_binning"]))
     grid = raw["grid"]
     width, height, pitch = int(grid["width"]), int(grid["height"]), float(grid["pitch"])
+    if height != width:
+        raise InvalidSpec(f"grid height {height} != width {width}: only square grids "
+                          "are supported")
     rs = raw["run"]
     shots = int(rs["shots"])
     if shots < 1:

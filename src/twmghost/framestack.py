@@ -111,3 +111,20 @@ def iter_shots(path) -> Iterator[ShotRecord]:
             i1 = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
             i2 = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
             yield ShotRecord(i1=i1, i2=i2, shot_index=idx)
+
+
+def iter_frames(path, arm: str = "i1") -> Iterator[np.ndarray]:
+    """Stream one arm's frames ("i1" or "i2"), seeking past the other."""
+    if arm not in ("i1", "i2"):
+        raise ValueError(f"arm must be 'i1' or 'i2', got {arm!r}")
+    header, offset = read_header(path)
+    size = header.frame_bytes // 2
+    if arm == "i2":
+        offset += size
+    with open(path, "rb") as fh:
+        for idx in range(header.n_shots):
+            fh.seek(offset + idx * header.frame_bytes)
+            frame = np.empty((header.width, header.height), dtype="<f8")
+            if fh.readinto(frame) != size:
+                raise CorruptStack(f"{path}: shot {idx} {arm} frame truncated")
+            yield frame

@@ -162,25 +162,19 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1,
     return ScalarField(out, field.pitch, field.wavelength, plane_label=field.plane_label)
 
 
-def fourier_plane(field: ScalarField, f_lens: float, d_lens: float = None) -> ScalarField:
-    """Lens Fourier transform of the seed arm.
+def fourier_plane(field: ScalarField, f_lens: float) -> ScalarField:
+    """Lens Fourier transform of the seed arm, field at the front focal plane.
 
     A plane wave tilted by (theta, beta) lands at
-    (f_lens sin(beta), f_lens cos(beta) sin(theta)); the residual quadratic
-    phase carries the factor (1 - d_lens / f_lens) and is exactly 1 for
-    d_lens = f_lens.  Output pitch is lambda * f_lens / (W * pitch_in).
+    (f_lens sin(beta), f_lens cos(beta) sin(theta)); with the field one focal
+    length before the lens no quadratic phase is left.  Output pitch is
+    lambda * f_lens / (W * pitch_in).
     """
     if f_lens <= 0:
         raise SamplingViolation("Fourier lens focal length must be positive")
-    if d_lens is None:
-        d_lens = f_lens
     lam = field.wavelength
     k = 2.0 * np.pi / lam
-    w, h = field.shape
+    w, _ = field.shape
     spec = _ft_plus(field.grid) * field.pitch ** 2 * (k / (2j * np.pi * f_lens))
     pitch_out = lam * f_lens / (w * field.pitch)
-    xo = (np.arange(w) - w // 2) * pitch_out
-    yo = (np.arange(h) - h // 2) * pitch_out
-    rho2 = xo[:, None] ** 2 + yo[None, :] ** 2
-    out = np.exp(-0.5j * k * rho2 / f_lens * (1.0 - d_lens / f_lens)) * spec
-    return ScalarField(out, pitch_out, field.wavelength, plane_label="fourier")
+    return ScalarField(spec, pitch_out, field.wavelength, plane_label="fourier")

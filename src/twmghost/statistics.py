@@ -12,6 +12,7 @@ results are bit-identical regardless of how shots were produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -92,11 +93,11 @@ def correlate(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]) -> Correl
 THERMAL_CONTRAST_FLOOR = 1e-4
 
 
-def auto_reference_pixel(shots: Iterable[ShotRecord], arm: str = "i1") -> tuple[int, int]:
-    """Pixel of highest temporal contrast sigma/<I> of the `arm` map among
+def auto_reference_pixel(frames: Iterable[np.ndarray]) -> tuple[int, int]:
+    """Pixel of highest temporal contrast sigma/<I> over the frames among
     pixels with <I> > 0, from sums of I and I^2 streamed in one pass.
 
-    A Fourier bin (arm "i1") fed by one thermal mode has contrast 1, one fed
+    A Fourier bin (arm i1) fed by one thermal mode has contrast 1, one fed
     by M modes 1/sqrt(M) (Goodman, Speckle Phenomena in Optics), so this is
     a single-mode bin, whose covariance map is one copy of the image, not a
     superposition of shifted copies.  When no pixel varies (deterministic
@@ -104,15 +105,14 @@ def auto_reference_pixel(shots: Iterable[ShotRecord], arm: str = "i1") -> tuple[
     """
     s1 = s2 = None
     n = 0
-    for shot in shots:
-        frame = getattr(shot, arm)
+    for frame in frames:
         if s1 is None:
             s1, s2 = np.zeros(frame.shape), np.zeros(frame.shape)
         s1 += frame
         s2 += frame * frame
         n += 1
     if s1 is None:
-        raise EmptyEnsemble("no shots")
+        raise EmptyEnsemble("no frames")
     mean = s1 / n
     sd = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
     contrast = np.divide(sd, mean, out=np.zeros_like(mean), where=mean > 0)
@@ -127,16 +127,84 @@ def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < 100:
         raise InsufficientSamples(f"need >= 100 samples, got {samples.size}")
-    from scipy import stats as sstats   # 0.9 s to import; only this test needs it
-
     mean = float(samples.mean())
     if mean <= 0:
         ks, p = 1.0, 0.0
     else:
-        ks, p = sstats.kstest(samples, "expon", args=(0.0, mean))
+        n = samples.size
+        cdf = -np.expm1(-np.sort(samples) / mean)
+        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        p = _ks_sf(n, float(ks))
     counts, edges = np.histogram(samples, bins=n_bins)
     return HistogramFit(bin_edges=edges, counts=counts, fitted_mean=mean,
                        ks_statistic=float(ks), p_value=float(p))
+
+
+# the Durbin matrix power is kept in range by exact power-of-two rescaling
+_SCALE_EXP = 128
+_SCALE = 2.0 ** _SCALE_EXP
+
+
+def _ks_sf(n: int, d: float) -> float:
+    """P(D_n >= d) for the two-sided one-sample Kolmogorov-Smirnov statistic.
+
+    Branches as in Simard & L'Ecuyer, J. Stat. Softw. 39(11) (2011): in the
+    tail, twice the one-sided Birnbaum-Tingey probability (Miller's
+    approximation, exact for d >= 0.5); elsewhere one minus the exact
+    Durbin-matrix CDF of Marsaglia, Tsang & Wang, J. Stat. Softw. 8(18)
+    (2003), whose cost grows as (2 ceil(n d))^3 log n.
+    """
+    if d >= 1.0:
+        return 0.0
+    if n * d <= 0.5:
+        return 1.0
+    nd2 = n * d * d
+    if d >= 0.5 or nd2 > 4.0 or (n > 140 and nd2 >= 2.2):
+        # P(D+_n >= d) = d sum_j C(n,j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1)
+        j = np.arange(int(np.floor(n * (1.0 - d))) + 1)
+        lg = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+        with np.errstate(divide="ignore"):
+            log_terms = (lg[n] - lg[j] - lg[n - j]
+                         + (n - j) * np.log(np.maximum(1.0 - d - j / n, 0.0))
+                         + (j - 1) * np.log(d + j / n))
+        return min(1.0, 2.0 * d * float(np.exp(log_terms).sum()))
+    # d = (k - h)/n with 0 <= h < 1; P(D_n < d) = n!/n^n (H^n)[k-1, k-1]
+    k = int(np.ceil(n * d))
+    h = k - n * d
+    m = 2 * k - 1
+    fac = np.ones(m + 1)                  # fac[i] = 1/i!, underflowing to 0
+    for i in range(1, m + 1):
+        fac[i] = fac[i - 1] / i
+    v = (1.0 - h ** np.arange(1, m + 1)) * fac[1:]
+    v[-1] = (1.0 + max(2.0 * h - 1.0, 0.0) ** m - 2.0 * h ** m) * fac[m]
+    H = np.zeros((m, m))
+    for i in range(1, m):
+        H[i - 1:, i] = fac[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = v[::-1]
+    power, expnt, h_expnt, e = np.eye(m), 0, 0, n
+    while True:
+        if e % 2:
+            power = power @ H
+            expnt += h_expnt
+            if power[k - 1, k - 1] > _SCALE:
+                power /= _SCALE
+                expnt += _SCALE_EXP
+        e //= 2
+        if not e:
+            break
+        H = H @ H
+        h_expnt *= 2
+        if H[k - 1, k - 1] > _SCALE:
+            H /= _SCALE
+            h_expnt += _SCALE_EXP
+    p = power[k - 1, k - 1]
+    for i in range(1, n + 1):
+        p = i * p / n
+        if p < 1.0 / _SCALE:
+            p *= _SCALE
+            expnt -= _SCALE_EXP
+    return min(1.0, max(0.0, 1.0 - math.ldexp(p, expnt)))
 
 
 def _snr_from_map(cm: CorrelationMap, support: np.ndarray) -> float:

@@ -65,7 +65,7 @@ def reference(experiment, cfg):
     iy = np.rint(ys / experiment.pitch).astype(int) + cfg.height // 2
     bins = list(zip(ix.tolist(), iy.tolist()))
     # the automatic pick, from the frames alone, is a single-mode bin too
-    auto = auto_reference_pixel(probe)
+    auto = auto_reference_pixel(s.i1 for s in probe)
     assert bins.count(auto) == 1, f"auto reference {auto} is fed by {bins.count(auto)} modes"
     unique = [n for n, b in enumerate(bins) if bins.count(b) == 1]
     mode = max(unique, key=lambda n: mean_i1[bins[n]])
@@ -325,7 +325,7 @@ def test_criterion_9_zero_variance_control(mask, geometry, cfg):
     exp = ChaoticExperiment(mask, geometry, spec, cfg.master_seed,
                             coherent_sum=True)
     shots = [exp.shot(s) for s in range(256)]
-    ref = auto_reference_pixel(shots)
+    ref = auto_reference_pixel(s.i1 for s in shots)
     cm = correlate(shots, ref)
     se = jackknife_error(shots, ref)
     ok = bool(np.all(np.abs(cm.g_map) <= 5.0 * se))

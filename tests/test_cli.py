@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from twmghost import framestack, statistics
 from twmghost.cli import main
+from twmghost.pipeline import ChaoticExperiment
 
 
 SMALL_CFG = """\
@@ -21,6 +24,14 @@ n_modes = 20
 [run]
 shots = 12
 """
+
+
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+        if p)
+    return env
 
 
 @pytest.fixture
@@ -86,7 +97,7 @@ def test_stats_temporal_default_pixel_is_auto_reference(tmp_path, small_cfg):
     auto, given = tmp_path / "auto", tmp_path / "given"
     assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i1",
                  "--out", str(auto)]) == 0
-    ref = statistics.auto_reference_pixel(framestack.iter_shots(stack))
+    ref = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i1"))
     report = (auto / "stats_report.txt").read_text()
     assert report.startswith(f"temporal i1, pixel {ref}\n")
     assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i1",
@@ -112,6 +123,68 @@ def test_threads_byte_identical(tmp_path, small_cfg):
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(b),
                  "--threads", "8"]) == 0
     assert (a / "frames.twmg").read_bytes() == (b / "frames.twmg").read_bytes()
+
+
+def test_threads_bound_shots_in_flight(tmp_path, small_cfg, monkeypatch):
+    # a slow writer must not let the workers run ahead of it without bound
+    lock = threading.Lock()
+    started, written, leads = [0], [0], []
+    shot = ChaoticExperiment.shot
+
+    def counted_shot(self, idx):
+        with lock:
+            started[0] += 1
+            leads.append(started[0] - written[0])
+        return shot(self, idx)
+
+    write_stack = framestack.write_stack
+
+    def slow_write_stack(path, shots, *args, **kwargs):
+        def paced():
+            for rec in shots:
+                time.sleep(0.005)
+                yield rec
+                with lock:
+                    written[0] += 1
+        return write_stack(path, paced(), *args, **kwargs)
+
+    monkeypatch.setattr(ChaoticExperiment, "shot", counted_shot)
+    monkeypatch.setattr(framestack, "write_stack", slow_write_stack)
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "run"),
+                 "--shots", "64", "--threads", "2"]) == 0
+    assert started[0] == written[0] == 64
+    assert max(leads) <= 2 * 2 + 1
+
+
+def test_non_square_grid_is_data_error(tmp_path, capsys):
+    p = tmp_path / "wide.ini"
+    p.write_text(SMALL_CFG.replace("height = 64", "height = 48"))
+    for cmd in ("simulate-coherent", "simulate-chaotic"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid height 48 != width 64" in err
+        assert not out.exists()
+
+
+def test_stats_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: `stats` must run where it is absent
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(SMALL_CFG)
+    run = tmp_path / "run"
+    assert main(["simulate-chaotic", "--config", str(cfg), "--out", str(run),
+                 "--shots", "100"]) == 0
+    stack = str(run / "frames.twmg")
+    # spatial i1 has one sample per mode bin, too few for the test
+    for mode, arm in (("temporal", "i1"), ("spatial", "i2")):
+        out = tmp_path / mode
+        code = ("import sys; sys.modules['scipy'] = None; import twmghost.cli; "
+                f"sys.exit(twmghost.cli.main(['stats', {stack!r}, '--mode', {mode!r}, "
+                f"'--arm', {arm!r}, '--out', {str(out)!r}]))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "p_value" in (out / "stats_report.txt").read_text()
 
 
 def test_selftest_passes():
@@ -181,12 +254,8 @@ def test_sampling_violation_is_numeric_error(tmp_path):
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats takes most of a second to import and only `stats` needs it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
-        if p)
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, twmghost.cli; print('scipy.stats' in sys.modules)"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

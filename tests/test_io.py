@@ -32,6 +32,17 @@ def test_stack_roundtrip_bit_identical(tmp_path, rng):
         assert a.shot_index == b.shot_index
 
 
+@pytest.mark.parametrize("n", [1, 5])
+def test_iter_frames_matches_iter_shots(tmp_path, rng, n):
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, _records(rng, n=n), 8, 8, n, 42, "pcg64-seedseq")
+    for arm in ("i1", "i2"):
+        frames = list(framestack.iter_frames(path, arm))
+        assert len(frames) == n
+        for frame, shot in zip(frames, framestack.iter_shots(path)):
+            assert frame.tobytes() == getattr(shot, arm).tobytes()
+
+
 def test_stack_file_size_is_exact(tmp_path, rng):
     path = tmp_path / "s.twmg"
     framestack.write_stack(path, _records(rng, n=3, w=16), 16, 16, 3, 0, "x")

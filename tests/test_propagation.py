@@ -161,15 +161,6 @@ def test_fourier_plane_airy_first_null():
     assert null == pytest.approx(1.22 * lam * fl / diam, rel=0.05)
 
 
-def test_fourier_plane_residual_phase_flat_at_focal_spacing():
-    f = _gaussian_field()
-    a = fourier_plane(f, 0.15, d_lens=0.15)
-    b = fourier_plane(f, 0.15, d_lens=0.10)
-    # same magnitude, different residual quadratic phase
-    assert np.allclose(np.abs(a.grid), np.abs(b.grid), atol=1e-12)
-    assert not np.allclose(np.angle(a.grid), np.angle(b.grid))
-
-
 def _small_geometry():
     k1 = WaveVector(Direction(0, 0), 1064e-9, 1.0)
     k2 = WaveVector(Direction(0, 0), 1064e-9, 1.0)

@@ -5,6 +5,7 @@ from twmghost.errors import EmptyEnsemble, InsufficientSamples, ShapeMismatch
 from twmghost.pipeline import ShotRecord
 from twmghost.statistics import (
     CovarianceAccumulator,
+    _ks_sf,
     auto_reference_pixel,
     correlate,
     jackknife_error,
@@ -78,13 +79,12 @@ def test_auto_reference_pixel(rng):
         i1[9, 4] = rng.exponential(1.0, size=2).sum()
         i1[12, 1] = rng.exponential(1.0, size=3).sum()
         shots.append(ShotRecord(i1=i1, i2=i1.copy(), shot_index=s))
-    assert auto_reference_pixel(shots) == (3, 5)
-    assert auto_reference_pixel(shots, arm="i2") == (3, 5)
+    assert auto_reference_pixel(s.i1 for s in shots) == (3, 5)
+    assert auto_reference_pixel(s.i2 for s in shots) == (3, 5)
     # deterministic intensities: no bin varies, so the brightest is picked
     frame = np.zeros((16, 16))
     frame[3, 5], frame[9, 4] = 1.0, 2.0
-    fixed = [ShotRecord(i1=frame.copy(), i2=frame.copy(), shot_index=s) for s in range(20)]
-    assert auto_reference_pixel(fixed) == (9, 4)
+    assert auto_reference_pixel(frame.copy() for _ in range(20)) == (9, 4)
     with pytest.raises(EmptyEnsemble):
         auto_reference_pixel([])
 
@@ -100,6 +100,49 @@ def test_thermal_test_rejects_gaussian(rng):
     samples = np.abs(rng.normal(5.0, 0.3, size=5000))
     fit = thermal_test(samples)
     assert fit.p_value < 1e-6
+
+
+def _in_pelz_good_region(n, d):
+    # where scipy's kstwo.sf uses the asymptotic Pelz-Good series
+    return n > 140 and n * d * d < 2.2 and n * d ** 1.5 > 1.4
+
+
+@pytest.mark.parametrize("n", [100, 140, 141, 500, 2000, 10_000])
+def test_ks_sf_matches_scipy_kstwo(n):
+    kstwo = pytest.importorskip("scipy.stats").kstwo
+    # n d^2 through the Durbin branch (incl. n d <= 1) and both tail cut-offs,
+    # then the edges n d <= 0.5, d >= 0.5 and d = 1
+    nd2 = np.concatenate([[0.3 / n, 1.0 / n], np.linspace(0.05, 6.0, 40), [18.0, 50.0, 300.0]])
+    d = np.concatenate([np.sqrt(nd2 / n), [0.4 / n, 0.5, 0.75, 0.99, 1.0]])
+    for di in d:
+        want = float(kstwo.sf(di, n))
+        rel = 1e-4 if _in_pelz_good_region(n, di) else 1e-10
+        assert _ks_sf(n, float(di)) == pytest.approx(want, rel=rel, abs=1e-300), (n, di)
+
+
+def test_ks_sf_edges():
+    assert _ks_sf(500, 0.5 / 500) == 1.0
+    assert _ks_sf(500, 0.1 / 500) == 1.0
+    assert _ks_sf(500, 1.0) == 0.0
+    assert _ks_sf(500, 1.5) == 0.0
+    # n d <= 1 has the closed form P(D_n < d) = n!/n^n (2 n d - 1)^n, which
+    # vanishes at large n, so check it at small n
+    n, d = 5, 0.8 / 5
+    cdf = np.prod(np.arange(1, n + 1) / n * (2 * n * d - 1))
+    assert _ks_sf(n, d) == pytest.approx(1.0 - cdf, rel=1e-14)
+
+
+@pytest.mark.parametrize("power", [1.0, 2.0])
+def test_thermal_test_matches_scipy_kstest(rng, power):
+    sstats = pytest.importorskip("scipy.stats")
+    # thermal samples, and squared ones the test rejects
+    for n in (100, 1000, 5000):
+        samples = rng.exponential(1.0, size=n) ** power
+        fit = thermal_test(samples)
+        ref = sstats.kstest(samples, "expon", args=(0.0, samples.mean()))
+        assert abs(fit.ks_statistic - ref.statistic) <= 1e-15
+        rel = 1e-4 if _in_pelz_good_region(n, fit.ks_statistic) else 1e-10
+        assert fit.p_value == pytest.approx(ref.pvalue, rel=rel, abs=1e-300)
 
 
 def test_thermal_test_needs_samples(rng):
