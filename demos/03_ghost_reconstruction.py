@@ -34,7 +34,7 @@ print(f"single shot vs coherent image: correlation {rho:+.3f} (no structure)")
 masks.save_pgm16(out / "single_shot.pgm", shot0.i2)
 
 # pick the single-mode (highest-contrast) reference bin on the Fourier arm and correlate
-ref = auto_reference_pixel(exp.shot(s).i1 for s in range(50))
+ref = auto_reference_pixel(rec.i1 for rec in exp.shots(50))
 mode = exp.reference_mode_for_pixel(ref)
 print(f"reference pixel {ref} tracks mode {mode} "
       f"(theta = {exp.theta1[mode] * 1e3:+.2f} mrad)")

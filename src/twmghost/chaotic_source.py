@@ -73,8 +73,7 @@ def _rng(master_seed: int, *key: int) -> np.random.Generator:
 
 def sample_modes(spec: SourceSpec, master_seed: int, shot_index: int) -> ModeSet:
     """Draw the ModeSet of one shot; deterministic in (master_seed, shot_index)."""
-    if shot_index < 0:
-        raise InvalidSpec("shot_index must be non-negative")
+    amp = sample_amplitudes(spec, master_seed, shot_index)
     dir_shot = 0 if spec.fixed_directions else shot_index
     rd = _rng(master_seed, 0, dir_shot)
     # uniform over the (theta, beta) disc
@@ -82,14 +81,22 @@ def sample_modes(spec: SourceSpec, master_seed: int, shot_index: int) -> ModeSet
     phi = 2.0 * np.pi * rd.random(spec.n_modes)
     theta = rad * np.cos(phi)
     beta = rad * np.sin(phi)
+    return ModeSet(theta=theta, beta=beta, amplitude=amp,
+                   shot_index=shot_index, master_seed=master_seed)
+
+
+def sample_amplitudes(spec: SourceSpec, master_seed: int, shot_index: int) -> np.ndarray:
+    """Complex mode amplitudes of one shot, the `amplitude` of its ModeSet;
+    they have a random stream of their own, so drawing them alone skips the
+    directions."""
+    if shot_index < 0:
+        raise InvalidSpec("shot_index must be non-negative")
     ra = _rng(master_seed, 1, shot_index)
     if spec.amplitude_law == "gaussian":
         amp = (ra.standard_normal(spec.n_modes) + 1j * ra.standard_normal(spec.n_modes))
         amp *= spec.amplitude_scale / np.sqrt(2.0)
-    else:
-        amp = spec.amplitude_scale * np.exp(2j * np.pi * ra.random(spec.n_modes))
-    return ModeSet(theta=theta, beta=beta, amplitude=amp,
-                   shot_index=shot_index, master_seed=master_seed)
+        return amp
+    return spec.amplitude_scale * np.exp(2j * np.pi * ra.random(spec.n_modes))
 
 
 def field_from_modes(m: ModeSet, template: ScalarField, chunk: int = 32) -> ScalarField:
@@ -128,6 +135,21 @@ def fourier_bins(m: ModeSet, g, template: ScalarField) -> tuple[np.ndarray, np.n
             np.rint(ys / template.pitch).astype(int) + h // 2)
 
 
+def fourier_bin_index(m: ModeSet, g, template: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Which modes bin on the Fourier-plane grid of `template` (a boolean
+    per mode) and the flat row-major pixel index of each of those."""
+    w, h = template.shape
+    ix, iy = fourier_bins(m, g, template)
+    on = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    return on, ix[on] * h + iy[on]
+
+
+def bin_intensities(index: np.ndarray, weights: np.ndarray, shape) -> np.ndarray:
+    """Map of `shape` holding the sum of `weights` that fall on each flat
+    pixel `index`, added in mode order."""
+    return np.bincount(index, weights=weights, minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def fourier_intensity(m: ModeSet, g, template: ScalarField) -> ScalarField:
     """Pixel-binned Fourier-plane intensity: one |a_n|^2 contribution per mode.
 
@@ -135,9 +157,6 @@ def fourier_intensity(m: ModeSet, g, template: ScalarField) -> ScalarField:
     single-pixel bin; consistent with fourier_plane(field_from_modes(...))
     up to discretization leakage.
     """
-    w, h = template.shape
-    ix, iy = fourier_bins(m, g, template)
-    out = np.zeros((w, h), dtype=float)
-    ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    np.add.at(out, (ix[ok], iy[ok]), np.abs(m.amplitude[ok]) ** 2)
+    on, index = fourier_bin_index(m, g, template)
+    out = bin_intensities(index, np.abs(m.amplitude[on]) ** 2, template.shape)
     return ScalarField(out, template.pitch, template.wavelength, plane_label="fourier")

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -105,27 +103,9 @@ def cmd_simulate_chaotic(args) -> int:
                             cfg.master_seed, det=cfg.detector,
                             coherent_sum=cfg.coherent_sum)
     stack_path = out / "frames.twmg"
-
-    def ordered_shots():
-        # shots are pure functions of (seed, index): any schedule gives the
-        # same records, and they are written strictly in index order, with
-        # at most 2 * threads shots in flight so memory stays bounded
-        if args.threads and args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                pending = deque()
-                for idx in range(cfg.shots):
-                    pending.append(pool.submit(exp.shot, idx))
-                    if len(pending) == 2 * args.threads:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
-        else:
-            for idx in range(cfg.shots):
-                yield exp.shot(idx)
-
     width, height = cfg.detector.output_shape(cfg.width, cfg.height)
-    framestack.write_stack(stack_path, ordered_shots(), width, height,
-                           cfg.shots, cfg.master_seed, RNG_ALGORITHM)
+    framestack.write_stack(stack_path, exp.shots(cfg.shots, threads=args.threads), width,
+                           height, cfg.shots, cfg.master_seed, RNG_ALGORITHM)
     (out / "manifest.ini").write_text(
         config.manifest_text(cfg, __version__, RNG_ALGORITHM))
     print(f"{cfg.shots} shots written to {stack_path}")
@@ -170,6 +150,11 @@ def cmd_stats(args) -> int:
         else:
             raise CorruptStack(f"shot {args.shot} not in stack of {header.n_shots}")
         samples = frame[frame > 0] if arm == "i1" else frame.ravel()
+        if arm == "i1" and samples.size < statistics.MIN_SAMPLES:
+            raise InsufficientSamples(
+                f"shot {args.shot} has {samples.size} lit Fourier bins, fewer than the "
+                f"{statistics.MIN_SAMPLES} samples the thermal test needs; use --mode "
+                f"temporal (one pixel over the shots) or --arm i2 (every image pixel)")
         label = f"spatial {arm}, shot {args.shot}"
     else:
         # two streaming passes instead of holding every frame: memory stays

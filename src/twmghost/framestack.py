@@ -67,7 +67,7 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 a = np.ascontiguousarray(frame, dtype="<f8")
                 if a.shape != (width, height):
                     raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
-                fh.write(a.tobytes())
+                fh.write(a.data)
             written += 1
     if written != n_shots:
         raise CorruptStack(f"wrote {written} shots, header said {n_shots}")

@@ -13,17 +13,25 @@ squares the summed complex field is available for control studies).  The
 incoherent sum is a convolution of the coherent image with one impulse per
 mode, made by FFT on a padded grid; a per-mode copy stack is built instead
 when it is the cheaper product (few modes) and for the coherent sum, whose
-per-mode phase ramps make it no convolution.
+per-mode phase ramps make it no convolution.  On the copy stack, shots are
+made in aligned blocks of SHOT_BLOCK: one (SHOT_BLOCK x n_modes) matrix of
+mode intensities (or conjugate amplitudes) times the (n_modes x W H) stack.
+Everything that does not change between shots (mode directions, offsets,
+weights, Fourier-plane bins) is computed once per experiment.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .chaotic_source import ModeSet, SourceSpec, fourier_bins, fourier_intensity, sample_modes
+from .chaotic_source import (ModeSet, SourceSpec, bin_intensities, fourier_bin_index, fourier_bins,
+                             sample_amplitudes, sample_modes)
 from .errors import InvalidSpec, WeakLimitViolated
 from .framestack import ShotRecord
 from .geometry import (Direction, InteractionGeometry, geometric_factor, image_offset,
@@ -166,18 +174,49 @@ def coherent_image(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex =
     return ScalarField(i2, pitch, e2.wavelength, plane_label="image")
 
 
+# copy-stack shots are made this many at a time, as one matrix product that
+# reads the stack once per block instead of once per shot.  More rows grow
+# the BLAS packing buffers: on 128 x 128 with 24 modes, 16 rows added 4 MB
+# and 32 rows 10 MB of peak memory, with no clear gain in time
+SHOT_BLOCK = 8
+
+
+def _ordered_map(fn, items, threads: int):
+    """fn over items in order; with threads > 1 on a pool of that many
+    worker threads, with at most 2 * threads calls started and not yet
+    consumed, so memory stays bounded however slow the consumer is."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 class ChaoticExperiment:
     """Precomputed machinery for many-shot chaotic runs.
 
-    Holds the base coherent image, the per-mode conjugate directions,
-    integer pixel offsets and geometric/acceptance weights, so that one shot
-    reduces to a weighted sum over modes.  The incoherent sum is made by FFT
-    convolution of the base image with the shot's impulse map (one weighted
-    impulse per mode at its offset) when that costs fewer operations than
-    the product with a per-mode copy stack, n_modes W H > 2 Nx Ny log2(Nx Ny)
-    on the Nx x Ny padded grid; otherwise, and always for the coherent sum,
-    `flat_stack` holds one weighted copy per mode.  `flat_stack` is None on
-    the FFT path.
+    Holds the base coherent image, the fixed mode directions with their
+    conjugate directions, integer pixel offsets, geometric/acceptance
+    weights and Fourier-plane bins, so that one shot reduces to drawing its
+    mode amplitudes and a weighted sum over modes.  The incoherent sum is
+    made by FFT convolution of the base image with the shot's impulse map
+    (one weighted impulse per mode at its offset) when that costs fewer
+    operations than the product with a per-mode copy stack,
+    n_modes W H > 2 Nx Ny log2(Nx Ny) on the Nx x Ny padded grid; otherwise,
+    and always for the coherent sum, `flat_stack` holds one weighted copy
+    per mode.  `flat_stack` is None on the FFT path.
+
+    Shots are made in aligned blocks of `block` shots: block b covers shots
+    b * block to (b + 1) * block - 1.  On the copy-stack paths a block is
+    SHOT_BLOCK shots and one (SHOT_BLOCK x n_modes) @ flat_stack product,
+    always computed whole, so a shot's bytes do not depend on which shots
+    or how many threads were asked for; on the FFT path a block is one shot.
     """
 
     def __init__(self, mask: ObjectMask, g: InteractionGeometry, spec: SourceSpec,
@@ -189,6 +228,7 @@ class ChaoticExperiment:
         self.mask, self.g, self.spec = mask, g, spec
         self.master_seed = master_seed
         self.det = det or DetectorSpec()
+        self.ideal_detector = self.det.bit_depth == 0 and self.det.pixel_binning == 1
         self.coherent_sum = coherent_sum
         base = coherent_field(mask, g)
         self.pitch = base.pitch
@@ -203,11 +243,14 @@ class ChaoticExperiment:
         self.py = np.rint(yb / self.pitch).astype(int)
         self.accept = _acceptance_weights(m0.theta, m0.beta, g)
         self.mode_weight = self.accept * geometric_factor(seed, idler) ** 2
-        # detector-plane template for the Fourier arm
+        # detector-plane template for the Fourier arm, and the bin of each
+        # mode that lands on it
         w, h = self.base_image.shape
         self.template = ScalarField(np.zeros((w, h)), self.pitch,
                                     g.k1.wavelength / g.k1.index, plane_label="fourier")
+        self.i1_on, self.i1_index = fourier_bin_index(m0, g, self.template)
         self.flat_stack = None
+        self.block = SHOT_BLOCK
         if coherent_sum:
             k2 = g.k2.magnitude
             x, yv = base.coords()
@@ -227,6 +270,7 @@ class ChaoticExperiment:
         nx = _next_5_smooth(w + int(np.abs(px).max(initial=0)))
         ny = _next_5_smooth(h + int(np.abs(py).max(initial=0)))
         if spec.n_modes * w * h > 2 * nx * ny * np.log2(nx * ny):
+            self.block = 1
             self.pad = (nx, ny)
             self.impulse_index = (px % nx) * ny + py % ny
             self.base_hat = np.fft.rfft2(self.base_image, self.pad)
@@ -240,28 +284,50 @@ class ChaoticExperiment:
     def modes_for_shot(self, shot_index: int) -> ModeSet:
         return sample_modes(self.spec, self.master_seed, shot_index)
 
-    def shot(self, shot_index: int) -> ShotRecord:
-        m = self.modes_for_shot(shot_index)
+    def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mode intensities (block x n_modes) and undetected i2 maps
+        (block x W x H) of the shots of block b."""
+        first = b * self.block
+        amp = np.array([sample_amplitudes(self.spec, self.master_seed, k)
+                        for k in range(first, first + self.block)])
+        p = np.abs(amp) ** 2
+        shape = (self.block,) + self.base_image.shape
         if self.coherent_sum:
-            e2 = np.conj(m.amplitude) @ self.flat_stack
-            i2 = np.abs(e2.reshape(self.base_image.shape)) ** 2
-        elif self.flat_stack is not None:
-            i2 = (np.abs(m.amplitude) ** 2 @ self.flat_stack).reshape(self.base_image.shape)
-        else:
-            weight = (np.abs(m.amplitude[self.kept]) ** 2) * self.mode_weight[self.kept]
-            kernel = np.bincount(self.impulse_index, weights=weight,
-                                 minlength=self.pad[0] * self.pad[1]).reshape(self.pad)
-            w, h = self.base_image.shape
-            i2 = np.fft.irfft2(np.fft.rfft2(kernel) * self.base_hat, self.pad)[:w, :h]
-            # round-off must not make an intensity negative
-            i2 = np.maximum(i2, 0.0)
-        i1 = fourier_intensity(m, self.g, self.template).grid
-        return ShotRecord(i1=apply_detector(i1, self.det),
-                          i2=apply_detector(i2, self.det), shot_index=shot_index)
+            return p, (np.abs(np.conj(amp) @ self.flat_stack) ** 2).reshape(shape)
+        if self.flat_stack is not None:
+            return p, (p @ self.flat_stack).reshape(shape)
+        weight = p[0, self.kept] * self.mode_weight[self.kept]
+        kernel = np.bincount(self.impulse_index, weights=weight,
+                             minlength=self.pad[0] * self.pad[1]).reshape(self.pad)
+        w, h = self.base_image.shape
+        i2 = np.fft.irfft2(np.fft.rfft2(kernel) * self.base_hat, self.pad)[:w, :h]
+        # round-off must not make an intensity negative
+        return p, np.maximum(i2, 0.0).reshape(shape)
 
-    def shots(self, n_shots: int, start: int = 0):
-        for idx in range(start, start + n_shots):
-            yield self.shot(idx)
+    def _record(self, shot_index: int, p: np.ndarray, i2: np.ndarray) -> ShotRecord:
+        i1 = bin_intensities(self.i1_index, p[self.i1_on], self.base_image.shape)
+        if not self.ideal_detector:
+            i1, i2 = apply_detector(i1, self.det), apply_detector(i2, self.det)
+        return ShotRecord(i1=i1, i2=i2, shot_index=shot_index)
+
+    def shots(self, n_shots: int, start: int = 0, threads: int = 1) -> Iterator[ShotRecord]:
+        """Records of shots start to start + n_shots - 1, in index order.
+
+        Whole blocks are made, `threads` at a time on worker threads when
+        threads > 1, with at most 2 * threads blocks in flight; the records
+        and their bytes do not depend on `threads`.  i1 is binned as each
+        record is yielded.
+        """
+        stop = start + n_shots
+        blocks = range(start // self.block, -(-stop // self.block))
+        for b, (p, i2) in zip(blocks, _ordered_map(self._block, blocks, threads)):
+            first = b * self.block
+            for k in range(max(start, first), min(stop, first + self.block)):
+                yield self._record(k, p[k - first], i2[k - first])
+
+    def shot(self, shot_index: int) -> ShotRecord:
+        """One shot's record, made with the rest of its block."""
+        return next(self.shots(1, start=shot_index))
 
     def expected_image(self, ref_mode: int) -> np.ndarray:
         """Shifted/inverted object image the correlation map should recover

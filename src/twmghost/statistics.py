@@ -121,12 +121,16 @@ def auto_reference_pixel(frames: Iterable[np.ndarray]) -> tuple[int, int]:
     return (int(idx[0]), int(idx[1]))
 
 
+# fewest samples thermal_test accepts
+MIN_SAMPLES = 100
+
+
 def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
     """Kolmogorov-Smirnov test of the samples against the thermal law
     P(I) = exp(-I/<I>)/<I> with <I> the sample mean."""
     samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 100:
-        raise InsufficientSamples(f"need >= 100 samples, got {samples.size}")
+    if samples.size < MIN_SAMPLES:
+        raise InsufficientSamples(f"need >= {MIN_SAMPLES} samples, got {samples.size}")
     mean = float(samples.mean())
     if mean <= 0:
         ks, p = 1.0, 0.0
@@ -143,6 +147,11 @@ def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
 # the Durbin matrix power is kept in range by exact power-of-two rescaling
 _SCALE_EXP = 128
 _SCALE = 2.0 ** _SCALE_EXP
+# above this many samples the CDF off the tail is the Pelz-Good series, as
+# in Simard & L'Ecuyer and scipy's kstwo: the Durbin matrix would take
+# seconds (1449 x 1449 at n = 262144, n d^2 = 2), and the series is off by
+# O(1/n^2)
+_ASYMPTOTIC_N = 100_000
 
 
 def _ks_sf(n: int, d: float) -> float:
@@ -150,9 +159,10 @@ def _ks_sf(n: int, d: float) -> float:
 
     Branches as in Simard & L'Ecuyer, J. Stat. Softw. 39(11) (2011): in the
     tail, twice the one-sided Birnbaum-Tingey probability (Miller's
-    approximation, exact for d >= 0.5); elsewhere one minus the exact
-    Durbin-matrix CDF of Marsaglia, Tsang & Wang, J. Stat. Softw. 8(18)
-    (2003), whose cost grows as (2 ceil(n d))^3 log n.
+    approximation, exact for d >= 0.5); elsewhere one minus the CDF, which
+    is the exact Durbin-matrix CDF of Marsaglia, Tsang & Wang, J. Stat.
+    Softw. 8(18) (2003), whose cost grows as (2 ceil(n d))^3 log n, up to
+    n = _ASYMPTOTIC_N, and the Pelz-Good asymptotic series above it.
     """
     if d >= 1.0:
         return 0.0
@@ -168,6 +178,8 @@ def _ks_sf(n: int, d: float) -> float:
                          + (n - j) * np.log(np.maximum(1.0 - d - j / n, 0.0))
                          + (j - 1) * np.log(d + j / n))
         return min(1.0, 2.0 * d * float(np.exp(log_terms).sum()))
+    if n > _ASYMPTOTIC_N:
+        return min(1.0, max(0.0, 1.0 - _pelz_good_cdf(n, d)))
     # d = (k - h)/n with 0 <= h < 1; P(D_n < d) = n!/n^n (H^n)[k-1, k-1]
     k = int(np.ceil(n * d))
     h = k - n * d
@@ -205,6 +217,32 @@ def _ks_sf(n: int, d: float) -> float:
             p *= _SCALE
             expnt -= _SCALE_EXP
     return min(1.0, max(0.0, 1.0 - math.ldexp(p, expnt)))
+
+
+def _pelz_good_cdf(n: int, d: float) -> float:
+    """P(D_n < d) ~ K0(z) + K1(z)/sqrt(n) + K2(z)/n + K3(z)/n^1.5, z = d sqrt(n).
+
+    The Li-Chien / Korolyuk expansion in the small-z form of Pelz & Good,
+    J. R. Stat. Soc. B 38, 152 (1976), as given by Simard & L'Ecuyer (2011):
+    theta sums over odd m = 2k - 1 of exp(-pi^2 m^2 / (8 z^2)), plus sums over
+    all k of exp(-pi^2 k^2 / (2 z^2)) in K2 and K3.
+    """
+    z = d * math.sqrt(n)
+    z2 = z * z
+    k = np.arange(1, math.ceil(16.0 * z / math.pi) + 1, dtype=float)
+    m2 = (2.0 * k - 1.0) ** 2 * (math.pi ** 2 / 4.0)     # (pi m / 2)^2
+    odd = np.exp(-m2 / (2.0 * z2))
+    all_k = (math.pi * k) ** 2
+    even = all_k * np.exp(-all_k / (2.0 * z2))
+    k0 = odd.sum() / z
+    k1 = ((m2 - z2) * odd).sum() / (6.0 * z ** 4)
+    k2 = (((6.0 * z2 + 2.0) * z2 * z2 + (2.0 * z2 - 5.0) * z2 * m2 + (1.0 - 2.0 * z2) * m2 * m2)
+          * odd).sum() / (72.0 * z ** 7) - even.sum() / (36.0 * z ** 3)
+    k3 = ((-(30.0 + 90.0 * z2) * z2 ** 3 + (135.0 - 96.0 * z2) * z2 * z2 * m2
+           + (212.0 * z2 - 60.0) * z2 * m2 * m2 + (5.0 - 30.0 * z2) * m2 ** 3)
+          * odd).sum() / (6480.0 * z ** 10) + ((3.0 * z2 - all_k) * even).sum() / (216.0 * z ** 6)
+    return math.sqrt(2.0 * math.pi) * float(k0 + (k1 + (k2 + k3 / math.sqrt(n)) / math.sqrt(n))
+                                             / math.sqrt(n))
 
 
 def _snr_from_map(cm: CorrelationMap, support: np.ndarray) -> float:

@@ -324,7 +324,7 @@ def test_criterion_9_zero_variance_control(mask, geometry, cfg):
                       amplitude_law="fixed-modulus")
     exp = ChaoticExperiment(mask, geometry, spec, cfg.master_seed,
                             coherent_sum=True)
-    shots = [exp.shot(s) for s in range(256)]
+    shots = list(exp.shots(256))
     ref = auto_reference_pixel(s.i1 for s in shots)
     cm = correlate(shots, ref)
     se = jackknife_error(shots, ref)

@@ -7,6 +7,7 @@ from twmghost.chaotic_source import (
     ModeSet,
     SourceSpec,
     field_from_modes,
+    fourier_bins,
     fourier_intensity,
     mode_fourier_positions,
     sample_modes,
@@ -160,6 +161,20 @@ def test_fourier_intensity_total_weight(geometry):
     m = sample_modes(spec, 5, 0)
     out = fourier_intensity(m, geometry, _template())
     assert out.grid.sum() == pytest.approx(np.sum(np.abs(m.amplitude) ** 2))
+
+
+def test_fourier_intensity_equals_mode_by_mode_sum(geometry):
+    # a small grid and a wide spread: modes share bins and fall off the grid
+    m = sample_modes(SourceSpec(n_modes=300, angular_spread=4e-3), 5, 1)
+    tpl = _template(width=32)
+    ix, iy = fourier_bins(m, geometry, tpl)
+    on = (ix >= 0) & (ix < 32) & (iy >= 0) & (iy < 32)
+    assert 0 < on.sum() < 300 and len(set(zip(ix[on], iy[on]))) < on.sum()
+    p = np.abs(m.amplitude) ** 2
+    want = np.zeros((32, 32))
+    for n in np.flatnonzero(on):
+        want[ix[n], iy[n]] += p[n]
+    assert np.array_equal(fourier_intensity(m, geometry, tpl).grid, want)
 
 
 def test_fourier_intensity_matches_propagated_field(geometry):

@@ -10,6 +10,7 @@ import pytest
 
 from twmghost import framestack, statistics
 from twmghost.cli import main
+from twmghost.config import load_config
 from twmghost.pipeline import ChaoticExperiment
 
 
@@ -88,6 +89,19 @@ def test_stats_command(tmp_path, small_cfg):
     assert hist.shape[1] == 3
 
 
+def test_stats_spatial_i1_names_lit_bins_and_alternatives(tmp_path, small_cfg, capsys):
+    # 20 modes light fewer Fourier bins than the thermal test needs samples
+    out = tmp_path / "run"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["stats", str(out / "frames.twmg"), "--mode", "spatial", "--arm", "i1",
+                 "--out", str(tmp_path / "st")]) == 2
+    err = capsys.readouterr().err
+    lit = int(np.count_nonzero(next(framestack.iter_frames(out / "frames.twmg", "i1"))))
+    assert f"shot 0 has {lit} lit Fourier bins" in err
+    assert "--mode temporal" in err and "--arm i2" in err
+
+
 def test_stats_temporal_default_pixel_is_auto_reference(tmp_path, small_cfg):
     # the brightest mean i1 pixel is the reconstruct reference pixel, and
     # naming it explicitly changes no output byte
@@ -116,44 +130,76 @@ def test_seed_and_shots_overrides(tmp_path, small_cfg):
 
 
 def test_threads_byte_identical(tmp_path, small_cfg):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(a),
-                 "--threads", "1"]) == 0
-    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(b),
-                 "--threads", "8"]) == 0
-    assert (a / "frames.twmg").read_bytes() == (b / "frames.twmg").read_bytes()
+    # 12 shots: one whole block of 8 and a partial one
+    stacks = []
+    for threads in ("1", "2", "8"):
+        out = tmp_path / threads
+        assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out),
+                     "--threads", threads]) == 0
+        stacks.append((out / "frames.twmg").read_bytes())
+    assert stacks[0] == stacks[1] == stacks[2]
 
 
 def test_threads_bound_shots_in_flight(tmp_path, small_cfg, monkeypatch):
-    # a slow writer must not let the workers run ahead of it without bound
+    # a slow writer must not let the workers run ahead of it without bound:
+    # count blocks started against blocks whose shots are all written
     lock = threading.Lock()
     started, written, leads = [0], [0], []
-    shot = ChaoticExperiment.shot
+    block = ChaoticExperiment._block
 
-    def counted_shot(self, idx):
+    def counted_block(self, b):
         with lock:
             started[0] += 1
-            leads.append(started[0] - written[0])
-        return shot(self, idx)
+            leads.append(started[0] - written[0] // self.block)
+        return block(self, b)
 
     write_stack = framestack.write_stack
 
     def slow_write_stack(path, shots, *args, **kwargs):
         def paced():
             for rec in shots:
-                time.sleep(0.005)
+                time.sleep(0.001)
                 yield rec
                 with lock:
                     written[0] += 1
         return write_stack(path, paced(), *args, **kwargs)
 
-    monkeypatch.setattr(ChaoticExperiment, "shot", counted_shot)
+    monkeypatch.setattr(ChaoticExperiment, "_block", counted_block)
     monkeypatch.setattr(framestack, "write_stack", slow_write_stack)
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "run"),
-                 "--shots", "64", "--threads", "2"]) == 0
-    assert started[0] == written[0] == 64
+                 "--shots", "256", "--threads", "2"]) == 0
+    assert started[0] == 256 // 8 and written[0] == 256
     assert max(leads) <= 2 * 2 + 1
+
+
+def test_shot_count_does_not_change_shot_bytes(tmp_path, small_cfg):
+    # copy-stack path: shots come in blocks of 8, and a run that ends inside
+    # a block writes the same bytes for its shots as a longer run
+    def payload(shots):
+        out = tmp_path / shots
+        assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out),
+                     "--shots", shots]) == 0
+        header, offset = framestack.read_header(out / "frames.twmg")
+        return (out / "frames.twmg").read_bytes()[offset:], header.frame_bytes
+
+    full, frame = payload("16")
+    for shots in (1, 13):
+        assert payload(str(shots))[0] == full[:shots * frame]
+
+
+def test_experiment_shot_equals_streamed_record(tmp_path, small_cfg):
+    out = tmp_path / "run"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 0
+    cfg = load_config(small_cfg)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                            cfg.master_seed)
+    assert exp.flat_stack is not None
+    records = list(framestack.iter_shots(out / "frames.twmg"))
+    for k in (0, 5, 8, 11):
+        rec = exp.shot(k)
+        assert rec.shot_index == k
+        assert rec.i1.tobytes() == records[k].i1.tobytes()
+        assert rec.i2.tobytes() == records[k].i2.tobytes()
 
 
 def test_non_square_grid_is_data_error(tmp_path, capsys):

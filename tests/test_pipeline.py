@@ -284,6 +284,24 @@ def test_fft_shot_is_never_negative(monkeypatch, mask, geometry):
     assert np.abs(i2 - want).max() <= 1e-12 * want.max()
 
 
+@pytest.mark.parametrize("coherent_sum", [False, True])
+def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
+    # the copy-stack paths make 8 shots in one product: check all 8 of
+    # block 1 against the mode-by-mode oracle (its incoherent sum only)
+    cfg = _grid_config(64, 20)
+    mask = cfg.load_object_mask()
+    spec = cfg.source if not coherent_sum else dataclasses.replace(cfg.source, n_modes=1)
+    exp = ChaoticExperiment(mask, cfg.geometry, spec, cfg.master_seed,
+                            coherent_sum=coherent_sum)
+    assert exp.flat_stack is not None and exp.block == 8
+    records = list(exp.shots(8, start=8))
+    assert [r.shot_index for r in records] == list(range(8, 16))
+    for rec in records:
+        want = _per_mode_shot(mask, cfg.geometry, exp.modes_for_shot(rec.shot_index))
+        assert np.abs(rec.i2 - want.i2).max() <= 1e-12 * np.abs(want.i2).max()
+        assert np.array_equal(rec.i1, want.i1)
+
+
 def test_one_shot_run_repeats_shot_zero_on_fft_path(tmp_path):
     ini = tmp_path / "fft.ini"
     ini.write_text("[grid]\nwidth = 64\nheight = 64\n\n[source]\nn_modes = 200\n")
@@ -382,6 +400,6 @@ def test_coherent_sum_ensemble_mean_matches_incoherent(mask, geometry):
     inc = ChaoticExperiment(mask, geometry, spec, 31, coherent_sum=False)
     coh = ChaoticExperiment(mask, geometry, spec, 31, coherent_sum=True)
     n = 300
-    mi = sum(inc.shot(s).i2 for s in range(n)) / n
-    mc = sum(coh.shot(s).i2 for s in range(n)) / n
+    mi = sum(rec.i2 for rec in inc.shots(n)) / n
+    mc = sum(rec.i2 for rec in coh.shots(n)) / n
     assert np.linalg.norm(mc - mi) / np.linalg.norm(mi) < 5.0 / np.sqrt(n)

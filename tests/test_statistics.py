@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,28 @@ def test_ks_sf_matches_scipy_kstwo(n):
         want = float(kstwo.sf(di, n))
         rel = 1e-4 if _in_pelz_good_region(n, di) else 1e-10
         assert _ks_sf(n, float(di)) == pytest.approx(want, rel=rel, abs=1e-300), (n, di)
+
+
+@pytest.mark.parametrize("n", [200_000, 262_144, 1_000_000])
+def test_ks_sf_large_n_matches_scipy_kstwo(n):
+    # above 1e5 samples (a spatial i2 map of a 512 x 512 frame holds 262144)
+    # the CDF off the tail is the Pelz-Good series, as in kstwo; 1e-10 is
+    # tight enough to see its 1/n^1.5 term.  The tail's log-space sum keeps
+    # about 3e-10 at these n, so it is held to 1e-6
+    kstwo = pytest.importorskip("scipy.stats").kstwo
+    for nd2 in np.concatenate([np.linspace(0.05, 2.15, 22), [2.3, 4.0]]):
+        d = float(np.sqrt(nd2 / n))
+        rel = 1e-10 if nd2 < 2.2 else 1e-6
+        assert _ks_sf(n, d) == pytest.approx(float(kstwo.sf(d, n)), rel=rel), (n, nd2)
+
+
+def test_ks_sf_large_n_is_fast():
+    # at n d^2 = 2 the Durbin matrix is 1449 x 1449 and its power takes seconds
+    n = 262_144
+    d = float(np.sqrt(2.0 / n))
+    start = time.perf_counter()
+    _ks_sf(n, d)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_ks_sf_edges():
