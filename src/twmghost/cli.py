@@ -129,7 +129,13 @@ def cmd_reconstruct(args) -> int:
         ref = statistics.auto_reference_pixel(framestack.iter_frames(args.stack, "i1"))
     else:
         ref = _parse_pixel(args.ref_pixel, shape)
-    cm = statistics.correlate(framestack.iter_shots(args.stack), ref)
+    # the reference is one i1 value per shot: read it as a pixel trace and
+    # correlate it with the i2 frames, never reading a whole i1 frame
+    acc = statistics.CovarianceAccumulator(ref)
+    for x, i2 in zip(framestack.pixel_trace(args.stack, ref, "i1"),
+                     framestack.iter_frames(args.stack, "i2")):
+        acc.add(x, i2)
+    cm = acc.result()
     out = _outdir(args.out)
     lo, hi = masks.save_pgm16(out / "correlation_map.pgm", cm.g_map)
     masks.save_csv(out / "correlation_map.csv", cm.g_map)
@@ -144,11 +150,9 @@ def cmd_stats(args) -> int:
     header, _ = framestack.read_header(args.stack)
     arm = args.arm
     if args.mode == "spatial":
-        for idx, frame in enumerate(framestack.iter_frames(args.stack, arm)):
-            if idx == args.shot:
-                break
-        else:
+        if not 0 <= args.shot < header.n_shots:
             raise CorruptStack(f"shot {args.shot} not in stack of {header.n_shots}")
+        frame = next(framestack.iter_frames(args.stack, arm, start=args.shot))
         samples = frame[frame > 0] if arm == "i1" else frame.ravel()
         if arm == "i1" and samples.size < statistics.MIN_SAMPLES:
             raise InsufficientSamples(
@@ -157,13 +161,13 @@ def cmd_stats(args) -> int:
                 f"temporal (one pixel over the shots) or --arm i2 (every image pixel)")
         label = f"spatial {arm}, shot {args.shot}"
     else:
-        # two streaming passes instead of holding every frame: memory stays
-        # bounded in the shot count
+        # one streaming pass to pick the pixel (none when it is given), then
+        # 8 bytes per shot for its trace: memory stays bounded in the shot count
         if args.pixel:
             px = _parse_pixel(args.pixel, (header.width, header.height))
         else:
             px = statistics.auto_reference_pixel(framestack.iter_frames(args.stack, arm))
-        samples = np.array([f[px] for f in framestack.iter_frames(args.stack, arm)])
+        samples = framestack.pixel_trace(args.stack, px, arm)
         label = f"temporal {arm}, pixel {tuple(int(v) for v in px)}"
     fit = statistics.thermal_test(samples)
     out = _outdir(args.out)

@@ -230,6 +230,7 @@ class ChaoticExperiment:
         self.det = det or DetectorSpec()
         self.ideal_detector = self.det.bit_depth == 0 and self.det.pixel_binning == 1
         self.coherent_sum = coherent_sum
+        self._shot_block = None   # (b, block b) last made by shot()
         base = coherent_field(mask, g)
         self.pitch = base.pitch
         self.base_image = np.abs(base.grid) ** 2
@@ -326,8 +327,16 @@ class ChaoticExperiment:
                 yield self._record(k, p[k - first], i2[k - first])
 
     def shot(self, shot_index: int) -> ShotRecord:
-        """One shot's record, made with the rest of its block."""
-        return next(self.shots(1, start=shot_index))
+        """One shot's record, made with the rest of its block.  The last block
+        made here is kept, so calls in shot order make each block once."""
+        b = shot_index // self.block
+        if self._shot_block is None or self._shot_block[0] != b:
+            self._shot_block = (b, self._block(b))
+        p, i2 = self._shot_block[1]
+        k = shot_index - b * self.block
+        # a copy, so that a caller writing into the record cannot change the
+        # kept block
+        return self._record(shot_index, p[k], i2[k].copy())
 
     def expected_image(self, ref_mode: int) -> np.ndarray:
         """Shifted/inverted object image the correlation map should recover

@@ -143,20 +143,29 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1,
     w0, h0 = grid.shape
     if pad > 1:
         w, h = pad * w0, pad * h0
-        big = np.zeros((w, h), dtype=complex)
-        big[(w - w0) // 2:(w + w0) // 2, (h - h0) // 2:(h + h0) // 2] = grid
-        grid = big
+        grid = np.zeros((w, h), dtype=complex)
+        grid[(w - w0) // 2:(w + w0) // 2, (h - h0) // 2:(h + h0) // 2] = field.grid
     w, h = grid.shape
+    # each padded array is pad^2 times the field: the spectrum is made first
+    # and the kernel is built and applied in place, each array freed once used
+    spec = np.fft.fft2(grid)
+    del grid
     fx = np.fft.fftfreq(w, field.pitch)
     fy = np.fft.fftfreq(h, field.pitch)
-    kern = np.exp(1j * np.pi * lam * distance * (fx[:, None] ** 2 + fy[None, :] ** 2))
+    kern = 1j * np.pi * lam * distance * (fx[:, None] ** 2 + fy[None, :] ** 2)
+    np.exp(kern, out=kern)
     if bandlimit:
         # zero out frequencies where the kernel phase slews faster than pi
         # per frequency sample (Matsushima-style limit), per axis
         flim_x = w * field.pitch / (2.0 * lam * distance)
         flim_y = h * field.pitch / (2.0 * lam * distance)
-        kern = kern * (np.abs(fx[:, None]) <= flim_x) * (np.abs(fy[None, :]) <= flim_y)
-    out = np.fft.ifft2(np.fft.fft2(grid) * kern) * np.exp(-1j * k * distance)
+        kern *= np.abs(fx[:, None]) <= flim_x
+        kern *= np.abs(fy[None, :]) <= flim_y
+    np.multiply(spec, kern, out=spec)
+    del kern
+    out = np.fft.ifft2(spec)
+    del spec
+    out *= np.exp(-1j * k * distance)
     if pad > 1:
         out = out[(w - w0) // 2:(w + w0) // 2, (h - h0) // 2:(h + h0) // 2]
     return ScalarField(out, field.pitch, field.wavelength, plane_label=field.plane_label)

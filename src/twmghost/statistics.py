@@ -43,7 +43,9 @@ class HistogramFit:
 
 
 class CovarianceAccumulator:
-    """Streaming accumulator for the reference-pixel covariance map."""
+    """Streaming accumulator of the covariance map between a reference value
+    x (the i1 intensity at `ref_pixel`) and the i2 map, fed (x, i2) pairs in
+    shot order."""
 
     def __init__(self, ref_pixel: tuple[int, int]):
         self.ref_pixel = (int(ref_pixel[0]), int(ref_pixel[1]))
@@ -52,22 +54,21 @@ class CovarianceAccumulator:
         self.s2 = None
         self.s12 = None
         self.shape = None
+        self._scratch = None
 
-    def add(self, shot: ShotRecord):
+    def add(self, x: float, i2: np.ndarray):
         if self.shape is None:
-            self.shape = shot.i2.shape
+            self.shape = i2.shape
             self.s2 = np.zeros(self.shape)
             self.s12 = np.zeros(self.shape)
-            w, h = shot.i1.shape
-            if not (0 <= self.ref_pixel[0] < w and 0 <= self.ref_pixel[1] < h):
-                raise ShapeMismatch(f"ref_pixel {self.ref_pixel} outside i1 shape {shot.i1.shape}")
-        elif shot.i2.shape != self.shape:
-            raise ShapeMismatch(f"shot {shot.shot_index}: i2 shape {shot.i2.shape} != {self.shape}")
-        x = float(shot.i1[self.ref_pixel])
+            self._scratch = np.empty(self.shape)
+        elif i2.shape != self.shape:
+            raise ShapeMismatch(f"shot {self.n}: i2 shape {i2.shape} != {self.shape}")
+        x = float(x)
         self.n += 1
         self.s1 += x
-        self.s2 += shot.i2
-        self.s12 += x * shot.i2
+        self.s2 += i2
+        self.s12 += np.multiply(x, i2, out=self._scratch)
 
     def result(self) -> CorrelationMap:
         if self.n < 2:
@@ -79,11 +80,21 @@ class CovarianceAccumulator:
                               mean_i1=m1, mean_i2=m2)
 
 
+def _reference_pairs(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]):
+    """(i1 at ref_pixel, i2) of each shot, in iteration order."""
+    r = (int(ref_pixel[0]), int(ref_pixel[1]))
+    for shot in shots:
+        w, h = shot.i1.shape
+        if not (0 <= r[0] < w and 0 <= r[1] < h):
+            raise ShapeMismatch(f"ref_pixel {r} outside i1 shape {shot.i1.shape}")
+        yield shot.i1[r], shot.i2
+
+
 def correlate(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]) -> CorrelationMap:
     """Covariance map over an ensemble of shots (fixed iteration order)."""
     acc = CovarianceAccumulator(ref_pixel)
-    for shot in shots:
-        acc.add(shot)
+    for x, i2 in _reference_pairs(shots, ref_pixel):
+        acc.add(x, i2)
     return acc.result()
 
 
@@ -103,13 +114,14 @@ def auto_reference_pixel(frames: Iterable[np.ndarray]) -> tuple[int, int]:
     superposition of shifted copies.  When no pixel varies (deterministic
     mode intensities) it is the brightest pixel.
     """
-    s1 = s2 = None
+    s1 = s2 = square = None
     n = 0
     for frame in frames:
         if s1 is None:
             s1, s2 = np.zeros(frame.shape), np.zeros(frame.shape)
+            square = np.empty(frame.shape)
         s1 += frame
-        s2 += frame * frame
+        s2 += np.multiply(frame, frame, out=square)
         n += 1
     if s1 is None:
         raise EmptyEnsemble("no frames")
@@ -269,8 +281,8 @@ def snr_report(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int],
     cps = set(int(c) for c in checkpoints) if checkpoints else None
     acc = CovarianceAccumulator(ref_pixel)
     out = []
-    for shot in shots:
-        acc.add(shot)
+    for x, i2 in _reference_pairs(shots, ref_pixel):
+        acc.add(x, i2)
         if cps is not None and acc.n in cps and acc.n >= 2:
             out.append({"n_shots": acc.n, "snr": _snr_from_map(acc.result(), support),
                         "low_confidence": acc.n < 10})

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twmghost import framestack, statistics
+from twmghost import framestack, masks, statistics
 from twmghost.cli import main
 from twmghost.config import load_config
 from twmghost.pipeline import ChaoticExperiment
@@ -87,6 +87,72 @@ def test_stats_command(tmp_path, small_cfg):
     assert "ks_statistic" in report and "p_value" in report
     hist = np.loadtxt(st / "histogram.csv", delimiter=",", skiprows=1)
     assert hist.shape[1] == 3
+
+
+def test_reconstruct_map_equals_correlate_of_shots(tmp_path, small_cfg):
+    # the CLI correlates an i1 pixel trace with the i2 frames; the map must
+    # be the library's correlate over whole records, byte for byte
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "20"])
+    stack = out / "frames.twmg"
+    auto = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i1"))
+    for ref_arg, ref in (("auto", auto), ("32,32", (32, 32))):
+        rec = tmp_path / ref_arg.replace(",", "_")
+        assert main(["reconstruct", str(stack), "--ref-pixel", ref_arg, "--out", str(rec)]) == 0
+        want = tmp_path / "want.csv"
+        masks.save_csv(want, statistics.correlate(framestack.iter_shots(stack), ref).g_map)
+        assert (rec / "correlation_map.csv").read_bytes() == want.read_bytes()
+
+
+def test_given_pixel_reads_no_i1_frame(tmp_path, small_cfg, monkeypatch):
+    # with the pixel given, reconstruct reads i2 frames and one i1 pixel
+    # trace, and stats --mode temporal the pixel trace alone
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
+    stack = out / "frames.twmg"
+    shots = list(framestack.iter_shots(stack))
+    r, c = statistics.auto_reference_pixel(s.i1 for s in shots)
+    arms = []
+    iter_frames = framestack.iter_frames
+
+    def counted(path, arm="i1", start=0):
+        arms.append(arm)
+        return iter_frames(path, arm, start)
+
+    def no_records(*_):
+        raise AssertionError("whole records read")
+
+    monkeypatch.setattr(framestack, "iter_frames", counted)
+    monkeypatch.setattr(framestack, "iter_shots", no_records)
+    assert main(["reconstruct", str(stack), "--ref-pixel", f"{r},{c}",
+                 "--out", str(tmp_path / "rec")]) == 0
+    assert arms == ["i2"]
+    assert main(["stats", str(stack), "--mode", "temporal", "--pixel", f"{r},{c}",
+                 "--out", str(tmp_path / "st")]) == 0
+    assert arms == ["i2"]
+    fit = statistics.thermal_test(np.array([s.i1[r, c] for s in shots]))
+    report = (tmp_path / "st" / "stats_report.txt").read_text()
+    assert f"ks_statistic = {fit.ks_statistic:.17g}\n" in report
+
+
+def test_stats_spatial_reads_the_last_shot(tmp_path, small_cfg, capsys):
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])
+    stack = out / "frames.twmg"
+    st = tmp_path / "st"
+    assert main(["stats", str(stack), "--mode", "spatial", "--arm", "i2", "--shot", "11",
+                 "--out", str(st)]) == 0
+    last = list(framestack.iter_shots(stack))[11].i2
+    fit = statistics.thermal_test(last.ravel())
+    report = (st / "stats_report.txt").read_text()
+    assert report.startswith("spatial i2, shot 11\n")
+    assert f"mean = {fit.fitted_mean:.17g}\n" in report
+    assert f"ks_statistic = {fit.ks_statistic:.17g}\n" in report
+    for shot in ("12", "-1"):
+        capsys.readouterr()
+        assert main(["stats", str(stack), "--mode", "spatial", "--arm", "i2", "--shot", shot,
+                     "--out", str(st)]) == 2
+        assert f"shot {shot} not in stack of 12" in capsys.readouterr().err
 
 
 def test_stats_spatial_i1_names_lit_bins_and_alternatives(tmp_path, small_cfg, capsys):

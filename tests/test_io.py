@@ -5,7 +5,8 @@ import pytest
 
 from twmghost import framestack, masks
 from twmghost.config import DEFAULTS, load_config, manifest_text
-from twmghost.errors import CorruptStack, InvalidSpec, UnreadableFile, UnsupportedFormat
+from twmghost.errors import (CorruptStack, InvalidSpec, ShapeMismatch, UnreadableFile,
+                             UnsupportedFormat)
 from twmghost.pipeline import ShotRecord
 
 
@@ -41,6 +42,15 @@ def test_iter_frames_matches_iter_shots(tmp_path, rng, n):
         assert len(frames) == n
         for frame, shot in zip(frames, framestack.iter_shots(path)):
             assert frame.tobytes() == getattr(shot, arm).tobytes()
+        # started at shot k: the frames of skipping k
+        for k in range(n + 1):
+            tail = list(framestack.iter_frames(path, arm, start=k))
+            assert [f.tobytes() for f in tail] == [f.tobytes() for f in frames[k:]]
+        # one pixel over the shots: that pixel of every frame
+        for pixel in ((0, 0), (2, 5), (7, 7)):
+            trace = framestack.pixel_trace(path, pixel, arm)
+            assert trace.shape == (n,) and trace.dtype == np.float64
+            assert trace.tobytes() == np.array([f[pixel] for f in frames]).tobytes()
 
 
 def test_stack_file_size_is_exact(tmp_path, rng):
@@ -66,6 +76,37 @@ def test_stack_rejects_truncation(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(CorruptStack):
         framestack.read_header(path)
+
+
+def test_readers_reject_truncated_payload(tmp_path, rng, monkeypatch):
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, _records(rng), 8, 8, 5, 0, "x")
+    whole = framestack.read_header(path)
+    path.write_bytes(path.read_bytes()[:-7])
+    with pytest.raises(CorruptStack):
+        framestack.pixel_trace(path, (7, 7), "i2")
+    with pytest.raises(CorruptStack):
+        next(framestack.iter_frames(path, "i2", start=4))
+    # cut after the header was read: the short read itself is caught
+    monkeypatch.setattr(framestack, "read_header", lambda _: whole)
+    with pytest.raises(CorruptStack, match="shot 4 i2 pixel"):
+        framestack.pixel_trace(path, (7, 7), "i2")
+    with pytest.raises(CorruptStack, match="shot 4 i2 frame truncated"):
+        list(framestack.iter_frames(path, "i2", start=3))
+    with pytest.raises(CorruptStack, match="shot 4 i2 frame truncated"):
+        list(framestack.iter_shots(path))
+
+
+def test_reader_argument_errors(tmp_path, rng):
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, _records(rng), 8, 8, 5, 0, "x")
+    for pixel in ((8, 0), (0, 8), (-1, 0)):
+        with pytest.raises(ShapeMismatch):
+            framestack.pixel_trace(path, pixel)
+    with pytest.raises(ValueError):
+        framestack.pixel_trace(path, (0, 0), "i3")
+    with pytest.raises(ValueError):
+        next(framestack.iter_frames(path, "i1", start=-1))
 
 
 def test_stack_count_mismatch(tmp_path, rng):

@@ -302,6 +302,27 @@ def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
         assert np.array_equal(rec.i1, want.i1)
 
 
+@pytest.mark.parametrize("coherent_sum", [False, True])
+def test_consecutive_shot_calls_make_each_block_once(coherent_sum, monkeypatch):
+    cfg = _grid_config(64, 20)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                            cfg.master_seed, coherent_sum=coherent_sum)
+    assert exp.flat_stack is not None and exp.block == 8
+    want = list(exp.shots(16))
+    made = []
+    block = exp._block
+    monkeypatch.setattr(exp, "_block", lambda b: made.append(b) or block(b))
+    got = [exp.shot(k) for k in range(16)]
+    assert made == [0, 1]
+    for a, b in zip(got, want):
+        assert a.shot_index == b.shot_index
+        assert a.i1.tobytes() == b.i1.tobytes() and a.i2.tobytes() == b.i2.tobytes()
+    # a record written into does not change the kept block
+    got[15].i2[:] = -1.0
+    assert exp.shot(15).i2.tobytes() == want[15].i2.tobytes()
+    assert made == [0, 1]
+
+
 def test_one_shot_run_repeats_shot_zero_on_fft_path(tmp_path):
     ini = tmp_path / "fft.ini"
     ini.write_text("[grid]\nwidth = 64\nheight = 64\n\n[source]\nn_modes = 200\n")

@@ -56,18 +56,32 @@ def test_accumulator_streaming_equals_batch(rng):
     shots = _synthetic_shots(rng, n=25)
     acc = CovarianceAccumulator((5, 7))
     for s in shots:
-        acc.add(s)
+        acc.add(s.i1[5, 7], s.i2)
     cm = acc.result()
     assert np.allclose(cm.g_map, correlate(shots, (5, 7)).g_map, atol=1e-12)
+    # the sums are those of the plain per-shot expressions, bit for bit
+    s1, s2, s12 = 0.0, np.zeros((16, 16)), np.zeros((16, 16))
+    for s in shots:
+        x = float(s.i1[5, 7])
+        s1 += x
+        s2 += s.i2
+        s12 += x * s.i2
+    assert acc.s1 == s1
+    assert acc.s2.tobytes() == s2.tobytes() and acc.s12.tobytes() == s12.tobytes()
 
 
 def test_accumulator_errors(rng):
     acc = CovarianceAccumulator((0, 0))
     with pytest.raises(EmptyEnsemble):
         acc.result()
-    acc.add(ShotRecord(i1=np.ones((4, 4)), i2=np.ones((4, 4)), shot_index=0))
+    acc.add(1.0, np.ones((4, 4)))
     with pytest.raises(ShapeMismatch):
-        acc.add(ShotRecord(i1=np.ones((8, 8)), i2=np.ones((8, 8)), shot_index=1))
+        acc.add(1.0, np.ones((8, 8)))
+    # the reference pixel must lie on i1; a negative index must not wrap
+    shots = [ShotRecord(i1=np.ones((4, 4)), i2=np.ones((4, 4)), shot_index=k) for k in range(3)]
+    for ref in ((4, 0), (-1, 0)):
+        with pytest.raises(ShapeMismatch):
+            correlate(shots, ref)
 
 
 def test_auto_reference_pixel(rng):
