@@ -126,7 +126,7 @@ def cmd_reconstruct(args) -> int:
     header, _ = framestack.read_header(args.stack)
     shape = (header.width, header.height)
     if args.ref_pixel == "auto":
-        ref = statistics.auto_reference_pixel(framestack.iter_frames(args.stack, "i1"))
+        ref = statistics.highest_contrast_pixel(framestack.arm_moments(args.stack, "i1"))
     else:
         ref = _parse_pixel(args.ref_pixel, shape)
     # the reference is one i1 value per shot: read it as a pixel trace and
@@ -161,15 +161,18 @@ def cmd_stats(args) -> int:
                 f"temporal (one pixel over the shots) or --arm i2 (every image pixel)")
         label = f"spatial {arm}, shot {args.shot}"
     else:
-        # one streaming pass to pick the pixel (none when it is given), then
-        # 8 bytes per shot for its trace: memory stays bounded in the shot count
+        # the arm's moments pick the pixel (none when it is given), then 8
+        # bytes per shot for its trace: memory stays bounded in the shot count
         if args.pixel:
             px = _parse_pixel(args.pixel, (header.width, header.height))
         else:
-            px = statistics.auto_reference_pixel(framestack.iter_frames(args.stack, arm))
+            px = statistics.highest_contrast_pixel(framestack.arm_moments(args.stack, arm))
         samples = framestack.pixel_trace(args.stack, px, arm)
         label = f"temporal {arm}, pixel {tuple(int(v) for v in px)}"
-    fit = statistics.thermal_test(samples)
+    try:
+        fit = statistics.thermal_test(samples)
+    except InsufficientSamples as exc:
+        raise InsufficientSamples(f"{label}: {exc}") from None
     out = _outdir(args.out)
     centers = 0.5 * (fit.bin_edges[:-1] + fit.bin_edges[1:])
     model = np.exp(-centers / fit.fitted_mean) / fit.fitted_mean

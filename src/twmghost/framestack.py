@@ -3,32 +3,40 @@
 Layout (little-endian):
 
     magic   4 bytes  b"TWMG"
-    u32     format version (1)
+    u32     format version (2; version 1 has no trailer)
     u32     W
     u32     H
     u32     n_shots
     u64     master seed
     u32     length of RNG algorithm name, then that many UTF-8 bytes
     payload n_shots * (I1 then I2), each W*H float64, row-major (x-major)
+    trailer sum of I1 then sum of I1^2 over the shots, each W*H float64,
+            accumulated in shot order by `Moments` from the frames written
 
-Payload length is validated against the header on read.
+File length (payload and trailer) is validated against the header on read.
 
 Readers, each seeking to the bytes it needs:
 
 * `iter_shots` - whole records, both arms of every shot;
 * `iter_frames(path, arm, start)` - one arm's frames from shot `start` on;
 * `pixel_trace(path, pixel, arm)` - one arm's value at one pixel in every
-  shot, 8 bytes per shot.
+  shot, 8 bytes per shot;
+* `arm_moments(path, arm)` - one arm's per-pixel sums of I and I^2: the
+  trailer for i1 (two frames), else one pass of the arm's frames.
 
-What the CLI reads of a stack of n shots of W x H frames (F = 8 W H bytes,
-one frame):
+What the CLI reads of a version-2 stack of n shots of W x H frames (F = 8 W H
+bytes, one frame):
 
-* `reconstruct --ref-pixel auto`: the i1 frames (auto reference, n F), the
+* `reconstruct --ref-pixel auto`: the trailer (auto reference, 2 F), the
   reference pixel's i1 trace (8 n) and the i2 frames (n F); with the pixel
-  given, no i1 frame;
-* `stats --mode temporal`: the arm's frames (auto pixel, n F) and the
-  pixel's trace (8 n); with `--pixel` given, the trace alone;
+  given, no trailer;
+* `stats --mode temporal`: the trailer (auto pixel, 2 F) and the pixel's
+  trace (8 n); with `--pixel` given, the trace alone; with `--arm i2` and no
+  pixel, the i2 frames (n F) in place of the trailer;
 * `stats --mode spatial --shot k`: one frame (F).
+
+A version-1 stack reads the i1 frames (n F) wherever version 2 reads the
+trailer.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import numpy as np
 from .errors import CorruptStack, ShapeMismatch
 
 MAGIC = b"TWMG"
-VERSION = 1
+VERSION = 2
 _HEAD = struct.Struct("<4sIIIIQI")
 
 
@@ -64,10 +72,49 @@ class StackHeader:
     n_shots: int
     master_seed: int
     rng_algorithm: str
+    version: int = VERSION
 
     @property
     def frame_bytes(self) -> int:
         return 2 * self.width * self.height * 8
+
+    @property
+    def trailer_bytes(self) -> int:
+        """Bytes after the payload: two W x H maps from version 2 on."""
+        return self.frame_bytes if self.version >= 2 else 0
+
+
+class Moments:
+    """Per-pixel sums of I and I^2 over frames added in shot order, n of them.
+
+    The stack writer, `arm_moments` and `statistics.auto_reference_pixel`
+    share it, so the stored trailer is bit-identical to a pass over the
+    frames read back.
+    """
+
+    def __init__(self, shape=None):
+        self.n = 0
+        self.s1 = self.s2 = self._square = None
+        if shape is not None:
+            self._start(shape)
+
+    def _start(self, shape):
+        self.s1, self.s2 = np.zeros(shape), np.zeros(shape)
+        self._square = np.empty(shape)
+
+    def add(self, frame: np.ndarray):
+        if self.s1 is None:
+            self._start(frame.shape)
+        self.s1 += frame
+        self.s2 += np.multiply(frame, frame, out=self._square)
+        self.n += 1
+
+    @classmethod
+    def of(cls, frames: Iterable[np.ndarray]) -> "Moments":
+        moments = cls()
+        for frame in frames:
+            moments.add(frame)
+        return moments
 
 
 def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
@@ -75,19 +122,23 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
     """Write the stack; shots must arrive in shot_index order."""
     name = rng_algorithm.encode("utf-8")
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
+    moments = Moments((width, height))
     written = 0
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(MAGIC, VERSION, width, height, n_shots, master_seed, len(name)))
         fh.write(name)
         for shot in shots:
-            for frame in (shot.i1, shot.i2):
-                a = np.ascontiguousarray(frame, dtype="<f8")
+            i1, i2 = (np.ascontiguousarray(f, dtype="<f8") for f in (shot.i1, shot.i2))
+            for a in (i1, i2):
                 if a.shape != (width, height):
                     raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
                 fh.write(a.data)
+            moments.add(i1)
             written += 1
-    if written != n_shots:
-        raise CorruptStack(f"wrote {written} shots, header said {n_shots}")
+        if written != n_shots:
+            raise CorruptStack(f"wrote {written} shots, header said {n_shots}")
+        fh.write(moments.s1.astype("<f8", copy=False).data)
+        fh.write(moments.s2.astype("<f8", copy=False).data)
     return header
 
 
@@ -102,16 +153,16 @@ def read_header(path) -> tuple[StackHeader, int]:
             magic, version, w, h, n, seed, namelen = _HEAD.unpack(head)
             if magic != MAGIC:
                 raise CorruptStack(f"{path}: bad magic {magic!r}")
-            if version != VERSION:
+            if version not in (1, VERSION):
                 raise CorruptStack(f"{path}: unsupported version {version}")
             name = fh.read(namelen)
             if len(name) != namelen:
                 raise CorruptStack(f"{path}: truncated RNG name")
     except OSError as exc:
         raise CorruptStack(f"{path}: {exc}") from exc
-    header = StackHeader(w, h, n, seed, name.decode("utf-8"))
+    header = StackHeader(w, h, n, seed, name.decode("utf-8"), version)
     offset = _HEAD.size + namelen
-    expect = offset + n * header.frame_bytes
+    expect = offset + n * header.frame_bytes + header.trailer_bytes
     if p.stat().st_size != expect:
         raise CorruptStack(f"{path}: size {p.stat().st_size} != expected {expect}")
     return header, offset
@@ -174,3 +225,22 @@ def pixel_trace(path, pixel: tuple[int, int], arm: str = "i1") -> np.ndarray:
             if fh.readinto(values[8 * idx:8 * idx + 8]) != 8:
                 raise CorruptStack(f"{path}: shot {idx} {arm} pixel ({r}, {c}) truncated")
     return trace
+
+
+def arm_moments(path, arm: str = "i1") -> Moments:
+    """One arm's per-pixel sums of I and I^2 over every shot: for i1 the
+    stored trailer (two frames read), for i2 or a version-1 stack one pass
+    of the arm's frames through `Moments`."""
+    header, offset = _arm_payload(path, arm)
+    if arm == "i2" or not header.trailer_bytes:
+        return Moments.of(iter_frames(path, arm))
+    moments = Moments()
+    moments.n = header.n_shots
+    shape = (header.width, header.height)
+    moments.s1, moments.s2 = np.empty(shape, dtype="<f8"), np.empty(shape, dtype="<f8")
+    with open(path, "rb") as fh:
+        fh.seek(offset + header.n_shots * header.frame_bytes)
+        for name, total in (("sum", moments.s1), ("sum of squares", moments.s2)):
+            if fh.readinto(total) != total.nbytes:
+                raise CorruptStack(f"{path}: i1 {name} map truncated")
+    return moments

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyEnsemble, InsufficientSamples, ShapeMismatch
-from .framestack import ShotRecord
+from .framestack import Moments, ShotRecord
 
 
 @dataclass
@@ -105,8 +105,13 @@ THERMAL_CONTRAST_FLOOR = 1e-4
 
 
 def auto_reference_pixel(frames: Iterable[np.ndarray]) -> tuple[int, int]:
-    """Pixel of highest temporal contrast sigma/<I> over the frames among
-    pixels with <I> > 0, from sums of I and I^2 streamed in one pass.
+    """`highest_contrast_pixel` of the frames' moments, streamed in one pass."""
+    return highest_contrast_pixel(Moments.of(frames))
+
+
+def highest_contrast_pixel(moments: Moments) -> tuple[int, int]:
+    """Pixel of highest temporal contrast sigma/<I> among pixels with <I> > 0,
+    from per-pixel sums of I and I^2 over n frames.
 
     A Fourier bin (arm i1) fed by one thermal mode has contrast 1, one fed
     by M modes 1/sqrt(M) (Goodman, Speckle Phenomena in Optics), so this is
@@ -114,19 +119,11 @@ def auto_reference_pixel(frames: Iterable[np.ndarray]) -> tuple[int, int]:
     superposition of shifted copies.  When no pixel varies (deterministic
     mode intensities) it is the brightest pixel.
     """
-    s1 = s2 = square = None
-    n = 0
-    for frame in frames:
-        if s1 is None:
-            s1, s2 = np.zeros(frame.shape), np.zeros(frame.shape)
-            square = np.empty(frame.shape)
-        s1 += frame
-        s2 += np.multiply(frame, frame, out=square)
-        n += 1
-    if s1 is None:
+    n = moments.n
+    if n == 0:
         raise EmptyEnsemble("no frames")
-    mean = s1 / n
-    sd = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
+    mean = moments.s1 / n
+    sd = np.sqrt(np.maximum(moments.s2 / n - mean * mean, 0.0))
     contrast = np.divide(sd, mean, out=np.zeros_like(mean), where=mean > 0)
     pick = contrast if contrast.max() > THERMAL_CONTRAST_FLOOR else mean
     idx = np.unravel_index(int(np.argmax(pick)), pick.shape)
@@ -139,18 +136,17 @@ MIN_SAMPLES = 100
 
 def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
     """Kolmogorov-Smirnov test of the samples against the thermal law
-    P(I) = exp(-I/<I>)/<I> with <I> the sample mean."""
+    P(I) = exp(-I/<I>)/<I> with <I> the sample mean, which must be > 0."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < MIN_SAMPLES:
         raise InsufficientSamples(f"need >= {MIN_SAMPLES} samples, got {samples.size}")
     mean = float(samples.mean())
     if mean <= 0:
-        ks, p = 1.0, 0.0
-    else:
-        n = samples.size
-        cdf = -np.expm1(-np.sort(samples) / mean)
-        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
-        p = _ks_sf(n, float(ks))
+        raise InsufficientSamples(f"sample mean {mean:.17g} <= 0: no thermal law to fit")
+    n = samples.size
+    cdf = -np.expm1(-np.sort(samples) / mean)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    p = _ks_sf(n, float(ks))
     counts, edges = np.histogram(samples, bins=n_bins)
     return HistogramFit(bin_edges=edges, counts=counts, fitted_mean=mean,
                        ks_statistic=float(ks), p_value=float(p))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twmghost import framestack
 from twmghost.config import load_config
 
 
@@ -23,3 +24,14 @@ def mask(cfg):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
+
+
+@pytest.fixture
+def as_version_1():
+    """Copy a stack as version 1 of the same shots: version field 1, no trailer."""
+    def copy(path, out):
+        header, _ = framestack.read_header(path)
+        raw = bytearray(path.read_bytes()[:-header.trailer_bytes])
+        raw[4:8] = (1).to_bytes(4, "little")
+        out.write_bytes(bytes(raw))
+    return copy

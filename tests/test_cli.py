@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +105,8 @@ def test_reconstruct_map_equals_correlate_of_shots(tmp_path, small_cfg):
         assert (rec / "correlation_map.csv").read_bytes() == want.read_bytes()
 
 
-def test_given_pixel_reads_no_i1_frame(tmp_path, small_cfg, monkeypatch):
-    # with the pixel given, reconstruct reads i2 frames and one i1 pixel
-    # trace, and stats --mode temporal the pixel trace alone
-    out = tmp_path / "run"
-    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
-    stack = out / "frames.twmg"
-    shots = list(framestack.iter_shots(stack))
-    r, c = statistics.auto_reference_pixel(s.i1 for s in shots)
+def _count_frame_reads(monkeypatch):
+    """The arm of every iter_frames pass, in call order; whole records fail."""
     arms = []
     iter_frames = framestack.iter_frames
 
@@ -124,6 +119,18 @@ def test_given_pixel_reads_no_i1_frame(tmp_path, small_cfg, monkeypatch):
 
     monkeypatch.setattr(framestack, "iter_frames", counted)
     monkeypatch.setattr(framestack, "iter_shots", no_records)
+    return arms
+
+
+def test_given_pixel_reads_no_i1_frame(tmp_path, small_cfg, monkeypatch):
+    # with the pixel given, reconstruct reads i2 frames and one i1 pixel
+    # trace, and stats --mode temporal the pixel trace alone
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
+    stack = out / "frames.twmg"
+    shots = list(framestack.iter_shots(stack))
+    r, c = statistics.auto_reference_pixel(s.i1 for s in shots)
+    arms = _count_frame_reads(monkeypatch)
     assert main(["reconstruct", str(stack), "--ref-pixel", f"{r},{c}",
                  "--out", str(tmp_path / "rec")]) == 0
     assert arms == ["i2"]
@@ -133,6 +140,65 @@ def test_given_pixel_reads_no_i1_frame(tmp_path, small_cfg, monkeypatch):
     fit = statistics.thermal_test(np.array([s.i1[r, c] for s in shots]))
     report = (tmp_path / "st" / "stats_report.txt").read_text()
     assert f"ks_statistic = {fit.ks_statistic:.17g}\n" in report
+
+
+def test_auto_pixel_reads_the_trailer_not_the_i1_frames(tmp_path, small_cfg, monkeypatch,
+                                                         as_version_1):
+    # the stored i1 moments pick the auto pixel: reconstruct reads the i2
+    # frames alone and stats --mode temporal no frame; a version-1 copy of
+    # the same shots streams its i1 frames and writes the same bytes
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
+    v2, v1 = out / "frames.twmg", out / "v1.twmg"
+    as_version_1(v2, v1)
+    want = statistics.auto_reference_pixel(framestack.iter_frames(v2, "i1"))
+    arms = _count_frame_reads(monkeypatch)
+    for name, stack, reads in (("v2", v2, (["i2"], [])), ("v1", v1, (["i1", "i2"], ["i1"]))):
+        rec, st = tmp_path / name / "rec", tmp_path / name / "st"
+        assert main(["reconstruct", str(stack), "--out", str(rec)]) == 0
+        assert arms == reads[0]
+        arms.clear()
+        assert main(["stats", str(stack), "--mode", "temporal", "--out", str(st)]) == 0
+        assert arms == reads[1]
+        arms.clear()
+    assert (tmp_path / "v2" / "st" / "stats_report.txt").read_text().startswith(
+        f"temporal i1, pixel {want}\n")
+    for sub, name in (("rec", "correlation_map.csv"), ("rec", "correlation_map.pgm"),
+                      ("rec", "correlation_map_norm.csv"), ("st", "stats_report.txt"),
+                      ("st", "histogram.csv")):
+        assert (tmp_path / "v1" / sub / name).read_bytes() == \
+            (tmp_path / "v2" / sub / name).read_bytes()
+
+
+def test_stats_temporal_i2_picks_from_the_i2_frames(tmp_path, small_cfg):
+    # no moments are stored for i2: its auto pixel comes from a pass of its frames
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
+    stack = out / "frames.twmg"
+    assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i2",
+                 "--out", str(tmp_path / "st")]) == 0
+    px = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i2"))
+    assert (tmp_path / "st" / "stats_report.txt").read_text().startswith(
+        f"temporal i2, pixel {px}\n")
+
+
+def test_stats_temporal_dark_pixel_is_data_error(tmp_path, small_cfg, capsys):
+    # a pixel dark in every shot has no thermal law to fit: exit 2, naming it,
+    # with no numpy warning and no histogram written
+    out = tmp_path / "run"
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
+    stack = out / "frames.twmg"
+    moments = framestack.arm_moments(stack, "i1")
+    r, c = (int(v) for v in np.argwhere(moments.s1 == 0)[0])
+    st = tmp_path / "st"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stats", str(stack), "--mode", "temporal", "--pixel", f"{r},{c}",
+                     "--out", str(st)]) == 2
+    err = capsys.readouterr().err
+    assert f"temporal i1, pixel ({r}, {c}): sample mean 0 <= 0" in err
+    assert not (st / "histogram.csv").exists()
 
 
 def test_stats_spatial_reads_the_last_shot(tmp_path, small_cfg, capsys):
@@ -246,7 +312,9 @@ def test_shot_count_does_not_change_shot_bytes(tmp_path, small_cfg):
         assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out),
                      "--shots", shots]) == 0
         header, offset = framestack.read_header(out / "frames.twmg")
-        return (out / "frames.twmg").read_bytes()[offset:], header.frame_bytes
+        # the shot payload only: the trailer's sums depend on the shot count
+        end = offset + header.n_shots * header.frame_bytes
+        return (out / "frames.twmg").read_bytes()[offset:end], header.frame_bytes
 
     full, frame = payload("16")
     for shots in (1, 13):

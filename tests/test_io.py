@@ -1,12 +1,13 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from twmghost import framestack, masks
+from twmghost import framestack, masks, statistics
 from twmghost.config import DEFAULTS, load_config, manifest_text
-from twmghost.errors import (CorruptStack, InvalidSpec, ShapeMismatch, UnreadableFile,
-                             UnsupportedFormat)
+from twmghost.errors import (CorruptStack, EmptyEnsemble, InvalidSpec, ShapeMismatch,
+                             UnreadableFile, UnsupportedFormat)
 from twmghost.pipeline import ShotRecord
 
 
@@ -57,7 +58,9 @@ def test_stack_file_size_is_exact(tmp_path, rng):
     path = tmp_path / "s.twmg"
     framestack.write_stack(path, _records(rng, n=3, w=16), 16, 16, 3, 0, "x")
     header, offset = framestack.read_header(path)
-    assert os.path.getsize(path) == offset + 3 * header.frame_bytes
+    # the payload, then the i1 sum and sum-of-squares maps
+    assert header.version == framestack.VERSION == 2
+    assert os.path.getsize(path) == offset + 3 * header.frame_bytes + 2 * 16 * 16 * 8
 
 
 def test_stack_rejects_bad_magic(tmp_path, rng):
@@ -82,7 +85,8 @@ def test_readers_reject_truncated_payload(tmp_path, rng, monkeypatch):
     path = tmp_path / "s.twmg"
     framestack.write_stack(path, _records(rng), 8, 8, 5, 0, "x")
     whole = framestack.read_header(path)
-    path.write_bytes(path.read_bytes()[:-7])
+    # the trailer and 7 bytes: the cut lands in shot 4's i2 frame
+    path.write_bytes(path.read_bytes()[:-(whole[0].trailer_bytes + 7)])
     with pytest.raises(CorruptStack):
         framestack.pixel_trace(path, (7, 7), "i2")
     with pytest.raises(CorruptStack):
@@ -95,6 +99,80 @@ def test_readers_reject_truncated_payload(tmp_path, rng, monkeypatch):
         list(framestack.iter_frames(path, "i2", start=3))
     with pytest.raises(CorruptStack, match="shot 4 i2 frame truncated"):
         list(framestack.iter_shots(path))
+
+
+def test_readers_reject_truncated_trailer(tmp_path, rng, monkeypatch):
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, _records(rng), 8, 8, 5, 0, "x")
+    whole = framestack.read_header(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(CorruptStack, match="size"):
+        framestack.read_header(path)
+    with pytest.raises(CorruptStack):
+        framestack.arm_moments(path, "i1")
+    # cut after the header was read: the short read itself is caught
+    monkeypatch.setattr(framestack, "read_header", lambda _: whole)
+    with pytest.raises(CorruptStack, match="i1 sum of squares map truncated"):
+        framestack.arm_moments(path, "i1")
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_stored_moments_equal_streamed_pass(tmp_path, rng, n, sparse):
+    recs = _records(rng, n=n)
+    if sparse:
+        # i1 as the simulator writes it: a few lit Fourier bins per shot
+        for rec in recs:
+            rec.i1[rec.i1 < 0.9] = 0.0
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, recs, 8, 8, n, 0, "x")
+    stored = framestack.arm_moments(path, "i1")
+    streamed = framestack.Moments.of(framestack.iter_frames(path, "i1"))
+    assert stored.n == streamed.n == n
+    assert stored.s1.tobytes() == streamed.s1.tobytes()
+    assert stored.s2.tobytes() == streamed.s2.tobytes()
+
+
+def test_version_1_stack_reads(tmp_path, rng, as_version_1):
+    recs = _records(rng)
+    v2, v1 = tmp_path / "v2.twmg", tmp_path / "v1.twmg"
+    framestack.write_stack(v2, recs, 8, 8, 5, 42, "x")
+    as_version_1(v2, v1)
+    header, offset = framestack.read_header(v1)
+    header2, offset2 = framestack.read_header(v2)
+    assert header.trailer_bytes == 0
+    assert (header, offset) == (replace(header2, version=1), offset2)
+    for a, b in zip(recs, framestack.iter_shots(v1)):
+        assert (a.i1.tobytes(), a.i2.tobytes()) == (b.i1.tobytes(), b.i2.tobytes())
+    for arm in ("i1", "i2"):
+        frames = list(framestack.iter_frames(v1, arm))
+        assert [f.tobytes() for f in frames] == [getattr(r, arm).tobytes() for r in recs]
+        trace = framestack.pixel_trace(v1, (2, 5), arm)
+        assert trace.tobytes() == np.array([f[2, 5] for f in frames]).tobytes()
+    # no trailer: the moments are one pass of the frames, equal to the stored ones
+    stored, streamed = framestack.arm_moments(v2), framestack.arm_moments(v1)
+    assert streamed.n == 5
+    assert (streamed.s1.tobytes(), streamed.s2.tobytes()) == \
+        (stored.s1.tobytes(), stored.s2.tobytes())
+    # the version sets the size: version 1 with a trailer, or 2 without, is corrupt
+    bad = tmp_path / "bad.twmg"
+    for src, version, match in ((v2, 1, "size"), (v1, 2, "size"),
+                                (v1, 3, "unsupported version 3")):
+        raw = bytearray(src.read_bytes())
+        raw[4:8] = version.to_bytes(4, "little")
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CorruptStack, match=match):
+            framestack.read_header(bad)
+
+
+def test_empty_stack_has_no_reference_pixel(tmp_path, as_version_1):
+    v2, v1 = tmp_path / "v2.twmg", tmp_path / "v1.twmg"
+    framestack.write_stack(v2, [], 8, 8, 0, 0, "x")
+    as_version_1(v2, v1)
+    for path in (v2, v1):
+        assert framestack.arm_moments(path).n == 0
+        with pytest.raises(EmptyEnsemble):
+            statistics.highest_contrast_pixel(framestack.arm_moments(path))
 
 
 def test_reader_argument_errors(tmp_path, rng):
