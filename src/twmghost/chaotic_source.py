@@ -61,10 +61,6 @@ class ModeSet:
     shot_index: int
     master_seed: int
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.theta)
-
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
@@ -99,22 +95,19 @@ def sample_amplitudes(spec: SourceSpec, master_seed: int, shot_index: int) -> np
     return spec.amplitude_scale * np.exp(2j * np.pi * ra.random(spec.n_modes))
 
 
-def field_from_modes(m: ModeSet, template: ScalarField, chunk: int = 32) -> ScalarField:
+def field_from_modes(m: ModeSet, template: ScalarField) -> ScalarField:
     """Coherent sum of the plane-wave modes sampled on the template grid.
 
     field(x, y) = sum_n a_n exp(-i k (sin(beta_n) x + cos(beta_n) sin(theta_n) y))
-    evaluated on the z = 0 plane.
+    evaluated on the z = 0 plane.  Each term is separable in x and y, so the
+    sum is one (W x n) @ (n x H) product.
     """
     k = 2.0 * np.pi / template.wavelength
     x, y = template.coords()
     sx = np.sin(m.beta)
     sy = np.cos(m.beta) * np.sin(m.theta)
-    out = np.zeros(template.shape, dtype=complex)
-    for lo in range(0, m.n_modes, chunk):
-        hi = min(lo + chunk, m.n_modes)
-        ph = (sx[lo:hi, None, None] * x[None, :, None]
-              + sy[lo:hi, None, None] * y[None, None, :])
-        out += np.einsum("n,nxy->xy", m.amplitude[lo:hi], np.exp(-1j * k * ph))
+    ex = m.amplitude[:, None] * np.exp(-1j * k * sx[:, None] * x[None, :])
+    out = ex.T @ np.exp(-1j * k * sy[:, None] * y[None, :])
     return ScalarField(out, template.pitch, template.wavelength, plane_label=template.plane_label)
 
 

@@ -44,13 +44,13 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, help="override master seed")
         sp.add_argument("--shots", type=int, help="override shot count")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (outputs are thread-count independent)")
 
     sp = sub.add_parser("simulate-coherent", help="coherent imaging chain")
     common(sp)
     sp = sub.add_parser("simulate-chaotic", help="per-shot chaotic run to a frame stack")
     common(sp)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads (outputs are thread-count independent)")
     sp = sub.add_parser("reconstruct", help="correlation-map reconstruction from a stack")
     sp.add_argument("stack")
     sp.add_argument("--ref-pixel", default="auto", help="'auto' or 'row,col'")

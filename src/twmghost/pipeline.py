@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chaotic_source import (ModeSet, SourceSpec, bin_intensities, fourier_bin_index, fourier_bins,
+from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, fourier_bins,
                              sample_amplitudes, sample_modes)
 from .errors import InvalidSpec, WeakLimitViolated
 from .framestack import ShotRecord
@@ -282,9 +282,6 @@ class ChaoticExperiment:
                                                                   self.px[n], self.py[n])
             self.flat_stack = stack.reshape(spec.n_modes, -1)
 
-    def modes_for_shot(self, shot_index: int) -> ModeSet:
-        return sample_modes(self.spec, self.master_seed, shot_index)
-
     def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Mode intensities (block x n_modes) and undetected i2 maps
         (block x W x H) of the shots of block b."""
@@ -346,7 +343,7 @@ class ChaoticExperiment:
 
     def reference_mode_for_pixel(self, ref_pixel: tuple[int, int]) -> int:
         """Index of the mode whose Fourier-plane bin is `ref_pixel` (nearest)."""
-        ix, iy = fourier_bins(self.modes_for_shot(0), self.g, self.template)
+        ix, iy = fourier_bins(sample_modes(self.spec, self.master_seed, 0), self.g, self.template)
         d2 = (ix - ref_pixel[0]) ** 2 + (iy - ref_pixel[1]) ** 2
         return int(np.argmin(d2))
 

@@ -66,11 +66,6 @@ def _ft_plus(u: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(u))) * u.size
 
 
-def _ft_minus(u: np.ndarray) -> np.ndarray:
-    """Centered DFT with kernel exp(-2 pi i (f x + g y)), unnormalized."""
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(u)))
-
-
 def _effective_radius(grid: np.ndarray, pitch: float) -> float:
     """Radius of the support where the field is non-negligible."""
     mag = np.abs(grid)

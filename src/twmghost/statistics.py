@@ -6,6 +6,9 @@ Fourier map and every pixel of the generated-field image map:
 
     G(x2, y2) = <I1(ref) I2(x2, y2)> - <I1(ref)> <I2(x2, y2)>
 
+`CovarianceAccumulator` is the one place that sums (reference value x, i2)
+pairs.  It sums x - x0, with x0 the first shot's x, so that a near-constant
+reference gives G at the round-off of its variation, not of its mean.
 Accumulation is strictly sequential in shot order (double precision), so
 results are bit-identical regardless of how shots were produced.
 """
@@ -45,26 +48,23 @@ class HistogramFit:
 class CovarianceAccumulator:
     """Streaming accumulator of the covariance map between a reference value
     x (the i1 intensity at `ref_pixel`) and the i2 map, fed (x, i2) pairs in
-    shot order."""
+    shot order.  It keeps n, s1 = sum(x - x0), s2 = sum(i2) and
+    s12 = sum((x - x0) i2), with x0 the first x."""
 
     def __init__(self, ref_pixel: tuple[int, int]):
         self.ref_pixel = (int(ref_pixel[0]), int(ref_pixel[1]))
-        self.n = 0
-        self.s1 = 0.0
-        self.s2 = None
-        self.s12 = None
-        self.shape = None
-        self._scratch = None
+        self.n, self.x0, self.s1 = 0, 0.0, 0.0
+        self.s2 = self.s12 = self.shape = self._scratch = None
 
     def add(self, x: float, i2: np.ndarray):
         if self.shape is None:
             self.shape = i2.shape
-            self.s2 = np.zeros(self.shape)
-            self.s12 = np.zeros(self.shape)
+            self.x0 = float(x)
+            self.s2, self.s12 = np.zeros(self.shape), np.zeros(self.shape)
             self._scratch = np.empty(self.shape)
         elif i2.shape != self.shape:
             raise ShapeMismatch(f"shot {self.n}: i2 shape {i2.shape} != {self.shape}")
-        x = float(x)
+        x = float(x) - self.x0
         self.n += 1
         self.s1 += x
         self.s2 += i2
@@ -73,11 +73,43 @@ class CovarianceAccumulator:
     def result(self) -> CorrelationMap:
         if self.n < 2:
             raise EmptyEnsemble(f"need at least 2 shots, got {self.n}")
-        m1 = self.s1 / self.n
-        m2 = self.s2 / self.n
+        m1, m2 = self.s1 / self.n, self.s2 / self.n
         return CorrelationMap(g_map=self.s12 / self.n - m1 * m2,
                               ref_pixel=self.ref_pixel, n_shots=self.n,
-                              mean_i1=m1, mean_i2=m2)
+                              mean_i1=self.x0 + m1, mean_i2=m2)
+
+
+class JackknifeAccumulator(CovarianceAccumulator):
+    """A CovarianceAccumulator that also sums what the jackknife error of G
+    needs (Efron & Stein, Ann. Stat. 9, 586 (1981)).  With X, Y the
+    deviations of x, y from their means, leaving shot i out gives the
+    covariance g_i = (n G - n X_i Y_i / m) / m over m = n - 1 shots, so the
+    variance (m/n) sum (g_i - <g>)^2 is n / m^3 (sum X^2 Y^2 - n G^2): exact
+    from the sums of x^2 and, per pixel, of y, y^2, x y, x^2 y, x y^2 and
+    x^2 y^2, kept for x - x0 and y = i2 less the first shot's i2."""
+
+    def add(self, x: float, i2: np.ndarray):
+        super().add(x, i2)
+        if self.n == 1:
+            self.y0, self.sxx, self.sums = i2.copy(), 0.0, np.zeros((6,) + self.shape)
+        x = float(x) - self.x0
+        y = np.subtract(i2, self.y0, out=self._scratch)
+        yy = y * y
+        self.sxx += x * x
+        for total, term in zip(self.sums, (y, yy, x * y, x * x * y, x * yy, x * x * yy)):
+            total += term
+
+    def standard_error(self) -> np.ndarray:
+        """Jackknife standard error of the covariance map, per pixel."""
+        if self.n < 2:
+            raise EmptyEnsemble(f"need at least 2 shots, got {self.n}")
+        n, m = self.n, self.n - 1
+        sy, syy, sxy, sxxy, sxyy, sxxyy = self.sums
+        mx, my = self.s1 / n, sy / n
+        g = sxy / n - mx * my
+        x2y2 = (sxxyy - 2 * my * sxxy - 2 * mx * sxyy + my * my * self.sxx + mx * mx * syy
+                + 4 * mx * my * sxy - 3 * n * (mx * my) ** 2)
+        return np.sqrt(np.maximum(n / m ** 3 * (x2y2 - n * g * g), 0.0))
 
 
 def _reference_pairs(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]):
@@ -90,12 +122,25 @@ def _reference_pairs(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]):
         yield shot.i1[r], shot.i2
 
 
+def _accumulate(acc: CovarianceAccumulator, shots: Iterable[ShotRecord]):
+    for x, i2 in _reference_pairs(shots, acc.ref_pixel):
+        acc.add(x, i2)
+    return acc
+
+
 def correlate(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]) -> CorrelationMap:
     """Covariance map over an ensemble of shots (fixed iteration order)."""
-    acc = CovarianceAccumulator(ref_pixel)
-    for x, i2 in _reference_pairs(shots, ref_pixel):
-        acc.add(x, i2)
-    return acc.result()
+    return _accumulate(CovarianceAccumulator(ref_pixel), shots).result()
+
+
+def jackknife_error(shots: Iterable[ShotRecord],
+                    ref_pixel: tuple[int, int]) -> tuple[CorrelationMap, np.ndarray]:
+    """Covariance map and its leave-one-out standard error per pixel, from
+    the sums of one streaming pass over the shots."""
+    acc = _accumulate(JackknifeAccumulator(ref_pixel), shots)
+    if acc.n < 10:
+        raise InsufficientSamples(f"jackknife needs >= 10 shots, got {acc.n}")
+    return acc.result(), acc.standard_error()
 
 
 # A pixel whose intensity never changes reads a contrast of about sqrt(eps),
@@ -288,32 +333,3 @@ def snr_report(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int],
         out.append({"n_shots": acc.n, "snr": _snr_from_map(acc.result(), support),
                     "low_confidence": acc.n < 10})
     return out
-
-
-def jackknife_error(shots: Sequence[ShotRecord], ref_pixel: tuple[int, int]) -> np.ndarray:
-    """Leave-one-out standard error of the covariance map, per pixel.
-
-    Needs a materialized (re-iterable) shot sequence; two passes are made.
-    """
-    shots = list(shots)
-    n = len(shots)
-    if n < 10:
-        raise InsufficientSamples(f"jackknife needs >= 10 shots, got {n}")
-    r = (int(ref_pixel[0]), int(ref_pixel[1]))
-    x = np.array([float(s.i1[r]) for s in shots])
-    sy = np.zeros(shots[0].i2.shape)
-    sxy = np.zeros_like(sy)
-    for s, xi in zip(shots, x):
-        sy += s.i2
-        sxy += xi * s.i2
-    sx = float(x.sum())
-    m = n - 1
-    gsum = np.zeros_like(sy)
-    gsq = np.zeros_like(sy)
-    for s, xi in zip(shots, x):
-        gi = (sxy - xi * s.i2) / m - (sx - xi) * (sy - s.i2) / (m * m)
-        gsum += gi
-        gsq += gi * gi
-    gbar = gsum / n
-    var = (m / n) * (gsq - n * gbar * gbar)
-    return np.sqrt(np.maximum(var, 0.0))

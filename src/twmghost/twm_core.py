@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import InvalidSpec
 
-WEAK_LIMIT_ARG = 0.1
-
 
 @dataclass(frozen=True)
 class CoupledAmplitudes:

@@ -52,6 +52,15 @@ def test_simulate_coherent_outputs(tmp_path, small_cfg):
     assert arr.shape == (64, 64)
 
 
+def test_simulate_coherent_takes_no_threads(tmp_path, small_cfg, capsys):
+    # the coherent chain has no shot loop to spread over threads
+    out = tmp_path / "coh"
+    assert main(["simulate-coherent", "--config", small_cfg, "--out", str(out),
+                 "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_chaotic_and_reconstruct(tmp_path, small_cfg):
     out = tmp_path / "run"
     rc = main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,14 +60,17 @@ def test_accumulator_streaming_equals_batch(rng):
         acc.add(s.i1[5, 7], s.i2)
     cm = acc.result()
     assert np.allclose(cm.g_map, correlate(shots, (5, 7)).g_map, atol=1e-12)
-    # the sums are those of the plain per-shot expressions, bit for bit
+    # the sums are those of the plain per-shot expressions with x shifted by
+    # the first shot's value, bit for bit
+    x0 = float(shots[0].i1[5, 7])
     s1, s2, s12 = 0.0, np.zeros((16, 16)), np.zeros((16, 16))
     for s in shots:
-        x = float(s.i1[5, 7])
+        x = float(s.i1[5, 7]) - x0
         s1 += x
         s2 += s.i2
         s12 += x * s.i2
-    assert acc.s1 == s1
+    assert acc.x0 == x0 and acc.s1 == s1
+    assert cm.mean_i1 == x0 + s1 / 25
     assert acc.s2.tobytes() == s2.tobytes() and acc.s12.tobytes() == s12.tobytes()
 
 
@@ -191,7 +195,7 @@ def test_thermal_test_needs_samples(rng):
 def test_jackknife_matches_brute_force(rng):
     shots = _synthetic_shots(rng, n=15)
     ref = (3, 3)
-    se = jackknife_error(shots, ref)
+    _, se = jackknife_error(shots, ref)
     n = len(shots)
     full = [correlate([s for j, s in enumerate(shots) if j != i], ref).g_map
             for i in range(n)]
@@ -205,9 +209,59 @@ def test_jackknife_independence_bound(rng):
     # for independent ensembles the covariance stays within 5 jackknife
     # errors everywhere (seeded; ~0.999^256 chance level per pixel)
     shots = _synthetic_shots(rng, n=200)
-    cm = correlate(shots, (8, 8))
-    se = jackknife_error(shots, (8, 8))
+    cm, se = jackknife_error(iter(shots), (8, 8))
+    # G comes from the same sums as correlate's
+    assert cm.g_map.tobytes() == correlate(shots, (8, 8)).g_map.tobytes()
     assert np.all(np.abs(cm.g_map) < 5.0 * se)
+
+
+def _centred_jackknife(x, y):
+    """Leave-one-out SE with each covariance taken about its own means."""
+    n = len(x)
+    loo = []
+    for i in range(n):
+        keep = np.arange(n) != i
+        xc = x[keep] - x[keep].mean()
+        loo.append(np.tensordot(xc, y[keep] - y[keep].mean(axis=0), 1) / (n - 1))
+    loo = np.array(loo)
+    return np.sqrt((n - 1) / n * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+
+
+def test_near_constant_reference(rng):
+    # x = c plus a few ulps: the covariance is of the ulp-level variation,
+    # which unshifted sums of x i2 lose to the round-off of c <i2>; i2 sits
+    # on a large offset, which the error sums lose unless i2 is shifted too
+    n, c = 40, 3.0
+    x = c + rng.integers(-4, 5, n) * np.spacing(c)
+    y = 1e4 + rng.exponential(1.0, size=(n, 16, 16))
+    y[:, 2:6, 2:6] += 1e15 * (x - c)[:, None, None]
+    shots = [ShotRecord(i1=np.full((4, 4), xv), i2=yv, shot_index=k)
+             for k, (xv, yv) in enumerate(zip(x, y))]
+    want = np.tensordot(x - x.mean(), y - y.mean(axis=0), 1) / n
+    cm, se = jackknife_error(shots, (1, 1))
+    for g in (correlate(shots, (1, 1)).g_map, cm.g_map):
+        assert np.abs(g - want).max() <= 1e-9 * np.abs(want).max()
+    brute = _centred_jackknife(x, y)
+    assert np.abs(se - brute).max() <= 1e-9 * brute.max()
+
+
+def test_jackknife_memory_is_bounded_in_shots():
+    def shots(n):
+        rng = np.random.default_rng(5)
+        for k in range(n):
+            yield ShotRecord(i1=rng.exponential(1.0, size=(32, 32)),
+                             i2=rng.exponential(1.0, size=(32, 32)), shot_index=k)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            jackknife_error(shots(n), (3, 3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)   # the first call also traces allocations made once per process
+    assert peak(400) <= peak(50) + 32 * 32 * 8
 
 
 def test_jackknife_requires_enough_shots(rng):
