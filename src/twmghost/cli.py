@@ -3,6 +3,13 @@
 Subcommands: simulate-coherent, simulate-chaotic, reconstruct, stats,
 selftest.  Exit codes: 0 success, 1 usage error, 2 data/config error,
 3 numerical failure.
+
+Each subcommand imports only the modules it runs; at module level there
+are only the ones every command uses (`errors`, `framestack`, `masks`).
+The simulate commands import `config` and `pipeline` (and with them the
+source, propagation and geometry modules), `reconstruct` and `stats`
+import `statistics`, and `selftest` imports `selftest`.  So the stack
+readers neither load nor compile the simulator.
 """
 
 from __future__ import annotations
@@ -13,12 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config, framestack, masks, statistics
-from .chaotic_source import RNG_ALGORITHM
+from . import framestack, masks
 from .errors import (CorruptStack, DegenerateGeometry, EmptyEnsemble, GeometryError,
                      InsufficientSamples, InvalidSpec, SamplingViolation, ShapeMismatch,
                      TwmError, UnreadableFile, UnsupportedFormat)
-from .pipeline import ChaoticExperiment, coherent_image
 
 _DATA_ERRORS = (InvalidSpec, GeometryError, UnreadableFile, UnsupportedFormat,
                 CorruptStack, ShapeMismatch, EmptyEnsemble, InsufficientSamples)
@@ -68,6 +73,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_cfg(args) -> config.RunConfig:
+    from . import config
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides[("run", "master_seed")] = args.seed
@@ -85,6 +91,7 @@ def _outdir(cfg_or_path) -> Path:
 
 
 def cmd_simulate_coherent(args) -> int:
+    from .pipeline import coherent_image
     cfg = _load_cfg(args)
     out = _outdir(cfg)
     img = coherent_image(cfg.load_object_mask(), cfg.geometry, det=cfg.detector)
@@ -97,6 +104,9 @@ def cmd_simulate_coherent(args) -> int:
 
 
 def cmd_simulate_chaotic(args) -> int:
+    from . import __version__, config
+    from .chaotic_source import RNG_ALGORITHM
+    from .pipeline import ChaoticExperiment
     cfg = _load_cfg(args)
     out = _outdir(cfg)
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
@@ -123,6 +133,7 @@ def _parse_pixel(text, shape):
 
 
 def cmd_reconstruct(args) -> int:
+    from . import statistics
     header, _ = framestack.read_header(args.stack)
     shape = (header.width, header.height)
     if args.ref_pixel == "auto":
@@ -147,6 +158,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import statistics
     header, _ = framestack.read_header(args.stack)
     arm = args.arm
     if args.mode == "spatial":

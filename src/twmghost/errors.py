@@ -47,3 +47,7 @@ class CorruptStack(TwmError):
 
 class WeakLimitViolated(UserWarning):
     """The weak-conversion approximation was used outside its range."""
+
+
+class ImageClipped(UserWarning):
+    """Mode copies of the image were shifted partly or wholly off the grid."""

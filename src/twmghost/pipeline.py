@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, fourier_bins,
                              sample_amplitudes, sample_modes)
-from .errors import InvalidSpec, WeakLimitViolated
+from .errors import ImageClipped, InvalidSpec, WeakLimitViolated
 from .framestack import ShotRecord
 from .geometry import (Direction, InteractionGeometry, geometric_factor, image_offset,
                        unit_vectors, vector_angles)
@@ -42,6 +41,10 @@ from .propagation import ScalarField, free_propagate, lens_image_2f2f
 # above this weak-conversion argument the undepleted-seed, first-order
 # generation a2 = i g fgeo L conj(a1) a3 is no longer accurate
 WEAK_LIMIT_ARG = 0.1
+
+# a mode copy that keeps less of the base image energy than this after its
+# zero-fill shift raises an ImageClipped warning
+MIN_ENERGY_KEPT = 0.99
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,22 @@ def _shift_zero_fill(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return out
 
 
+def _energy_kept(image: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Fraction of the sum of `image` that `_shift_zero_fill` keeps at each
+    shift (dx[n], dy[n]), from one summed-area table."""
+    w, h = image.shape
+    sat = np.zeros((w + 1, h + 1))
+    sat[1:, 1:] = image
+    np.cumsum(sat, axis=0, out=sat)
+    np.cumsum(sat, axis=1, out=sat)
+    # the source rows and columns that stay on the grid
+    r0, r1 = np.clip(-dx, 0, w), np.clip(w - dx, 0, w)
+    c0, c1 = np.clip(-dy, 0, h), np.clip(h - dy, 0, h)
+    if sat[w, h] <= 0:   # a dark image loses only the copies shifted off the grid
+        return ((r1 > r0) & (c1 > c0)).astype(float)
+    return (sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]) / sat[w, h]
+
+
 def coherent_field(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex = 1.0,
                    gain_arg: float = 0.01) -> ScalarField:
     """Complex generated field at the detector plane for a plane-wave seed.
@@ -188,6 +207,9 @@ def _ordered_map(fn, items, threads: int):
     if threads <= 1:
         yield from map(fn, items)
         return
+    # imported here: concurrent.futures also loads logging, which a
+    # one-thread run does not need
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for item in items:
@@ -242,6 +264,14 @@ class ChaoticExperiment:
         xb, yb = image_offset(g.s2, idler)
         self.px = np.rint(xb / self.pitch).astype(int)
         self.py = np.rint(yb / self.pitch).astype(int)
+        # the base image energy each mode's shifted copy keeps on the grid;
+        # a copy shifted a whole grid side or more keeps none
+        self.energy_kept = _energy_kept(self.base_image, self.px, self.py)
+        clipped = self.energy_kept < MIN_ENERGY_KEPT
+        if clipped.any():
+            warnings.warn(f"{int(clipped.sum())} of {spec.n_modes} mode copies keep less than "
+                          f"{MIN_ENERGY_KEPT:.0%} of the image energy on the grid, the worst "
+                          f"{self.energy_kept.min():.1%}", ImageClipped, stacklevel=2)
         self.accept = _acceptance_weights(m0.theta, m0.beta, g)
         self.mode_weight = self.accept * geometric_factor(seed, idler) ** 2
         # detector-plane template for the Fourier arm, and the bin of each

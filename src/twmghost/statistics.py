@@ -148,6 +148,11 @@ def jackknife_error(shots: Iterable[ShotRecord],
 # modes reads 1/sqrt(M).
 THERMAL_CONTRAST_FLOOR = 1e-4
 
+# means within this relative distance of the largest count as equally
+# bright: bins fed by the same number of unit-modulus modes differ in the
+# last bits of their sums
+BRIGHTEST_TIE = 1e-9
+
 
 def auto_reference_pixel(frames: Iterable[np.ndarray]) -> tuple[int, int]:
     """`highest_contrast_pixel` of the frames' moments, streamed in one pass."""
@@ -162,7 +167,9 @@ def highest_contrast_pixel(moments: Moments) -> tuple[int, int]:
     by M modes 1/sqrt(M) (Goodman, Speckle Phenomena in Optics), so this is
     a single-mode bin, whose covariance map is one copy of the image, not a
     superposition of shifted copies.  When no pixel varies (deterministic
-    mode intensities) it is the brightest pixel.
+    mode intensities) it is the brightest pixel: the first in row-major
+    order among those within BRIGHTEST_TIE of the largest mean, so that
+    round-off in the sums cannot move the pick with the frame count.
     """
     n = moments.n
     if n == 0:
@@ -170,8 +177,11 @@ def highest_contrast_pixel(moments: Moments) -> tuple[int, int]:
     mean = moments.s1 / n
     sd = np.sqrt(np.maximum(moments.s2 / n - mean * mean, 0.0))
     contrast = np.divide(sd, mean, out=np.zeros_like(mean), where=mean > 0)
-    pick = contrast if contrast.max() > THERMAL_CONTRAST_FLOOR else mean
-    idx = np.unravel_index(int(np.argmax(pick)), pick.shape)
+    if contrast.max() > THERMAL_CONTRAST_FLOOR:
+        flat = np.argmax(contrast)
+    else:
+        flat = np.argmax(mean >= mean.max() * (1.0 - BRIGHTEST_TIE))
+    idx = np.unravel_index(int(flat), mean.shape)
     return (int(idx[0]), int(idx[1]))
 
 

@@ -318,6 +318,21 @@ def test_criterion_8_thread_determinism(tmp_path):
             bool(stacks_equal and maps_equal))
 
 
+@pytest.mark.parametrize("n_frames", [1, 8, 256])
+def test_fixed_modulus_pick_does_not_move_with_frame_count(experiment, geometry, cfg,
+                                                           n_frames):
+    # every bin holds unit-modulus modes, so none varies and several tie for
+    # brightest up to round-off; the pick must not depend on how many frames
+    spec = SourceSpec(n_modes=cfg.source.n_modes,
+                      angular_spread=cfg.source.angular_spread,
+                      amplitude_law="fixed-modulus")
+    ref = auto_reference_pixel(
+        fourier_intensity(sample_modes(spec, cfg.master_seed, k), geometry,
+                          experiment.template).grid
+        for k in range(n_frames))
+    assert ref == (98, 148)
+
+
 def test_criterion_9_zero_variance_control(mask, geometry, cfg):
     spec = SourceSpec(n_modes=cfg.source.n_modes,
                       angular_spread=cfg.source.angular_spread,

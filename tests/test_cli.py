@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twmghost
 from twmghost import framestack, masks, statistics
 from twmghost.cli import main
 from twmghost.config import load_config
@@ -448,3 +450,68 @@ def test_cli_import_leaves_out_scipy_stats():
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the modules of the coherent chain and the shot loop, which the stack
+# readers do not run
+SIMULATOR = ("twmghost.pipeline", "twmghost.config", "twmghost.chaotic_source",
+             "twmghost.propagation", "twmghost.geometry")
+
+
+def _loaded_after(code, names):
+    """Which of `names` are in sys.modules after `code` runs in a fresh
+    interpreter."""
+    script = f"import json, sys\n{code}\nprint(json.dumps(sorted(set(sys.modules) & {set(names)!r})))"
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_simulator():
+    assert _loaded_after("import twmghost.cli", SIMULATOR) == []
+
+
+@pytest.mark.parametrize("argv", [["stats", "--mode", "temporal"],
+                                  ["reconstruct", "--ref-pixel", "auto"]])
+def test_stack_readers_load_no_simulator(tmp_path, small_cfg, argv):
+    run = tmp_path / "run"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(run),
+                 "--shots", "100"]) == 0
+    argv = [argv[0], str(run / "frames.twmg"), *argv[1:], "--out", str(tmp_path / "out")]
+    code = f"import twmghost.cli\nassert twmghost.cli.main({argv!r}) == 0"
+    assert _loaded_after(code, SIMULATOR + ("concurrent.futures",)) == []
+
+
+def test_one_thread_simulate_loads_no_estimator(tmp_path, small_cfg):
+    argv = ["simulate-chaotic", "--config", small_cfg, "--threads", "1",
+            "--out", str(tmp_path / "run")]
+    code = f"import twmghost.cli\nassert twmghost.cli.main({argv!r}) == 0"
+    assert _loaded_after(code, ("twmghost.statistics", "concurrent.futures")) == []
+
+
+def test_public_names_resolve_from_the_package():
+    # dir() lists every public name before any is resolved, and each
+    # resolves to the object its own module defines
+    code = ("import importlib, twmghost\n"
+            "names = twmghost.__all__\n"
+            "assert set(names) <= set(dir(twmghost)), sorted(set(names) - set(dir(twmghost)))\n"
+            "from twmghost import *\n"
+            "for name in names:\n"
+            "    value = getattr(twmghost, name)\n"
+            "    home = importlib.import_module(value.__module__)\n"
+            "    assert value is getattr(home, name) is globals()[name], name")
+    assert _loaded_after(code, ()) == []
+    assert set(twmghost.__all__) == {
+        "ChaoticExperiment", "CorrelationMap", "DetectorSpec", "Direction",
+        "InteractionGeometry", "ModeSet", "ObjectMask", "ScalarField", "ShotRecord",
+        "SourceSpec", "WaveVector", "coherent_image", "correlate", "sample_modes",
+        "thermal_test"}
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        twmghost.no_such_name
+    assert not hasattr(twmghost, "statistic")
+    with pytest.raises(ImportError):
+        exec("from twmghost import no_such_name", {})

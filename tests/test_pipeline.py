@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from twmghost import framestack, pipeline
 from twmghost.chaotic_source import ModeSet, SourceSpec, fourier_intensity, sample_modes
 from twmghost.cli import main as cli_main
 from twmghost.config import load_config
-from twmghost.errors import InvalidSpec
+from twmghost.errors import ImageClipped, InvalidSpec
 from twmghost.geometry import Direction, geometric_factor, image_offset
 from twmghost.pipeline import (
     ChaoticExperiment,
@@ -259,12 +260,37 @@ def test_mode_past_grid_edge_adds_nothing(monkeypatch, width, n_modes, fft):
     monkeypatch.setattr(pipeline, "sample_modes", tilted)
     cfg = _grid_config(width, n_modes)
     mask = cfg.load_object_mask()
-    exp = ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed)
+    with pytest.warns(ImageClipped):
+        exp = ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed)
+    assert exp.energy_kept[0] <= 1e-12
     assert abs(exp.py[0]) >= width and exp.accept[0] > 1e-3
     assert (exp.flat_stack is None) == fft
     if fft:
         assert 0 not in exp.kept and max(exp.pad) < 2 * width
     _assert_matches_per_mode_sum(exp, cfg, mask, 1)
+
+
+@pytest.mark.parametrize("width, n_modes, spread, clipped", [
+    (128, 40, "2e-3", "3 of 40 mode copies keep less than 99% of the image energy on "
+                      "the grid, the worst 88.9%"),
+    (128, 24, "1e-3", None),    # the small-frames benchmark workload
+    (256, 200, "5e-3", None),   # the shipped defaults
+])
+def test_clipped_image_energy_warns_once(width, n_modes, spread, clipped):
+    cfg = load_config(None, {("grid", "width"): width, ("grid", "height"): width,
+                             ("source", "n_modes"): n_modes,
+                             ("source", "angular_spread"): spread})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                                cfg.master_seed)
+    # each mode's kept fraction, against the zero-fill shift itself
+    kept = [_shift_zero_fill(exp.base_image, exp.px[n], exp.py[n]).sum()
+            for n in range(n_modes)]
+    assert np.abs(exp.energy_kept - np.array(kept) / exp.base_image.sum()).max() <= 1e-12
+    messages = [str(w.message) for w in caught if w.category is ImageClipped]
+    assert messages == ([clipped] if clipped else [])
+    assert (exp.energy_kept.min() < 0.99) == bool(clipped)
 
 
 def test_fft_shot_is_never_negative(monkeypatch, mask, geometry):

@@ -109,6 +109,18 @@ def test_auto_reference_pixel(rng):
         auto_reference_pixel([])
 
 
+def test_brightest_pixel_ties_go_to_the_first():
+    # two bins equally bright up to round-off: the first in row-major order
+    # is picked, whichever of them the last bits favour
+    for later in (2.0 + 4e-16, 2.0 - 4e-16):
+        frame = np.zeros((16, 16))
+        frame[3, 5], frame[9, 4], frame[12, 1] = 2.0, later, 1.0
+        assert auto_reference_pixel(frame.copy() for _ in range(20)) == (3, 5)
+    frame[9, 4] = 2.0 * (1 + 1e-8)
+    assert auto_reference_pixel(frame.copy() for _ in range(20)) == (9, 4)
+    assert auto_reference_pixel(np.zeros((4, 4)) for _ in range(3)) == (0, 0)
+
+
 def test_thermal_test_accepts_exponential(rng):
     fit = thermal_test(rng.exponential(2.5, size=5000))
     assert fit.p_value > 0.01
