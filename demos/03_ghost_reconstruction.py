@@ -28,7 +28,7 @@ exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
                         cfg.master_seed)
 
 # a single shot: smooth blob, no holes
-shot0 = exp.shot(0)
+shot0 = next(exp.shots(1))
 rho = np.corrcoef(shot0.i2.ravel(), exp.base_image.ravel())[0, 1]
 print(f"single shot vs coherent image: correlation {rho:+.3f} (no structure)")
 masks.save_pgm16(out / "single_shot.pgm", shot0.i2)

@@ -108,7 +108,7 @@ def field_from_modes(m: ModeSet, template: ScalarField) -> ScalarField:
     sy = np.cos(m.beta) * np.sin(m.theta)
     ex = m.amplitude[:, None] * np.exp(-1j * k * sx[:, None] * x[None, :])
     out = ex.T @ np.exp(-1j * k * sy[:, None] * y[None, :])
-    return ScalarField(out, template.pitch, template.wavelength, plane_label=template.plane_label)
+    return ScalarField(out, template.pitch, template.wavelength)
 
 
 def mode_fourier_positions(m: ModeSet, f_lens: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,4 +152,4 @@ def fourier_intensity(m: ModeSet, g, template: ScalarField) -> ScalarField:
     """
     on, index = fourier_bin_index(m, g, template)
     out = bin_intensities(index, np.abs(m.amplitude[on]) ** 2, template.shape)
-    return ScalarField(out, template.pitch, template.wavelength, plane_label="fourier")
+    return ScalarField(out, template.pitch, template.wavelength)

@@ -79,13 +79,11 @@ def _load_cfg(args) -> config.RunConfig:
         overrides[("run", "master_seed")] = args.seed
     if getattr(args, "shots", None) is not None:
         overrides[("run", "shots")] = args.shots
-    if getattr(args, "out", None):
-        overrides[("run", "output_dir")] = args.out
     return config.load_config(args.config, overrides)
 
 
-def _outdir(cfg_or_path) -> Path:
-    d = Path(cfg_or_path if isinstance(cfg_or_path, str) else cfg_or_path.output_dir)
+def _outdir(path) -> Path:
+    d = Path(path)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -93,8 +91,9 @@ def _outdir(cfg_or_path) -> Path:
 def cmd_simulate_coherent(args) -> int:
     from .pipeline import coherent_image
     cfg = _load_cfg(args)
-    out = _outdir(cfg)
-    img = coherent_image(cfg.load_object_mask(), cfg.geometry, det=cfg.detector)
+    mask = cfg.load_object_mask()
+    out = _outdir(args.out)
+    img = coherent_image(mask, cfg.geometry, det=cfg.detector)
     lo, hi = masks.save_pgm16(out / "coherent_image.pgm", img.grid)
     masks.save_csv(out / "coherent_image.csv", img.grid)
     masks.save_csv(out / "coherent_image_norm.csv",
@@ -108,8 +107,9 @@ def cmd_simulate_chaotic(args) -> int:
     from .chaotic_source import RNG_ALGORITHM
     from .pipeline import ChaoticExperiment
     cfg = _load_cfg(args)
-    out = _outdir(cfg)
-    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+    mask = cfg.load_object_mask()
+    out = _outdir(args.out)
+    exp = ChaoticExperiment(mask, cfg.geometry, cfg.source,
                             cfg.master_seed, det=cfg.detector,
                             coherent_sum=cfg.coherent_sum)
     stack_path = out / "frames.twmg"

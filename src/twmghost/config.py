@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .chaotic_source import SourceSpec
 from .errors import InvalidSpec
-from .geometry import Direction, InteractionGeometry, WaveVector
+from .geometry import InteractionGeometry, WaveVector
 from .pipeline import DetectorSpec, ObjectMask, object_pitch_for_detector
 from . import masks
 
@@ -38,7 +38,7 @@ DEFAULTS = {
     "run": {
         "shots": "1000", "master_seed": "12345", "mask": "three-holes",
         "mask_pitch": "auto", "hole_diameter": "256e-6", "hole_spacing": "1.2e-3",
-        "coherent_sum": "false", "output_dir": ".",
+        "coherent_sum": "false",
     },
 }
 
@@ -58,17 +58,23 @@ class RunConfig:
     hole_diameter: float
     hole_spacing: float
     coherent_sum: bool
-    output_dir: str
     raw: dict = field(default_factory=dict)
 
     def load_object_mask(self) -> ObjectMask:
+        """The object mask on the width x width grid; a mask file of any
+        other size is an InvalidSpec."""
         if self.mask_name == masks.BUILTIN_THREE_HOLES:
             return masks.three_holes(width=self.width, pitch=self.mask_pitch,
                                      hole_diameter=self.hole_diameter,
                                      spacing=self.hole_spacing)
         if not os.path.exists(self.mask_name):
             raise InvalidSpec(f"mask file {self.mask_name!r} does not exist")
-        return masks.load_mask(self.mask_name, pitch=self.mask_pitch)
+        mask = masks.load_mask(self.mask_name, pitch=self.mask_pitch)
+        if mask.transmission.shape != (self.width, self.height):
+            w, h = mask.transmission.shape
+            raise InvalidSpec(f"mask file {self.mask_name!r} is {w} x {h} pixels, the grid "
+                              f"is {self.width} x {self.height}")
+        return mask
 
 
 def _merged(path=None) -> dict:
@@ -101,9 +107,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 def _build(raw: dict) -> RunConfig:
     gs = raw["geometry"]
     geom = InteractionGeometry(
-        k1=WaveVector(Direction(), float(gs["lambda1"]), float(gs["n1"])),
-        k2=WaveVector(Direction(), float(gs["lambda2"]), float(gs["n2"])),
-        k3=WaveVector(Direction(), float(gs["lambda3"]), float(gs["n3"])),
+        k1=WaveVector(float(gs["lambda1"]), float(gs["n1"])),
+        k2=WaveVector(float(gs["lambda2"]), float(gs["n2"])),
+        k3=WaveVector(float(gs["lambda3"]), float(gs["n3"])),
         crystal_length=float(gs["crystal_length"]), f=float(gs["f"]), d=float(gs["d"]),
         s2=float(gs["s2"]), lens_fourier_f=float(gs["fourier_f"]))
     ss = raw["source"]
@@ -138,8 +144,7 @@ def _build(raw: dict) -> RunConfig:
                      mask_name=rs["mask"], mask_pitch=mp,
                      hole_diameter=float(rs["hole_diameter"]),
                      hole_spacing=float(rs["hole_spacing"]),
-                     coherent_sum=_bool(rs["coherent_sum"]),
-                     output_dir=rs["output_dir"], raw=raw)
+                     coherent_sum=_bool(rs["coherent_sum"]), raw=raw)
 
 
 def _bool(s: str) -> bool:

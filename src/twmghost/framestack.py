@@ -119,7 +119,8 @@ class Moments:
 
 def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 n_shots: int, master_seed: int, rng_algorithm: str) -> StackHeader:
-    """Write the stack; shots must arrive in shot_index order."""
+    """Write the stack; the shots must arrive in shot_index order from 0, as
+    position k of the stack is read back as shot k (CorruptStack if not)."""
     name = rng_algorithm.encode("utf-8")
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
     moments = Moments((width, height))
@@ -128,6 +129,9 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
         fh.write(_HEAD.pack(MAGIC, VERSION, width, height, n_shots, master_seed, len(name)))
         fh.write(name)
         for shot in shots:
+            if shot.shot_index != written:
+                raise CorruptStack(f"shot {shot.shot_index} arrived at stack position "
+                                   f"{written}: shots must come in order from 0")
             i1, i2 = (np.ascontiguousarray(f, dtype="<f8") for f in (shot.i1, shot.i2))
             for a in (i1, i2):
                 if a.shape != (width, height):

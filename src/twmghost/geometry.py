@@ -43,9 +43,10 @@ def unit_vectors(theta, beta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveVector:
-    """Wavevector of a monochromatic beam in a medium of index `index`."""
+    """Wavenumber of a monochromatic on-axis beam in a medium of index
+    `index`; tilted seed modes and their idlers are handled as direction
+    arrays next to it."""
 
-    direction: Direction
     wavelength: float  # vacuum wavelength, m
     index: float = 1.0
 
@@ -60,9 +61,6 @@ class WaveVector:
         """|k| = 2 pi n / lambda, rad/m."""
         return 2.0 * np.pi * self.index / self.wavelength
 
-    def vector(self) -> np.ndarray:
-        return self.magnitude * self.direction.unit_vector()
-
 
 def vector_angles(v: np.ndarray) -> tuple:
     """Angles (theta, beta) of Cartesian vectors stacked along axis 0, not
@@ -75,12 +73,14 @@ def vector_angles(v: np.ndarray) -> tuple:
 class InteractionGeometry:
     """Full geometry of the imaging experiment.
 
-    k1: seed, k2: generated, k3: pump.  The object sits at 2f before the
-    imaging lens of focal length f; d is the lens image distance beyond the
-    crystal, 0 < d < 2f (the crystal sits 2f - d behind the lens).  s2 is the
-    crystal-to-detector distance of the generated arm, crystal_length the
-    crystal depth, lens_fourier_f the focal length of the Fourier lens on the
-    seed arm.  The phase mismatch of each seed mode is computed where it is
+    k1: seed, k2: generated, k3: pump, each a wavenumber: every beam is on
+    axis (along z, the crystal normal) but the chaotic seed's modes, whose
+    directions the source draws, and their phase-matched idlers.  The object
+    sits at 2f before the imaging lens of focal length f; d is the lens image
+    distance beyond the crystal, 0 < d < 2f (the crystal sits 2f - d behind
+    the lens).  s2 is the crystal-to-detector distance of the generated arm,
+    crystal_length the crystal depth, lens_fourier_f the focal length of the
+    Fourier lens on the seed arm.  The phase mismatch of each seed mode is computed where it is
     used, in the pipeline's acceptance weights.
     """
 

@@ -2,14 +2,15 @@
 
 Coherent chain: object mask -> 2f-2f lens transform to the crystal plane ->
 weak-conversion generation of the idler -> free propagation over s2 to the
-detector.  The result is the object intensity, coordinate-inverted at unit
-magnification and shifted by the offset set by the generated beam direction.
+detector, for an on-axis plane-wave seed.  The result is the object
+intensity, coordinate-inverted at unit magnification.
 
-Chaotic chain: the generated intensity is the incoherent sum of one
-shifted/inverted copy of the coherent image per seed mode, weighted by the
-mode intensity, its geometric gain factor and the phase-matching acceptance
-(this is the cross-terms-average-out shortcut; a coherent-sum mode that
-squares the summed complex field is available for control studies).  The
+Chaotic chain: the generated intensity is the incoherent sum of one copy of
+the coherent image per seed mode, shifted by the detector-plane offset of
+the mode's phase-matched idler and weighted by the mode intensity, its
+geometric gain factor and the phase-matching acceptance (this is the
+cross-terms-average-out shortcut; a coherent-sum mode that squares the
+summed complex field is available for control studies).  The
 incoherent sum is a convolution of the coherent image with one impulse per
 mode, made by FFT on a padded grid; a per-mode copy stack is built instead
 when it is the cheaper product (few modes) and for the coherent sum, whose
@@ -88,8 +89,10 @@ def apply_detector(i: np.ndarray, det: DetectorSpec) -> np.ndarray:
 
 
 def _idler_vectors(theta, beta, g: InteractionGeometry) -> np.ndarray:
-    """k3 - k1n for seed modes along the arrays (theta, beta), one per column."""
-    return g.k3.vector()[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
+    """k3 - k1n for seed modes along the arrays (theta, beta), one per column;
+    the pump k3 is on axis."""
+    k3 = np.array([0.0, 0.0, g.k3.magnitude])
+    return k3[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
 
 
 def _acceptance_weights(theta, beta, g: InteractionGeometry):
@@ -147,9 +150,10 @@ def _energy_kept(image: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarra
     return (sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]) / sat[w, h]
 
 
-def coherent_field(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex = 1.0,
+def coherent_field(mask: ObjectMask, g: InteractionGeometry,
                    gain_arg: float = 0.01) -> ScalarField:
-    """Complex generated field at the detector plane for a plane-wave seed.
+    """Complex generated field at the detector plane for an on-axis
+    plane-wave seed of unit amplitude.
 
     `gain_arg` is the weak-conversion argument g |a3| fgeo L used for the
     pointwise conversion at the crystal plane: in the weak limit the seed is
@@ -160,37 +164,27 @@ def coherent_field(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex =
                       WeakLimitViolated, stacklevel=2)
     lam2 = g.k2.wavelength / g.k2.index
     obj = ScalarField(mask.transmission.astype(complex), mask.pitch,
-                      g.k3.wavelength / g.k3.index, plane_label="object")
+                      g.k3.wavelength / g.k3.index)
     a3_F = lens_image_2f2f(obj, g)
     # normalize the pump map so the weak-conversion argument peaks at gain_arg
     scale = max(np.abs(a3_F.grid).max(), 1e-300)
-    a2 = 1j * gain_arg * np.conj(seed_amp) * a3_F.grid / scale
-    e2 = ScalarField(a2, a3_F.pitch, lam2, plane_label="crystal-out")
-    return free_propagate(e2, g.s2, pad=2, bandlimit=True)
+    e2 = ScalarField(1j * gain_arg * a3_F.grid / scale, a3_F.pitch, lam2)
+    return free_propagate(e2, g.s2, pad=2)
 
 
-def coherent_image(mask: ObjectMask, g: InteractionGeometry, seed_amp: complex = 1.0,
-                   seed_direction: Direction | None = None,
+def coherent_image(mask: ObjectMask, g: InteractionGeometry,
                    det: DetectorSpec | None = None) -> ScalarField:
-    """Detected intensity of the coherent chain (plane-wave seed).
-
-    For an off-axis seed the generated beam direction is the phase-matching
-    conjugate of the seed and the image is shifted by the corresponding
-    detector-plane offset (rounded to whole pixels).  With pixel binning the
-    reported pitch is that of the binned pixels.
+    """Detected intensity of the coherent chain (on-axis plane-wave seed of
+    unit amplitude).  With pixel binning the reported pitch is that of the
+    binned pixels.
     """
-    e2 = coherent_field(mask, g, seed_amp=seed_amp)
+    e2 = coherent_field(mask, g)
     i2 = np.abs(e2.grid) ** 2
-    if seed_direction is not None:
-        t2, b2 = _conjugate_directions(np.array([seed_direction.theta]),
-                                       np.array([seed_direction.beta]), g)
-        xb, yb = image_offset(g.s2, Direction(t2[0], b2[0]))
-        i2 = _shift_zero_fill(i2, int(round(xb / e2.pitch)), int(round(yb / e2.pitch)))
     pitch = e2.pitch
     if det is not None:
         i2 = apply_detector(i2, det)
         pitch *= det.pixel_binning
-    return ScalarField(i2, pitch, e2.wavelength, plane_label="image")
+    return ScalarField(i2, pitch, e2.wavelength)
 
 
 # copy-stack shots are made this many at a time, as one matrix product that
@@ -252,7 +246,6 @@ class ChaoticExperiment:
         self.det = det or DetectorSpec()
         self.ideal_detector = self.det.bit_depth == 0 and self.det.pixel_binning == 1
         self.coherent_sum = coherent_sum
-        self._shot_block = None   # (b, block b) last made by shot()
         base = coherent_field(mask, g)
         self.pitch = base.pitch
         self.base_image = np.abs(base.grid) ** 2
@@ -278,7 +271,7 @@ class ChaoticExperiment:
         # mode that lands on it
         w, h = self.base_image.shape
         self.template = ScalarField(np.zeros((w, h)), self.pitch,
-                                    g.k1.wavelength / g.k1.index, plane_label="fourier")
+                                    g.k1.wavelength / g.k1.index)
         self.i1_on, self.i1_index = fourier_bin_index(m0, g, self.template)
         self.flat_stack = None
         self.block = SHOT_BLOCK
@@ -332,38 +325,25 @@ class ChaoticExperiment:
         # round-off must not make an intensity negative
         return p, np.maximum(i2, 0.0).reshape(shape)
 
-    def _record(self, shot_index: int, p: np.ndarray, i2: np.ndarray) -> ShotRecord:
-        i1 = bin_intensities(self.i1_index, p[self.i1_on], self.base_image.shape)
-        if not self.ideal_detector:
-            i1, i2 = apply_detector(i1, self.det), apply_detector(i2, self.det)
-        return ShotRecord(i1=i1, i2=i2, shot_index=shot_index)
-
     def shots(self, n_shots: int, start: int = 0, threads: int = 1) -> Iterator[ShotRecord]:
         """Records of shots start to start + n_shots - 1, in index order.
 
         Whole blocks are made, `threads` at a time on worker threads when
         threads > 1, with at most 2 * threads blocks in flight; the records
         and their bytes do not depend on `threads`.  i1 is binned as each
-        record is yielded.
+        record is yielded.  One shot is `next(exp.shots(1, start=k))`.
         """
         stop = start + n_shots
         blocks = range(start // self.block, -(-stop // self.block))
         for b, (p, i2) in zip(blocks, _ordered_map(self._block, blocks, threads)):
             first = b * self.block
             for k in range(max(start, first), min(stop, first + self.block)):
-                yield self._record(k, p[k - first], i2[k - first])
-
-    def shot(self, shot_index: int) -> ShotRecord:
-        """One shot's record, made with the rest of its block.  The last block
-        made here is kept, so calls in shot order make each block once."""
-        b = shot_index // self.block
-        if self._shot_block is None or self._shot_block[0] != b:
-            self._shot_block = (b, self._block(b))
-        p, i2 = self._shot_block[1]
-        k = shot_index - b * self.block
-        # a copy, so that a caller writing into the record cannot change the
-        # kept block
-        return self._record(shot_index, p[k], i2[k].copy())
+                i1 = bin_intensities(self.i1_index, p[k - first, self.i1_on],
+                                     self.base_image.shape)
+                i2_k = i2[k - first]
+                if not self.ideal_detector:
+                    i1, i2_k = apply_detector(i1, self.det), apply_detector(i2_k, self.det)
+                yield ShotRecord(i1=i1, i2=i2_k, shot_index=k)
 
     def expected_image(self, ref_mode: int) -> np.ndarray:
         """Shifted/inverted object image the correlation map should recover

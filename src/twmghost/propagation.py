@@ -35,7 +35,6 @@ class ScalarField:
     grid: np.ndarray
     pitch: float
     wavelength: float
-    plane_label: str = ""
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid)
@@ -116,17 +115,19 @@ def lens_image_2f2f(obj: ScalarField, g: InteractionGeometry) -> ScalarField:
     yo = (np.arange(h) - h // 2) * pitch_out
     rho2_out = xo[:, None] ** 2 + yo[None, :] ** 2
     out = (k3 / (2j * np.pi * d)) * np.exp(0.5j * k3 * rho2_out / d) * spec
-    return ScalarField(out, pitch_out, obj.wavelength, plane_label="crystal")
+    return ScalarField(out, pitch_out, obj.wavelength)
 
 
-def free_propagate(field: ScalarField, distance: float, pad: int = 1,
-                   bandlimit: bool = True) -> ScalarField:
+def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarField:
     """Band-limited angular-spectrum propagation over `distance` (same pitch).
 
-    `pad` zero-pads the grid by an integer factor before the transform (and
-    crops after), which refines the frequency sampling and with it the
-    aliasing-free band of the kernel; use pad=2 for distances beyond
-    W * pitch^2 / lambda.
+    The transfer function is zeroed, per axis, beyond the frequency where
+    its phase slews faster than pi per frequency sample (Matsushima &
+    Shimobaba, Opt. Express 17, 19662 (2009)), which keeps the circular
+    convolution from aliasing.  `pad` zero-pads the grid by an integer
+    factor before the transform (and crops after), which refines the
+    frequency sampling and with it that band; use pad=2 for distances
+    beyond W * pitch^2 / lambda.
     """
     if distance < 0:
         raise SamplingViolation("propagation distance must be non-negative")
@@ -149,13 +150,8 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1,
     fy = np.fft.fftfreq(h, field.pitch)
     kern = 1j * np.pi * lam * distance * (fx[:, None] ** 2 + fy[None, :] ** 2)
     np.exp(kern, out=kern)
-    if bandlimit:
-        # zero out frequencies where the kernel phase slews faster than pi
-        # per frequency sample (Matsushima-style limit), per axis
-        flim_x = w * field.pitch / (2.0 * lam * distance)
-        flim_y = h * field.pitch / (2.0 * lam * distance)
-        kern *= np.abs(fx[:, None]) <= flim_x
-        kern *= np.abs(fy[None, :]) <= flim_y
+    kern *= np.abs(fx[:, None]) <= w * field.pitch / (2.0 * lam * distance)
+    kern *= np.abs(fy[None, :]) <= h * field.pitch / (2.0 * lam * distance)
     np.multiply(spec, kern, out=spec)
     del kern
     out = np.fft.ifft2(spec)
@@ -163,7 +159,7 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1,
     out *= np.exp(-1j * k * distance)
     if pad > 1:
         out = out[(w - w0) // 2:(w + w0) // 2, (h - h0) // 2:(h + h0) // 2]
-    return ScalarField(out, field.pitch, field.wavelength, plane_label=field.plane_label)
+    return ScalarField(out, field.pitch, field.wavelength)
 
 
 def fourier_plane(field: ScalarField, f_lens: float) -> ScalarField:
@@ -181,4 +177,4 @@ def fourier_plane(field: ScalarField, f_lens: float) -> ScalarField:
     w, _ = field.shape
     spec = _ft_plus(field.grid) * field.pitch ** 2 * (k / (2j * np.pi * f_lens))
     pitch_out = lam * f_lens / (w * field.pitch)
-    return ScalarField(spec, pitch_out, field.wavelength, plane_label="fourier")
+    return ScalarField(spec, pitch_out, field.wavelength)

@@ -57,7 +57,7 @@ def reference(experiment, cfg):
     """
     from twmghost.chaotic_source import mode_fourier_positions
 
-    probe = [experiment.shot(s) for s in range(50)]
+    probe = list(experiment.shots(50))
     mean_i1 = np.mean([s.i1 for s in probe], axis=0)
     xs, ys = mode_fourier_positions(sample_modes(experiment.spec, experiment.master_seed, 0),
                                     experiment.g.lens_fourier_f)
@@ -247,8 +247,8 @@ def test_criterion_5_single_shot_carries_no_image(experiment, mask, geometry, cf
     comp = _inverted_detector_mask(cfg)
     n_shots = 100
     ratios, n_eff = [], []
-    for s in range(n_shots):
-        i2 = experiment.shot(s).i2
+    for rec in experiment.shots(n_shots):
+        i2 = rec.i2
         sigma = _null_sigma(i2, comp)
         ratios.append(abs(_pearson(i2, comp)) / sigma)
         n_eff.append(sigma ** -2)

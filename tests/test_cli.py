@@ -332,19 +332,53 @@ def test_shot_count_does_not_change_shot_bytes(tmp_path, small_cfg):
         assert payload(str(shots))[0] == full[:shots * frame]
 
 
-def test_experiment_shot_equals_streamed_record(tmp_path, small_cfg):
+# the three ways a shot is made: copy-stack product, FFT convolution, coherent sum
+SHOT_PATHS = {
+    "stack": SMALL_CFG,
+    "fft": SMALL_CFG.replace("n_modes = 20", "n_modes = 200"),
+    "coherent-sum": SMALL_CFG.replace("shots = 12", "shots = 12\ncoherent_sum = true"),
+}
+
+
+@pytest.mark.parametrize("path", SHOT_PATHS)
+def test_experiment_shot_equals_streamed_record(tmp_path, path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(SHOT_PATHS[path])
     out = tmp_path / "run"
-    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 0
-    cfg = load_config(small_cfg)
+    assert main(["simulate-chaotic", "--config", str(ini), "--out", str(out)]) == 0
+    cfg = load_config(str(ini))
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
-                            cfg.master_seed)
-    assert exp.flat_stack is not None
+                            cfg.master_seed, coherent_sum=cfg.coherent_sum)
+    assert (exp.flat_stack is None, exp.coherent_sum) == (path == "fft", path == "coherent-sum")
     records = list(framestack.iter_shots(out / "frames.twmg"))
+    # 8 and 11 lie in the second copy-stack block, which the 12 shots end inside
     for k in (0, 5, 8, 11):
-        rec = exp.shot(k)
+        rec = next(exp.shots(1, start=k))
         assert rec.shot_index == k
         assert rec.i1.tobytes() == records[k].i1.tobytes()
         assert rec.i2.tobytes() == records[k].i2.tobytes()
+
+
+@pytest.mark.parametrize("cmd", ["simulate-coherent", "simulate-chaotic"])
+def test_mask_file_of_another_size_is_data_error(tmp_path, capsys, cmd):
+    # a mask file must match the grid: one of 32 x 32 on the 64 x 64 grid
+    # fails before any output is written, one of 64 x 64 runs
+    for width in (32, 64):
+        pgm = tmp_path / f"mask{width}.pgm"
+        hole = np.zeros((width, width))
+        hole[width // 2 - 2:width // 2 + 2, width // 2 - 2:width // 2 + 2] = 1.0
+        masks.save_pgm16(pgm, hole)
+        ini = tmp_path / f"mask{width}.ini"
+        ini.write_text(SMALL_CFG + f"mask = {pgm}\n")
+        out = tmp_path / f"out{width}"
+        rc = main([cmd, "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        if width == 64:
+            assert rc == 0
+            continue
+        assert rc == 2
+        assert f"mask file '{pgm}' is 32 x 32 pixels, the grid is 64 x 64" in err
+        assert not out.exists()
 
 
 def test_non_square_grid_is_data_error(tmp_path, capsys):
@@ -414,14 +448,22 @@ def test_pixel_binning_writes_binned_frames(tmp_path, small_cfg):
 
 
 def test_old_geometry_keys_replay_byte_identical(tmp_path, small_cfg):
-    # manifests written before d_O, d_F and fourier_d were dropped still load
-    # and replay the same stack: those keys never reached an output
+    # manifests written before d_O, d_F, fourier_d and output_dir were dropped
+    # still load and replay the same stack: those keys never reached an
+    # output, and --out alone names the output directory
+    elsewhere = tmp_path / "elsewhere"
     old = tmp_path / "old.ini"
-    old.write_text(SMALL_CFG + "\n[geometry]\nd_O = 0.6\nd_F = 0.2\nfourier_d = 0.15\n")
+    old.write_text(SMALL_CFG.replace("shots = 12", f"shots = 12\noutput_dir = {elsewhere}")
+                   + "\n[geometry]\nd_O = 0.6\nd_F = 0.2\nfourier_d = 0.15\n")
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(a)]) == 0
     assert main(["simulate-chaotic", "--config", str(old), "--out", str(b)]) == 0
     assert (a / "frames.twmg").read_bytes() == (b / "frames.twmg").read_bytes()
+    assert not elsewhere.exists()
+    # the manifest echoes what the file set: the old keys, and no output_dir
+    # unless the file had one
+    assert "output_dir" not in (a / "manifest.ini").read_text()
+    assert f"output_dir = {elsewhere}" in (b / "manifest.ini").read_text()
 
 
 def test_missing_stack_is_data_error(tmp_path):

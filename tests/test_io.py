@@ -187,6 +187,17 @@ def test_reader_argument_errors(tmp_path, rng):
         next(framestack.iter_frames(path, "i1", start=-1))
 
 
+@pytest.mark.parametrize("order, first", [
+    ([5, 6, 7, 8, 9], "shot 5 arrived at stack position 0"),
+    ([0, 2, 1, 3, 4], "shot 2 arrived at stack position 1"),
+], ids=["started-at-shot-5", "two-shots-swapped"])
+def test_stack_rejects_shots_out_of_order(tmp_path, rng, order, first):
+    # position k of a stack is read back as shot k
+    shots = [replace(r, shot_index=k) for r, k in zip(_records(rng), order)]
+    with pytest.raises(CorruptStack, match=first):
+        framestack.write_stack(tmp_path / "s.twmg", shots, 8, 8, 5, 0, "x")
+
+
 def test_stack_count_mismatch(tmp_path, rng):
     with pytest.raises(CorruptStack):
         framestack.write_stack(tmp_path / "s.twmg", _records(rng, n=3),

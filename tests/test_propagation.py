@@ -59,7 +59,7 @@ def test_free_propagate_plane_wave_global_phase():
     # a uniform field is a DC eigenmode: only the exp(-i k z) factor applies
     f = ScalarField(np.ones((64, 64), dtype=complex), 16e-6, 1064e-9)
     z = 0.03
-    out = free_propagate(f, z, bandlimit=False)
+    out = free_propagate(f, z)
     expected = np.exp(-2j * np.pi / 1064e-9 * z)
     assert np.allclose(out.grid, expected, atol=1e-10)
 
@@ -72,7 +72,7 @@ def test_free_propagate_ramp_eigenmode():
     f0 = m / (width * pitch)
     x = np.arange(width) * pitch
     ramp = np.exp(2j * np.pi * f0 * x)[:, None] * np.ones(width)[None, :]
-    out = free_propagate(ScalarField(ramp, pitch, lam), z, bandlimit=False)
+    out = free_propagate(ScalarField(ramp, pitch, lam), z)
     eig = np.exp(1j * np.pi * lam * z * f0 ** 2) * np.exp(-2j * np.pi / lam * z)
     assert np.allclose(out.grid, eig * ramp, atol=1e-9)
 
@@ -105,7 +105,7 @@ def test_free_propagate_gaussian_1_over_e():
     assert crossing == pytest.approx(w0 * np.sqrt(2), rel=0.02)
 
 
-def _free_propagate_one_expression(field, distance, pad, bandlimit):
+def _free_propagate_one_expression(field, distance, pad):
     """free_propagate as one expression, with all its temporaries alive at
     once: the oracle for the in-place version."""
     lam = field.wavelength
@@ -121,10 +121,9 @@ def _free_propagate_one_expression(field, distance, pad, bandlimit):
     fx = np.fft.fftfreq(w, field.pitch)
     fy = np.fft.fftfreq(h, field.pitch)
     kern = np.exp(1j * np.pi * lam * distance * (fx[:, None] ** 2 + fy[None, :] ** 2))
-    if bandlimit:
-        flim_x = w * field.pitch / (2.0 * lam * distance)
-        flim_y = h * field.pitch / (2.0 * lam * distance)
-        kern = kern * (np.abs(fx[:, None]) <= flim_x) * (np.abs(fy[None, :]) <= flim_y)
+    flim_x = w * field.pitch / (2.0 * lam * distance)
+    flim_y = h * field.pitch / (2.0 * lam * distance)
+    kern = kern * (np.abs(fx[:, None]) <= flim_x) * (np.abs(fy[None, :]) <= flim_y)
     out = np.fft.ifft2(np.fft.fft2(grid) * kern) * np.exp(-1j * k * distance)
     if pad > 1:
         out = out[(w - w0) // 2:(w + w0) // 2, (h - h0) // 2:(h + h0) // 2]
@@ -132,15 +131,14 @@ def _free_propagate_one_expression(field, distance, pad, bandlimit):
 
 
 @pytest.mark.parametrize("pad", [1, 2])
-@pytest.mark.parametrize("bandlimit", [True, False])
-def test_free_propagate_in_place_is_bit_identical(rng, pad, bandlimit):
+def test_free_propagate_in_place_is_bit_identical(rng, pad):
     real = _gaussian_field(width=64)
     speckle = ScalarField(rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32)),
                           10e-6, 1064e-9)
     for field in (real, speckle):
         for z in (1e-3, 0.3):
-            got = free_propagate(field, z, pad=pad, bandlimit=bandlimit).grid
-            want = _free_propagate_one_expression(field, z, pad, bandlimit)
+            got = free_propagate(field, z, pad=pad).grid
+            want = _free_propagate_one_expression(field, z, pad)
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
@@ -201,9 +199,9 @@ def test_fourier_plane_airy_first_null():
 
 
 def _small_geometry():
-    k1 = WaveVector(Direction(0, 0), 1064e-9, 1.0)
-    k2 = WaveVector(Direction(0, 0), 1064e-9, 1.0)
-    k3 = WaveVector(Direction(0, 0), 532e-9, 1.0)
+    k1 = WaveVector(1064e-9, 1.0)
+    k2 = WaveVector(1064e-9, 1.0)
+    k3 = WaveVector(532e-9, 1.0)
     return InteractionGeometry(k1, k2, k3, crystal_length=4e-3,
                                f=0.3, d=0.4, s2=0.2,
                                lens_fourier_f=0.15)
