@@ -120,29 +120,37 @@ class Moments:
 def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 n_shots: int, master_seed: int, rng_algorithm: str) -> StackHeader:
     """Write the stack; the shots must arrive in shot_index order from 0, as
-    position k of the stack is read back as shot k (CorruptStack if not)."""
+    position k of the stack is read back as shot k (CorruptStack if not).
+    If writing fails, the file is removed before the error propagates, so no
+    partial stack is left at `path`."""
     name = rng_algorithm.encode("utf-8")
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
     moments = Moments((width, height))
     written = 0
-    with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(MAGIC, VERSION, width, height, n_shots, master_seed, len(name)))
-        fh.write(name)
-        for shot in shots:
-            if shot.shot_index != written:
-                raise CorruptStack(f"shot {shot.shot_index} arrived at stack position "
-                                   f"{written}: shots must come in order from 0")
-            i1, i2 = (np.ascontiguousarray(f, dtype="<f8") for f in (shot.i1, shot.i2))
-            for a in (i1, i2):
-                if a.shape != (width, height):
-                    raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
-                fh.write(a.data)
-            moments.add(i1)
-            written += 1
-        if written != n_shots:
-            raise CorruptStack(f"wrote {written} shots, header said {n_shots}")
-        fh.write(moments.s1.astype("<f8", copy=False).data)
-        fh.write(moments.s2.astype("<f8", copy=False).data)
+    # opened outside the clean-up: a path that cannot be opened is left alone
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_HEAD.pack(MAGIC, VERSION, width, height, n_shots, master_seed, len(name)))
+            fh.write(name)
+            for shot in shots:
+                if shot.shot_index != written:
+                    raise CorruptStack(f"shot {shot.shot_index} arrived at stack position "
+                                       f"{written}: shots must come in order from 0")
+                i1, i2 = (np.ascontiguousarray(f, dtype="<f8") for f in (shot.i1, shot.i2))
+                for a in (i1, i2):
+                    if a.shape != (width, height):
+                        raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
+                    fh.write(a.data)
+                moments.add(i1)
+                written += 1
+            if written != n_shots:
+                raise CorruptStack(f"wrote {written} shots, header said {n_shots}")
+            fh.write(moments.s1.astype("<f8", copy=False).data)
+            fh.write(moments.s2.astype("<f8", copy=False).data)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
     return header
 
 

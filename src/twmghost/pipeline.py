@@ -12,11 +12,16 @@ geometric gain factor and the phase-matching acceptance (this is the
 cross-terms-average-out shortcut; a coherent-sum mode that squares the
 summed complex field is available for control studies).  The
 incoherent sum is a convolution of the coherent image with one impulse per
-mode, made by FFT on a padded grid; a per-mode copy stack is built instead
-when it is the cheaper product (few modes) and for the coherent sum, whose
-per-mode phase ramps make it no convolution.  On the copy stack, shots are
-made in aligned blocks of SHOT_BLOCK: one (SHOT_BLOCK x n_modes) matrix of
-mode intensities (or conjugate amplitudes) times the (n_modes x W H) stack.
+mode, made by FFT on a padded grid.  Of the 2-D transforms only the 1-D
+lines whose result is needed are run: the kernel rows that hold an impulse
+on the way in, and the image rows that are kept on the way out.  Every line
+that is run is the same pocketfft call, in the same axis order, as in
+rfft2 and irfft2, so the bytes equal the full-grid transforms'.  A per-mode
+copy stack is built instead when it is the cheaper product (few modes) and
+for the coherent sum, whose per-mode phase ramps make it no convolution.
+On the copy stack, shots are made in aligned blocks of SHOT_BLOCK: one
+(SHOT_BLOCK x n_modes) matrix of mode intensities (or conjugate amplitudes)
+times the (n_modes x W H) stack.
 Everything that does not change between shots (mode directions, offsets,
 weights, Fourier-plane bins) is computed once per experiment.
 """
@@ -228,6 +233,16 @@ class ChaoticExperiment:
     and always for the coherent sum, `flat_stack` holds one weighted copy
     per mode.  `flat_stack` is None on the FFT path.
 
+    On the FFT path a shot's kernel holds only the `kernel_rows` of the
+    padded grid that carry an impulse (often under half of Nx), and
+    `impulse_index` indexes that (rows x Ny) kernel.  rfft2 is rfft along
+    axis 1, then fft along axis 0; a row without impulses transforms to
+    exact zeros, so only the kernel rows are rfft'd and then scattered into
+    the zeroed half spectrum.  irfft2 is ifft along axis 0, then irfft along
+    axis 1; only the W image rows kept are irfft'd.  Each line transformed
+    goes through the same 1-D transform as in rfft2 / irfft2, so every
+    byte equals irfft2(rfft2(full kernel) * base_hat)[:W, :H].
+
     Shots are made in aligned blocks of `block` shots: block b covers shots
     b * block to (b + 1) * block - 1.  On the copy-stack paths a block is
     SHOT_BLOCK shots and one (SHOT_BLOCK x n_modes) @ flat_stack product,
@@ -296,7 +311,10 @@ class ChaoticExperiment:
         if spec.n_modes * w * h > 2 * nx * ny * np.log2(nx * ny):
             self.block = 1
             self.pad = (nx, ny)
-            self.impulse_index = (px % nx) * ny + py % ny
+            # the padded-grid rows that hold an impulse, and each kept mode's
+            # flat index into the (rows x Ny) kernel made of them alone
+            self.kernel_rows, rank = np.unique(px % nx, return_inverse=True)
+            self.impulse_index = rank * ny + py % ny
             self.base_hat = np.fft.rfft2(self.base_image, self.pad)
         else:
             stack = np.empty((spec.n_modes,) + self.base_image.shape, dtype=float)
@@ -318,10 +336,18 @@ class ChaoticExperiment:
         if self.flat_stack is not None:
             return p, (p @ self.flat_stack).reshape(shape)
         weight = p[0, self.kept] * self.mode_weight[self.kept]
+        nx, ny = self.pad
         kernel = np.bincount(self.impulse_index, weights=weight,
-                             minlength=self.pad[0] * self.pad[1]).reshape(self.pad)
+                             minlength=len(self.kernel_rows) * ny).reshape(-1, ny)
         w, h = self.base_image.shape
-        i2 = np.fft.irfft2(np.fft.rfft2(kernel) * self.base_hat, self.pad)[:w, :h]
+        # irfft2(rfft2(full kernel) * base_hat)[:w, :h] in rfft2's and irfft2's
+        # own axis order, without the rows known to be zero or not kept
+        spec = np.zeros((nx, ny // 2 + 1), dtype=complex)
+        spec[self.kernel_rows] = np.fft.rfft(kernel, ny, axis=1)
+        spec = np.fft.fft(spec, nx, axis=0)
+        spec *= self.base_hat
+        spec = np.fft.ifft(spec, nx, axis=0)
+        i2 = np.fft.irfft(spec[:w], ny, axis=1)[:, :h]
         # round-off must not make an intensity negative
         return p, np.maximum(i2, 0.0).reshape(shape)
 

@@ -135,17 +135,20 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
         return replace(field, grid=field.grid.copy())
     lam = field.wavelength
     k = 2.0 * np.pi / lam
-    grid = field.grid
-    w0, h0 = grid.shape
-    if pad > 1:
-        w, h = pad * w0, pad * h0
-        grid = np.zeros((w, h), dtype=complex)
-        grid[(w - w0) // 2:(w + w0) // 2, (h - h0) // 2:(h + h0) // 2] = field.grid
-    w, h = grid.shape
-    # each padded array is pad^2 times the field: the spectrum is made first
-    # and the kernel is built and applied in place, each array freed once used
-    spec = np.fft.fft2(grid)
-    del grid
+    w0, h0 = field.grid.shape
+    w, h = pad * w0, pad * h0
+    r0, c0 = (w - w0) // 2, (h - h0) // 2
+    # fft2 is fft along axis 1, then along axis 0; ifft2 likewise.  The same
+    # 1-D transforms are run here, so the bytes are fft2's and ifft2's, but
+    # not on the lines whose result is known or unused: rows of zero padding
+    # transform to zeros, and after the axis-1 ifft only the h0 columns kept
+    # are inverted along axis 0.  Each padded array is pad^2 times the field,
+    # and at most two are alive at once: the spectrum and its transform, or
+    # the spectrum and the kernel
+    spec = np.zeros((w, h), dtype=complex)
+    spec[r0:r0 + w0, c0:c0 + h0] = field.grid
+    spec[r0:r0 + w0] = np.fft.fft(spec[r0:r0 + w0], axis=1)
+    spec = np.fft.fft(spec, axis=0)
     fx = np.fft.fftfreq(w, field.pitch)
     fy = np.fft.fftfreq(h, field.pitch)
     kern = 1j * np.pi * lam * distance * (fx[:, None] ** 2 + fy[None, :] ** 2)
@@ -154,11 +157,10 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
     kern *= np.abs(fy[None, :]) <= h * field.pitch / (2.0 * lam * distance)
     np.multiply(spec, kern, out=spec)
     del kern
-    out = np.fft.ifft2(spec)
+    spec = np.fft.ifft(spec, axis=1)
+    out = np.fft.ifft(spec[:, c0:c0 + h0], axis=0)[r0:r0 + w0]
     del spec
     out *= np.exp(-1j * k * distance)
-    if pad > 1:
-        out = out[(w - w0) // 2:(w + w0) // 2, (h - h0) // 2:(h + h0) // 2]
     return ScalarField(out, field.pitch, field.wavelength)
 
 

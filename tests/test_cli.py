@@ -272,12 +272,16 @@ def test_seed_and_shots_overrides(tmp_path, small_cfg):
     assert header.master_seed == 777 and header.n_shots == 5
 
 
-def test_threads_byte_identical(tmp_path, small_cfg):
-    # 12 shots: one whole block of 8 and a partial one
+@pytest.mark.parametrize("n_modes", [20, 200], ids=["copy-stack", "fft"])
+def test_threads_byte_identical(tmp_path, n_modes):
+    # 12 shots: on the copy stack one whole block of 8 and a partial one; on
+    # the FFT path 12 blocks of one shot
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL_CFG.replace("n_modes = 20", f"n_modes = {n_modes}"))
     stacks = []
     for threads in ("1", "2", "8"):
         out = tmp_path / threads
-        assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out),
+        assert main(["simulate-chaotic", "--config", str(cfg), "--out", str(out),
                      "--threads", threads]) == 0
         stacks.append((out / "frames.twmg").read_bytes())
     assert stacks[0] == stacks[1] == stacks[2]

@@ -194,14 +194,44 @@ def test_reader_argument_errors(tmp_path, rng):
 def test_stack_rejects_shots_out_of_order(tmp_path, rng, order, first):
     # position k of a stack is read back as shot k
     shots = [replace(r, shot_index=k) for r, k in zip(_records(rng), order)]
+    path = tmp_path / "s.twmg"
     with pytest.raises(CorruptStack, match=first):
-        framestack.write_stack(tmp_path / "s.twmg", shots, 8, 8, 5, 0, "x")
+        framestack.write_stack(path, shots, 8, 8, 5, 0, "x")
+    # a partial stack would fail read_header's size check: none may be left
+    assert not path.exists()
 
 
 def test_stack_count_mismatch(tmp_path, rng):
+    path = tmp_path / "s.twmg"
     with pytest.raises(CorruptStack):
-        framestack.write_stack(tmp_path / "s.twmg", _records(rng, n=3),
-                               8, 8, 5, 0, "x")
+        framestack.write_stack(path, _records(rng, n=3), 8, 8, 5, 0, "x")
+    assert not path.exists()
+
+
+class _ShotSourceFailed(Exception):
+    pass
+
+
+def _failing_shots(records):
+    yield from records[:2]
+    raise _ShotSourceFailed("shot 2 could not be made")
+
+
+@pytest.mark.parametrize("shots, error", [
+    (lambda recs: recs[:1] + [replace(recs[1], i2=recs[1].i2[:4])], CorruptStack),
+    (_failing_shots, _ShotSourceFailed),
+], ids=["wrong-frame-shape", "shots-iterator-raises"])
+def test_failed_write_leaves_no_file(tmp_path, rng, shots, error):
+    path = tmp_path / "s.twmg"
+    with pytest.raises(error):
+        framestack.write_stack(path, shots(_records(rng, n=3)), 8, 8, 3, 0, "x")
+    assert not path.exists()
+
+
+def test_path_that_cannot_be_opened_is_left_alone(tmp_path, rng):
+    with pytest.raises(IsADirectoryError):
+        framestack.write_stack(tmp_path, _records(rng, n=3), 8, 8, 3, 0, "x")
+    assert tmp_path.is_dir()
 
 
 # -- PGM / CSV ----------------------------------------------------------------

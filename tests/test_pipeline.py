@@ -293,6 +293,71 @@ def test_fft_shot_is_never_negative(monkeypatch, mask, geometry):
     assert np.abs(i2 - want).max() <= 1e-12 * want.max()
 
 
+def _full_grid_kernel(exp, shot):
+    """The shot's impulse map on the whole padded grid: each kept mode's
+    weighted intensity at its offset, wrapped modulo the grid."""
+    p = np.abs(pipeline.sample_amplitudes(exp.spec, exp.master_seed, shot)) ** 2
+    nx, ny = exp.pad
+    kernel = np.zeros(exp.pad)
+    np.add.at(kernel, (exp.px[exp.kept] % nx, exp.py[exp.kept] % ny),
+              p[exp.kept] * exp.mode_weight[exp.kept])
+    return kernel
+
+
+def _irfft2_cropped(kernel_hat, exp):
+    w, h = exp.base_image.shape
+    return np.maximum(np.fft.irfft2(kernel_hat * exp.base_hat, exp.pad)[:w, :h], 0)
+
+
+@pytest.mark.parametrize("off_grid", [[], [0], slice(None)],
+                         ids=["all-kept", "one-mode-left-out", "none-kept"])
+def test_fft_shot_is_bit_identical_to_full_grid_formula(monkeypatch, off_grid):
+    # the FFT path transforms only the kernel rows that hold impulses and
+    # inverts only the rows it keeps; each line it does transform goes
+    # through the same 1-D transform as in rfft2 / irfft2, so the bytes match
+    def tilted(spec, master_seed, shot_index):
+        m = sample_modes(spec, master_seed, shot_index)
+        theta = m.theta.copy()
+        theta[off_grid] = 0.03   # 375 px off axis, past the grid edge
+        return dataclasses.replace(m, theta=theta)
+
+    monkeypatch.setattr(pipeline, "sample_modes", tilted)
+    cfg = _grid_config(256, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImageClipped)
+        exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                                cfg.master_seed)
+    assert exp.flat_stack is None
+    px, py = exp.px[exp.kept], exp.py[exp.kept]
+    if off_grid == []:
+        # offsets of both signs: the negative ones wrap to the far end of the grid
+        assert (px < 0).any() and (px > 0).any() and (py < 0).any() and (py > 0).any()
+        assert len(exp.kernel_rows) < exp.pad[0]
+    elif off_grid == [0]:
+        assert 0 not in exp.kept and len(exp.kept) == 199
+    else:
+        assert exp.kept.size == 0 and exp.kernel_rows.size == 0
+    for rec in exp.shots(3):
+        want = _irfft2_cropped(np.fft.rfft2(_full_grid_kernel(exp, rec.shot_index), exp.pad),
+                               exp)
+        assert np.array_equal(rec.i2, want)
+        assert want.any() == (exp.kept.size > 0)
+
+
+def test_full_grid_comparison_sees_the_axis_order():
+    # the same transform with its axes taken in the other order agrees to
+    # round-off but not in every bit, so the comparison above would catch it
+    cfg = _grid_config(256, 200)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
+    kernel = _full_grid_kernel(exp, 0)
+    want = _irfft2_cropped(np.fft.rfft2(kernel), exp)
+    ny = exp.pad[1]
+    swapped = np.fft.fft(np.fft.fft(kernel, axis=0), axis=1)[:, :ny // 2 + 1]
+    got = _irfft2_cropped(swapped, exp)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    assert not np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("coherent_sum", [False, True])
 def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
     # the copy-stack paths make 8 shots in one product: check all 8 of
