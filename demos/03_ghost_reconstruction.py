@@ -33,14 +33,14 @@ rho = np.corrcoef(shot0.i2.ravel(), exp.base_image.ravel())[0, 1]
 print(f"single shot vs coherent image: correlation {rho:+.3f} (no structure)")
 masks.save_pgm16(out / "single_shot.pgm", shot0.i2)
 
-# pick the single-mode (highest-contrast) reference bin on the Fourier arm and correlate
+# pick the highest-contrast reference bin on the Fourier arm and correlate; a
+# bin fed by several modes recovers the sum of their shifted copies
 ref = auto_reference_pixel(rec.i1 for rec in exp.shots(50))
-mode = exp.reference_mode_for_pixel(ref)
-print(f"reference pixel {ref} tracks mode {mode} "
-      f"(theta = {exp.theta1[mode] * 1e3:+.2f} mrad)")
+modes = exp.bin_modes(ref)
+print(f"reference pixel {ref} is fed by {len(modes)} mode(s): {modes.tolist()}")
 
 cm = correlate(exp.shots(n_shots), ref)
-expected = exp.expected_image(mode)
+expected = sum(exp.expected_image(n) for n in modes)
 rho = np.corrcoef(cm.g_map.ravel(), expected.ravel())[0, 1]
 print(f"{n_shots}-shot correlation map vs expected image: Pearson {rho:+.3f}")
 masks.save_pgm16(out / "correlation_map.pgm", cm.g_map)

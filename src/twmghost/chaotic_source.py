@@ -12,6 +12,11 @@ any order or in parallel with bit-identical results.  By default mode
 directions are drawn once (shot 0 stream) and held fixed across shots while
 amplitudes are re-randomized per shot, mimicking a ground-glass diffuser
 that re-randomizes the field over a persistent set of grating directions.
+
+On the Fourier plane of the seed arm each mode lands on one pixel.
+`fourier_bin_index` is that one mode-to-pixel map (a flat index per mode,
+-1 off the grid) and `bin_intensities` sums per-mode weights on it, so the
+Fourier-plane intensity of a shot is one bincount of its |a_n|^2.
 """
 
 from __future__ import annotations
@@ -95,61 +100,45 @@ def sample_amplitudes(spec: SourceSpec, master_seed: int, shot_index: int) -> np
     return spec.amplitude_scale * np.exp(2j * np.pi * ra.random(spec.n_modes))
 
 
-def field_from_modes(m: ModeSet, template: ScalarField) -> ScalarField:
-    """Coherent sum of the plane-wave modes sampled on the template grid.
+def field_from_modes(m: ModeSet, plane: ScalarField) -> ScalarField:
+    """Coherent sum of the plane-wave modes sampled on the grid of `plane`.
 
     field(x, y) = sum_n a_n exp(-i k (sin(beta_n) x + cos(beta_n) sin(theta_n) y))
     evaluated on the z = 0 plane.  Each term is separable in x and y, so the
     sum is one (W x n) @ (n x H) product.
     """
-    k = 2.0 * np.pi / template.wavelength
-    x, y = template.coords()
+    k = 2.0 * np.pi / plane.wavelength
+    x, y = plane.coords()
     sx = np.sin(m.beta)
     sy = np.cos(m.beta) * np.sin(m.theta)
     ex = m.amplitude[:, None] * np.exp(-1j * k * sx[:, None] * x[None, :])
     out = ex.T @ np.exp(-1j * k * sy[:, None] * y[None, :])
-    return ScalarField(out, template.pitch, template.wavelength)
+    return ScalarField(out, plane.pitch, plane.wavelength)
 
 
-def mode_fourier_positions(m: ModeSet, f_lens: float) -> tuple[np.ndarray, np.ndarray]:
-    """Detector-plane positions of the modes on the Fourier plane of the
-    seed arm: (f sin(beta_n), f cos(beta_n) sin(theta_n))."""
-    return f_lens * np.sin(m.beta), f_lens * np.cos(m.beta) * np.sin(m.theta)
+def fourier_bin_index(m: ModeSet, f_lens: float, pitch: float, shape) -> np.ndarray:
+    """Flat row-major pixel of each mode on the Fourier plane of the seed arm,
+    a `shape` = (w, h) grid of `pitch` with the optical axis at
+    (w // 2, h // 2); -1 for a mode whose pixel is off the grid.
 
-
-def fourier_bins(m: ModeSet, g, template: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Integer (row, col) pixel of each mode on the Fourier-plane grid of
-    `template`, with the optical axis at (w // 2, h // 2); bins may fall off
-    the grid.  `g` is the InteractionGeometry (only its Fourier-lens focal
-    length is used)."""
-    w, h = template.shape
-    xs, ys = mode_fourier_positions(m, g.lens_fourier_f)
-    return (np.rint(xs / template.pitch).astype(int) + w // 2,
-            np.rint(ys / template.pitch).astype(int) + h // 2)
-
-
-def fourier_bin_index(m: ModeSet, g, template: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Which modes bin on the Fourier-plane grid of `template` (a boolean
-    per mode) and the flat row-major pixel index of each of those."""
-    w, h = template.shape
-    ix, iy = fourier_bins(m, g, template)
+    A plane wave along (theta, beta) focuses at (f sin(beta), f cos(beta)
+    sin(theta)) behind a lens of focal length `f_lens`; the continuum delta
+    of the lens transform is idealized as that single pixel.
+    """
+    w, h = shape
+    ix = np.rint(f_lens * np.sin(m.beta) / pitch).astype(int) + w // 2
+    iy = np.rint(f_lens * np.cos(m.beta) * np.sin(m.theta) / pitch).astype(int) + h // 2
     on = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    return on, ix[on] * h + iy[on]
+    return np.where(on, ix * h + iy, -1)
 
 
 def bin_intensities(index: np.ndarray, weights: np.ndarray, shape) -> np.ndarray:
     """Map of `shape` holding the sum of `weights` that fall on each flat
-    pixel `index`, added in mode order."""
-    return np.bincount(index, weights=weights, minlength=shape[0] * shape[1]).reshape(shape)
+    pixel `index`, added in mode order; entries of index -1 are dropped.
 
-
-def fourier_intensity(m: ModeSet, g, template: ScalarField) -> ScalarField:
-    """Pixel-binned Fourier-plane intensity: one |a_n|^2 contribution per mode.
-
-    Modes whose bin falls off the grid are dropped.  Idealizes the continuum delta of the lens transform as a
-    single-pixel bin; consistent with fourier_plane(field_from_modes(...))
-    up to discretization leakage.
+    The Fourier-plane intensity of a ModeSet is
+    bin_intensities(fourier_bin_index(m, ...), abs(m.amplitude) ** 2, shape).
     """
-    on, index = fourier_bin_index(m, g, template)
-    out = bin_intensities(index, np.abs(m.amplitude[on]) ** 2, template.shape)
-    return ScalarField(out, template.pitch, template.wavelength)
+    on = index >= 0
+    return np.bincount(index[on], weights=weights[on],
+                       minlength=shape[0] * shape[1]).reshape(shape)

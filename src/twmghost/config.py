@@ -1,7 +1,9 @@
 """Run configuration: flat key=value sections, env-var overrides, manifest.
 
 Config files are INI-style (section headers, key = value).  Any key can be
-overridden from the environment as TWMG_<SECTION>__<KEY> (upper-case).  The
+overridden from the environment as TWMG_<SECTION>__<KEY> (upper-case).  A
+section, key or TWMG_ variable that names no key of DEFAULTS is an
+InvalidSpec, so a typo cannot fall back to a default unnoticed.  The
 defaults reproduce the desk-scale apparatus: 1064 nm seed, 532 nm pump,
 f = 300 mm imaging lens in a 2f-2f layout, 4 mm crystal, 150 mm Fourier
 lens, 256 x 256 detector with 16 um pixels.
@@ -42,6 +44,10 @@ DEFAULTS = {
     },
 }
 
+# keys of older configs that no longer reach an output: a file may still set
+# them, and they are echoed to the manifest, but nothing reads them
+RETIRED = {"geometry": ("d_O", "d_F", "fourier_d"), "run": ("output_dir",)}
+
 
 @dataclass
 class RunConfig:
@@ -77,6 +83,13 @@ class RunConfig:
         return mask
 
 
+def _check_key(sec: str, key: str) -> None:
+    if sec not in DEFAULTS:
+        raise InvalidSpec(f"unknown configuration section [{sec}]")
+    if key not in DEFAULTS[sec] and key not in RETIRED.get(sec, ()):
+        raise InvalidSpec(f"unknown configuration key {key!r} in section [{sec}]")
+
+
 def _merged(path=None) -> dict:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep keys as written
@@ -86,9 +99,15 @@ def _merged(path=None) -> dict:
             cp.read_file(fh)
     for sec in cp.sections():
         for key in cp[sec]:
-            env = os.environ.get(f"{ENV_PREFIX}{sec.upper()}__{key.upper()}")
-            if env is not None:
-                cp[sec][key] = env
+            _check_key(sec, key)
+    env_keys = {f"{ENV_PREFIX}{sec.upper()}__{key.upper()}": (sec, key)
+                for sec in DEFAULTS for key in DEFAULTS[sec]}
+    for name, val in os.environ.items():
+        if name.startswith(ENV_PREFIX):
+            if name not in env_keys:
+                raise InvalidSpec(f"environment variable {name} names no configuration key")
+            sec, key = env_keys[name]
+            cp[sec][key] = val
     return {sec: dict(cp[sec]) for sec in cp.sections()}
 
 
@@ -97,7 +116,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     explicit overrides {(section, key): value} (applied last)."""
     raw = _merged(path)
     for (sec, key), val in (overrides or {}).items():
-        raw.setdefault(sec, {})[key] = str(val)
+        _check_key(sec, key)
+        raw[sec][key] = str(val)
     try:
         return _build(raw)
     except (KeyError, ValueError) as exc:

@@ -45,9 +45,5 @@ class CorruptStack(TwmError):
     """A frame-stack file failed header or size validation."""
 
 
-class WeakLimitViolated(UserWarning):
-    """The weak-conversion approximation was used outside its range."""
-
-
 class ImageClipped(UserWarning):
     """Mode copies of the image were shifted partly or wholly off the grid."""

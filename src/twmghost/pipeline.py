@@ -35,18 +35,19 @@ from typing import Iterator
 
 import numpy as np
 
-from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, fourier_bins,
-                             sample_amplitudes, sample_modes)
-from .errors import ImageClipped, InvalidSpec, WeakLimitViolated
+from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, sample_amplitudes,
+                             sample_modes)
+from .errors import ImageClipped, InvalidSpec, ShapeMismatch
 from .framestack import ShotRecord
 from .geometry import (Direction, InteractionGeometry, geometric_factor, image_offset,
                        unit_vectors, vector_angles)
 from .masks import ObjectMask
 from .propagation import ScalarField, free_propagate, lens_image_2f2f
 
-# above this weak-conversion argument the undepleted-seed, first-order
-# generation a2 = i g fgeo L conj(a1) a3 is no longer accurate
-WEAK_LIMIT_ARG = 0.1
+# the weak-conversion argument g |a3| fgeo L at the peak of the pump map: the
+# first-order, undepleted-seed generation a2 = i g fgeo L conj(a1) a3 that
+# coherent_field applies is off the full solution by about arg^3 / 6
+WEAK_CONVERSION_ARG = 0.01
 
 # a mode copy that keeps less of the base image energy than this after its
 # zero-fill shift raises an ImageClipped warning
@@ -93,27 +94,19 @@ def apply_detector(i: np.ndarray, det: DetectorSpec) -> np.ndarray:
     return np.rint(out / sat * levels) * (sat / levels)
 
 
-def _idler_vectors(theta, beta, g: InteractionGeometry) -> np.ndarray:
-    """k3 - k1n for seed modes along the arrays (theta, beta), one per column;
-    the pump k3 is on axis."""
-    k3 = np.array([0.0, 0.0, g.k3.magnitude])
-    return k3[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
+def _idlers(theta, beta, g: InteractionGeometry):
+    """Idler directions (theta2, beta2) and phase-matching acceptance of seed
+    modes along the arrays (theta, beta).
 
-
-def _acceptance_weights(theta, beta, g: InteractionGeometry):
-    """Phase-matching acceptance of seed modes along the arrays (theta, beta).
-
-    The idler wavevector is taken along k3 - k1n (which minimizes the
-    mismatch under energy conservation); the residual scalar mismatch is
-    |k3 - k1n| - |k2| and the weight is sinc^2(dk L / 2).
+    The idler wavevector is taken along k3 - k1n, with the pump k3 on axis
+    (this minimizes the mismatch under energy conservation); the residual
+    scalar mismatch is |k3 - k1n| - |k2| and the acceptance sinc^2(dk L / 2).
     """
-    dk = np.linalg.norm(_idler_vectors(theta, beta, g), axis=0) - g.k2.magnitude
-    return np.sinc(0.5 * dk * g.crystal_length / np.pi) ** 2
-
-
-def _conjugate_directions(theta, beta, g: InteractionGeometry):
-    """Idler directions for seed modes along (theta, beta): k2n || k3 - k1n."""
-    return vector_angles(_idler_vectors(theta, beta, g))
+    k3 = np.array([0.0, 0.0, g.k3.magnitude])
+    idler = k3[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
+    dk = np.linalg.norm(idler, axis=0) - g.k2.magnitude
+    theta2, beta2 = vector_angles(idler)
+    return theta2, beta2, np.sinc(0.5 * dk * g.crystal_length / np.pi) ** 2
 
 
 def _next_5_smooth(n: int) -> int:
@@ -155,25 +148,21 @@ def _energy_kept(image: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarra
     return (sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]) / sat[w, h]
 
 
-def coherent_field(mask: ObjectMask, g: InteractionGeometry,
-                   gain_arg: float = 0.01) -> ScalarField:
+def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
     """Complex generated field at the detector plane for an on-axis
     plane-wave seed of unit amplitude.
 
-    `gain_arg` is the weak-conversion argument g |a3| fgeo L used for the
-    pointwise conversion at the crystal plane: in the weak limit the seed is
-    undepleted and a2 = i g fgeo L conj(a1) a3(rF).
+    The conversion at the crystal plane is pointwise and weak: the seed is
+    undepleted and a2 = i g fgeo L conj(a1) a3(rF), with the argument
+    g |a3| fgeo L peaking at WEAK_CONVERSION_ARG.
     """
-    if gain_arg > WEAK_LIMIT_ARG:
-        warnings.warn(f"weak-conversion argument {gain_arg:.3g} > {WEAK_LIMIT_ARG}",
-                      WeakLimitViolated, stacklevel=2)
     lam2 = g.k2.wavelength / g.k2.index
     obj = ScalarField(mask.transmission.astype(complex), mask.pitch,
                       g.k3.wavelength / g.k3.index)
     a3_F = lens_image_2f2f(obj, g)
-    # normalize the pump map so the weak-conversion argument peaks at gain_arg
+    # normalize the pump map so the weak-conversion argument peaks at WEAK_CONVERSION_ARG
     scale = max(np.abs(a3_F.grid).max(), 1e-300)
-    e2 = ScalarField(1j * gain_arg * a3_F.grid / scale, a3_F.pitch, lam2)
+    e2 = ScalarField(1j * WEAK_CONVERSION_ARG * a3_F.grid / scale, a3_F.pitch, lam2)
     return free_propagate(e2, g.s2, pad=2)
 
 
@@ -224,8 +213,9 @@ class ChaoticExperiment:
 
     Holds the base coherent image, the fixed mode directions with their
     conjugate directions, integer pixel offsets, geometric/acceptance
-    weights and Fourier-plane bins, so that one shot reduces to drawing its
-    mode amplitudes and a weighted sum over modes.  The incoherent sum is
+    weights and each mode's Fourier-plane pixel `i1_bin` (which
+    `bin_modes` inverts), so that one shot reduces to drawing its mode
+    amplitudes and a weighted sum over modes.  The incoherent sum is
     made by FFT convolution of the base image with the shot's impulse map
     (one weighted impulse per mode at its offset) when that costs fewer
     operations than the product with a per-mode copy stack,
@@ -266,7 +256,7 @@ class ChaoticExperiment:
         self.base_image = np.abs(base.grid) ** 2
         m0 = sample_modes(spec, master_seed, 0)
         self.theta1 = m0.theta
-        t2, b2 = _conjugate_directions(m0.theta, m0.beta, g)
+        t2, b2, self.accept = _idlers(m0.theta, m0.beta, g)
         self.theta2, self.beta2 = t2, b2
         seed, idler = Direction(m0.theta, m0.beta), Direction(t2, b2)
         xb, yb = image_offset(g.s2, idler)
@@ -280,14 +270,10 @@ class ChaoticExperiment:
             warnings.warn(f"{int(clipped.sum())} of {spec.n_modes} mode copies keep less than "
                           f"{MIN_ENERGY_KEPT:.0%} of the image energy on the grid, the worst "
                           f"{self.energy_kept.min():.1%}", ImageClipped, stacklevel=2)
-        self.accept = _acceptance_weights(m0.theta, m0.beta, g)
         self.mode_weight = self.accept * geometric_factor(seed, idler) ** 2
-        # detector-plane template for the Fourier arm, and the bin of each
-        # mode that lands on it
+        # each mode's pixel on the Fourier arm i1, -1 off the grid
         w, h = self.base_image.shape
-        self.template = ScalarField(np.zeros((w, h)), self.pitch,
-                                    g.k1.wavelength / g.k1.index)
-        self.i1_on, self.i1_index = fourier_bin_index(m0, g, self.template)
+        self.i1_bin = fourier_bin_index(m0, g.lens_fourier_f, self.pitch, (w, h))
         self.flat_stack = None
         self.block = SHOT_BLOCK
         if coherent_sum:
@@ -319,8 +305,7 @@ class ChaoticExperiment:
         else:
             stack = np.empty((spec.n_modes,) + self.base_image.shape, dtype=float)
             for n in range(spec.n_modes):
-                stack[n] = self.mode_weight[n] * _shift_zero_fill(self.base_image,
-                                                                  self.px[n], self.py[n])
+                stack[n] = self.expected_image(n)
             self.flat_stack = stack.reshape(spec.n_modes, -1)
 
     def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,22 +349,25 @@ class ChaoticExperiment:
         for b, (p, i2) in zip(blocks, _ordered_map(self._block, blocks, threads)):
             first = b * self.block
             for k in range(max(start, first), min(stop, first + self.block)):
-                i1 = bin_intensities(self.i1_index, p[k - first, self.i1_on],
-                                     self.base_image.shape)
+                i1 = bin_intensities(self.i1_bin, p[k - first], self.base_image.shape)
                 i2_k = i2[k - first]
                 if not self.ideal_detector:
                     i1, i2_k = apply_detector(i1, self.det), apply_detector(i2_k, self.det)
                 yield ShotRecord(i1=i1, i2=i2_k, shot_index=k)
 
-    def expected_image(self, ref_mode: int) -> np.ndarray:
-        """Shifted/inverted object image the correlation map should recover
-        when the reference pixel tracks mode `ref_mode`."""
-        return self.mode_weight[ref_mode] * _shift_zero_fill(
-            self.base_image, self.px[ref_mode], self.py[ref_mode])
+    def expected_image(self, mode: int) -> np.ndarray:
+        """Weighted, shifted copy of the base image that `mode` adds to i2
+        per unit intensity.  The correlation map of an i1 pixel recovers the
+        sum of these over its `bin_modes`, each times its intensity variance."""
+        return self.mode_weight[mode] * _shift_zero_fill(self.base_image, self.px[mode],
+                                                         self.py[mode])
 
-    def reference_mode_for_pixel(self, ref_pixel: tuple[int, int]) -> int:
-        """Index of the mode whose Fourier-plane bin is `ref_pixel` (nearest)."""
-        ix, iy = fourier_bins(sample_modes(self.spec, self.master_seed, 0), self.g, self.template)
-        d2 = (ix - ref_pixel[0]) ** 2 + (iy - ref_pixel[1]) ** 2
-        return int(np.argmin(d2))
+    def bin_modes(self, pixel: tuple[int, int]) -> np.ndarray:
+        """The modes whose Fourier-plane bin is i1 `pixel` of the unbinned
+        grid, in mode order; empty for a pixel that no mode lights."""
+        w, h = self.base_image.shape
+        r, c = pixel
+        if not (0 <= r < w and 0 <= c < h):
+            raise ShapeMismatch(f"pixel {tuple(pixel)} outside the {w} x {h} frame")
+        return np.flatnonzero(self.i1_bin == r * h + c)
 

@@ -13,10 +13,10 @@ import pytest
 from scipy import ndimage
 
 from twmghost import framestack, masks
-from twmghost.chaotic_source import SourceSpec, fourier_intensity, sample_modes
+from twmghost.chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index,
+                                     sample_amplitudes, sample_modes)
 from twmghost.cli import main as cli_main
 from twmghost.pipeline import ChaoticExperiment, coherent_image
-from twmghost.propagation import ScalarField
 from twmghost.statistics import (
     auto_reference_pixel,
     correlate,
@@ -55,21 +55,19 @@ def reference(experiment, cfg):
     is therefore the brightest bin fed by a single mode, i.e. a clean
     speckle of the reference arm.
     """
-    from twmghost.chaotic_source import mode_fourier_positions
-
     probe = list(experiment.shots(50))
     mean_i1 = np.mean([s.i1 for s in probe], axis=0)
-    xs, ys = mode_fourier_positions(sample_modes(experiment.spec, experiment.master_seed, 0),
-                                    experiment.g.lens_fourier_f)
-    ix = np.rint(xs / experiment.pitch).astype(int) + cfg.width // 2
-    iy = np.rint(ys / experiment.pitch).astype(int) + cfg.height // 2
-    bins = list(zip(ix.tolist(), iy.tolist()))
+    index = fourier_bin_index(sample_modes(experiment.spec, experiment.master_seed, 0),
+                              experiment.g.lens_fourier_f, experiment.pitch,
+                              (cfg.width, cfg.height))
+    counts = np.bincount(index[index >= 0], minlength=cfg.width * cfg.height)
     # the automatic pick, from the frames alone, is a single-mode bin too
     auto = auto_reference_pixel(s.i1 for s in probe)
-    assert bins.count(auto) == 1, f"auto reference {auto} is fed by {bins.count(auto)} modes"
-    unique = [n for n, b in enumerate(bins) if bins.count(b) == 1]
-    mode = max(unique, key=lambda n: mean_i1[bins[n]])
-    ref = bins[mode]
+    fed = experiment.bin_modes(auto).size
+    assert fed == 1, f"auto reference {auto} is fed by {fed} modes"
+    unique = [n for n, b in enumerate(index) if b >= 0 and counts[b] == 1]
+    mode = max(unique, key=lambda n: mean_i1.flat[index[n]])
+    ref = divmod(int(index[mode]), cfg.height)
     expected = experiment.expected_image(mode)
     return ref, mode, expected
 
@@ -158,30 +156,23 @@ def test_criterion_3_unit_magnification(mask, geometry):
 
 def test_criterion_4_thermal_statistics(cfg, geometry):
     spec = cfg.source
-    tpl = ScalarField(np.zeros((cfg.width, cfg.height)), cfg.pitch, 1064e-9)
+    shape = (cfg.width, cfg.height)
     n_ok = 0
     runs = 20
     for k in range(runs):
         seed = 9000 + k
+        m0 = sample_modes(spec, seed, 0)
+        index = fourier_bin_index(m0, geometry.lens_fourier_f, cfg.pitch, shape)
         # spatial: occupied Fourier-plane bins of one shot
-        i1 = fourier_intensity(sample_modes(spec, seed, 0), geometry, tpl).grid
+        i1 = bin_intensities(index, np.abs(m0.amplitude) ** 2, shape)
         spatial = thermal_test(i1[i1 > 0])
         # temporal: one fixed single-mode bin followed over 2000 shots
-        m0 = sample_modes(spec, seed, 0)
-        xs = np.rint(geometry.lens_fourier_f * np.sin(m0.beta) / cfg.pitch).astype(int)
-        ys = np.rint(geometry.lens_fourier_f * np.cos(m0.beta) * np.sin(m0.theta)
-                     / cfg.pitch).astype(int)
-        bins = list(zip(xs, ys))
-        unique = next(i for i, b in enumerate(bins) if bins.count(b) == 1)
-        px = (xs[unique] + cfg.width // 2, ys[unique] + cfg.height // 2)
+        counts = np.bincount(index[index >= 0], minlength=shape[0] * shape[1])
+        unique = next(n for n, b in enumerate(index) if b >= 0 and counts[b] == 1)
+        sel = index == index[unique]
         trace = np.empty(2000)
         for s in range(2000):
-            mm = sample_modes(spec, seed, s)
-            sel = (np.rint(geometry.lens_fourier_f * np.sin(mm.beta) / cfg.pitch)
-                   .astype(int) == xs[unique]) & \
-                  (np.rint(geometry.lens_fourier_f * np.cos(mm.beta) * np.sin(mm.theta)
-                           / cfg.pitch).astype(int) == ys[unique])
-            trace[s] = np.sum(np.abs(mm.amplitude[sel]) ** 2)
+            trace[s] = np.sum(np.abs(sample_amplitudes(spec, seed, s)[sel]) ** 2)
         temporal = thermal_test(trace)
         if spatial.p_value > 0.01 and temporal.p_value > 0.01:
             n_ok += 1
@@ -326,9 +317,11 @@ def test_fixed_modulus_pick_does_not_move_with_frame_count(experiment, geometry,
     spec = SourceSpec(n_modes=cfg.source.n_modes,
                       angular_spread=cfg.source.angular_spread,
                       amplitude_law="fixed-modulus")
+    shape = experiment.base_image.shape
+    index = fourier_bin_index(sample_modes(spec, cfg.master_seed, 0), geometry.lens_fourier_f,
+                              experiment.pitch, shape)
     ref = auto_reference_pixel(
-        fourier_intensity(sample_modes(spec, cfg.master_seed, k), geometry,
-                          experiment.template).grid
+        bin_intensities(index, np.abs(sample_amplitudes(spec, cfg.master_seed, k)) ** 2, shape)
         for k in range(n_frames))
     assert ref == (98, 148)
 
@@ -341,8 +334,11 @@ def test_criterion_9_zero_variance_control(mask, geometry, cfg):
                             coherent_sum=True)
     # i1 is the binned mode intensities alone, so the reference bin needs no
     # i2 frame; G and its error then come from one pass over the shots
+    shape = exp.base_image.shape
+    index = fourier_bin_index(sample_modes(spec, cfg.master_seed, 0), geometry.lens_fourier_f,
+                              exp.pitch, shape)
     ref = auto_reference_pixel(
-        fourier_intensity(sample_modes(spec, cfg.master_seed, k), geometry, exp.template).grid
+        bin_intensities(index, np.abs(sample_amplitudes(spec, cfg.master_seed, k)) ** 2, shape)
         for k in range(256))
     cm, se = jackknife_error(exp.shots(256), ref)
     g = np.abs(cm.g_map)

@@ -6,17 +6,16 @@ from twmghost.chaotic_source import (
     RNG_ALGORITHM,
     ModeSet,
     SourceSpec,
+    bin_intensities,
     field_from_modes,
-    fourier_bins,
-    fourier_intensity,
-    mode_fourier_positions,
+    fourier_bin_index,
     sample_modes,
 )
 from twmghost.errors import InvalidSpec
 from twmghost.propagation import ScalarField
 
 
-def _template(width=256, pitch=16e-6, lam=1064e-9):
+def _plane(width=256, pitch=16e-6, lam=1064e-9):
     return ScalarField(np.zeros((width, width), dtype=complex), pitch, lam)
 
 
@@ -87,7 +86,7 @@ def test_fixed_modulus_amplitudes():
 def test_single_mode_on_axis_is_constant():
     m = ModeSet(theta=np.array([0.0]), beta=np.array([0.0]),
                 amplitude=np.array([0.3 + 0.4j]), shot_index=0, master_seed=0)
-    f = field_from_modes(m, _template(width=64))
+    f = field_from_modes(m, _plane(width=64))
     assert np.allclose(f.grid, 0.3 + 0.4j)
 
 
@@ -97,11 +96,11 @@ def test_two_mode_fringe_period():
     lam = 1064e-9
     m = ModeSet(theta=np.array([theta, -theta]), beta=np.zeros(2),
                 amplitude=np.array([1.0 + 0j, 1.0 + 0j]), shot_index=0, master_seed=0)
-    tpl = _template(width=256, pitch=16e-6, lam=lam)
-    inten = np.abs(field_from_modes(m, tpl).grid) ** 2
+    plane = _plane(width=256, pitch=16e-6, lam=lam)
+    inten = np.abs(field_from_modes(m, plane).grid) ** 2
     # fringes run along y (axis 1); measure the period from the FFT peak
     line = inten[0, :] - inten[0, :].mean()
-    freqs = np.fft.rfftfreq(line.size, tpl.pitch)
+    freqs = np.fft.rfftfreq(line.size, plane.pitch)
     peak = freqs[np.argmax(np.abs(np.fft.rfft(line)))]
     assert 1.0 / peak == pytest.approx(lam / (2 * np.sin(theta)), rel=0.05)
 
@@ -110,14 +109,14 @@ def test_field_linearity_and_concatenate():
     spec = SourceSpec(n_modes=30, angular_spread=5e-3)
     a = sample_modes(spec, 11, 0)
     b = sample_modes(spec, 13, 0)
-    tpl = _template(width=64)
-    fa = field_from_modes(a, tpl).grid
-    fb = field_from_modes(b, tpl).grid
+    plane = _plane(width=64)
+    fa = field_from_modes(a, plane).grid
+    fb = field_from_modes(b, plane).grid
     ab = ModeSet(theta=np.concatenate([a.theta, b.theta]),
                  beta=np.concatenate([a.beta, b.beta]),
                  amplitude=np.concatenate([a.amplitude, b.amplitude]),
                  shot_index=0, master_seed=11)
-    fab = field_from_modes(ab, tpl).grid
+    fab = field_from_modes(ab, plane).grid
     assert np.allclose(fab, fa + fb, atol=1e-9 * np.abs(fab).max())
 
 
@@ -126,8 +125,8 @@ def test_speckle_intensity_histogram_is_exponential():
     # follows the thermal law; KS D below the 5% critical value
     spec = SourceSpec(n_modes=200, angular_spread=5e-3)
     m = sample_modes(spec, 2026, 0)
-    tpl = _template(width=256, pitch=16e-6)
-    inten = np.abs(field_from_modes(m, tpl).grid) ** 2
+    plane = _plane(width=256, pitch=16e-6)
+    inten = np.abs(field_from_modes(m, plane).grid) ** 2
     # neighbouring pixels are correlated (speckle grain); subsample well
     # beyond the grain size so the KS test sees independent draws
     sub = inten[::8, ::8].ravel()
@@ -135,46 +134,59 @@ def test_speckle_intensity_histogram_is_exponential():
     assert d < 1.36 / np.sqrt(sub.size)
 
 
-def test_mode_fourier_positions_formula():
+def _binned_intensity(m, f_lens, pitch=16e-6, width=256):
+    shape = (width, width)
+    return bin_intensities(fourier_bin_index(m, f_lens, pitch, shape),
+                           np.abs(m.amplitude) ** 2, shape)
+
+
+def test_fourier_bin_index_formula():
+    # a plane wave along (theta, beta) focuses at (f sin beta, f cos beta sin theta)
     spec = SourceSpec(n_modes=20, angular_spread=5e-3)
     m = sample_modes(spec, 3, 0)
-    xs, ys = mode_fourier_positions(m, 0.15)
-    assert np.allclose(xs, 0.15 * np.sin(m.beta))
-    assert np.allclose(ys, 0.15 * np.cos(m.beta) * np.sin(m.theta))
+    ix = np.rint(0.15 * np.sin(m.beta) / 16e-6).astype(int) + 64
+    iy = np.rint(0.15 * np.cos(m.beta) * np.sin(m.theta) / 16e-6).astype(int) + 64
+    assert np.array_equal(fourier_bin_index(m, 0.15, 16e-6, (128, 128)), ix * 128 + iy)
 
 
 def test_fourier_intensity_single_mode_single_pixel(geometry):
     m = ModeSet(theta=np.array([1.1e-3]), beta=np.array([-0.7e-3]),
                 amplitude=np.array([2.0 - 1.0j]), shot_index=0, master_seed=0)
-    tpl = _template()
-    out = fourier_intensity(m, geometry, tpl)
-    assert np.count_nonzero(out.grid) == 1
-    assert out.grid.max() == pytest.approx(5.0)
-    ix, iy = np.unravel_index(np.argmax(out.grid), out.shape)
-    xs, ys = mode_fourier_positions(m, geometry.lens_fourier_f)
-    assert ix == round(float(xs[0]) / tpl.pitch) + 128
-    assert iy == round(float(ys[0]) / tpl.pitch) + 128
+    out = _binned_intensity(m, geometry.lens_fourier_f)
+    assert np.count_nonzero(out) == 1
+    assert out.max() == pytest.approx(5.0)
+    ix, iy = np.unravel_index(np.argmax(out), out.shape)
+    f = geometry.lens_fourier_f
+    assert ix == round(f * np.sin(-0.7e-3) / 16e-6) + 128
+    assert iy == round(f * np.cos(-0.7e-3) * np.sin(1.1e-3) / 16e-6) + 128
 
 
 def test_fourier_intensity_total_weight(geometry):
-    spec = SourceSpec(n_modes=100, angular_spread=5e-3)
-    m = sample_modes(spec, 5, 0)
-    out = fourier_intensity(m, geometry, _template())
-    assert out.grid.sum() == pytest.approx(np.sum(np.abs(m.amplitude) ** 2))
+    # one more mode, tilted 30 mrad, lands 281 px off axis: its index is -1
+    # and bin_intensities drops its weight
+    m = sample_modes(SourceSpec(n_modes=100, angular_spread=5e-3), 5, 0)
+    tilted = ModeSet(theta=np.append(m.theta, 0.03), beta=np.append(m.beta, 0.0),
+                     amplitude=np.append(m.amplitude, 10.0), shot_index=0, master_seed=5)
+    index = fourier_bin_index(tilted, geometry.lens_fourier_f, 16e-6, (256, 256))
+    assert index[-1] == -1 and (index[:-1] >= 0).all()
+    out = _binned_intensity(tilted, geometry.lens_fourier_f)
+    assert out.sum() == pytest.approx(np.sum(np.abs(m.amplitude) ** 2))
 
 
 def test_fourier_intensity_equals_mode_by_mode_sum(geometry):
     # a small grid and a wide spread: modes share bins and fall off the grid
     m = sample_modes(SourceSpec(n_modes=300, angular_spread=4e-3), 5, 1)
-    tpl = _template(width=32)
-    ix, iy = fourier_bins(m, geometry, tpl)
+    f = geometry.lens_fourier_f
+    ix = np.rint(f * np.sin(m.beta) / 16e-6).astype(int) + 16
+    iy = np.rint(f * np.cos(m.beta) * np.sin(m.theta) / 16e-6).astype(int) + 16
     on = (ix >= 0) & (ix < 32) & (iy >= 0) & (iy < 32)
     assert 0 < on.sum() < 300 and len(set(zip(ix[on], iy[on]))) < on.sum()
+    assert np.array_equal(fourier_bin_index(m, f, 16e-6, (32, 32)) == -1, ~on)
     p = np.abs(m.amplitude) ** 2
     want = np.zeros((32, 32))
     for n in np.flatnonzero(on):
         want[ix[n], iy[n]] += p[n]
-    assert np.array_equal(fourier_intensity(m, geometry, tpl).grid, want)
+    assert np.array_equal(_binned_intensity(m, f, width=32), want)
 
 
 def test_fourier_intensity_matches_propagated_field(geometry):
@@ -184,16 +196,14 @@ def test_fourier_intensity_matches_propagated_field(geometry):
 
     spec = SourceSpec(n_modes=5, angular_spread=4e-3)
     m = sample_modes(spec, 17, 0)
-    tpl = _template(width=256, pitch=16e-6)
-    field = field_from_modes(m, tpl)
+    plane = _plane(width=256, pitch=16e-6)
+    field = field_from_modes(m, plane)
     prop = fourier_plane(field, geometry.lens_fourier_f)
     inten = np.abs(prop.grid) ** 2
     floor = np.median(inten)
-    xs, ys = mode_fourier_positions(m, geometry.lens_fourier_f)
-    w = prop.shape[0]
-    for x0, y0 in zip(xs, ys):
-        ix = round(float(x0) / prop.pitch) + w // 2
-        iy = round(float(y0) / prop.pitch) + w // 2
+    index = fourier_bin_index(m, geometry.lens_fourier_f, prop.pitch, prop.shape)
+    assert (index >= 0).all()
+    for ix, iy in zip(*np.unravel_index(index, prop.shape)):
         patch = inten[max(ix - 1, 0):ix + 2, max(iy - 1, 0):iy + 2]
         # each mode position lands on a bright spot of the propagated field
         assert patch.max() > 100 * floor

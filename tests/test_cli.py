@@ -14,6 +14,7 @@ import twmghost
 from twmghost import framestack, masks, statistics
 from twmghost.cli import main
 from twmghost.config import load_config
+from twmghost.errors import InvalidSpec
 from twmghost.pipeline import ChaoticExperiment
 
 
@@ -479,6 +480,25 @@ def test_bad_config_is_data_error(tmp_path):
     p.write_text("[source]\nn_modes = -4\n")
     assert main(["simulate-coherent", "--config", str(p),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("ini, env, name", [
+    ("[source]\nn_mode = 7\n", {}, "'n_mode'"),
+    ("[sorce]\nn_modes = 7\n", {}, "[sorce]"),
+    ("[run]\nshots = 12\n", {"TWMG_SOURCE__N_MODE": "7"}, "TWMG_SOURCE__N_MODE"),
+], ids=["key", "section", "variable"])
+def test_config_typo_is_data_error(tmp_path, monkeypatch, ini, env, name):
+    # a mistyped name must not fall back to the default unnoticed
+    p = tmp_path / "typo.ini"
+    p.write_text(ini)
+    for var, val in env.items():
+        monkeypatch.setenv(var, val)
+    with pytest.raises(InvalidSpec) as exc:
+        load_config(str(p))
+    assert name in str(exc.value)
+    out = tmp_path / "out"
+    assert main(["simulate-chaotic", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sampling_violation_is_numeric_error(tmp_path):

@@ -12,7 +12,7 @@ from twmghost.geometry import (
     unit_vectors,
     vector_angles,
 )
-from twmghost.pipeline import _conjugate_directions, _idler_vectors
+from twmghost.pipeline import _idlers
 
 
 def test_unit_vector_is_unit():
@@ -28,7 +28,7 @@ def test_on_axis_direction():
 
 
 def test_direction_roundtrip():
-    # vector_angles inverts unit_vectors, as _conjugate_directions relies on
+    # vector_angles inverts unit_vectors, as _idlers relies on
     rng = np.random.default_rng(11)
     theta, beta = rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, 50)
     back_theta, back_beta = vector_angles(unit_vectors(theta, beta))
@@ -83,8 +83,14 @@ def test_geometric_factor_degenerate():
         geometric_factor(d1, d2)
 
 
+def _idler_vectors(theta, beta, g):
+    """k3 - k1n of each seed mode, one per column, with the pump k3 on axis."""
+    k3 = np.array([0.0, 0.0, g.k3.magnitude])
+    return k3[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
+
+
 def _mismatch(theta, beta, g):
-    """The pipeline's scalar mismatch |k3 - k1n| - |k2| of each seed mode."""
+    """The scalar mismatch |k3 - k1n| - |k2| of each seed mode."""
     return np.linalg.norm(_idler_vectors(theta, beta, g), axis=0) - g.k2.magnitude
 
 
@@ -95,16 +101,18 @@ def test_phase_mismatch_collinear_degenerate_is_zero(geometry):
 
 def test_phase_mismatch_vector_is_k3_minus_k1_minus_k2(geometry):
     # with k2n along k3 - k1n the mismatch vector k3 - k1n - k2n is parallel
-    # to the idler, and its length is the scalar mismatch
+    # to the idler, and its length is the scalar mismatch that sets the
+    # acceptance sinc^2(dk L / 2)
     theta, beta = np.array([0.01, -4e-3, 0.0]), np.array([0.0, 7e-3, -0.02])
-    t2, b2 = _conjugate_directions(theta, beta, geometry)
+    t2, b2, accept = _idlers(theta, beta, geometry)
     k1n = geometry.k1.magnitude * unit_vectors(theta, beta)
     k2n = geometry.k2.magnitude * unit_vectors(t2, b2)
     k3 = np.array([0.0, 0.0, geometry.k3.magnitude])
     dk = k3[:, None] - k1n - k2n
-    assert np.allclose(dk, _idler_vectors(theta, beta, geometry) - k2n)
-    assert np.allclose(np.linalg.norm(dk, axis=0), np.abs(_mismatch(theta, beta, geometry)),
-                       rtol=1e-6)
+    mismatch = _mismatch(theta, beta, geometry)
+    assert np.allclose(np.linalg.norm(dk, axis=0), np.abs(mismatch), rtol=1e-6)
+    assert np.allclose(accept, np.sinc(0.5 * mismatch * geometry.crystal_length / np.pi) ** 2,
+                       rtol=1e-12)
     cross = np.cross(dk, k2n, axis=0)
     assert np.max(np.abs(cross)) < 1e-9 * geometry.k2.magnitude * np.max(np.abs(dk))
 
@@ -144,10 +152,9 @@ def test_image_offset_on_axis_is_zero():
 def test_broadcast_matches_scalar_loop(geometry, n_modes, spread):
     # the vector forms must reproduce the per-direction scalar calls bit for bit
     from twmghost.chaotic_source import SourceSpec, sample_modes
-    from twmghost.pipeline import _conjugate_directions
 
     m = sample_modes(SourceSpec(n_modes=n_modes, angular_spread=spread), 12345, 0)
-    t2, b2 = _conjugate_directions(m.theta, m.beta, geometry)
+    t2, b2, _ = _idlers(m.theta, m.beta, geometry)
     seeds = [Direction(float(t), float(b)) for t, b in zip(m.theta, m.beta)]
     idlers = [Direction(float(t), float(b)) for t, b in zip(t2, b2)]
     seed, idler = Direction(m.theta, m.beta), Direction(t2, b2)

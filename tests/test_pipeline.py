@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from twmghost import framestack, pipeline
-from twmghost.chaotic_source import ModeSet, SourceSpec, fourier_intensity, sample_modes
+from twmghost.chaotic_source import (ModeSet, SourceSpec, bin_intensities, fourier_bin_index,
+                                     sample_modes)
 from twmghost.cli import main as cli_main
 from twmghost.config import load_config
-from twmghost.errors import ImageClipped, InvalidSpec
+from twmghost.errors import ImageClipped, InvalidSpec, ShapeMismatch
 from twmghost.geometry import Direction, geometric_factor, image_offset
 from twmghost.pipeline import (
     ChaoticExperiment,
     DetectorSpec,
     ObjectMask,
     ShotRecord,
-    _acceptance_weights,
-    _conjugate_directions,
+    _idlers,
     _shift_zero_fill,
     apply_detector,
     coherent_field,
@@ -32,8 +32,7 @@ def _per_mode_shot(mask, g, modes, det=None):
     det = det or DetectorSpec()
     base = coherent_field(mask, g)
     base_image = np.abs(base.grid) ** 2
-    t2, b2 = _conjugate_directions(modes.theta, modes.beta, g)
-    accept = _acceptance_weights(modes.theta, modes.beta, g)
+    t2, b2, accept = _idlers(modes.theta, modes.beta, g)
     i2 = np.zeros_like(base_image)
     for n in range(len(modes.theta)):
         idler = Direction(float(t2[n]), float(b2[n]))
@@ -42,16 +41,15 @@ def _per_mode_shot(mask, g, modes, det=None):
         i2 += (np.abs(modes.amplitude[n]) ** 2 * accept[n] * fge ** 2
                * _shift_zero_fill(base_image, int(round(xb / base.pitch)),
                                   int(round(yb / base.pitch))))
-    template = ScalarField(np.zeros(base_image.shape), base.pitch,
-                           g.k1.wavelength / g.k1.index)
-    i1 = fourier_intensity(modes, g, template).grid
+    index = fourier_bin_index(modes, g.lens_fourier_f, base.pitch, base_image.shape)
+    i1 = bin_intensities(index, np.abs(modes.amplitude) ** 2, base_image.shape)
     return ShotRecord(i1=apply_detector(i1, det), i2=apply_detector(i2, det),
                       shot_index=modes.shot_index)
 
 
 def _acceptance(theta, g):
     """Acceptance weight of one in-plane seed mode at angle theta."""
-    return float(_acceptance_weights(np.array([theta]), np.array([0.0]), g)[0])
+    return float(_idlers(np.array([theta]), np.array([0.0]), g)[2][0])
 
 
 # -- masks and detector model -------------------------------------------------
@@ -114,7 +112,7 @@ def test_phase_matching_filter_on_axis_is_unity(geometry):
 
 
 def test_phase_matching_filter_decreases_with_angle(geometry):
-    ws = _acceptance_weights(np.array([0.0, 5e-3, 10e-3, 15e-3]), np.zeros(4), geometry)
+    _, _, ws = _idlers(np.array([0.0, 5e-3, 10e-3, 15e-3]), np.zeros(4), geometry)
     assert all(a > b for a, b in zip(ws, ws[1:]))
     assert all(0.0 <= w <= 1.0 for w in ws)
 
@@ -427,14 +425,26 @@ def test_expected_image_is_shifted_base(mask, geometry):
 
 
 def test_reference_mode_roundtrip(mask, geometry):
-    from twmghost.chaotic_source import mode_fourier_positions
-
     spec = SourceSpec(n_modes=16, angular_spread=5e-3)
     exp = ChaoticExperiment(mask, geometry, spec, 8)
-    xs, ys = mode_fourier_positions(sample_modes(spec, 8, 0), geometry.lens_fourier_f)
+    index = fourier_bin_index(sample_modes(spec, 8, 0), geometry.lens_fourier_f, exp.pitch,
+                              exp.base_image.shape)
     n = 6
-    px = (int(np.rint(xs[n] / exp.pitch)) + 128, int(np.rint(ys[n] / exp.pitch)) + 128)
-    assert exp.reference_mode_for_pixel(px) == n
+    assert exp.bin_modes(divmod(int(index[n]), 256)).tolist() == [n]
+
+
+def test_bin_modes_on_default_config(mask, geometry, cfg):
+    # every mode that feeds an i1 pixel, not the nearest one: the auto
+    # reference bin of the default run holds two modes, and the unlit corner none
+    exp = ChaoticExperiment(mask, geometry, cfg.source, cfg.master_seed)
+    assert exp.bin_modes((99, 132)).tolist() == [97, 112]
+    assert exp.bin_modes((0, 0)).size == 0
+    with pytest.raises(ShapeMismatch):
+        exp.bin_modes((256, 0))
+    on = np.flatnonzero(exp.i1_bin >= 0)
+    assert on.size > 0
+    for n in on:
+        assert n in exp.bin_modes(divmod(int(exp.i1_bin[n]), cfg.height))
 
 
 def test_i1_carries_mode_intensities(mask, geometry):

@@ -1,10 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from twmghost.errors import InvalidSpec, WeakLimitViolated
-from twmghost.pipeline import WEAK_LIMIT_ARG, coherent_field
+from twmghost.errors import InvalidSpec
 from twmghost.twm_core import (
     CoupledAmplitudes,
     GainParams,
@@ -142,14 +139,6 @@ def test_weak_limit_taylor_remainder():
         weak = 1j * p.g * p.r * np.conj(c0.a1) * p.a3
         errs.append(abs(full.a2 - weak))
     assert errs[1] / errs[0] == pytest.approx(8.0, rel=0.05)
-
-
-def test_weak_limit_warns_when_pushed(mask, geometry):
-    with pytest.warns(WeakLimitViolated):
-        coherent_field(mask, geometry, gain_arg=2 * WEAK_LIMIT_ARG)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", WeakLimitViolated)
-        coherent_field(mask, geometry, gain_arg=WEAK_LIMIT_ARG)
 
 
 def test_linearity_in_seed():
