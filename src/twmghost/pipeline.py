@@ -160,10 +160,11 @@ def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
     obj = ScalarField(mask.transmission.astype(complex), mask.pitch,
                       g.k3.wavelength / g.k3.index)
     a3_F = lens_image_2f2f(obj, g)
-    # normalize the pump map so the weak-conversion argument peaks at WEAK_CONVERSION_ARG
-    scale = max(np.abs(a3_F.grid).max(), 1e-300)
-    e2 = ScalarField(1j * WEAK_CONVERSION_ARG * a3_F.grid / scale, a3_F.pitch, lam2)
-    return free_propagate(e2, g.s2, pad=2)
+    # normalize the pump map in place so the weak-conversion argument peaks
+    # at WEAK_CONVERSION_ARG
+    e2 = a3_F.grid
+    e2 *= 1j * WEAK_CONVERSION_ARG / max(np.abs(e2).max(), 1e-300)
+    return free_propagate(ScalarField(e2, a3_F.pitch, lam2), g.s2, pad=2)
 
 
 def coherent_image(mask: ObjectMask, g: InteractionGeometry,
@@ -326,13 +327,17 @@ class ChaoticExperiment:
                              minlength=len(self.kernel_rows) * ny).reshape(-1, ny)
         w, h = self.base_image.shape
         # irfft2(rfft2(full kernel) * base_hat)[:w, :h] in rfft2's and irfft2's
-        # own axis order, without the rows known to be zero or not kept
+        # own axis order, without the rows known to be zero or not kept; each
+        # array is freed once used, as the shot loop's peak memory is the
+        # live arrays of one block
         spec = np.zeros((nx, ny // 2 + 1), dtype=complex)
         spec[self.kernel_rows] = np.fft.rfft(kernel, ny, axis=1)
-        spec = np.fft.fft(spec, nx, axis=0)
+        del kernel
+        np.fft.fft(spec, axis=0, out=spec)
         spec *= self.base_hat
-        spec = np.fft.ifft(spec, nx, axis=0)
+        np.fft.ifft(spec, axis=0, out=spec)
         i2 = np.fft.irfft(spec[:w], ny, axis=1)[:, :h]
+        del spec
         # round-off must not make an intensity negative
         return p, np.maximum(i2, 0.0).reshape(shape)
 

@@ -12,6 +12,13 @@ Two numerical kernels are used:
 * band-limited angular-spectrum propagation for free space, which keeps the
   input pitch and is therefore the right tool for the short crystal-to-
   detector hops where the single-FFT pitch would be coarser than the grid.
+
+Both are separable: the quadratic phases exp(i c (x^2 + y^2)) and the
+transfer function exp(i a (fx^2 + fy^2)) are products of one factor per
+axis, and a 2-D DFT is 1-D DFTs along each axis in turn.  So each transform
+runs as 1-D passes on one array, in place, with 1-D factors: free
+propagation pads, transforms, filters and crops the rows, then the columns,
+and never holds a padded 2-D grid or a 2-D kernel.
 """
 
 from __future__ import annotations
@@ -60,9 +67,31 @@ class ScalarField:
         return float(np.sum(np.abs(self.grid) ** 2) * self.pitch ** 2)
 
 
-def _ft_plus(u: np.ndarray) -> np.ndarray:
-    """Centered DFT with kernel exp(+2 pi i (f x + g y)), unnormalized."""
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(u))) * u.size
+def _alternating(n: int) -> np.ndarray:
+    """(-1)^m for m = 0 .. n-1."""
+    return 1.0 - 2.0 * (np.arange(n) & 1)
+
+
+def _ft_plus(u: np.ndarray, pre=(1.0, 1.0), post=(1.0, 1.0)) -> np.ndarray:
+    """Centered DFT with kernel exp(+2 pi i (f x + g y)), unnormalized, of u
+    times pre[0][:, None] * pre[1][None, :], times post[0][:, None] *
+    post[1][None, :].  Computed in u, a complex array with even sides, which
+    is returned.
+
+    On an even grid of n points the centering shifts are sign flips:
+    ifftshift is the factor (-1)^m on the input and fftshift the factor
+    (-1)^(k + n/2) on the output, so they fold into the 1-D factors and no
+    shifted copy is made.
+    """
+    w, h = u.shape
+    sx, sy = _alternating(w), _alternating(h)
+    u *= (pre[0] * sx)[:, None]
+    u *= pre[1] * sy
+    np.fft.ifft(u, axis=1, norm="forward", out=u)
+    np.fft.ifft(u, axis=0, norm="forward", out=u)
+    u *= (post[0] * sx * (-1) ** (w // 2))[:, None]
+    u *= post[1] * sy * (-1) ** (h // 2)
+    return u
 
 
 def _effective_radius(grid: np.ndarray, pitch: float) -> float:
@@ -75,7 +104,7 @@ def _effective_radius(grid: np.ndarray, pitch: float) -> float:
     x = (np.arange(w) - w // 2) * pitch
     y = (np.arange(h) - h // 2) * pitch
     rho = np.hypot(x[:, None], y[None, :])
-    return float(rho[mag > 1e-6 * peak].max())
+    return float(rho.max(where=mag > 1e-6 * peak, initial=0.0))
 
 
 def _check_chirp_sampling(grid, pitch, k_chirp, what):
@@ -105,17 +134,26 @@ def lens_image_2f2f(obj: ScalarField, g: InteractionGeometry) -> ScalarField:
     d, f = g.d, g.f
     w, h = obj.shape
     x, y = obj.coords()
-    rho2 = x[:, None] ** 2 + y[None, :] ** 2
     chirp_in = k3 * (f - d) / (d * f)
     _check_chirp_sampling(obj.grid, obj.pitch, chirp_in, "lens_image_2f2f input")
-    u = obj.grid * np.exp(0.5j * chirp_in * rho2)
-    spec = _ft_plus(u) * obj.pitch ** 2
     pitch_out = g.k3.wavelength / g.k3.index * d / (w * obj.pitch)
     xo = (np.arange(w) - w // 2) * pitch_out
     yo = (np.arange(h) - h // 2) * pitch_out
-    rho2_out = xo[:, None] ** 2 + yo[None, :] ** 2
-    out = (k3 / (2j * np.pi * d)) * np.exp(0.5j * k3 * rho2_out / d) * spec
+    # exp(i c rho^2 / 2) = exp(i c x^2 / 2) exp(i c y^2 / 2) for both chirps
+    scale = k3 / (2j * np.pi * d) * obj.pitch ** 2
+    out = _ft_plus(obj.grid.astype(complex),
+                   pre=(np.exp(0.5j * chirp_in * x ** 2), np.exp(0.5j * chirp_in * y ** 2)),
+                   post=(scale * np.exp(0.5j * k3 * xo ** 2 / d), np.exp(0.5j * k3 * yo ** 2 / d)))
     return ScalarField(out, pitch_out, obj.wavelength)
+
+
+def _transfer_factor(n: int, pitch: float, lam: float, distance: float) -> np.ndarray:
+    """One axis's factor exp(i pi lam z f^2) of the angular-spectrum transfer
+    function on the n FFT frequencies of that axis, zero beyond the band
+    limit n pitch / (2 lam z)."""
+    fr = np.fft.fftfreq(n, pitch)
+    return np.where(np.abs(fr) <= n * pitch / (2.0 * lam * distance),
+                    np.exp(1j * np.pi * lam * distance * fr ** 2), 0.0)
 
 
 def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarField:
@@ -138,30 +176,22 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
     w0, h0 = field.grid.shape
     w, h = pad * w0, pad * h0
     r0, c0 = (w - w0) // 2, (h - h0) // 2
-    # fft2 is fft along axis 1, then along axis 0; ifft2 likewise.  The same
-    # 1-D transforms are run here, so the bytes are fft2's and ifft2's, but
-    # not on the lines whose result is known or unused: rows of zero padding
-    # transform to zeros, and after the axis-1 ifft only the h0 columns kept
-    # are inverted along axis 0.  Each padded array is pad^2 times the field,
-    # and at most two are alive at once: the spectrum and its transform, or
-    # the spectrum and the kernel
-    spec = np.zeros((w, h), dtype=complex)
-    spec[r0:r0 + w0, c0:c0 + h0] = field.grid
-    spec[r0:r0 + w0] = np.fft.fft(spec[r0:r0 + w0], axis=1)
-    spec = np.fft.fft(spec, axis=0)
-    fx = np.fft.fftfreq(w, field.pitch)
-    fy = np.fft.fftfreq(h, field.pitch)
-    kern = 1j * np.pi * lam * distance * (fx[:, None] ** 2 + fy[None, :] ** 2)
-    np.exp(kern, out=kern)
-    kern *= np.abs(fx[:, None]) <= w * field.pitch / (2.0 * lam * distance)
-    kern *= np.abs(fy[None, :]) <= h * field.pitch / (2.0 * lam * distance)
-    np.multiply(spec, kern, out=spec)
-    del kern
-    spec = np.fft.ifft(spec, axis=1)
-    out = np.fft.ifft(spec[:, c0:c0 + h0], axis=0)[r0:r0 + w0]
-    del spec
-    out *= np.exp(-1j * k * distance)
-    return ScalarField(out, field.pitch, field.wavelength)
+    # the rows (axis 1): pad to h, filter, keep the h0 columns of the field
+    rows = np.zeros((w0, h), dtype=complex)
+    rows[:, c0:c0 + h0] = field.grid
+    np.fft.fft(rows, axis=1, out=rows)
+    rows *= _transfer_factor(h, field.pitch, lam, distance)
+    np.fft.ifft(rows, axis=1, out=rows)
+    # then the columns (axis 0), with the plane-wave phase exp(-i k z)
+    cols = np.zeros((w, h0), dtype=complex)
+    cols[r0:r0 + w0] = rows[:, c0:c0 + h0]
+    del rows
+    np.fft.fft(cols, axis=0, out=cols)
+    kx = _transfer_factor(w, field.pitch, lam, distance) * np.exp(-1j * k * distance)
+    cols *= kx[:, None]
+    np.fft.ifft(cols, axis=0, out=cols)
+    # a copy of the crop, so that the padded columns are freed
+    return ScalarField(cols[r0:r0 + w0].copy(), field.pitch, field.wavelength)
 
 
 def fourier_plane(field: ScalarField, f_lens: float) -> ScalarField:
@@ -177,6 +207,7 @@ def fourier_plane(field: ScalarField, f_lens: float) -> ScalarField:
     lam = field.wavelength
     k = 2.0 * np.pi / lam
     w, _ = field.shape
-    spec = _ft_plus(field.grid) * field.pitch ** 2 * (k / (2j * np.pi * f_lens))
+    spec = _ft_plus(field.grid.astype(complex),
+                    post=(field.pitch ** 2 * k / (2j * np.pi * f_lens), 1.0))
     pitch_out = lam * f_lens / (w * field.pitch)
     return ScalarField(spec, pitch_out, field.wavelength)

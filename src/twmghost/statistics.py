@@ -202,7 +202,12 @@ def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
     cdf = -np.expm1(-np.sort(samples) / mean)
     ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
     p = _ks_sf(n, float(ks))
-    counts, edges = np.histogram(samples, bins=n_bins)
+    try:
+        counts, edges = np.histogram(samples, bins=n_bins)
+    except ValueError:   # the range is narrower than n_bins steps of the float grid
+        raise InsufficientSamples(
+            f"samples span {samples.min():.17g} to {samples.max():.17g}, too narrow a "
+            f"range to split into {n_bins} histogram bins") from None
     return HistogramFit(bin_edges=edges, counts=counts, fitted_mean=mean,
                        ks_statistic=float(ks), p_value=float(p))
 

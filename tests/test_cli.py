@@ -213,6 +213,22 @@ def test_stats_temporal_dark_pixel_is_data_error(tmp_path, small_cfg, capsys):
     assert not (st / "histogram.csv").exists()
 
 
+def test_stats_last_bit_range_is_data_error(tmp_path, capsys):
+    # an i2 frame of 1.0 and the next double cannot be binned: exit 2, naming
+    # the range, and no histogram written
+    frame = np.repeat([1.0, np.nextafter(1.0, 2.0)], 128).reshape(16, 16)
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
+                           16, 16, 1, 0, "test")
+    st = tmp_path / "st"
+    capsys.readouterr()
+    assert main(["stats", str(stack), "--mode", "spatial", "--arm", "i2",
+                 "--out", str(st)]) == 2
+    err = capsys.readouterr().err
+    assert "spatial i2, shot 0: samples span 1 to 1.0000000000000002" in err
+    assert not (st / "histogram.csv").exists()
+
+
 def test_stats_spatial_reads_the_last_shot(tmp_path, small_cfg, capsys):
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])

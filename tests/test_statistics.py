@@ -204,6 +204,13 @@ def test_thermal_test_needs_samples(rng):
         thermal_test(rng.exponential(1.0, size=50))
 
 
+def test_thermal_test_last_bit_range_is_insufficient():
+    # 100 x 1.0 and 100 x the next double: too narrow a range for 50 bins
+    samples = np.repeat([1.0, np.nextafter(1.0, 2.0)], 100)
+    with pytest.raises(InsufficientSamples, match="samples span 1 to 1.0000000000000002"):
+        thermal_test(samples)
+
+
 def test_jackknife_matches_brute_force(rng):
     shots = _synthetic_shots(rng, n=15)
     ref = (3, 3)
