@@ -30,7 +30,7 @@ class EmptyEnsemble(TwmError):
 
 
 class InsufficientSamples(TwmError):
-    """A statistical test was given too few samples."""
+    """A statistical test was given too few samples, or samples it cannot use."""
 
 
 class UnreadableFile(TwmError):

@@ -195,6 +195,10 @@ def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < MIN_SAMPLES:
         raise InsufficientSamples(f"need >= {MIN_SAMPLES} samples, got {samples.size}")
+    bad = int(np.count_nonzero(~np.isfinite(samples)))
+    if bad:
+        raise InsufficientSamples(
+            f"{bad} of {samples.size} samples are not finite (NaN or inf): no thermal law to fit")
     mean = float(samples.mean())
     if mean <= 0:
         raise InsufficientSamples(f"sample mean {mean:.17g} <= 0: no thermal law to fit")

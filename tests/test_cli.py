@@ -229,6 +229,22 @@ def test_stats_last_bit_range_is_data_error(tmp_path, capsys):
     assert not (st / "histogram.csv").exists()
 
 
+def test_stats_non_finite_frame_is_data_error(tmp_path, capsys):
+    # a stack holding a NaN pixel: exit 2, naming the non-finite sample
+    frame = np.ones((16, 16))
+    frame[3, 5] = np.nan
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
+                           16, 16, 1, 0, "test")
+    st = tmp_path / "st"
+    capsys.readouterr()
+    assert main(["stats", str(stack), "--mode", "spatial", "--arm", "i2",
+                 "--out", str(st)]) == 2
+    err = capsys.readouterr().err
+    assert "spatial i2, shot 0: 1 of 256 samples are not finite" in err
+    assert not (st / "histogram.csv").exists()
+
+
 def test_stats_spatial_reads_the_last_shot(tmp_path, small_cfg, capsys):
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])

@@ -211,6 +211,15 @@ def test_thermal_test_last_bit_range_is_insufficient():
         thermal_test(samples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_thermal_test_non_finite_samples_are_insufficient(rng, bad):
+    # a NaN or inf sample is named as such, not as too narrow a range
+    samples = rng.exponential(1.0, size=200)
+    samples[17] = bad
+    with pytest.raises(InsufficientSamples, match="1 of 200 samples are not finite"):
+        thermal_test(samples)
+
+
 def test_jackknife_matches_brute_force(rng):
     shots = _synthetic_shots(rng, n=15)
     ref = (3, 3)
