@@ -15,7 +15,7 @@ _HOMES = {
     "ModeSet": "chaotic_source", "SourceSpec": "chaotic_source",
     "sample_modes": "chaotic_source",
     "ShotRecord": "framestack",
-    "Direction": "geometry", "InteractionGeometry": "geometry", "WaveVector": "geometry",
+    "InteractionGeometry": "geometry", "WaveVector": "geometry",
     "ObjectMask": "masks",
     "ChaoticExperiment": "pipeline", "DetectorSpec": "pipeline", "coherent_image": "pipeline",
     "ScalarField": "propagation",

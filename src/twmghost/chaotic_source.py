@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
+from .geometry import unit_vectors
 from .propagation import ScalarField
 
 RNG_ALGORITHM = "pcg64-seedseq"
@@ -103,14 +104,13 @@ def sample_amplitudes(spec: SourceSpec, master_seed: int, shot_index: int) -> np
 def field_from_modes(m: ModeSet, plane: ScalarField) -> ScalarField:
     """Coherent sum of the plane-wave modes sampled on the grid of `plane`.
 
-    field(x, y) = sum_n a_n exp(-i k (sin(beta_n) x + cos(beta_n) sin(theta_n) y))
-    evaluated on the z = 0 plane.  Each term is separable in x and y, so the
-    sum is one (W x n) @ (n x H) product.
+    field(x, y) = sum_n a_n exp(-i k (ux_n x + uy_n y)), with u_n the unit
+    vector of mode n, evaluated on the z = 0 plane.  Each term is separable
+    in x and y, so the sum is one (W x n) @ (n x H) product.
     """
     k = 2.0 * np.pi / plane.wavelength
     x, y = plane.coords()
-    sx = np.sin(m.beta)
-    sy = np.cos(m.beta) * np.sin(m.theta)
+    sx, sy, _ = unit_vectors(m.theta, m.beta)
     ex = m.amplitude[:, None] * np.exp(-1j * k * sx[:, None] * x[None, :])
     out = ex.T @ np.exp(-1j * k * sy[:, None] * y[None, :])
     return ScalarField(out, plane.pitch, plane.wavelength)
@@ -121,13 +121,13 @@ def fourier_bin_index(m: ModeSet, f_lens: float, pitch: float, shape) -> np.ndar
     a `shape` = (w, h) grid of `pitch` with the optical axis at
     (w // 2, h // 2); -1 for a mode whose pixel is off the grid.
 
-    A plane wave along (theta, beta) focuses at (f sin(beta), f cos(beta)
-    sin(theta)) behind a lens of focal length `f_lens`; the continuum delta
-    of the lens transform is idealized as that single pixel.
+    A plane wave along the unit vector u focuses at f (ux, uy) behind a lens
+    of focal length `f_lens`; the continuum delta of the lens transform is
+    idealized as that single pixel.
     """
     w, h = shape
-    ix = np.rint(f_lens * np.sin(m.beta) / pitch).astype(int) + w // 2
-    iy = np.rint(f_lens * np.cos(m.beta) * np.sin(m.theta) / pitch).astype(int) + h // 2
+    ix, iy = (np.rint(f_lens * unit_vectors(m.theta, m.beta)[:2] / pitch).astype(int)
+              + [[w // 2], [h // 2]])
     on = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
     return np.where(on, ix * h + iy, -1)
 

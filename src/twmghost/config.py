@@ -147,6 +147,9 @@ def _build(raw: dict) -> RunConfig:
     if height != width:
         raise InvalidSpec(f"grid height {height} != width {width}: only square grids "
                           "are supported")
+    if det.pixel_binning > width:
+        raise InvalidSpec(f"[detector] pixel_binning = {det.pixel_binning} is larger than "
+                          f"the {width}-pixel grid: the binned frames would be empty")
     rs = raw["run"]
     shots = int(rs["shots"])
     if shots < 1:

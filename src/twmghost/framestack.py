@@ -167,6 +167,8 @@ def read_header(path) -> tuple[StackHeader, int]:
                 raise CorruptStack(f"{path}: bad magic {magic!r}")
             if version not in (1, VERSION):
                 raise CorruptStack(f"{path}: unsupported version {version}")
+            if w == 0 or h == 0:
+                raise CorruptStack(f"{path}: empty {w} x {h} frames")
             name = fh.read(namelen)
             if len(name) != namelen:
                 raise CorruptStack(f"{path}: truncated RNG name")

@@ -1,14 +1,15 @@
 """Beam directions, wavevectors, the imaging geometry and geometric gain factors.
 
-A beam direction is parametrized by two angles (theta, beta): theta is the
-rotation in the plane containing the optical axis, beta the out-of-plane
-elevation.  With z the crystal normal the unit vector is
+The source draws each seed-mode direction as two angles (theta, beta):
+theta is the rotation in the plane containing the optical axis, beta the
+out-of-plane elevation.  `unit_vectors` turns them, once, into unit vectors
+with z the crystal normal,
 
-    u = (sin beta, cos beta * sin theta, cos beta * cos theta)
+    u = (sin beta, cos beta * sin theta, cos beta * cos theta),
 
-so that the angle psi between two beams satisfies
-
-    cos psi = sin b1 sin b2 + cos b1 cos b2 cos(t1 - t2).
+and everything after works on those vectors, stacked 3 x n: the idler
+directions, the image offsets, the Fourier-plane pixels and the geometric
+gain factor.  The angle psi between two beams is arccos(u1 . u2).
 
 All lengths are in meters, angles in radians.
 """
@@ -25,17 +26,6 @@ from .errors import DegenerateGeometry, GeometryError
 DEGENERACY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A propagation direction given by the two angles of the beam frame."""
-
-    theta: float = 0.0
-    beta: float = 0.0
-
-    def unit_vector(self) -> np.ndarray:
-        return unit_vectors(self.theta, self.beta)
-
-
 def unit_vectors(theta, beta) -> np.ndarray:
     """Unit vectors of the directions (theta, beta), stacked along axis 0."""
     return np.stack([np.sin(beta), np.cos(beta) * np.sin(theta), np.cos(beta) * np.cos(theta)])
@@ -44,8 +34,8 @@ def unit_vectors(theta, beta) -> np.ndarray:
 @dataclass(frozen=True)
 class WaveVector:
     """Wavenumber of a monochromatic on-axis beam in a medium of index
-    `index`; tilted seed modes and their idlers are handled as direction
-    arrays next to it."""
+    `index`; tilted seed modes and their idlers are handled as arrays of
+    unit vectors next to it."""
 
     wavelength: float  # vacuum wavelength, m
     index: float = 1.0
@@ -60,13 +50,6 @@ class WaveVector:
     def magnitude(self) -> float:
         """|k| = 2 pi n / lambda, rad/m."""
         return 2.0 * np.pi * self.index / self.wavelength
-
-
-def vector_angles(v: np.ndarray) -> tuple:
-    """Angles (theta, beta) of Cartesian vectors stacked along axis 0, not
-    necessarily normalized; the inverse of unit_vectors."""
-    ux, uy, uz = v / np.linalg.norm(v, axis=0)
-    return np.arctan2(uy, uz), np.arcsin(np.clip(ux, -1, 1))
 
 
 @dataclass(frozen=True)
@@ -104,42 +87,18 @@ class InteractionGeometry:
             raise GeometryError("energy matching 1/l3 = 1/l1 + 1/l2 violated")
 
 
-def angle_between(d1: Direction, d2: Direction):
-    """Angle psi between two beam directions, in [0, pi].
+def geometric_factor(u1: np.ndarray, u2: np.ndarray):
+    """Pure geometrical factor entering the hyperbolic gain argument, for
+    unit vectors u1 and u2 (one direction, or 3 x n of them).
 
-    Like geometric_factor and image_offset, broadcasts over Directions whose
-    angles are arrays.
+    f = (sum of the components of u1 + u2) / (2 cos^2(psi/2)),
+
+    with 2 cos^2(psi/2) = 1 + u1 . u2.  The on-axis pair gives exactly 1
+    (crystal-frame components).  Raises DegenerateGeometry when any pair is
+    (numerically) counter-propagating.
     """
-    c = (np.sin(d1.beta) * np.sin(d2.beta)
-         + np.cos(d1.beta) * np.cos(d2.beta) * np.cos(d1.theta - d2.theta))
-    return np.arccos(np.clip(c, -1.0, 1.0))
-
-
-def geometric_factor(d1: Direction, d2: Direction):
-    """Pure geometrical factor entering the hyperbolic gain argument.
-
-    f = (sin b1 + sin b2 + cos b1 sin t1 + cos b2 sin t2
-         + cos b1 cos t1 + cos b2 cos t2) / (2 cos^2(psi/2))
-
-    The on-axis pair gives exactly 1 (crystal-frame components).  Raises
-    DegenerateGeometry when the beams are (numerically) counter-propagating.
-    """
-    psi = angle_between(d1, d2)
-    c2 = np.cos(0.5 * psi) ** 2
+    c2 = 0.5 * (1.0 + np.sum(u1 * u2, axis=0))  # cos^2(psi/2)
     if np.any(c2 < DEGENERACY_TOL):
         raise DegenerateGeometry(f"cos^2(psi/2) = {np.min(c2):.3e}; "
                                  "beams nearly counter-propagate")
-    num = (np.sin(d1.beta) + np.sin(d2.beta)
-           + np.cos(d1.beta) * np.sin(d1.theta) + np.cos(d2.beta) * np.sin(d2.theta)
-           + np.cos(d1.beta) * np.cos(d1.theta) + np.cos(d2.beta) * np.cos(d2.theta))
-    return num / (2.0 * c2)
-
-
-def image_offset(s2: float, d2: Direction) -> tuple:
-    """Transverse detector-plane offset of the image formed by a beam along d2.
-
-    x2bar = s2 sin(beta2), y2bar = s2 cos(beta2) sin(theta2).
-    """
-    if s2 <= 0:
-        raise GeometryError("s2 must be positive")
-    return s2 * np.sin(d2.beta), s2 * np.cos(d2.beta) * np.sin(d2.theta)
+    return np.sum(u1 + u2, axis=0) / (2.0 * c2)

@@ -39,8 +39,7 @@ from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, sam
                              sample_modes)
 from .errors import ImageClipped, InvalidSpec, ShapeMismatch
 from .framestack import ShotRecord
-from .geometry import (Direction, InteractionGeometry, geometric_factor, image_offset,
-                       unit_vectors, vector_angles)
+from .geometry import InteractionGeometry, geometric_factor, unit_vectors
 from .masks import ObjectMask
 from .propagation import ScalarField, free_propagate, lens_image_2f2f
 
@@ -94,19 +93,19 @@ def apply_detector(i: np.ndarray, det: DetectorSpec) -> np.ndarray:
     return np.rint(out / sat * levels) * (sat / levels)
 
 
-def _idlers(theta, beta, g: InteractionGeometry):
-    """Idler directions (theta2, beta2) and phase-matching acceptance of seed
-    modes along the arrays (theta, beta).
+def _idlers(u1: np.ndarray, g: InteractionGeometry):
+    """Unit idler vectors (3 x n) and phase-matching acceptance of seed modes
+    along the unit vectors u1 (3 x n).
 
     The idler wavevector is taken along k3 - k1n, with the pump k3 on axis
     (this minimizes the mismatch under energy conservation); the residual
     scalar mismatch is |k3 - k1n| - |k2| and the acceptance sinc^2(dk L / 2).
     """
     k3 = np.array([0.0, 0.0, g.k3.magnitude])
-    idler = k3[:, None] - g.k1.magnitude * unit_vectors(theta, beta)
-    dk = np.linalg.norm(idler, axis=0) - g.k2.magnitude
-    theta2, beta2 = vector_angles(idler)
-    return theta2, beta2, np.sinc(0.5 * dk * g.crystal_length / np.pi) ** 2
+    idler = k3[:, None] - g.k1.magnitude * u1
+    norm = np.linalg.norm(idler, axis=0)
+    dk = norm - g.k2.magnitude
+    return idler / norm, np.sinc(0.5 * dk * g.crystal_length / np.pi) ** 2
 
 
 def _next_5_smooth(n: int) -> int:
@@ -212,11 +211,11 @@ def _ordered_map(fn, items, threads: int):
 class ChaoticExperiment:
     """Precomputed machinery for many-shot chaotic runs.
 
-    Holds the base coherent image, the fixed mode directions with their
-    conjugate directions, integer pixel offsets, geometric/acceptance
-    weights and each mode's Fourier-plane pixel `i1_bin` (which
-    `bin_modes` inverts), so that one shot reduces to drawing its mode
-    amplitudes and a weighted sum over modes.  The incoherent sum is
+    Holds the base coherent image, the unit vectors of the fixed modes'
+    phase-matched idlers (`idler`, 3 x n), integer pixel offsets,
+    geometric/acceptance weights and each mode's Fourier-plane pixel
+    `i1_bin` (which `bin_modes` inverts), so that one shot reduces to
+    drawing its mode amplitudes and a weighted sum over modes.  The incoherent sum is
     made by FFT convolution of the base image with the shot's impulse map
     (one weighted impulse per mode at its offset) when that costs fewer
     operations than the product with a per-mode copy stack,
@@ -256,13 +255,10 @@ class ChaoticExperiment:
         self.pitch = base.pitch
         self.base_image = np.abs(base.grid) ** 2
         m0 = sample_modes(spec, master_seed, 0)
-        self.theta1 = m0.theta
-        t2, b2, self.accept = _idlers(m0.theta, m0.beta, g)
-        self.theta2, self.beta2 = t2, b2
-        seed, idler = Direction(m0.theta, m0.beta), Direction(t2, b2)
-        xb, yb = image_offset(g.s2, idler)
-        self.px = np.rint(xb / self.pitch).astype(int)
-        self.py = np.rint(yb / self.pitch).astype(int)
+        seed = unit_vectors(m0.theta, m0.beta)
+        self.idler, self.accept = _idlers(seed, g)
+        # an idler along u images the object at s2 (ux, uy) on the detector
+        self.px, self.py = np.rint(g.s2 * self.idler[:2] / self.pitch).astype(int)
         # the base image energy each mode's shifted copy keeps on the grid;
         # a copy shifted a whole grid side or more keeps none
         self.energy_kept = _energy_kept(self.base_image, self.px, self.py)
@@ -271,7 +267,7 @@ class ChaoticExperiment:
             warnings.warn(f"{int(clipped.sum())} of {spec.n_modes} mode copies keep less than "
                           f"{MIN_ENERGY_KEPT:.0%} of the image energy on the grid, the worst "
                           f"{self.energy_kept.min():.1%}", ImageClipped, stacklevel=2)
-        self.mode_weight = self.accept * geometric_factor(seed, idler) ** 2
+        self.mode_weight = self.accept * geometric_factor(seed, self.idler) ** 2
         # each mode's pixel on the Fourier arm i1, -1 off the grid
         w, h = self.base_image.shape
         self.i1_bin = fourier_bin_index(m0, g.lens_fourier_f, self.pitch, (w, h))
@@ -280,10 +276,10 @@ class ChaoticExperiment:
         if coherent_sum:
             k2 = g.k2.magnitude
             x, yv = base.coords()
+            ux, uy = self.idler[:2]
             stack = np.empty((spec.n_modes, w, h), dtype=complex)
             for n in range(spec.n_modes):
-                ramp = np.exp(-1j * k2 * (np.sin(b2[n]) * x[:, None]
-                                          + np.cos(b2[n]) * np.sin(t2[n]) * yv[None, :]))
+                ramp = np.exp(-1j * k2 * (ux[n] * x[:, None] + uy[n] * yv[None, :]))
                 stack[n] = (np.sqrt(self.mode_weight[n])
                             * ramp * _shift_zero_fill(base.grid, self.px[n], self.py[n]))
             self.flat_stack = stack.reshape(spec.n_modes, -1)

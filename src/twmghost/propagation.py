@@ -197,10 +197,9 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
 def fourier_plane(field: ScalarField, f_lens: float) -> ScalarField:
     """Lens Fourier transform of the seed arm, field at the front focal plane.
 
-    A plane wave tilted by (theta, beta) lands at
-    (f_lens sin(beta), f_lens cos(beta) sin(theta)); with the field one focal
-    length before the lens no quadratic phase is left.  Output pitch is
-    lambda * f_lens / (W * pitch_in).
+    A plane wave along the unit vector u lands at f_lens (ux, uy); with the
+    field one focal length before the lens no quadratic phase is left.
+    Output pitch is lambda * f_lens / (W * pitch_in).
     """
     if f_lens <= 0:
         raise SamplingViolation("Fourier lens focal length must be positive")

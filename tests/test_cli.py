@@ -484,6 +484,39 @@ def test_pixel_binning_writes_binned_frames(tmp_path, small_cfg):
     assert gmap.shape == (32, 32)
 
 
+def test_pixel_binning_above_the_grid_is_config_error(tmp_path, capsys):
+    # a bin wider than the 64-pixel grid would leave 0 x 0 frames: both
+    # simulate commands stop at the configuration, exit 2, naming the key
+    p = tmp_path / "binned.ini"
+    p.write_text(SMALL_CFG + "\n[detector]\npixel_binning = 65\n")
+    for command in ("simulate-chaotic", "simulate-coherent"):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[detector] pixel_binning = 65" in err and "Traceback" not in err
+        assert not out.exists()
+    # a bin as wide as the grid leaves one pixel
+    p.write_text(SMALL_CFG + "\n[detector]\npixel_binning = 64\n")
+    assert load_config(str(p)).detector.output_shape(64, 64) == (1, 1)
+
+
+def test_readers_reject_empty_frames(tmp_path, capsys):
+    # the 0 x 0 stack an over-wide binning used to write: both stack readers
+    # exit 2, naming the frame size, and write nothing
+    stack = tmp_path / "frames.twmg"
+    frame = np.zeros((0, 0))
+    framestack.write_stack(stack, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
+                           0, 0, 1, 0, "test")
+    for argv in (["reconstruct", str(stack)], ["stats", str(stack), "--mode", "temporal"]):
+        out = tmp_path / argv[0]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "empty 0 x 0 frames" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_old_geometry_keys_replay_byte_identical(tmp_path, small_cfg):
     # manifests written before d_O, d_F, fourier_d and output_dir were dropped
     # still load and replay the same stack: those keys never reached an
@@ -601,10 +634,9 @@ def test_public_names_resolve_from_the_package():
             "    assert value is getattr(home, name) is globals()[name], name")
     assert _loaded_after(code, ()) == []
     assert set(twmghost.__all__) == {
-        "ChaoticExperiment", "CorrelationMap", "DetectorSpec", "Direction",
-        "InteractionGeometry", "ModeSet", "ObjectMask", "ScalarField", "ShotRecord",
-        "SourceSpec", "WaveVector", "coherent_image", "correlate", "sample_modes",
-        "thermal_test"}
+        "ChaoticExperiment", "CorrelationMap", "DetectorSpec", "InteractionGeometry",
+        "ModeSet", "ObjectMask", "ScalarField", "ShotRecord", "SourceSpec", "WaveVector",
+        "coherent_image", "correlate", "sample_modes", "thermal_test"}
 
 
 def test_unknown_package_attribute_raises():

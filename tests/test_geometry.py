@@ -2,40 +2,49 @@ import numpy as np
 import pytest
 
 from twmghost.errors import DegenerateGeometry, GeometryError
-from twmghost.geometry import (
-    Direction,
-    InteractionGeometry,
-    WaveVector,
-    angle_between,
-    geometric_factor,
-    image_offset,
-    unit_vectors,
-    vector_angles,
-)
+from twmghost.geometry import InteractionGeometry, WaveVector, geometric_factor, unit_vectors
 from twmghost.pipeline import _idlers
+
+
+def _vector_angles(v):
+    """Angles (theta, beta) of vectors stacked along axis 0, of any length:
+    the inverse of unit_vectors, which the angle-form oracles use."""
+    ux, uy, uz = v / np.linalg.norm(v, axis=0)
+    return np.arctan2(uy, uz), np.arcsin(ux)
+
+
+def _trig_factor(theta1, beta1, theta2, beta2):
+    """The paper's geometric factor from angles: the trig numerator over
+    2 cos^2(psi/2), with psi the arccos of the unit vectors' dot product."""
+    num = (np.sin(beta1) + np.sin(beta2)
+           + np.cos(beta1) * np.sin(theta1) + np.cos(beta2) * np.sin(theta2)
+           + np.cos(beta1) * np.cos(theta1) + np.cos(beta2) * np.cos(theta2))
+    dot = np.sum(unit_vectors(theta1, beta1) * unit_vectors(theta2, beta2), axis=0)
+    return num / (2.0 * np.cos(0.5 * np.arccos(dot)) ** 2)
 
 
 def test_unit_vector_is_unit():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        d = Direction(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        assert abs(np.linalg.norm(d.unit_vector()) - 1.0) < 1e-14
+    u = unit_vectors(rng.uniform(-1.2, 1.2, 50), rng.uniform(-1.2, 1.2, 50))
+    assert u.shape == (3, 50)
+    assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-14
 
 
 def test_on_axis_direction():
-    v = Direction(0.0, 0.0).unit_vector()
+    v = unit_vectors(0.0, 0.0)
     assert np.allclose(v, [0.0, 0.0, 1.0])
 
 
 def test_direction_roundtrip():
-    # vector_angles inverts unit_vectors, as _idlers relies on
+    # the angle-form oracles recover (theta, beta) from vectors by arctan2
+    # and arcsin, which must invert unit_vectors
     rng = np.random.default_rng(11)
     theta, beta = rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, 50)
-    back_theta, back_beta = vector_angles(unit_vectors(theta, beta))
+    back_theta, back_beta = _vector_angles(unit_vectors(theta, beta))
     assert np.max(np.abs(back_theta - theta)) < 1e-12
     assert np.max(np.abs(back_beta - beta)) < 1e-12
     # the length of the vector does not matter
-    back_theta, back_beta = vector_angles(3.7 * unit_vectors(theta, beta))
+    back_theta, back_beta = _vector_angles(3.7 * unit_vectors(theta, beta))
     assert np.max(np.abs(back_theta - theta)) < 1e-12
 
 
@@ -44,43 +53,41 @@ def test_wavevector_magnitude():
     assert abs(k.magnitude - 2 * np.pi * 1.5 / 532e-9) < 1e-3
 
 
-def test_angle_between_matches_dot_product():
-    # oracle: arccos of the dot product of the two unit vectors
+def test_geometric_factor_matches_trig_form():
+    # oracle: the paper's formula in angles, on random pairs of directions
     rng = np.random.default_rng(13)
-    for _ in range(200):
-        d1 = Direction(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        d2 = Direction(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        dot = float(np.dot(d1.unit_vector(), d2.unit_vector()))
-        expected = np.arccos(np.clip(dot, -1.0, 1.0))
-        assert abs(angle_between(d1, d2) - expected) < 1e-10
+    t1, b1, t2, b2 = rng.uniform(-1.0, 1.0, (4, 200))
+    # the trig form of cos(psi) agrees with the dot product of the vectors
+    dot = np.sum(unit_vectors(t1, b1) * unit_vectors(t2, b2), axis=0)
+    cos_psi = np.sin(b1) * np.sin(b2) + np.cos(b1) * np.cos(b2) * np.cos(t1 - t2)
+    assert np.max(np.abs(dot - cos_psi)) < 1e-14
+    got = geometric_factor(unit_vectors(t1, b1), unit_vectors(t2, b2))
+    assert np.max(np.abs(got / _trig_factor(t1, b1, t2, b2) - 1.0)) < 1e-13
 
 
 def test_bisector_projection_collinear():
     # cos(psi/2), the projection on the bisector that geometric_factor
-    # divides by, is 1 for two beams along the same direction
-    d = Direction(0.3, -0.2)
-    assert abs(np.cos(0.5 * angle_between(d, d)) - 1.0) < 1e-14
+    # divides by, is 1 for two beams along the same direction, which leaves
+    # the sum of the components of u
+    u = unit_vectors(0.3, -0.2)
+    assert geometric_factor(u, u) == pytest.approx(np.sum(u), rel=1e-14)
 
 
 def test_geometric_factor_symmetric_planar():
-    # symmetric planar configuration: f = 1 / cos(psi/2)
+    # symmetric planar configuration: f = 1 / cos(psi/2), psi = 2 half
     for half in (0.05, 0.2, 0.5):
-        d1 = Direction(half, 0.0)
-        d2 = Direction(-half, 0.0)
-        psi = angle_between(d1, d2)
-        assert abs(geometric_factor(d1, d2) - 1.0 / np.cos(psi / 2)) < 1e-12
+        u1, u2 = unit_vectors(half, 0.0), unit_vectors(-half, 0.0)
+        assert abs(geometric_factor(u1, u2) - 1.0 / np.cos(half)) < 1e-12
 
 
 def test_geometric_factor_on_axis_is_one():
-    d = Direction(0.0, 0.0)
-    assert abs(geometric_factor(d, d) - 1.0) < 1e-14
+    u = unit_vectors(0.0, 0.0)
+    assert abs(geometric_factor(u, u) - 1.0) < 1e-14
 
 
 def test_geometric_factor_degenerate():
-    d1 = Direction(np.pi / 2, 0.0)
-    d2 = Direction(-np.pi / 2, 0.0)
     with pytest.raises(DegenerateGeometry):
-        geometric_factor(d1, d2)
+        geometric_factor(unit_vectors(np.pi / 2, 0.0), unit_vectors(-np.pi / 2, 0.0))
 
 
 def _idler_vectors(theta, beta, g):
@@ -104,9 +111,10 @@ def test_phase_mismatch_vector_is_k3_minus_k1_minus_k2(geometry):
     # to the idler, and its length is the scalar mismatch that sets the
     # acceptance sinc^2(dk L / 2)
     theta, beta = np.array([0.01, -4e-3, 0.0]), np.array([0.0, 7e-3, -0.02])
-    t2, b2, accept = _idlers(theta, beta, geometry)
+    u2, accept = _idlers(unit_vectors(theta, beta), geometry)
+    assert np.max(np.abs(np.linalg.norm(u2, axis=0) - 1.0)) < 1e-14
     k1n = geometry.k1.magnitude * unit_vectors(theta, beta)
-    k2n = geometry.k2.magnitude * unit_vectors(t2, b2)
+    k2n = geometry.k2.magnitude * u2
     k3 = np.array([0.0, 0.0, geometry.k3.magnitude])
     dk = k3[:, None] - k1n - k2n
     mismatch = _mismatch(theta, beta, geometry)
@@ -138,36 +146,19 @@ def test_geometry_validation():
         InteractionGeometry(k1, bad_k2, k3, 4e-3, 0.3, 0.4, 0.2, 0.15)
 
 
-def test_image_offset_small_angle():
-    ofs = image_offset(0.2, Direction(1e-3, 2e-3))
-    assert ofs[0] == pytest.approx(0.2 * np.sin(2e-3), rel=1e-12)
-    assert ofs[1] == pytest.approx(0.2 * np.cos(2e-3) * np.sin(1e-3), rel=1e-12)
-
-
-def test_image_offset_on_axis_is_zero():
-    assert image_offset(0.2, Direction(0.0, 0.0)) == (0.0, 0.0)
-
-
 @pytest.mark.parametrize("n_modes, spread", [(200, 5e-3), (2000, 5e-3), (24, 1e-3)])
 def test_broadcast_matches_scalar_loop(geometry, n_modes, spread):
-    # the vector forms must reproduce the per-direction scalar calls bit for bit
+    # geometric_factor over 3 x n vectors must reproduce its calls on one
+    # direction pair at a time, column by column, bit for bit
     from twmghost.chaotic_source import SourceSpec, sample_modes
 
     m = sample_modes(SourceSpec(n_modes=n_modes, angular_spread=spread), 12345, 0)
-    t2, b2, _ = _idlers(m.theta, m.beta, geometry)
-    seeds = [Direction(float(t), float(b)) for t, b in zip(m.theta, m.beta)]
-    idlers = [Direction(float(t), float(b)) for t, b in zip(t2, b2)]
-    seed, idler = Direction(m.theta, m.beta), Direction(t2, b2)
+    seed = unit_vectors(m.theta, m.beta)
+    idler, _ = _idlers(seed, geometry)
     assert np.array_equal(geometric_factor(seed, idler),
-                          [geometric_factor(a, b) for a, b in zip(seeds, idlers)])
-    assert np.array_equal(angle_between(seed, idler),
-                          [angle_between(a, b) for a, b in zip(seeds, idlers)])
-    xb, yb = image_offset(geometry.s2, idler)
-    offsets = [image_offset(geometry.s2, d) for d in idlers]
-    assert np.array_equal(xb, [o[0] for o in offsets])
-    assert np.array_equal(yb, [o[1] for o in offsets])
+                          [geometric_factor(seed[:, n], idler[:, n]) for n in range(n_modes)])
     # one counter-propagating pair among the modes makes the whole call fail
-    theta = np.append(m.theta, np.pi / 2)
+    pair = unit_vectors(np.array([np.pi / 2, -np.pi / 2]), np.zeros(2))
     with pytest.raises(DegenerateGeometry):
-        geometric_factor(Direction(theta, np.append(m.beta, 0.0)),
-                         Direction(np.append(t2, -np.pi / 2), np.append(b2, 0.0)))
+        geometric_factor(np.column_stack([seed, pair[:, 0]]),
+                         np.column_stack([idler, pair[:, 1]]))

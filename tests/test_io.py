@@ -73,6 +73,17 @@ def test_stack_rejects_bad_magic(tmp_path, rng):
         framestack.read_header(path)
 
 
+@pytest.mark.parametrize("width, height", [(0, 0), (4, 0), (0, 4)])
+def test_stack_rejects_empty_frames(tmp_path, width, height):
+    # a header of zero width or height describes no pixel to read
+    path = tmp_path / "s.twmg"
+    frame = np.zeros((width, height))
+    framestack.write_stack(path, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
+                           width, height, 1, 0, "x")
+    with pytest.raises(CorruptStack, match=f"empty {width} x {height} frames"):
+        framestack.read_header(path)
+
+
 def test_stack_rejects_truncation(tmp_path, rng):
     path = tmp_path / "s.twmg"
     framestack.write_stack(path, _records(rng), 8, 8, 5, 0, "x")

@@ -10,7 +10,7 @@ from twmghost.chaotic_source import (ModeSet, SourceSpec, bin_intensities, fouri
 from twmghost.cli import main as cli_main
 from twmghost.config import load_config
 from twmghost.errors import ImageClipped, InvalidSpec, ShapeMismatch
-from twmghost.geometry import Direction, geometric_factor, image_offset
+from twmghost.geometry import geometric_factor, unit_vectors
 from twmghost.pipeline import (
     ChaoticExperiment,
     DetectorSpec,
@@ -26,21 +26,38 @@ from twmghost.pipeline import (
 from twmghost.propagation import ScalarField
 
 
+def _idler_angles(theta, beta, g):
+    """Angles (theta2, beta2) of each seed mode's idler k3 - k1n, by arctan2
+    and arcsin of the wavevector, with the pump k3 on axis."""
+    k1 = g.k1.magnitude
+    kx = -k1 * np.sin(beta)
+    ky = -k1 * np.cos(beta) * np.sin(theta)
+    kz = g.k3.magnitude - k1 * np.cos(beta) * np.cos(theta)
+    return np.arctan2(ky, kz), np.arcsin(kx / np.sqrt(kx ** 2 + ky ** 2 + kz ** 2))
+
+
+def _image_offsets(theta2, beta2, g, pitch):
+    """Detector pixel offsets s2 (sin b2, cos b2 sin t2) / pitch of idlers
+    along (theta2, beta2), rounded."""
+    return (np.rint(g.s2 * np.sin(beta2) / pitch).astype(int),
+            np.rint(g.s2 * np.cos(beta2) * np.sin(theta2) / pitch).astype(int))
+
+
 def _per_mode_shot(mask, g, modes, det=None):
     """Independent oracle for ChaoticExperiment.shots: builds the imaging chain
-    from scratch and sums one scalar-geometry shifted copy per mode."""
+    from scratch and sums one shifted copy per mode, its offset written out
+    from the idler angles."""
     det = det or DetectorSpec()
     base = coherent_field(mask, g)
     base_image = np.abs(base.grid) ** 2
-    t2, b2, accept = _idlers(modes.theta, modes.beta, g)
+    seed = unit_vectors(modes.theta, modes.beta)
+    idler, accept = _idlers(seed, g)
+    fge = geometric_factor(seed, idler)
+    px, py = _image_offsets(*_idler_angles(modes.theta, modes.beta, g), g, base.pitch)
     i2 = np.zeros_like(base_image)
     for n in range(len(modes.theta)):
-        idler = Direction(float(t2[n]), float(b2[n]))
-        fge = geometric_factor(Direction(float(modes.theta[n]), float(modes.beta[n])), idler)
-        xb, yb = image_offset(g.s2, idler)
-        i2 += (np.abs(modes.amplitude[n]) ** 2 * accept[n] * fge ** 2
-               * _shift_zero_fill(base_image, int(round(xb / base.pitch)),
-                                  int(round(yb / base.pitch))))
+        i2 += (np.abs(modes.amplitude[n]) ** 2 * accept[n] * fge[n] ** 2
+               * _shift_zero_fill(base_image, px[n], py[n]))
     index = fourier_bin_index(modes, g.lens_fourier_f, base.pitch, base_image.shape)
     i1 = bin_intensities(index, np.abs(modes.amplitude) ** 2, base_image.shape)
     return ShotRecord(i1=apply_detector(i1, det), i2=apply_detector(i2, det),
@@ -49,7 +66,7 @@ def _per_mode_shot(mask, g, modes, det=None):
 
 def _acceptance(theta, g):
     """Acceptance weight of one in-plane seed mode at angle theta."""
-    return float(_idlers(np.array([theta]), np.array([0.0]), g)[2][0])
+    return float(_idlers(unit_vectors(np.array([theta]), np.array([0.0])), g)[1][0])
 
 
 # -- masks and detector model -------------------------------------------------
@@ -112,7 +129,7 @@ def test_phase_matching_filter_on_axis_is_unity(geometry):
 
 
 def test_phase_matching_filter_decreases_with_angle(geometry):
-    _, _, ws = _idlers(np.array([0.0, 5e-3, 10e-3, 15e-3]), np.zeros(4), geometry)
+    _, ws = _idlers(unit_vectors(np.array([0.0, 5e-3, 10e-3, 15e-3]), np.zeros(4)), geometry)
     assert all(a > b for a, b in zip(ws, ws[1:]))
     assert all(0.0 <= w <= 1.0 for w in ws)
 
@@ -398,13 +415,14 @@ def test_experiment_requires_fixed_directions(mask, geometry):
 
 
 def test_mode_offsets_match_image_offset(mask, geometry):
+    # the image offset s2 (sin b2, cos b2 sin t2) of each idler, from angles
     spec = SourceSpec(n_modes=32, angular_spread=5e-3)
     exp = ChaoticExperiment(mask, geometry, spec, 99)
-    for n in range(spec.n_modes):
-        xb, yb = image_offset(geometry.s2,
-                              Direction(float(exp.theta2[n]), float(exp.beta2[n])))
-        assert exp.px[n] == int(np.rint(xb / exp.pitch))
-        assert exp.py[n] == int(np.rint(yb / exp.pitch))
+    m = sample_modes(spec, 99, 0)
+    px, py = _image_offsets(*_idler_angles(m.theta, m.beta, geometry), geometry, exp.pitch)
+    assert np.array_equal(exp.px, px)
+    assert np.array_equal(exp.py, py)
+    assert np.abs(px).max() > 0 and np.abs(py).max() > 0
 
 
 def test_conjugate_offsets_oppose_seed_tilt(mask, geometry):
@@ -412,8 +430,14 @@ def test_conjugate_offsets_oppose_seed_tilt(mask, geometry):
     # seed tilt, so image offsets are anti-correlated with the mode angles
     spec = SourceSpec(n_modes=64, angular_spread=5e-3)
     exp = ChaoticExperiment(mask, geometry, spec, 5)
-    assert np.all(exp.theta2 * exp.theta1 <= 1e-18)
-    assert np.corrcoef(exp.theta1, exp.theta2)[0, 1] < -0.99
+    m = sample_modes(spec, 5, 0)
+    theta2, beta2 = _idler_angles(m.theta, m.beta, geometry)
+    assert np.all(theta2 * m.theta <= 1e-18)
+    assert np.corrcoef(m.theta, theta2)[0, 1] < -0.99
+    assert np.corrcoef(m.beta, beta2)[0, 1] < -0.99
+    # and so are the offsets of the experiment's own idler vectors
+    assert np.corrcoef(m.beta, exp.px)[0, 1] < -0.99
+    assert np.corrcoef(np.cos(m.beta) * np.sin(m.theta), exp.py)[0, 1] < -0.99
 
 
 def test_expected_image_is_shifted_base(mask, geometry):
@@ -477,6 +501,39 @@ def test_coherent_sum_mode_single_mode_agrees(mask, geometry):
     inc = ChaoticExperiment(mask, geometry, spec, 88, coherent_sum=False)
     coh = ChaoticExperiment(mask, geometry, spec, 88, coherent_sum=True)
     assert np.allclose(next(inc.shots(1)).i2, next(coh.shots(1)).i2, rtol=1e-9)
+
+
+def _coherent_sum_oracle(mask, g, modes, weight, sign=-1):
+    """|sum_n conj(a_n) sqrt(w_n) exp(sign i k2 (x sin b2 + y cos b2 sin t2))
+    shift(base, p_n)|^2, the coherent-sum i2 of one shot written out from
+    the idler angles."""
+    base = coherent_field(mask, g)
+    x, y = base.coords()
+    theta2, beta2 = _idler_angles(modes.theta, modes.beta, g)
+    px, py = _image_offsets(theta2, beta2, g, base.pitch)
+    field = np.zeros(base.shape, dtype=complex)
+    for n in range(len(modes.theta)):
+        phase = (x[:, None] * np.sin(beta2[n])
+                 + y[None, :] * np.cos(beta2[n]) * np.sin(theta2[n]))
+        field += (np.conj(modes.amplitude[n]) * np.sqrt(weight[n])
+                  * np.exp(sign * 1j * g.k2.magnitude * phase)
+                  * _shift_zero_fill(base.grid, px[n], py[n]))
+    return np.abs(field) ** 2
+
+
+def test_coherent_sum_shot_matches_written_out_sum(mask, geometry):
+    # three modes whose copies overlap: the cross terms carry the relative
+    # phase ramps of the idlers, which one mode (|ramp|^2 = 1) or the
+    # ensemble mean (the cross terms average out) cannot see
+    spec = SourceSpec(n_modes=3, angular_spread=5e-4)
+    exp = ChaoticExperiment(mask, geometry, spec, 41, coherent_sum=True)
+    m = sample_modes(spec, 41, 0)
+    expected = _coherent_sum_oracle(mask, geometry, m, exp.mode_weight)
+    got = next(exp.shots(1)).i2
+    assert np.max(np.abs(got - expected)) < 1e-12 * expected.max()
+    # the check can tell the ramps' sign
+    flipped = _coherent_sum_oracle(mask, geometry, m, exp.mode_weight, sign=1)
+    assert np.max(np.abs(flipped - expected)) > 1e-2 * expected.max()
 
 
 def test_coherent_sum_ensemble_mean_matches_incoherent(mask, geometry):

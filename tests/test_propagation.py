@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twmghost.errors import SamplingViolation
-from twmghost.geometry import Direction, InteractionGeometry, WaveVector
+from twmghost.geometry import InteractionGeometry, WaveVector, unit_vectors
 from twmghost.propagation import (
     ScalarField,
     fourier_plane,
@@ -243,15 +243,15 @@ def test_fourier_plane_tilt_position():
     # (f sin(beta), f cos(beta) sin(theta))
     width, pitch, lam, fl = 256, 16e-6, 1064e-9, 0.15
     k = 2 * np.pi / lam
-    d = Direction(theta=1.5e-3, beta=-2.2e-3)
-    ux, uy, _ = d.unit_vector()
+    theta, beta = 1.5e-3, -2.2e-3
+    ux, uy, _ = unit_vectors(theta, beta)
     x = (np.arange(width) - width // 2) * pitch
     ramp = np.exp(-1j * k * (ux * x[:, None] + uy * x[None, :]))
     out = fourier_plane(ScalarField(ramp, pitch, lam), fl)
     ix, iy = np.unravel_index(np.argmax(np.abs(out.grid)), out.shape)
     xo, yo = out.coords()
-    assert xo[ix] == pytest.approx(fl * np.sin(d.beta), abs=out.pitch)
-    assert yo[iy] == pytest.approx(fl * np.cos(d.beta) * np.sin(d.theta), abs=out.pitch)
+    assert xo[ix] == pytest.approx(fl * np.sin(beta), abs=out.pitch)
+    assert yo[iy] == pytest.approx(fl * np.cos(beta) * np.sin(theta), abs=out.pitch)
 
 
 def test_fourier_plane_linearity():
