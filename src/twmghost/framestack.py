@@ -3,7 +3,7 @@
 Layout (little-endian):
 
     magic   4 bytes  b"TWMG"
-    u32     format version (2; version 1 has no trailer)
+    u32     format version (2, the only one read)
     u32     W
     u32     H
     u32     n_shots
@@ -14,6 +14,7 @@ Layout (little-endian):
             accumulated in shot order by `Moments` from the frames written
 
 File length (payload and trailer) is validated against the header on read.
+A stack of an older version is rebuilt from its run's `manifest.ini`.
 
 Readers, each seeking to the bytes it needs:
 
@@ -24,8 +25,7 @@ Readers, each seeking to the bytes it needs:
 * `arm_moments(path, arm)` - one arm's per-pixel sums of I and I^2: the
   trailer for i1 (two frames), else one pass of the arm's frames.
 
-What the CLI reads of a version-2 stack of n shots of W x H frames (F = 8 W H
-bytes, one frame):
+What the CLI reads of a stack of n shots (a W x H frame is F = 8 W H bytes):
 
 * `reconstruct --ref-pixel auto`: the trailer (auto reference, 2 F), the
   reference pixel's i1 trace (8 n) and the i2 frames (n F); with the pixel
@@ -34,9 +34,6 @@ bytes, one frame):
   trace (8 n); with `--pixel` given, the trace alone; with `--arm i2` and no
   pixel, the i2 frames (n F) in place of the trailer;
 * `stats --mode spatial --shot k`: one frame (F).
-
-A version-1 stack reads the i1 frames (n F) wherever version 2 reads the
-trailer.
 """
 
 from __future__ import annotations
@@ -67,21 +64,21 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class StackHeader:
+    """A stack's header fields, checked here for the writer and the readers alike."""
+
     width: int
     height: int
     n_shots: int
     master_seed: int
     rng_algorithm: str
-    version: int = VERSION
+
+    def __post_init__(self):
+        if self.width == 0 or self.height == 0:
+            raise CorruptStack(f"empty {self.width} x {self.height} frames")
 
     @property
     def frame_bytes(self) -> int:
         return 2 * self.width * self.height * 8
-
-    @property
-    def trailer_bytes(self) -> int:
-        """Bytes after the payload: two W x H maps from version 2 on."""
-        return self.frame_bytes if self.version >= 2 else 0
 
 
 class Moments:
@@ -155,45 +152,42 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
 
 
 def read_header(path) -> tuple[StackHeader, int]:
-    """Header plus the payload byte offset; validates magic, version, size."""
-    p = Path(path)
+    """Header plus the payload byte offset; validates magic, version, frames, size."""
     try:
-        with open(p, "rb") as fh:
+        with open(path, "rb") as fh:
             head = fh.read(_HEAD.size)
             if len(head) != _HEAD.size:
-                raise CorruptStack(f"{path}: truncated header")
+                raise CorruptStack("truncated header")
             magic, version, w, h, n, seed, namelen = _HEAD.unpack(head)
             if magic != MAGIC:
-                raise CorruptStack(f"{path}: bad magic {magic!r}")
-            if version not in (1, VERSION):
-                raise CorruptStack(f"{path}: unsupported version {version}")
-            if w == 0 or h == 0:
-                raise CorruptStack(f"{path}: empty {w} x {h} frames")
+                raise CorruptStack(f"bad magic {magic!r}")
+            if version != VERSION:
+                raise CorruptStack(f"unsupported version {version}")
             name = fh.read(namelen)
             if len(name) != namelen:
-                raise CorruptStack(f"{path}: truncated RNG name")
-    except OSError as exc:
+                raise CorruptStack("truncated RNG name")
+        size = Path(path).stat().st_size
+        header = StackHeader(w, h, n, seed, name.decode("utf-8"))
+    except (OSError, CorruptStack, UnicodeDecodeError) as exc:
         raise CorruptStack(f"{path}: {exc}") from exc
-    header = StackHeader(w, h, n, seed, name.decode("utf-8"), version)
     offset = _HEAD.size + namelen
-    expect = offset + n * header.frame_bytes + header.trailer_bytes
-    if p.stat().st_size != expect:
-        raise CorruptStack(f"{path}: size {p.stat().st_size} != expected {expect}")
+    # the payload, then the trailer: two W x H maps, as long as one shot
+    expect = offset + (n + 1) * header.frame_bytes
+    if size != expect:
+        raise CorruptStack(f"{path}: size {size} != expected {expect}")
     return header, offset
 
 
+def _read_exact(fh, buf, what: str):
+    """Fill `buf` from `fh`, or raise CorruptStack naming the file and `what`."""
+    if fh.readinto(buf) != buf.nbytes:
+        raise CorruptStack(f"{fh.name}: {what} truncated")
+
+
 def iter_shots(path) -> Iterator[ShotRecord]:
-    """Stream ShotRecords back from a stack file."""
-    header, offset = read_header(path)
-    shape = (header.width, header.height)
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        for idx in range(header.n_shots):
-            i1, i2 = np.empty(shape, dtype="<f8"), np.empty(shape, dtype="<f8")
-            for arm, frame in (("i1", i1), ("i2", i2)):
-                if fh.readinto(frame) != frame.nbytes:
-                    raise CorruptStack(f"{path}: shot {idx} {arm} frame truncated")
-            yield ShotRecord(i1=i1, i2=i2, shot_index=idx)
+    """Stream ShotRecords back from a stack file: the two arms' frames, paired."""
+    for idx, (i1, i2) in enumerate(zip(iter_frames(path, "i1"), iter_frames(path, "i2"))):
+        yield ShotRecord(i1=i1, i2=i2, shot_index=idx)
 
 
 def _arm_payload(path, arm: str) -> tuple[StackHeader, int]:
@@ -212,13 +206,11 @@ def iter_frames(path, arm: str = "i1", start: int = 0) -> Iterator[np.ndarray]:
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     header, offset = _arm_payload(path, arm)
-    size = header.frame_bytes // 2
     with open(path, "rb") as fh:
         for idx in range(start, header.n_shots):
             fh.seek(offset + idx * header.frame_bytes)
             frame = np.empty((header.width, header.height), dtype="<f8")
-            if fh.readinto(frame) != size:
-                raise CorruptStack(f"{path}: shot {idx} {arm} frame truncated")
+            _read_exact(fh, frame, f"shot {idx} {arm} frame")
             yield frame
 
 
@@ -236,18 +228,17 @@ def pixel_trace(path, pixel: tuple[int, int], arm: str = "i1") -> np.ndarray:
     with open(path, "rb", buffering=0) as fh:
         for idx in range(header.n_shots):
             fh.seek(offset + idx * header.frame_bytes)
-            if fh.readinto(values[8 * idx:8 * idx + 8]) != 8:
-                raise CorruptStack(f"{path}: shot {idx} {arm} pixel ({r}, {c}) truncated")
+            _read_exact(fh, values[8 * idx:8 * idx + 8], f"shot {idx} {arm} pixel ({r}, {c})")
     return trace
 
 
 def arm_moments(path, arm: str = "i1") -> Moments:
     """One arm's per-pixel sums of I and I^2 over every shot: for i1 the
-    stored trailer (two frames read), for i2 or a version-1 stack one pass
-    of the arm's frames through `Moments`."""
-    header, offset = _arm_payload(path, arm)
-    if arm == "i2" or not header.trailer_bytes:
+    stored trailer (two frames read), for i2 one pass of the arm's frames
+    through `Moments`."""
+    if arm == "i2":
         return Moments.of(iter_frames(path, arm))
+    header, offset = _arm_payload(path, arm)
     moments = Moments()
     moments.n = header.n_shots
     shape = (header.width, header.height)
@@ -255,6 +246,5 @@ def arm_moments(path, arm: str = "i1") -> Moments:
     with open(path, "rb") as fh:
         fh.seek(offset + header.n_shots * header.frame_bytes)
         for name, total in (("sum", moments.s1), ("sum of squares", moments.s2)):
-            if fh.readinto(total) != total.nbytes:
-                raise CorruptStack(f"{path}: i1 {name} map truncated")
+            _read_exact(fh, total, f"i1 {name} map")
     return moments

@@ -185,11 +185,12 @@ def highest_contrast_pixel(moments: Moments) -> tuple[int, int]:
     return (int(idx[0]), int(idx[1]))
 
 
-# fewest samples thermal_test accepts
+# fewest samples thermal_test accepts, and the bins of the histogram it returns
 MIN_SAMPLES = 100
+_HISTOGRAM_BINS = 50
 
 
-def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
+def thermal_test(samples) -> HistogramFit:
     """Kolmogorov-Smirnov test of the samples against the thermal law
     P(I) = exp(-I/<I>)/<I> with <I> the sample mean, which must be > 0."""
     samples = np.asarray(samples, dtype=float).ravel()
@@ -207,11 +208,11 @@ def thermal_test(samples, n_bins: int = 50) -> HistogramFit:
     ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
     p = _ks_sf(n, float(ks))
     try:
-        counts, edges = np.histogram(samples, bins=n_bins)
-    except ValueError:   # the range is narrower than n_bins steps of the float grid
+        counts, edges = np.histogram(samples, bins=_HISTOGRAM_BINS)
+    except ValueError:   # the range is narrower than _HISTOGRAM_BINS steps of the float grid
         raise InsufficientSamples(
             f"samples span {samples.min():.17g} to {samples.max():.17g}, too narrow a "
-            f"range to split into {n_bins} histogram bins") from None
+            f"range to split into {_HISTOGRAM_BINS} histogram bins") from None
     return HistogramFit(bin_edges=edges, counts=counts, fitted_mean=mean,
                        ks_statistic=float(ks), p_value=float(p))
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,9 @@ def rng():
 
 
 @pytest.fixture
-def as_version_1():
-    """Copy a stack as version 1 of the same shots: version field 1, no trailer."""
-    def copy(path, out):
-        header, _ = framestack.read_header(path)
-        raw = bytearray(path.read_bytes()[:-header.trailer_bytes])
-        raw[4:8] = (1).to_bytes(4, "little")
-        out.write_bytes(bytes(raw))
-    return copy
+def stack_header():
+    """Stack header bytes packed by hand from the layout in the framestack docstring."""
+    def pack(width, height, n_shots=1, version=framestack.VERSION, name=b"x"):
+        return struct.pack("<4sIIIIQI", b"TWMG", version, width, height, n_shots, 0,
+                           len(name)) + name
+    return pack

@@ -154,32 +154,26 @@ def test_given_pixel_reads_no_i1_frame(tmp_path, small_cfg, monkeypatch):
     assert f"ks_statistic = {fit.ks_statistic:.17g}\n" in report
 
 
-def test_auto_pixel_reads_the_trailer_not_the_i1_frames(tmp_path, small_cfg, monkeypatch,
-                                                         as_version_1):
+def test_auto_pixel_reads_the_trailer_not_the_i1_frames(tmp_path, small_cfg, monkeypatch):
     # the stored i1 moments pick the auto pixel: reconstruct reads the i2
-    # frames alone and stats --mode temporal no frame; a version-1 copy of
-    # the same shots streams its i1 frames and writes the same bytes
+    # frames alone and stats --mode temporal no frame; the pick is the one a
+    # pass of the i1 frames makes, so naming it gives the same map
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
-    v2, v1 = out / "frames.twmg", out / "v1.twmg"
-    as_version_1(v2, v1)
-    want = statistics.auto_reference_pixel(framestack.iter_frames(v2, "i1"))
+    stack = out / "frames.twmg"
+    r, c = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i1"))
     arms = _count_frame_reads(monkeypatch)
-    for name, stack, reads in (("v2", v2, (["i2"], [])), ("v1", v1, (["i1", "i2"], ["i1"]))):
-        rec, st = tmp_path / name / "rec", tmp_path / name / "st"
-        assert main(["reconstruct", str(stack), "--out", str(rec)]) == 0
-        assert arms == reads[0]
-        arms.clear()
-        assert main(["stats", str(stack), "--mode", "temporal", "--out", str(st)]) == 0
-        assert arms == reads[1]
-        arms.clear()
-    assert (tmp_path / "v2" / "st" / "stats_report.txt").read_text().startswith(
-        f"temporal i1, pixel {want}\n")
-    for sub, name in (("rec", "correlation_map.csv"), ("rec", "correlation_map.pgm"),
-                      ("rec", "correlation_map_norm.csv"), ("st", "stats_report.txt"),
-                      ("st", "histogram.csv")):
-        assert (tmp_path / "v1" / sub / name).read_bytes() == \
-            (tmp_path / "v2" / sub / name).read_bytes()
+    assert main(["reconstruct", str(stack), "--out", str(tmp_path / "rec")]) == 0
+    assert arms == ["i2"]
+    arms.clear()
+    assert main(["stats", str(stack), "--mode", "temporal", "--out", str(tmp_path / "st")]) == 0
+    assert arms == []
+    assert (tmp_path / "st" / "stats_report.txt").read_text().startswith(
+        f"temporal i1, pixel {(r, c)}\n")
+    assert main(["reconstruct", str(stack), "--ref-pixel", f"{r},{c}",
+                 "--out", str(tmp_path / "named")]) == 0
+    for name in ("correlation_map.csv", "correlation_map.pgm", "correlation_map_norm.csv"):
+        assert (tmp_path / "rec" / name).read_bytes() == (tmp_path / "named" / name).read_bytes()
 
 
 def test_stats_temporal_i2_picks_from_the_i2_frames(tmp_path, small_cfg):
@@ -501,13 +495,12 @@ def test_pixel_binning_above_the_grid_is_config_error(tmp_path, capsys):
     assert load_config(str(p)).detector.output_shape(64, 64) == (1, 1)
 
 
-def test_readers_reject_empty_frames(tmp_path, capsys):
-    # the 0 x 0 stack an over-wide binning used to write: both stack readers
-    # exit 2, naming the frame size, and write nothing
+def test_readers_reject_empty_frames(tmp_path, capsys, stack_header):
+    # the 0 x 0 stack an over-wide binning used to write, which write_stack
+    # now refuses: both stack readers exit 2, naming the frame size, and
+    # write nothing
     stack = tmp_path / "frames.twmg"
-    frame = np.zeros((0, 0))
-    framestack.write_stack(stack, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
-                           0, 0, 1, 0, "test")
+    stack.write_bytes(stack_header(0, 0))
     for argv in (["reconstruct", str(stack)], ["stats", str(stack), "--mode", "temporal"]):
         out = tmp_path / argv[0]
         capsys.readouterr()
@@ -515,6 +508,37 @@ def test_readers_reject_empty_frames(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "empty 0 x 0 frames" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_readers_refuse_other_stack_versions(tmp_path, small_cfg, capsys):
+    # a stack stamped with another format version is not read: exit 2, naming
+    # the version, no traceback and nothing written
+    main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "run")])
+    raw = (tmp_path / "run" / "frames.twmg").read_bytes()
+    for version in (1, 3):
+        stack = tmp_path / f"v{version}.twmg"
+        stack.write_bytes(raw[:4] + version.to_bytes(4, "little") + raw[8:])
+        for argv in (["reconstruct", str(stack)], ["stats", str(stack), "--mode", "temporal"]):
+            out = tmp_path / f"{argv[0]}{version}"
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"unsupported version {version}" in err and "Traceback" not in err
+            assert not out.exists()
+
+
+def test_manifest_replays_the_run(tmp_path, small_cfg, monkeypatch):
+    # a run's manifest holds its command-line and environment settings too:
+    # replayed with neither, it writes the same stack, as an older stack is
+    # rebuilt for a newer format
+    monkeypatch.setenv("TWMG_SOURCE__ANGULAR_SPREAD", "2e-3")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--shots", "16", "--seed", "7",
+                 "--out", str(a)]) == 0
+    for name in [n for n in os.environ if n.startswith("TWMG_")]:
+        monkeypatch.delenv(name)
+    assert main(["simulate-chaotic", "--config", str(a / "manifest.ini"), "--out", str(b)]) == 0
+    assert (a / "frames.twmg").read_bytes() == (b / "frames.twmg").read_bytes()
 
 
 def test_old_geometry_keys_replay_byte_identical(tmp_path, small_cfg):

@@ -59,7 +59,6 @@ def test_stack_file_size_is_exact(tmp_path, rng):
     framestack.write_stack(path, _records(rng, n=3, w=16), 16, 16, 3, 0, "x")
     header, offset = framestack.read_header(path)
     # the payload, then the i1 sum and sum-of-squares maps
-    assert header.version == framestack.VERSION == 2
     assert os.path.getsize(path) == offset + 3 * header.frame_bytes + 2 * 16 * 16 * 8
 
 
@@ -73,15 +72,28 @@ def test_stack_rejects_bad_magic(tmp_path, rng):
         framestack.read_header(path)
 
 
-@pytest.mark.parametrize("width, height", [(0, 0), (4, 0), (0, 4)])
-def test_stack_rejects_empty_frames(tmp_path, width, height):
-    # a header of zero width or height describes no pixel to read
+def test_stack_rejects_undecodable_rng_name(tmp_path, stack_header):
+    # the RNG name is UTF-8; other bytes are a corrupt header, not a crash
     path = tmp_path / "s.twmg"
-    frame = np.zeros((width, height))
-    framestack.write_stack(path, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
-                           width, height, 1, 0, "x")
+    path.write_bytes(stack_header(1, 1, n_shots=0, name=b"\xff") + bytes(16))
+    with pytest.raises(CorruptStack, match="utf-8"):
+        framestack.read_header(path)
+
+
+@pytest.mark.parametrize("width, height", [(0, 0), (4, 0), (0, 4)])
+def test_stack_rejects_empty_frames(tmp_path, stack_header, width, height):
+    # a header of zero width or height describes no pixel to read: the reader
+    # refuses it, and the writer refuses to write it, leaving no file
+    path = tmp_path / "s.twmg"
+    path.write_bytes(stack_header(width, height))
     with pytest.raises(CorruptStack, match=f"empty {width} x {height} frames"):
         framestack.read_header(path)
+    path.unlink()
+    frame = np.zeros((width, height))
+    with pytest.raises(CorruptStack, match=f"empty {width} x {height} frames"):
+        framestack.write_stack(path, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
+                               width, height, 1, 0, "x")
+    assert not path.exists()
 
 
 def test_stack_rejects_truncation(tmp_path, rng):
@@ -97,7 +109,7 @@ def test_readers_reject_truncated_payload(tmp_path, rng, monkeypatch):
     framestack.write_stack(path, _records(rng), 8, 8, 5, 0, "x")
     whole = framestack.read_header(path)
     # the trailer and 7 bytes: the cut lands in shot 4's i2 frame
-    path.write_bytes(path.read_bytes()[:-(whole[0].trailer_bytes + 7)])
+    path.write_bytes(path.read_bytes()[:-(whole[0].frame_bytes + 7)])
     with pytest.raises(CorruptStack):
         framestack.pixel_trace(path, (7, 7), "i2")
     with pytest.raises(CorruptStack):
@@ -144,46 +156,34 @@ def test_stored_moments_equal_streamed_pass(tmp_path, rng, n, sparse):
     assert stored.s2.tobytes() == streamed.s2.tobytes()
 
 
-def test_version_1_stack_reads(tmp_path, rng, as_version_1):
-    recs = _records(rng)
-    v2, v1 = tmp_path / "v2.twmg", tmp_path / "v1.twmg"
-    framestack.write_stack(v2, recs, 8, 8, 5, 42, "x")
-    as_version_1(v2, v1)
-    header, offset = framestack.read_header(v1)
-    header2, offset2 = framestack.read_header(v2)
-    assert header.trailer_bytes == 0
-    assert (header, offset) == (replace(header2, version=1), offset2)
-    for a, b in zip(recs, framestack.iter_shots(v1)):
-        assert (a.i1.tobytes(), a.i2.tobytes()) == (b.i1.tobytes(), b.i2.tobytes())
-    for arm in ("i1", "i2"):
-        frames = list(framestack.iter_frames(v1, arm))
-        assert [f.tobytes() for f in frames] == [getattr(r, arm).tobytes() for r in recs]
-        trace = framestack.pixel_trace(v1, (2, 5), arm)
-        assert trace.tobytes() == np.array([f[2, 5] for f in frames]).tobytes()
-    # no trailer: the moments are one pass of the frames, equal to the stored ones
-    stored, streamed = framestack.arm_moments(v2), framestack.arm_moments(v1)
-    assert streamed.n == 5
-    assert (streamed.s1.tobytes(), streamed.s2.tobytes()) == \
-        (stored.s1.tobytes(), stored.s2.tobytes())
-    # the version sets the size: version 1 with a trailer, or 2 without, is corrupt
-    bad = tmp_path / "bad.twmg"
-    for src, version, match in ((v2, 1, "size"), (v1, 2, "size"),
-                                (v1, 3, "unsupported version 3")):
-        raw = bytearray(src.read_bytes())
-        raw[4:8] = version.to_bytes(4, "little")
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(CorruptStack, match=match):
-            framestack.read_header(bad)
+def test_read_header_reads_version_2_only(tmp_path, rng, stack_header):
+    # a stack of another version is refused by every reader, with or without
+    # a trailer; a version-2 stack without its trailer is a size error
+    path, bad = tmp_path / "s.twmg", tmp_path / "bad.twmg"
+    framestack.write_stack(path, _records(rng), 8, 8, 5, 0, "x")
+    header, offset = framestack.read_header(path)
+    raw = path.read_bytes()
+    assert raw[:offset] == stack_header(8, 8, n_shots=5)
+    no_trailer = raw[:-header.frame_bytes]
+    readers = (framestack.read_header, lambda p: list(framestack.iter_shots(p)),
+               lambda p: list(framestack.iter_frames(p, "i2")),
+               lambda p: framestack.pixel_trace(p, (2, 5)), framestack.arm_moments)
+    for version, body in ((1, raw), (1, no_trailer), (3, raw)):
+        bad.write_bytes(body[:4] + version.to_bytes(4, "little") + body[8:])
+        for read in readers:
+            with pytest.raises(CorruptStack, match=f"unsupported version {version}"):
+                read(bad)
+    bad.write_bytes(no_trailer)
+    with pytest.raises(CorruptStack, match="size"):
+        framestack.read_header(bad)
 
 
-def test_empty_stack_has_no_reference_pixel(tmp_path, as_version_1):
-    v2, v1 = tmp_path / "v2.twmg", tmp_path / "v1.twmg"
-    framestack.write_stack(v2, [], 8, 8, 0, 0, "x")
-    as_version_1(v2, v1)
-    for path in (v2, v1):
-        assert framestack.arm_moments(path).n == 0
-        with pytest.raises(EmptyEnsemble):
-            statistics.highest_contrast_pixel(framestack.arm_moments(path))
+def test_empty_stack_has_no_reference_pixel(tmp_path):
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, [], 8, 8, 0, 0, "x")
+    assert framestack.arm_moments(path).n == 0
+    with pytest.raises(EmptyEnsemble):
+        statistics.highest_contrast_pixel(framestack.arm_moments(path))
 
 
 def test_reader_argument_errors(tmp_path, rng):
