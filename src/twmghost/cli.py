@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Subcommands: simulate-coherent, simulate-chaotic, reconstruct, stats,
-selftest.  Exit codes: 0 success, 1 usage error, 2 data/config error,
-3 numerical failure.
+selftest; each subparser names its handler as `run`.  Exit codes follow
+the error classes: 0 success, 1 a usage error, 3 a numerical failure
+(SamplingViolation, DegenerateGeometry, FloatingPointError), 2 any other
+TwmError (a data or configuration error) or OSError.
 
 Each subcommand imports only the modules it runs; at module level there
 are only the ones every command uses (`errors`, `framestack`, `masks`).
@@ -21,12 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import framestack, masks
-from .errors import (CorruptStack, DegenerateGeometry, EmptyEnsemble, GeometryError,
-                     InsufficientSamples, InvalidSpec, SamplingViolation, ShapeMismatch,
-                     TwmError, UnreadableFile, UnsupportedFormat)
+from .errors import (CorruptStack, DegenerateGeometry, InsufficientSamples, SamplingViolation,
+                     TwmError)
 
-_DATA_ERRORS = (InvalidSpec, GeometryError, UnreadableFile, UnsupportedFormat,
-                CorruptStack, ShapeMismatch, EmptyEnsemble, InsufficientSamples)
 _NUMERIC_ERRORS = (SamplingViolation, DegenerateGeometry, FloatingPointError)
 
 
@@ -51,16 +50,20 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", default=".", help="output directory")
 
     sp = sub.add_parser("simulate-coherent", help="coherent imaging chain")
+    sp.set_defaults(run=cmd_simulate_coherent)
     common(sp)
     sp = sub.add_parser("simulate-chaotic", help="per-shot chaotic run to a frame stack")
+    sp.set_defaults(run=cmd_simulate_chaotic)
     common(sp)
     sp.add_argument("--threads", type=int, default=1,
                     help="worker threads (outputs are thread-count independent)")
     sp = sub.add_parser("reconstruct", help="correlation-map reconstruction from a stack")
+    sp.set_defaults(run=cmd_reconstruct)
     sp.add_argument("stack")
     sp.add_argument("--ref-pixel", default="auto", help="'auto' or 'row,col'")
     sp.add_argument("--out", default=".")
     sp = sub.add_parser("stats", help="thermal-statistics report from a stack")
+    sp.set_defaults(run=cmd_stats)
     sp.add_argument("stack")
     sp.add_argument("--mode", choices=("spatial", "temporal"), default="spatial")
     sp.add_argument("--pixel",
@@ -68,7 +71,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--shot", type=int, default=0, help="shot index for spatial mode")
     sp.add_argument("--arm", choices=("i1", "i2"), default="i1")
     sp.add_argument("--out", default=".")
-    sub.add_parser("selftest", help="run the built-in oracle checks")
+    sub.add_parser("selftest", help="run the built-in oracle checks").set_defaults(run=cmd_selftest)
     return p
 
 
@@ -106,6 +109,8 @@ def cmd_simulate_chaotic(args) -> int:
     from . import __version__, config
     from .chaotic_source import RNG_ALGORITHM
     from .pipeline import ChaoticExperiment
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_cfg(args)
     mask = cfg.load_object_mask()
     out = _outdir(args.out)
@@ -211,24 +216,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "simulate-coherent": cmd_simulate_coherent,
-            "simulate-chaotic": cmd_simulate_chaotic,
-            "reconstruct": cmd_reconstruct,
-            "stats": cmd_stats,
-            "selftest": cmd_selftest,
-        }[args.command]
-        return handler(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TwmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -151,9 +151,12 @@ def _build(raw: dict) -> RunConfig:
         raise InvalidSpec(f"[detector] pixel_binning = {det.pixel_binning} is larger than "
                           f"the {width}-pixel grid: the binned frames would be empty")
     rs = raw["run"]
-    shots = int(rs["shots"])
-    if shots < 1:
-        raise InvalidSpec("shots must be >= 1")
+    shots, seed = int(rs["shots"]), int(rs["master_seed"])
+    # the ranges of the stack header's u32 shot count and u64 seed
+    if not 1 <= shots < 2 ** 32:
+        raise InvalidSpec(f"[run] shots = {shots} is outside 1 <= shots < 2**32")
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidSpec(f"[run] master_seed = {seed} is outside 0 <= master_seed < 2**64")
     mask_pitch = rs["mask_pitch"]
     if mask_pitch == "auto":
         mp = object_pitch_for_detector(geom, width, pitch)
@@ -163,7 +166,7 @@ def _build(raw: dict) -> RunConfig:
             raise InvalidSpec("mask_pitch must be positive")
     return RunConfig(geometry=geom, source=source, detector=det,
                      width=width, height=height, pitch=pitch,
-                     shots=shots, master_seed=int(rs["master_seed"]),
+                     shots=shots, master_seed=seed,
                      mask_name=rs["mask"], mask_pitch=mp,
                      hole_diameter=float(rs["hole_diameter"]),
                      hole_spacing=float(rs["hole_spacing"]),

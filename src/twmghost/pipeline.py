@@ -79,14 +79,15 @@ def object_pitch_for_detector(g: InteractionGeometry, width: int, det_pitch: flo
 
 
 def apply_detector(i: np.ndarray, det: DetectorSpec) -> np.ndarray:
-    """Binning, saturation clipping and quantization; bit_depth 0 bypasses."""
+    """Binning, saturation clipping and quantization.  bit_depth 0 skips the
+    last two, and the ideal detector returns a float64 `i` itself, no copy."""
     out = np.asarray(i, dtype=float)
     if det.pixel_binning > 1:
         b = det.pixel_binning
         w, h = det.output_shape(*out.shape)
         out = out[:w * b, :h * b].reshape(w, b, h, b).sum(axis=(1, 3))
     if det.bit_depth == 0:
-        return out.copy() if out is i else out
+        return out
     sat = det.saturation_level if det.saturation_level > 0 else float(out.max()) or 1.0
     out = np.clip(out, 0.0, sat)
     levels = 2 ** det.bit_depth - 1
@@ -167,18 +168,14 @@ def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
 
 
 def coherent_image(mask: ObjectMask, g: InteractionGeometry,
-                   det: DetectorSpec | None = None) -> ScalarField:
+                   det: DetectorSpec = DetectorSpec()) -> ScalarField:
     """Detected intensity of the coherent chain (on-axis plane-wave seed of
     unit amplitude).  With pixel binning the reported pitch is that of the
     binned pixels.
     """
     e2 = coherent_field(mask, g)
-    i2 = np.abs(e2.grid) ** 2
-    pitch = e2.pitch
-    if det is not None:
-        i2 = apply_detector(i2, det)
-        pitch *= det.pixel_binning
-    return ScalarField(i2, pitch, e2.wavelength)
+    return ScalarField(apply_detector(np.abs(e2.grid) ** 2, det),
+                       e2.pitch * det.pixel_binning, e2.wavelength)
 
 
 # copy-stack shots are made this many at a time, as one matrix product that
@@ -246,10 +243,9 @@ class ChaoticExperiment:
         if not spec.fixed_directions:
             raise InvalidSpec("ChaoticExperiment requires fixed mode directions "
                               "(source fixed_directions = true)")
-        self.mask, self.g, self.spec = mask, g, spec
+        self.g, self.spec = g, spec
         self.master_seed = master_seed
         self.det = det or DetectorSpec()
-        self.ideal_detector = self.det.bit_depth == 0 and self.det.pixel_binning == 1
         self.coherent_sum = coherent_sum
         base = coherent_field(mask, g)
         self.pitch = base.pitch
@@ -343,7 +339,8 @@ class ChaoticExperiment:
         Whole blocks are made, `threads` at a time on worker threads when
         threads > 1, with at most 2 * threads blocks in flight; the records
         and their bytes do not depend on `threads`.  i1 is binned as each
-        record is yielded.  One shot is `next(exp.shots(1, start=k))`.
+        record is yielded, and both arms go through `apply_detector`.  One
+        shot is `next(exp.shots(1, start=k))`.
         """
         stop = start + n_shots
         blocks = range(start // self.block, -(-stop // self.block))
@@ -351,10 +348,8 @@ class ChaoticExperiment:
             first = b * self.block
             for k in range(max(start, first), min(stop, first + self.block)):
                 i1 = bin_intensities(self.i1_bin, p[k - first], self.base_image.shape)
-                i2_k = i2[k - first]
-                if not self.ideal_detector:
-                    i1, i2_k = apply_detector(i1, self.det), apply_detector(i2_k, self.det)
-                yield ShotRecord(i1=i1, i2=i2_k, shot_index=k)
+                yield ShotRecord(i1=apply_detector(i1, self.det),
+                                 i2=apply_detector(i2[k - first], self.det), shot_index=k)
 
     def expected_image(self, mode: int) -> np.ndarray:
         """Weighted, shifted copy of the base image that `mode` adds to i2

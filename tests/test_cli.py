@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import twmghost
-from twmghost import framestack, masks, statistics
+from twmghost import cli, framestack, masks, statistics
 from twmghost.cli import main
 from twmghost.config import load_config
-from twmghost.errors import InvalidSpec
+from twmghost.errors import InvalidSpec, TwmError
 from twmghost.pipeline import ChaoticExperiment
 
 
@@ -421,6 +421,52 @@ def test_non_square_grid_is_data_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "grid height 48 != width 64" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, flags, env, key", [
+    ("simulate-chaotic", ["--seed", "-1"], {}, "[run] master_seed"),
+    ("simulate-chaotic", [], {"TWMG_RUN__MASTER_SEED": "-5"}, "[run] master_seed"),
+    ("simulate-chaotic", ["--seed", str(2 ** 64)], {}, "[run] master_seed"),
+    ("simulate-chaotic", ["--shots", str(2 ** 32)], {}, "[run] shots"),
+    ("simulate-chaotic", ["--shots", "0"], {}, "[run] shots"),
+    ("simulate-coherent", ["--seed", "-1"], {}, "[run] master_seed"),
+], ids=["negative-seed", "negative-seed-env", "seed-2**64", "shots-2**32", "no-shots",
+        "coherent-negative-seed"])
+def test_seed_or_shots_outside_the_header_fields_is_config_error(tmp_path, small_cfg, capsys,
+                                                                 monkeypatch, cmd, flags, env,
+                                                                 key):
+    # the stack header holds the seed in a u64 and the shot count in a u32
+    for var, val in env.items():
+        monkeypatch.setenv(var, val)
+    out = tmp_path / "out"
+    assert main([cmd, "--config", small_cfg, "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(tmp_path, small_cfg, capsys, threads):
+    out = tmp_path / "out"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out),
+                 "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "--threads" in err
+    assert not out.exists()
+
+
+def test_unlisted_twm_error_is_data_error(monkeypatch, capsys):
+    # every TwmError but the numeric ones exits 2, also one the CLI never names
+    class FreshError(TwmError):
+        pass
+
+    def fail(args):
+        raise FreshError("a data error of a new kind")
+
+    monkeypatch.setattr(cli, "cmd_stats", fail)
+    assert main(["stats", "frames.twmg"]) == 2
+    err = capsys.readouterr().err
+    assert "error: a data error of a new kind" in err and "Traceback" not in err
 
 
 def test_stats_runs_without_scipy(tmp_path):

@@ -94,7 +94,7 @@ def test_object_pitch_for_detector(geometry):
 def test_apply_detector_bypass():
     i = np.random.default_rng(0).random((8, 8))
     out = apply_detector(i, DetectorSpec())
-    assert np.array_equal(out, i)
+    assert out is i                                   # the ideal detector makes no copy
 
 
 def test_apply_detector_quantization():
@@ -390,6 +390,28 @@ def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
                               sample_modes(exp.spec, exp.master_seed, rec.shot_index))
         assert np.abs(rec.i2 - want.i2).max() <= 1e-12 * np.abs(want.i2).max()
         assert np.array_equal(rec.i1, want.i1)
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
+@pytest.mark.parametrize("n_modes, coherent_sum, fft", [(200, False, True), (20, False, False),
+                                                     (20, True, False)],
+                         ids=["fft", "copy-stack", "coherent-sum"])
+def test_detector_applies_once_to_each_record(n_modes, coherent_sum, fft):
+    # 10 shots: on the copy stack a whole block of 8 and part of the next
+    cfg = _grid_config(64, n_modes)
+    mask = cfg.load_object_mask()
+    det = DetectorSpec(pixel_binning=2, bit_depth=12)
+    ideal, detected = (ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed,
+                                         det=d, coherent_sum=coherent_sum)
+                       for d in (None, det))
+    assert (detected.flat_stack is None) == fft
+    for plain, rec in zip(ideal.shots(10), detected.shots(10)):
+        assert rec.i1.shape == rec.i2.shape == (32, 32)
+        assert np.array_equal(rec.i1, apply_detector(plain.i1, det))
+        assert np.array_equal(rec.i2, apply_detector(plain.i2, det))
+    # the mode-by-mode oracle's i1 through the same detector
+    want = _per_mode_shot(mask, cfg.geometry, sample_modes(cfg.source, cfg.master_seed, 9), det)
+    assert np.array_equal(rec.i1, want.i1)
 
 
 def test_one_shot_run_repeats_shot_zero_on_fft_path(tmp_path):
