@@ -151,7 +151,11 @@ def cmd_reconstruct(args) -> int:
     for x, i2 in zip(framestack.pixel_trace(args.stack, ref, "i1"),
                      framestack.iter_frames(args.stack, "i2")):
         acc.add(x, i2)
+    # drop the last i2 frame before the result's two frames are made, and
+    # the accumulator's three before the outputs' copies
+    i2 = None
     cm = acc.result()
+    del acc
     out = _outdir(args.out)
     lo, hi = masks.save_pgm16(out / "correlation_map.pgm", cm.g_map)
     masks.save_csv(out / "correlation_map.csv", cm.g_map)

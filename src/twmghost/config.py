@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -124,29 +125,52 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         raise InvalidSpec(f"bad configuration: {exc}") from exc
 
 
+# bounds on float keys beyond being finite, by the rule's text
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+
+
+def _float(raw: dict, sec: str, key: str, bound: str | None = None) -> float:
+    """raw[sec][key] as a finite float that meets `bound`, else an
+    InvalidSpec naming the key."""
+    text = raw[sec][key]
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidSpec(f"[{sec}] {key} = {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise InvalidSpec(f"[{sec}] {key} = {text} is not finite")
+    if bound is not None and not _BOUNDS[bound](value):
+        raise InvalidSpec(f"[{sec}] {key} = {text} must be {bound}")
+    return value
+
+
 def _build(raw: dict) -> RunConfig:
-    gs = raw["geometry"]
     geom = InteractionGeometry(
-        k1=WaveVector(float(gs["lambda1"]), float(gs["n1"])),
-        k2=WaveVector(float(gs["lambda2"]), float(gs["n2"])),
-        k3=WaveVector(float(gs["lambda3"]), float(gs["n3"])),
-        crystal_length=float(gs["crystal_length"]), f=float(gs["f"]), d=float(gs["d"]),
-        s2=float(gs["s2"]), lens_fourier_f=float(gs["fourier_f"]))
+        k1=WaveVector(_float(raw, "geometry", "lambda1"), _float(raw, "geometry", "n1")),
+        k2=WaveVector(_float(raw, "geometry", "lambda2"), _float(raw, "geometry", "n2")),
+        k3=WaveVector(_float(raw, "geometry", "lambda3"), _float(raw, "geometry", "n3")),
+        crystal_length=_float(raw, "geometry", "crystal_length"),
+        f=_float(raw, "geometry", "f"), d=_float(raw, "geometry", "d"),
+        s2=_float(raw, "geometry", "s2"), lens_fourier_f=_float(raw, "geometry", "fourier_f"))
     ss = raw["source"]
     source = SourceSpec(n_modes=int(ss["n_modes"]),
-                        angular_spread=float(ss["angular_spread"]),
-                        amplitude_scale=float(ss["amplitude_scale"]),
+                        angular_spread=_float(raw, "source", "angular_spread"),
+                        amplitude_scale=_float(raw, "source", "amplitude_scale"),
                         fixed_directions=_bool(ss["fixed_directions"]),
                         amplitude_law=ss["amplitude_law"])
     ds = raw["detector"]
     det = DetectorSpec(bit_depth=int(ds["bit_depth"]),
-                       saturation_level=float(ds["saturation_level"]),
+                       saturation_level=_float(raw, "detector", "saturation_level", ">= 0"),
                        pixel_binning=int(ds["pixel_binning"]))
     grid = raw["grid"]
-    width, height, pitch = int(grid["width"]), int(grid["height"]), float(grid["pitch"])
+    width, height = int(grid["width"]), int(grid["height"])
+    pitch = _float(raw, "grid", "pitch", "> 0")
     if height != width:
         raise InvalidSpec(f"grid height {height} != width {width}: only square grids "
                           "are supported")
+    # the lens transform and free propagation run FFTs of power-of-two sides
+    if width < 1 or width & (width - 1):
+        raise InvalidSpec(f"[grid] width = {width} is not a power of two")
     if det.pixel_binning > width:
         raise InvalidSpec(f"[detector] pixel_binning = {det.pixel_binning} is larger than "
                           f"the {width}-pixel grid: the binned frames would be empty")
@@ -157,19 +181,16 @@ def _build(raw: dict) -> RunConfig:
         raise InvalidSpec(f"[run] shots = {shots} is outside 1 <= shots < 2**32")
     if not 0 <= seed < 2 ** 64:
         raise InvalidSpec(f"[run] master_seed = {seed} is outside 0 <= master_seed < 2**64")
-    mask_pitch = rs["mask_pitch"]
-    if mask_pitch == "auto":
+    if rs["mask_pitch"] == "auto":
         mp = object_pitch_for_detector(geom, width, pitch)
     else:
-        mp = float(mask_pitch)
-        if mp <= 0:
-            raise InvalidSpec("mask_pitch must be positive")
+        mp = _float(raw, "run", "mask_pitch", "> 0")
     return RunConfig(geometry=geom, source=source, detector=det,
                      width=width, height=height, pitch=pitch,
                      shots=shots, master_seed=seed,
                      mask_name=rs["mask"], mask_pitch=mp,
-                     hole_diameter=float(rs["hole_diameter"]),
-                     hole_spacing=float(rs["hole_spacing"]),
+                     hole_diameter=_float(raw, "run", "hole_diameter", "> 0"),
+                     hole_spacing=_float(raw, "run", "hole_spacing", "> 0"),
                      coherent_sum=_bool(rs["coherent_sum"]), raw=raw)
 
 

@@ -93,7 +93,11 @@ def save_pgm16(path, image: np.ndarray):
     img = np.asarray(image, dtype=float)
     lo, hi = float(img.min()), float(img.max())
     span = hi - lo if hi > lo else 1.0
-    q = np.rint((img - lo) / span * 65535.0).astype(">u2")
+    scaled = img - lo      # one float copy, scaled in place
+    scaled /= span
+    scaled *= 65535.0
+    q = np.rint(scaled, out=scaled).astype(">u2")
+    del scaled
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n65535\n" % (q.shape[0], q.shape[1]))
         fh.write(q.T.tobytes())  # back to PNM row order

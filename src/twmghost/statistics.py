@@ -71,11 +71,20 @@ class CovarianceAccumulator:
         self.s12 += np.multiply(x, i2, out=self._scratch)
 
     def result(self) -> CorrelationMap:
+        """The map so far; it allocates only G and the mean i2, and the
+        accumulator takes further shots after it.  A map with non-finite
+        pixels (the stack held NaN or inf) is an InsufficientSamples."""
         if self.n < 2:
             raise EmptyEnsemble(f"need at least 2 shots, got {self.n}")
         m1, m2 = self.s1 / self.n, self.s2 / self.n
-        return CorrelationMap(g_map=self.s12 / self.n - m1 * m2,
-                              ref_pixel=self.ref_pixel, n_shots=self.n,
+        g = self.s12 / self.n
+        g -= np.multiply(m1, m2, out=self._scratch)
+        bad = g.size - int(np.count_nonzero(np.isfinite(g)))
+        if bad:
+            raise InsufficientSamples(
+                f"{bad} of {g.size} correlation map pixels are not finite (NaN or inf): "
+                f"the reference trace or the i2 frames hold non-finite samples")
+        return CorrelationMap(g_map=g, ref_pixel=self.ref_pixel, n_shots=self.n,
                               mean_i1=self.x0 + m1, mean_i2=m2)
 
 
@@ -175,8 +184,14 @@ def highest_contrast_pixel(moments: Moments) -> tuple[int, int]:
     if n == 0:
         raise EmptyEnsemble("no frames")
     mean = moments.s1 / n
-    sd = np.sqrt(np.maximum(moments.s2 / n - mean * mean, 0.0))
-    contrast = np.divide(sd, mean, out=np.zeros_like(mean), where=mean > 0)
+    # sd, then the contrast, formed in place in one frame
+    contrast = moments.s2 / n
+    contrast -= mean * mean
+    np.maximum(contrast, 0.0, out=contrast)
+    np.sqrt(contrast, out=contrast)
+    lit = mean > 0
+    np.divide(contrast, mean, out=contrast, where=lit)
+    contrast[~lit] = 0.0
     if contrast.max() > THERMAL_CONTRAST_FLOOR:
         flat = np.argmax(contrast)
     else:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -237,6 +238,47 @@ def test_stats_non_finite_frame_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "spatial i2, shot 0: 1 of 256 samples are not finite" in err
     assert not (st / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize("arm, count", [("i2", 1), ("i1", 256)])
+def test_reconstruct_non_finite_stack_is_data_error(tmp_path, capsys, arm, count):
+    # a NaN in one i2 frame spoils one pixel of the map; a NaN in the
+    # reference pixel's i1 trace spoils all of them: exit 2, the count named,
+    # no map written
+    rng = np.random.default_rng(3)
+    shots = [framestack.ShotRecord(i1=rng.random((16, 16)), i2=rng.random((16, 16)),
+                                   shot_index=k) for k in range(3)]
+    getattr(shots[1], arm)[3, 5] = np.nan
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, shots, 16, 16, 3, 0, "test")
+    rec = tmp_path / "rec"
+    capsys.readouterr()
+    assert main(["reconstruct", str(stack), "--ref-pixel", "3,5", "--out", str(rec)]) == 2
+    err = capsys.readouterr().err
+    assert f"{count} of 256 correlation map pixels are not finite" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not rec.exists()
+
+
+def test_reconstruct_holds_few_frames(tmp_path):
+    # the reader's traced peak, in frames of 8 W H bytes: the auto pick forms
+    # its contrast in one frame, the loop holds three sums and the frame read,
+    # and result() adds only the map and the mean i2
+    w = 256
+    rng = np.random.default_rng(4)
+    shots = (framestack.ShotRecord(i1=rng.random((w, w)), i2=rng.random((w, w)), shot_index=k)
+             for k in range(8))
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, shots, w, w, 8, 0, "test")
+    argv = ["reconstruct", str(stack), "--out", str(tmp_path / "rec")]
+    assert main(argv) == 0    # warm-up: imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * w * w) <= 5.5
 
 
 def test_stats_spatial_reads_the_last_shot(tmp_path, small_cfg, capsys):
@@ -633,6 +675,38 @@ def test_config_typo_is_data_error(tmp_path, monkeypatch, ini, env, name):
     assert name in str(exc.value)
     out = tmp_path / "out"
     assert main(["simulate-chaotic", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env, key", [
+    ({"TWMG_GRID__PITCH": "0"}, "[grid] pitch"),
+    ({"TWMG_GRID__PITCH": "-16e-6"}, "[grid] pitch"),
+    ({"TWMG_GRID__PITCH": "nan"}, "[grid] pitch"),
+    ({"TWMG_GRID__WIDTH": "96", "TWMG_GRID__HEIGHT": "96"}, "[grid] width"),
+    ({"TWMG_GEOMETRY__S2": "nan"}, "[geometry] s2"),
+    ({"TWMG_GEOMETRY__FOURIER_F": "nan"}, "[geometry] fourier_f"),
+    ({"TWMG_GEOMETRY__CRYSTAL_LENGTH": "inf"}, "[geometry] crystal_length"),
+    ({"TWMG_SOURCE__ANGULAR_SPREAD": "nan"}, "[source] angular_spread"),
+    ({"TWMG_SOURCE__ANGULAR_SPREAD": "inf"}, "[source] angular_spread"),
+    ({"TWMG_SOURCE__AMPLITUDE_SCALE": "nan"}, "[source] amplitude_scale"),
+    ({"TWMG_RUN__MASK_PITCH": "nan"}, "[run] mask_pitch"),
+    ({"TWMG_RUN__HOLE_SPACING": "nan"}, "[run] hole_spacing"),
+    ({"TWMG_RUN__HOLE_DIAMETER": "-1"}, "[run] hole_diameter"),
+    ({"TWMG_DETECTOR__SATURATION_LEVEL": "-1"}, "[detector] saturation_level"),
+], ids=["pitch-0", "pitch-negative", "pitch-nan", "width-96", "s2-nan", "fourier_f-nan",
+        "crystal_length-inf", "angular_spread-nan", "angular_spread-inf",
+        "amplitude_scale-nan", "mask_pitch-nan", "hole_spacing-nan", "hole_diameter-negative",
+        "saturation_level-negative"])
+def test_config_number_out_of_range_is_config_error(tmp_path, small_cfg, capsys, monkeypatch,
+                                                    env, key):
+    # a non-finite, zero or negative number must neither crash, nor pass as a
+    # numerical failure, nor write a stack of garbage
+    for var, val in env.items():
+        monkeypatch.setenv(var, val)
+    out = tmp_path / "out"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
     assert not out.exists()
 
 
