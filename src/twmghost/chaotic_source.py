@@ -49,10 +49,11 @@ class SourceSpec:
     def __post_init__(self):
         if self.n_modes < 1:
             raise InvalidSpec("n_modes must be >= 1")
-        if self.angular_spread <= 0:
-            raise InvalidSpec("angular_spread must be positive")
-        if self.amplitude_scale <= 0:
-            raise InvalidSpec("amplitude_scale must be positive")
+        # written so that NaN fails them too
+        if not 0 < self.angular_spread < np.inf:
+            raise InvalidSpec("angular_spread must be positive and finite")
+        if not 0 < self.amplitude_scale < np.inf:
+            raise InvalidSpec("amplitude_scale must be positive and finite")
         if self.amplitude_law not in ("gaussian", "fixed-modulus"):
             raise InvalidSpec(f"unknown amplitude_law {self.amplitude_law!r}")
 

@@ -94,9 +94,9 @@ def _outdir(path) -> Path:
 def cmd_simulate_coherent(args) -> int:
     from .pipeline import coherent_image
     cfg = _load_cfg(args)
-    mask = cfg.load_object_mask()
+    img = coherent_image(cfg.load_object_mask(), cfg.geometry, det=cfg.detector)
+    # made once set-up has succeeded, so a failed run leaves no directory
     out = _outdir(args.out)
-    img = coherent_image(mask, cfg.geometry, det=cfg.detector)
     lo, hi = masks.save_pgm16(out / "coherent_image.pgm", img.grid)
     masks.save_csv(out / "coherent_image.csv", img.grid)
     masks.save_csv(out / "coherent_image_norm.csv",
@@ -112,11 +112,10 @@ def cmd_simulate_chaotic(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_cfg(args)
-    mask = cfg.load_object_mask()
-    out = _outdir(args.out)
-    exp = ChaoticExperiment(mask, cfg.geometry, cfg.source,
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
                             cfg.master_seed, det=cfg.detector,
                             coherent_sum=cfg.coherent_sum)
+    out = _outdir(args.out)
     stack_path = out / "frames.twmg"
     width, height = cfg.detector.output_shape(cfg.width, cfg.height)
     framestack.write_stack(stack_path, exp.shots(cfg.shots, threads=args.threads), width,

@@ -141,6 +141,8 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                     fh.write(a.data)
                 moments.add(i1)
                 written += 1
+                # dropped before the next record is made
+                del shot, i1, i2, a
             if written != n_shots:
                 raise CorruptStack(f"wrote {written} shots, header said {n_shots}")
             fh.write(moments.s1.astype("<f8", copy=False).data)

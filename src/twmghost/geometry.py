@@ -41,10 +41,11 @@ class WaveVector:
     index: float = 1.0
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise GeometryError("wavelength must be positive")
-        if self.index <= 0:
-            raise GeometryError("refractive index must be positive")
+        # written so that NaN fails them too
+        if not 0 < self.wavelength < np.inf:
+            raise GeometryError("wavelength must be positive and finite")
+        if not 0 < self.index < np.inf:
+            raise GeometryError("refractive index must be positive and finite")
 
     @property
     def magnitude(self) -> float:
@@ -78,8 +79,8 @@ class InteractionGeometry:
 
     def __post_init__(self):
         for name in ("crystal_length", "f", "d", "s2", "lens_fourier_f"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise GeometryError(f"{name} must be positive and finite")
         if self.d >= 2.0 * self.f:
             raise GeometryError("image distance d must lie below 2f (crystal behind the lens)")
         l1, l2, l3 = self.k1.wavelength, self.k2.wavelength, self.k3.wavelength

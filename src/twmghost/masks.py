@@ -22,8 +22,11 @@ class ObjectMask:
 
     def __post_init__(self):
         t = np.asarray(self.transmission, dtype=float)
-        if t.min() < 0 or t.max() > 1:
+        # written so that NaN fails them too
+        if not (0 <= t.min() and t.max() <= 1):
             raise InvalidSpec("mask transmission values must lie in [0, 1]")
+        if not 0 < self.pitch < np.inf:
+            raise InvalidSpec("mask pitch must be positive and finite")
         object.__setattr__(self, "transmission", t)
 
 
@@ -31,6 +34,9 @@ def three_holes(width: int = 256, pitch: float = 52e-6, hole_diameter: float = 2
                 spacing: float = 1.2e-3) -> ObjectMask:
     """Copper-sheet style target: three circular holes on an equilateral
     triangle of side `spacing`, centered on the grid."""
+    for name, value in (("hole_diameter", hole_diameter), ("spacing", spacing)):
+        if not 0 < value < np.inf:
+            raise InvalidSpec(f"{name} must be positive and finite")
     x = (np.arange(width) - width // 2) * pitch
     xx, yy = np.meshgrid(x, x, indexing="ij")
     rad = spacing / np.sqrt(3.0)

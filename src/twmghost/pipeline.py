@@ -66,6 +66,8 @@ class DetectorSpec:
             raise InvalidSpec("bit_depth must be one of 0, 8, 12, 16")
         if self.pixel_binning < 1:
             raise InvalidSpec("pixel_binning must be >= 1")
+        if not 0 <= self.saturation_level < np.inf:
+            raise InvalidSpec("saturation_level must be >= 0 and finite")
 
     def output_shape(self, width: int, height: int) -> tuple[int, int]:
         """Frame shape after binning; partial bins at the far edges are dropped."""
@@ -280,6 +282,8 @@ class ChaoticExperiment:
                             * ramp * _shift_zero_fill(base.grid, self.px[n], self.py[n]))
             self.flat_stack = stack.reshape(spec.n_modes, -1)
             return
+        # the other paths need only base_image and pitch
+        del base
         # a copy shifted by a whole grid side or more is all zero fill: leave
         # it out, so that it cannot grow the padding
         self.kept = np.flatnonzero((np.abs(self.px) < w) & (np.abs(self.py) < h))
@@ -338,18 +342,26 @@ class ChaoticExperiment:
 
         Whole blocks are made, `threads` at a time on worker threads when
         threads > 1, with at most 2 * threads blocks in flight; the records
-        and their bytes do not depend on `threads`.  i1 is binned as each
-        record is yielded, and both arms go through `apply_detector`.  One
-        shot is `next(exp.shots(1, start=k))`.
+        and their bytes do not depend on `threads`.  One block is alive at a
+        time on one thread: a block's frames are freed before the next
+        block is made.  i1 is binned as each record is yielded, and both
+        arms go through `apply_detector`.  One shot is
+        `next(exp.shots(1, start=k))`.
         """
         stop = start + n_shots
         blocks = range(start // self.block, -(-stop // self.block))
-        for b, (p, i2) in zip(blocks, _ordered_map(self._block, blocks, threads)):
+        shape = self.base_image.shape
+        results = _ordered_map(self._block, blocks, threads)
+        for b in blocks:
+            p, i2 = next(results)
             first = b * self.block
             for k in range(max(start, first), min(stop, first + self.block)):
-                i1 = bin_intensities(self.i1_bin, p[k - first], self.base_image.shape)
-                yield ShotRecord(i1=apply_detector(i1, self.det),
-                                 i2=apply_detector(i2[k - first], self.det), shot_index=k)
+                yield ShotRecord(
+                    i1=apply_detector(bin_intensities(self.i1_bin, p[k - first], shape), self.det),
+                    i2=apply_detector(i2[k - first], self.det), shot_index=k)
+            # freed before the next block is made (a zip over the results
+            # would keep them in its reused result tuple)
+            del p, i2
 
     def expected_image(self, mode: int) -> np.ndarray:
         """Weighted, shifted copy of the base image that `mode` adds to i2

@@ -16,9 +16,10 @@ Two numerical kernels are used:
 Both are separable: the quadratic phases exp(i c (x^2 + y^2)) and the
 transfer function exp(i a (fx^2 + fy^2)) are products of one factor per
 axis, and a 2-D DFT is 1-D DFTs along each axis in turn.  So each transform
-runs as 1-D passes on one array, in place, with 1-D factors: free
-propagation pads, transforms, filters and crops the rows, then the columns,
-and never holds a padded 2-D grid or a 2-D kernel.
+runs as 1-D passes, in place, with 1-D factors: free propagation pads,
+transforms, filters and crops the rows into its output, then the output's
+columns, a band of lines at a time, so it holds one band of padded lines
+besides its input and output, and never a padded 2-D grid or a 2-D kernel.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class ScalarField:
         self.grid = np.asarray(self.grid)
         if self.grid.ndim != 2 or not (_is_pow2(self.grid.shape[0]) and _is_pow2(self.grid.shape[1])):
             raise SamplingViolation(f"grid must be 2-D with power-of-two sides, got {self.grid.shape}")
-        if self.pitch <= 0 or self.wavelength <= 0:
-            raise SamplingViolation("pitch and wavelength must be positive")
+        # written so that NaN fails it too
+        if not (0 < self.pitch < np.inf and 0 < self.wavelength < np.inf):
+            raise SamplingViolation("pitch and wavelength must be positive and finite")
         if not np.all(np.isfinite(self.grid)):
             raise SamplingViolation("field contains non-finite samples")
 
@@ -156,6 +158,10 @@ def _transfer_factor(n: int, pitch: float, lam: float, distance: float) -> np.nd
                     np.exp(1j * np.pi * lam * distance * fr ** 2), 0.0)
 
 
+# free propagation pads, transforms and crops this many lines at a time
+_BAND = 32
+
+
 def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarField:
     """Band-limited angular-spectrum propagation over `distance` (same pitch).
 
@@ -176,22 +182,34 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
     w0, h0 = field.grid.shape
     w, h = pad * w0, pad * h0
     r0, c0 = (w - w0) // 2, (h - h0) // 2
-    # the rows (axis 1): pad to h, filter, keep the h0 columns of the field
-    rows = np.zeros((w0, h), dtype=complex)
-    rows[:, c0:c0 + h0] = field.grid
-    np.fft.fft(rows, axis=1, out=rows)
-    rows *= _transfer_factor(h, field.pitch, lam, distance)
-    np.fft.ifft(rows, axis=1, out=rows)
-    # then the columns (axis 0), with the plane-wave phase exp(-i k z)
-    cols = np.zeros((w, h0), dtype=complex)
-    cols[r0:r0 + w0] = rows[:, c0:c0 + h0]
+    out = np.empty((w0, h0), dtype=complex)
+    # the rows (axis 1), a band at a time: pad to h, filter, keep the h0
+    # columns of the field.  The sides are powers of two, so a band of
+    # min(_BAND, side) lines divides them
+    ky = _transfer_factor(h, field.pitch, lam, distance)
+    nb = min(_BAND, w0)
+    rows = np.empty((nb, h), dtype=complex)
+    for i in range(0, w0, nb):
+        rows[:, :c0] = rows[:, c0 + h0:] = 0
+        rows[:, c0:c0 + h0] = field.grid[i:i + nb]
+        np.fft.fft(rows, axis=1, out=rows)
+        rows *= ky
+        np.fft.ifft(rows, axis=1, out=rows)
+        out[i:i + nb] = rows[:, c0:c0 + h0]
     del rows
-    np.fft.fft(cols, axis=0, out=cols)
+    # then the columns (axis 0) of the output, with the plane-wave phase
+    # exp(-i k z)
     kx = _transfer_factor(w, field.pitch, lam, distance) * np.exp(-1j * k * distance)
-    cols *= kx[:, None]
-    np.fft.ifft(cols, axis=0, out=cols)
-    # a copy of the crop, so that the padded columns are freed
-    return ScalarField(cols[r0:r0 + w0].copy(), field.pitch, field.wavelength)
+    nb = min(_BAND, h0)
+    cols = np.empty((w, nb), dtype=complex)
+    for j in range(0, h0, nb):
+        cols[:r0] = cols[r0 + w0:] = 0
+        cols[r0:r0 + w0] = out[:, j:j + nb]
+        np.fft.fft(cols, axis=0, out=cols)
+        cols *= kx[:, None]
+        np.fft.ifft(cols, axis=0, out=cols)
+        out[:, j:j + nb] = cols[r0:r0 + w0]
+    return ScalarField(out, field.pitch, field.wavelength)
 
 
 def fourier_plane(field: ScalarField, f_lens: float) -> ScalarField:

@@ -28,6 +28,16 @@ def test_spec_validation():
         SourceSpec(n_modes=10, angular_spread=5e-3, amplitude_law="flat")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"angular_spread": np.nan}, {"angular_spread": np.inf}, {"angular_spread": -1e-3},
+    {"amplitude_scale": np.nan}, {"amplitude_scale": np.inf}, {"amplitude_scale": 0.0},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_spec_rejects_non_finite_and_out_of_range(kwargs):
+    # NaN passes a check written as x <= 0
+    with pytest.raises(InvalidSpec, match=next(iter(kwargs))):
+        SourceSpec(**{"n_modes": 20, "angular_spread": 5e-3, **kwargs})
+
+
 def test_rng_algorithm_name():
     assert RNG_ALGORITHM == "pcg64-seedseq"
 

@@ -711,11 +711,24 @@ def test_config_number_out_of_range_is_config_error(tmp_path, small_cfg, capsys,
 
 
 def test_sampling_violation_is_numeric_error(tmp_path):
-    # a mask that fills the object grid aliases the lens chirp
+    # a mask that fills the object grid aliases the lens chirp; set-up fails
+    # before `--out` is made
     p = tmp_path / "wide.ini"
     p.write_text("[run]\nhole_diameter = 12e-3\nhole_spacing = 1e-3\n")
-    assert main(["simulate-coherent", "--config", str(p),
-                 "--out", str(tmp_path / "o")]) == 3
+    for cmd in ("simulate-coherent", "simulate-chaotic"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(p), "--out", str(out)]) == 3
+        assert not out.exists()
+
+
+def test_free_mode_directions_are_config_error(tmp_path, small_cfg, capsys, monkeypatch):
+    # the shot loop needs fixed directions: refused in set-up, before `--out`
+    monkeypatch.setenv("TWMG_SOURCE__FIXED_DIRECTIONS", "false")
+    out = tmp_path / "out"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fixed_directions" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_out_scipy_stats():

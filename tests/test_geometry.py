@@ -146,6 +146,30 @@ def test_geometry_validation():
         InteractionGeometry(k1, bad_k2, k3, 4e-3, 0.3, 0.4, 0.2, 0.15)
 
 
+def _geometry_with(**kwargs):
+    args = {"crystal_length": 4e-3, "f": 0.3, "d": 0.4, "s2": 0.2, "lens_fourier_f": 0.15}
+    return InteractionGeometry(WaveVector(1064e-9), WaveVector(1064e-9), WaveVector(532e-9),
+                               **{**args, **kwargs})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WaveVector(np.nan),
+    lambda: WaveVector(np.inf),
+    lambda: WaveVector(1064e-9, np.nan),
+    lambda: WaveVector(1064e-9, 0.0),
+    lambda: _geometry_with(s2=np.nan),
+    lambda: _geometry_with(s2=np.inf),
+    lambda: _geometry_with(crystal_length=np.inf),
+    lambda: _geometry_with(crystal_length=np.nan),
+    lambda: _geometry_with(lens_fourier_f=-0.15),
+], ids=["wavelength-nan", "wavelength-inf", "index-nan", "index-0", "s2-nan", "s2-inf",
+        "crystal_length-inf", "crystal_length-nan", "lens_fourier_f-negative"])
+def test_geometry_rejects_non_finite_and_out_of_range(build):
+    # NaN passes a check written as x <= 0
+    with pytest.raises(GeometryError, match="must be positive and finite"):
+        build()
+
+
 @pytest.mark.parametrize("n_modes, spread", [(200, 5e-3), (2000, 5e-3), (24, 1e-3)])
 def test_broadcast_matches_scalar_loop(geometry, n_modes, spread):
     # geometric_factor over 3 x n vectors must reproduce its calls on one

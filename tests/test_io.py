@@ -304,6 +304,22 @@ def test_three_holes_mask_geometry():
     assert d12 == pytest.approx(1.2e-3, rel=0.05)
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda: masks.three_holes(width=64, pitch=0.0), "pitch"),
+    (lambda: masks.three_holes(width=64, pitch=np.nan), "pitch"),
+    (lambda: masks.three_holes(width=64, hole_diameter=-1.0), "hole_diameter"),
+    (lambda: masks.three_holes(width=64, hole_diameter=np.nan), "hole_diameter"),
+    (lambda: masks.three_holes(width=64, spacing=np.inf), "spacing"),
+    (lambda: masks.ObjectMask(np.zeros((4, 4)), np.inf), "pitch"),
+    (lambda: masks.ObjectMask(np.full((4, 4), np.nan), 1e-5), r"\[0, 1\]"),
+], ids=["pitch-0", "pitch-nan", "hole_diameter-negative", "hole_diameter-nan", "spacing-inf",
+        "mask-pitch-inf", "transmission-nan"])
+def test_masks_reject_non_finite_and_out_of_range(build, what):
+    # NaN passes a check written as x <= 0
+    with pytest.raises(InvalidSpec, match=what):
+        build()
+
+
 # -- configuration ------------------------------------------------------------
 
 def test_default_config_loads():

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,6 +85,13 @@ def test_detector_spec_validation():
         DetectorSpec(bit_depth=10)
     with pytest.raises(InvalidSpec):
         DetectorSpec(pixel_binning=0)
+
+
+@pytest.mark.parametrize("level", [-1.0, np.nan, np.inf])
+def test_detector_spec_rejects_saturation_level(level):
+    # NaN passes a check written as x < 0
+    with pytest.raises(InvalidSpec, match="saturation_level"):
+        DetectorSpec(bit_depth=12, saturation_level=level)
 
 
 def test_object_pitch_for_detector(geometry):
@@ -428,6 +437,41 @@ def test_one_shot_run_repeats_shot_zero_on_fft_path(tmp_path):
         rec = next(framestack.iter_shots(out / "frames.twmg"))
         first.append(rec.i1.tobytes() + rec.i2.tobytes())
     assert first[0] == first[1]
+
+
+@pytest.mark.parametrize("overrides, n_shots, setup_budget, loop_budget", [
+    # 2000 modes at 256^2, FFT shots: set-up holds one band of padded lines
+    ({("source", "n_modes"): 2000}, 8, 8.0, 6.5),
+    # 24 modes at 128^2, copy-stack shots in blocks of 8
+    ({("grid", "width"): 128, ("grid", "height"): 128, ("source", "n_modes"): 24,
+      ("source", "angular_spread"): 1e-3}, 32, None, 14.0),
+], ids=["wideband-modes", "small-frames"])
+def test_simulate_holds_few_frames(overrides, n_shots, setup_budget, loop_budget):
+    # traced peaks in frames of 8 W H bytes: set-up's, and the shot loop's
+    # above the memory set-up leaves live, which holds one block of shots
+    # (the previous block is freed before the next is made) and the
+    # writer's three moment frames
+    cfg = load_config(None, {("run", "master_seed"): 12345, **overrides})
+    mask = cfg.load_object_mask()
+    w = cfg.width
+
+    def setup():
+        return ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed)
+
+    setup()    # warm-up: imports and first-call caches
+    tracemalloc.start()
+    try:
+        exp = setup()
+        live, setup_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        framestack.write_stack(os.devnull, exp.shots(n_shots), w, w, n_shots, 0, "test")
+        loop_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frame = 8 * w * w
+    if setup_budget is not None:
+        assert setup_peak / frame <= setup_budget
+    assert (loop_peak - live) / frame <= loop_budget
 
 
 def test_experiment_requires_fixed_directions(mask, geometry):
