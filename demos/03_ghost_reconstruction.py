@@ -16,8 +16,9 @@ import numpy as np
 
 from twmghost import masks
 from twmghost.config import load_config
+from twmghost.framestack import Moments
 from twmghost.pipeline import ChaoticExperiment
-from twmghost.statistics import auto_reference_pixel, correlate, snr_report
+from twmghost.statistics import auto_reference_pixel, correlate, reference_pairs, snr_report
 
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
@@ -35,20 +36,20 @@ masks.save_pgm16(out / "single_shot.pgm", shot0.i2)
 
 # pick the highest-contrast reference bin on the Fourier arm and correlate; a
 # bin fed by several modes recovers the sum of their shifted copies
-ref = auto_reference_pixel(rec.i1 for rec in exp.shots(50))
+ref = auto_reference_pixel(Moments.of(rec.i1 for rec in exp.shots(50)))
 modes = exp.bin_modes(ref)
 print(f"reference pixel {ref} is fed by {len(modes)} mode(s): {modes.tolist()}")
 
-cm = correlate(exp.shots(n_shots), ref)
+g = correlate(reference_pairs(exp.shots(n_shots), ref))
 expected = sum(exp.expected_image(n) for n in modes)
-rho = np.corrcoef(cm.g_map.ravel(), expected.ravel())[0, 1]
+rho = np.corrcoef(g.ravel(), expected.ravel())[0, 1]
 print(f"{n_shots}-shot correlation map vs expected image: Pearson {rho:+.3f}")
-masks.save_pgm16(out / "correlation_map.pgm", cm.g_map)
-masks.save_csv(out / "correlation_map.csv", cm.g_map)
+masks.save_pgm16(out / "correlation_map.pgm", g)
+masks.save_csv(out / "correlation_map.csv", g)
 
 # reconstruction quality grows like sqrt(number of shots)
 support = expected > 1e-3 * expected.max()
-rows = snr_report(exp.shots(n_shots), ref, support,
+rows = snr_report(reference_pairs(exp.shots(n_shots), ref), support,
                   checkpoints=[50, 100, 200, 400])
 print("shots   SNR")
 for r in rows:

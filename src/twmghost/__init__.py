@@ -19,7 +19,7 @@ _HOMES = {
     "ObjectMask": "masks",
     "ChaoticExperiment": "pipeline", "DetectorSpec": "pipeline", "coherent_image": "pipeline",
     "ScalarField": "propagation",
-    "CorrelationMap": "statistics", "correlate": "statistics", "thermal_test": "statistics",
+    "correlate": "statistics", "reference_pairs": "statistics", "thermal_test": "statistics",
 }
 
 __all__ = sorted(_HOMES)

@@ -136,32 +136,28 @@ def _parse_pixel(text, shape):
     return r, c
 
 
+def _stack_pairs(path, ref):
+    """(reference value, i2) of each shot: the i1 trace at `ref` beside the
+    i2 frames, never a whole i1 frame.  Exhausted, it frees the zip, which
+    would keep its last pair (and with it an i2 frame) in its result tuple."""
+    yield from zip(framestack.pixel_trace(path, ref, "i1"), framestack.iter_frames(path, "i2"))
+
+
 def cmd_reconstruct(args) -> int:
     from . import statistics
     header, _ = framestack.read_header(args.stack)
-    shape = (header.width, header.height)
     if args.ref_pixel == "auto":
-        ref = statistics.highest_contrast_pixel(framestack.arm_moments(args.stack, "i1"))
+        ref = statistics.auto_reference_pixel(framestack.arm_moments(args.stack, "i1"))
     else:
-        ref = _parse_pixel(args.ref_pixel, shape)
-    # the reference is one i1 value per shot: read it as a pixel trace and
-    # correlate it with the i2 frames, never reading a whole i1 frame
-    acc = statistics.CovarianceAccumulator(ref)
-    for x, i2 in zip(framestack.pixel_trace(args.stack, ref, "i1"),
-                     framestack.iter_frames(args.stack, "i2")):
-        acc.add(x, i2)
-    # drop the last i2 frame before the result's two frames are made, and
-    # the accumulator's three before the outputs' copies
-    i2 = None
-    cm = acc.result()
-    del acc
+        ref = _parse_pixel(args.ref_pixel, (header.width, header.height))
+    g = statistics.correlate(_stack_pairs(args.stack, ref))
     out = _outdir(args.out)
-    lo, hi = masks.save_pgm16(out / "correlation_map.pgm", cm.g_map)
-    masks.save_csv(out / "correlation_map.csv", cm.g_map)
+    lo, hi = masks.save_pgm16(out / "correlation_map.pgm", g)
+    masks.save_csv(out / "correlation_map.csv", g)
     masks.save_csv(out / "correlation_map_norm.csv",
-                   np.array([[lo, hi, float(ref[0]), float(ref[1]), cm.n_shots]]),
+                   np.array([[lo, hi, float(ref[0]), float(ref[1]), header.n_shots]]),
                    header="min,max,ref_row,ref_col,n_shots")
-    print(f"correlation map over {cm.n_shots} shots, ref pixel {ref}, written to {out}")
+    print(f"correlation map over {header.n_shots} shots, ref pixel {ref}, written to {out}")
     return 0
 
 
@@ -186,7 +182,7 @@ def cmd_stats(args) -> int:
         if args.pixel:
             px = _parse_pixel(args.pixel, (header.width, header.height))
         else:
-            px = statistics.highest_contrast_pixel(framestack.arm_moments(args.stack, arm))
+            px = statistics.auto_reference_pixel(framestack.arm_moments(args.stack, arm))
         samples = framestack.pixel_trace(args.stack, px, arm)
         label = f"temporal {arm}, pixel {tuple(int(v) for v in px)}"
     try:

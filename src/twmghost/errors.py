@@ -9,12 +9,8 @@ class DegenerateGeometry(TwmError):
     """Beam pair is (numerically) counter-propagating; bisector undefined."""
 
 
-class GeometryError(TwmError):
-    """Interaction geometry violates a construction invariant."""
-
-
 class InvalidSpec(TwmError):
-    """A source / run specification is out of its valid range."""
+    """A source, geometry or run specification is out of its valid range."""
 
 
 class SamplingViolation(TwmError):
@@ -25,12 +21,9 @@ class ShapeMismatch(TwmError):
     """Arrays in an ensemble do not share a common shape."""
 
 
-class EmptyEnsemble(TwmError):
-    """An estimator was given fewer shots than it needs."""
-
-
 class InsufficientSamples(TwmError):
-    """A statistical test was given too few samples, or samples it cannot use."""
+    """An estimator or statistical test was given fewer shots or samples than
+    it needs, or samples it cannot use."""
 
 
 class UnreadableFile(TwmError):

@@ -84,9 +84,10 @@ class StackHeader:
 class Moments:
     """Per-pixel sums of I and I^2 over frames added in shot order, n of them.
 
-    The stack writer, `arm_moments` and `statistics.auto_reference_pixel`
-    share it, so the stored trailer is bit-identical to a pass over the
-    frames read back.
+    The stack writer and `Moments.of` sum frames with the same `add`, so the
+    stored trailer is bit-identical to a pass over the frames read back.
+    `statistics.auto_reference_pixel` picks from it: `arm_moments` of a
+    stack, or `Moments.of(frames)` for frames in hand.
     """
 
     def __init__(self, shape=None):

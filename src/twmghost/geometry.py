@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, GeometryError
+from .errors import DegenerateGeometry, InvalidSpec
 
 # cos^2(psi/2) below this is treated as counter-propagating
 DEGENERACY_TOL = 1e-12
@@ -43,9 +43,9 @@ class WaveVector:
     def __post_init__(self):
         # written so that NaN fails them too
         if not 0 < self.wavelength < np.inf:
-            raise GeometryError("wavelength must be positive and finite")
+            raise InvalidSpec("wavelength must be positive and finite")
         if not 0 < self.index < np.inf:
-            raise GeometryError("refractive index must be positive and finite")
+            raise InvalidSpec("refractive index must be positive and finite")
 
     @property
     def magnitude(self) -> float:
@@ -80,12 +80,12 @@ class InteractionGeometry:
     def __post_init__(self):
         for name in ("crystal_length", "f", "d", "s2", "lens_fourier_f"):
             if not 0 < getattr(self, name) < np.inf:
-                raise GeometryError(f"{name} must be positive and finite")
+                raise InvalidSpec(f"{name} must be positive and finite")
         if self.d >= 2.0 * self.f:
-            raise GeometryError("image distance d must lie below 2f (crystal behind the lens)")
+            raise InvalidSpec("image distance d must lie below 2f (crystal behind the lens)")
         l1, l2, l3 = self.k1.wavelength, self.k2.wavelength, self.k3.wavelength
         if abs(1.0 / l3 - 1.0 / l1 - 1.0 / l2) * l3 > 1e-9:
-            raise GeometryError("energy matching 1/l3 = 1/l1 + 1/l2 violated")
+            raise InvalidSpec("energy matching 1/l3 = 1/l1 + 1/l2 violated")
 
 
 def geometric_factor(u1: np.ndarray, u2: np.ndarray):

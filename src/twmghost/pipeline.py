@@ -346,8 +346,10 @@ class ChaoticExperiment:
         time on one thread: a block's frames are freed before the next
         block is made.  i1 is binned as each record is yielded, and both
         arms go through `apply_detector`.  One shot is
-        `next(exp.shots(1, start=k))`.
+        `next(exp.shots(1, start=k))`; n_shots <= 0 makes no block.
         """
+        if n_shots <= 0:
+            return
         stop = start + n_shots
         blocks = range(start // self.block, -(-stop // self.block))
         shape = self.base_image.shape

@@ -11,6 +11,10 @@ pairs.  It sums x - x0, with x0 the first shot's x, so that a near-constant
 reference gives G at the round-off of its variation, not of its mean.
 Accumulation is strictly sequential in shot order (double precision), so
 results are bit-identical regardless of how shots were produced.
+
+Every estimator (`correlate`, `jackknife_error`, `snr_report`) takes such
+pairs: `reference_pairs` makes them from shot records, and the
+`reconstruct` command from a stack's i1 pixel trace beside its i2 frames.
 """
 
 from __future__ import annotations
@@ -21,19 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyEnsemble, InsufficientSamples, ShapeMismatch
+from .errors import InsufficientSamples, ShapeMismatch
 from .framestack import Moments, ShotRecord
-
-
-@dataclass
-class CorrelationMap:
-    """Per-pixel covariance map with the running means it was built from."""
-
-    g_map: np.ndarray
-    ref_pixel: tuple[int, int]
-    n_shots: int
-    mean_i1: float
-    mean_i2: np.ndarray
 
 
 @dataclass
@@ -47,12 +40,11 @@ class HistogramFit:
 
 class CovarianceAccumulator:
     """Streaming accumulator of the covariance map between a reference value
-    x (the i1 intensity at `ref_pixel`) and the i2 map, fed (x, i2) pairs in
-    shot order.  It keeps n, s1 = sum(x - x0), s2 = sum(i2) and
+    x (the i1 intensity at the reference pixel) and the i2 map, fed (x, i2)
+    pairs in shot order.  It keeps n, s1 = sum(x - x0), s2 = sum(i2) and
     s12 = sum((x - x0) i2), with x0 the first x."""
 
-    def __init__(self, ref_pixel: tuple[int, int]):
-        self.ref_pixel = (int(ref_pixel[0]), int(ref_pixel[1]))
+    def __init__(self):
         self.n, self.x0, self.s1 = 0, 0.0, 0.0
         self.s2 = self.s12 = self.shape = self._scratch = None
 
@@ -70,22 +62,23 @@ class CovarianceAccumulator:
         self.s2 += i2
         self.s12 += np.multiply(x, i2, out=self._scratch)
 
-    def result(self) -> CorrelationMap:
-        """The map so far; it allocates only G and the mean i2, and the
-        accumulator takes further shots after it.  A map with non-finite
-        pixels (the stack held NaN or inf) is an InsufficientSamples."""
+    def result(self) -> np.ndarray:
+        """The map G so far; it allocates only G (the product of the means
+        is formed in the scratch frame), and the accumulator takes further
+        shots after it.  Fewer than 2 shots, or a map with non-finite pixels
+        (the stack held NaN or inf), is an InsufficientSamples."""
         if self.n < 2:
-            raise EmptyEnsemble(f"need at least 2 shots, got {self.n}")
-        m1, m2 = self.s1 / self.n, self.s2 / self.n
+            raise InsufficientSamples(f"need at least 2 shots, got {self.n}")
         g = self.s12 / self.n
-        g -= np.multiply(m1, m2, out=self._scratch)
+        means = np.divide(self.s2, self.n, out=self._scratch)
+        means *= self.s1 / self.n
+        g -= means
         bad = g.size - int(np.count_nonzero(np.isfinite(g)))
         if bad:
             raise InsufficientSamples(
                 f"{bad} of {g.size} correlation map pixels are not finite (NaN or inf): "
                 f"the reference trace or the i2 frames hold non-finite samples")
-        return CorrelationMap(g_map=g, ref_pixel=self.ref_pixel, n_shots=self.n,
-                              mean_i1=self.x0 + m1, mean_i2=m2)
+        return g
 
 
 class JackknifeAccumulator(CovarianceAccumulator):
@@ -111,7 +104,7 @@ class JackknifeAccumulator(CovarianceAccumulator):
     def standard_error(self) -> np.ndarray:
         """Jackknife standard error of the covariance map, per pixel."""
         if self.n < 2:
-            raise EmptyEnsemble(f"need at least 2 shots, got {self.n}")
+            raise InsufficientSamples(f"need at least 2 shots, got {self.n}")
         n, m = self.n, self.n - 1
         sy, syy, sxy, sxxy, sxyy, sxxyy = self.sums
         mx, my = self.s1 / n, sy / n
@@ -121,8 +114,9 @@ class JackknifeAccumulator(CovarianceAccumulator):
         return np.sqrt(np.maximum(n / m ** 3 * (x2y2 - n * g * g), 0.0))
 
 
-def _reference_pairs(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]):
-    """(i1 at ref_pixel, i2) of each shot, in iteration order."""
+def reference_pairs(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]):
+    """(i1 at ref_pixel, i2) of each shot record, in iteration order; a
+    ref_pixel off the i1 frame (a negative index too) is a ShapeMismatch."""
     r = (int(ref_pixel[0]), int(ref_pixel[1]))
     for shot in shots:
         w, h = shot.i1.shape
@@ -131,22 +125,22 @@ def _reference_pairs(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]):
         yield shot.i1[r], shot.i2
 
 
-def _accumulate(acc: CovarianceAccumulator, shots: Iterable[ShotRecord]):
-    for x, i2 in _reference_pairs(shots, acc.ref_pixel):
+def _fed(acc: CovarianceAccumulator, pairs: Iterable[tuple[float, np.ndarray]]):
+    """`acc` once it has taken every (reference value, i2) pair, in order."""
+    for x, i2 in pairs:
         acc.add(x, i2)
     return acc
 
 
-def correlate(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]) -> CorrelationMap:
-    """Covariance map over an ensemble of shots (fixed iteration order)."""
-    return _accumulate(CovarianceAccumulator(ref_pixel), shots).result()
+def correlate(pairs: Iterable[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Covariance map G over (reference value, i2) pairs, in their order."""
+    return _fed(CovarianceAccumulator(), pairs).result()
 
 
-def jackknife_error(shots: Iterable[ShotRecord],
-                    ref_pixel: tuple[int, int]) -> tuple[CorrelationMap, np.ndarray]:
-    """Covariance map and its leave-one-out standard error per pixel, from
-    the sums of one streaming pass over the shots."""
-    acc = _accumulate(JackknifeAccumulator(ref_pixel), shots)
+def jackknife_error(pairs: Iterable[tuple[float, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance map G and its leave-one-out standard error per pixel, from
+    the sums of one streaming pass over the (reference value, i2) pairs."""
+    acc = _fed(JackknifeAccumulator(), pairs)
     if acc.n < 10:
         raise InsufficientSamples(f"jackknife needs >= 10 shots, got {acc.n}")
     return acc.result(), acc.standard_error()
@@ -163,14 +157,10 @@ THERMAL_CONTRAST_FLOOR = 1e-4
 BRIGHTEST_TIE = 1e-9
 
 
-def auto_reference_pixel(frames: Iterable[np.ndarray]) -> tuple[int, int]:
-    """`highest_contrast_pixel` of the frames' moments, streamed in one pass."""
-    return highest_contrast_pixel(Moments.of(frames))
-
-
-def highest_contrast_pixel(moments: Moments) -> tuple[int, int]:
+def auto_reference_pixel(moments: Moments) -> tuple[int, int]:
     """Pixel of highest temporal contrast sigma/<I> among pixels with <I> > 0,
-    from per-pixel sums of I and I^2 over n frames.
+    from per-pixel sums of I and I^2 over n frames (`framestack.arm_moments`
+    of a stack, or `Moments.of(frames)`).
 
     A Fourier bin (arm i1) fed by one thermal mode has contrast 1, one fed
     by M modes 1/sqrt(M) (Goodman, Speckle Phenomena in Optics), so this is
@@ -182,7 +172,7 @@ def highest_contrast_pixel(moments: Moments) -> tuple[int, int]:
     """
     n = moments.n
     if n == 0:
-        raise EmptyEnsemble("no frames")
+        raise InsufficientSamples("no frames")
     mean = moments.s1 / n
     # sd, then the contrast, formed in place in one frame
     contrast = moments.s2 / n
@@ -333,17 +323,16 @@ def _pelz_good_cdf(n: int, d: float) -> float:
                                              / math.sqrt(n))
 
 
-def _snr_from_map(cm: CorrelationMap, support: np.ndarray) -> float:
-    inside = cm.g_map[support]
-    outside = cm.g_map[~support]
+def _snr_row(acc: CovarianceAccumulator, support: np.ndarray) -> dict:
+    g = acc.result()
+    inside, outside = g[support], g[~support]
     sd = float(outside.std())
-    if sd == 0:
-        return 0.0
-    return float((inside.mean() - outside.mean()) / sd)
+    snr = float((inside.mean() - outside.mean()) / sd) if sd else 0.0
+    return {"n_shots": acc.n, "snr": snr, "low_confidence": acc.n < 10}
 
 
-def snr_report(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int],
-               support: np.ndarray, checkpoints: Sequence[int] | None = None) -> list[dict]:
+def snr_report(pairs: Iterable[tuple[float, np.ndarray]], support: np.ndarray,
+               checkpoints: Sequence[int] | None = None) -> list[dict]:
     """Reconstruction SNR at increasing shot counts, in one streaming pass.
 
     SNR = (mean G inside `support` - mean G outside) / std(G outside), with
@@ -351,20 +340,17 @@ def snr_report(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int],
     grid (including the reference-mode shift).  The covariance map is
     snapshotted from the running accumulator at each requested checkpoint;
     the full-ensemble value is always reported last.  Entries with fewer
-    than 10 shots are flagged low-confidence.
+    than 10 shots are flagged low-confidence; fewer than 2 in all is an
+    InsufficientSamples.
     """
     support = np.asarray(support, dtype=bool)
     cps = set(int(c) for c in checkpoints) if checkpoints else None
-    acc = CovarianceAccumulator(ref_pixel)
+    acc = CovarianceAccumulator()
     out = []
-    for x, i2 in _reference_pairs(shots, ref_pixel):
+    for x, i2 in pairs:
         acc.add(x, i2)
         if cps is not None and acc.n in cps and acc.n >= 2:
-            out.append({"n_shots": acc.n, "snr": _snr_from_map(acc.result(), support),
-                        "low_confidence": acc.n < 10})
-    if acc.n < 2:
-        raise EmptyEnsemble("need at least 2 shots")
+            out.append(_snr_row(acc, support))
     if not out or out[-1]["n_shots"] != acc.n:
-        out.append({"n_shots": acc.n, "snr": _snr_from_map(acc.result(), support),
-                    "low_confidence": acc.n < 10})
+        out.append(_snr_row(acc, support))
     return out

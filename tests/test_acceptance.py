@@ -21,6 +21,7 @@ from twmghost.statistics import (
     auto_reference_pixel,
     correlate,
     jackknife_error,
+    reference_pairs,
     snr_report,
     thermal_test,
 )
@@ -62,7 +63,7 @@ def reference(experiment, cfg):
                               (cfg.width, cfg.height))
     counts = np.bincount(index[index >= 0], minlength=cfg.width * cfg.height)
     # the automatic pick, from the frames alone, is a single-mode bin too
-    auto = auto_reference_pixel(s.i1 for s in probe)
+    auto = auto_reference_pixel(framestack.Moments.of(s.i1 for s in probe))
     fed = experiment.bin_modes(auto).size
     assert fed == 1, f"auto reference {auto} is fed by {fed} modes"
     unique = [n for n, b in enumerate(index) if b >= 0 and counts[b] == 1]
@@ -257,9 +258,9 @@ def test_criterion_5_single_shot_carries_no_image(experiment, mask, geometry, cf
 def test_criterion_6_correlation_recovery(experiment, reference):
     t0 = time.monotonic()
     ref, mode, expected = reference
-    cm = correlate(experiment.shots(1000), ref)
-    rho = float(np.corrcoef(cm.g_map.ravel(), expected.ravel())[0, 1])
-    g_cent, n_comp = _hole_centroids(cm.g_map, 16e-6, 0.5 * cm.g_map.max())
+    g = correlate(reference_pairs(experiment.shots(1000), ref))
+    rho = float(np.corrcoef(g.ravel(), expected.ravel())[0, 1])
+    g_cent, n_comp = _hole_centroids(g, 16e-6, 0.5 * g.max())
     e_cent, _ = _hole_centroids(expected, 16e-6, 0.5 * expected.max())
     holes_ok = n_comp >= 3 and all(
         np.linalg.norm(g_cent - ec, axis=1).min() <= 5 * 16e-6 for ec in e_cent)
@@ -276,7 +277,7 @@ def test_criterion_7_snr_scaling(experiment, reference):
     # diffraction-broadened hole edges): signal pixels left "outside" put a
     # floor under the noise estimate and flatten the scaling
     support = expected > 1e-3 * expected.max()
-    rows = snr_report(experiment.shots(1000), ref, support,
+    rows = snr_report(reference_pairs(experiment.shots(1000), ref), support,
                       checkpoints=[125, 250, 500, 1000])
     ns = np.array([r["n_shots"] for r in rows], dtype=float)
     snr = np.array([r["snr"] for r in rows])
@@ -320,9 +321,9 @@ def test_fixed_modulus_pick_does_not_move_with_frame_count(experiment, geometry,
     shape = experiment.base_image.shape
     index = fourier_bin_index(sample_modes(spec, cfg.master_seed, 0), geometry.lens_fourier_f,
                               experiment.pitch, shape)
-    ref = auto_reference_pixel(
+    ref = auto_reference_pixel(framestack.Moments.of(
         bin_intensities(index, np.abs(sample_amplitudes(spec, cfg.master_seed, k)) ** 2, shape)
-        for k in range(n_frames))
+        for k in range(n_frames)))
     assert ref == (98, 148)
 
 
@@ -337,11 +338,11 @@ def test_criterion_9_zero_variance_control(mask, geometry, cfg):
     shape = exp.base_image.shape
     index = fourier_bin_index(sample_modes(spec, cfg.master_seed, 0), geometry.lens_fourier_f,
                               exp.pitch, shape)
-    ref = auto_reference_pixel(
+    ref = auto_reference_pixel(framestack.Moments.of(
         bin_intensities(index, np.abs(sample_amplitudes(spec, cfg.master_seed, k)) ** 2, shape)
-        for k in range(256))
-    cm, se = jackknife_error(exp.shots(256), ref)
-    g = np.abs(cm.g_map)
+        for k in range(256)))
+    g, se = jackknife_error(reference_pairs(exp.shots(256), ref))
+    g = np.abs(g)
     ok = bool(ref == (98, 148) and np.all(g <= 5.0 * se))
     worst = float(np.divide(g, se, out=np.zeros_like(g), where=se > 0).max())
     _report(9, "deterministic mode amplitudes: |G| stays below 5x the "

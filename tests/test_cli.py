@@ -40,6 +40,11 @@ def _src_env():
     return env
 
 
+def _pick(frames):
+    """The auto reference pixel of frames read in full."""
+    return statistics.auto_reference_pixel(framestack.Moments.of(frames))
+
+
 @pytest.fixture
 def small_cfg(tmp_path):
     p = tmp_path / "small.ini"
@@ -109,12 +114,13 @@ def test_reconstruct_map_equals_correlate_of_shots(tmp_path, small_cfg):
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "20"])
     stack = out / "frames.twmg"
-    auto = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i1"))
+    auto = _pick(framestack.iter_frames(stack, "i1"))
     for ref_arg, ref in (("auto", auto), ("32,32", (32, 32))):
         rec = tmp_path / ref_arg.replace(",", "_")
         assert main(["reconstruct", str(stack), "--ref-pixel", ref_arg, "--out", str(rec)]) == 0
         want = tmp_path / "want.csv"
-        masks.save_csv(want, statistics.correlate(framestack.iter_shots(stack), ref).g_map)
+        masks.save_csv(want, statistics.correlate(
+            statistics.reference_pairs(framestack.iter_shots(stack), ref)))
         assert (rec / "correlation_map.csv").read_bytes() == want.read_bytes()
 
 
@@ -142,7 +148,7 @@ def test_given_pixel_reads_no_i1_frame(tmp_path, small_cfg, monkeypatch):
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
     stack = out / "frames.twmg"
     shots = list(framestack.iter_shots(stack))
-    r, c = statistics.auto_reference_pixel(s.i1 for s in shots)
+    r, c = _pick(s.i1 for s in shots)
     arms = _count_frame_reads(monkeypatch)
     assert main(["reconstruct", str(stack), "--ref-pixel", f"{r},{c}",
                  "--out", str(tmp_path / "rec")]) == 0
@@ -162,7 +168,7 @@ def test_auto_pixel_reads_the_trailer_not_the_i1_frames(tmp_path, small_cfg, mon
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
     stack = out / "frames.twmg"
-    r, c = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i1"))
+    r, c = _pick(framestack.iter_frames(stack, "i1"))
     arms = _count_frame_reads(monkeypatch)
     assert main(["reconstruct", str(stack), "--out", str(tmp_path / "rec")]) == 0
     assert arms == ["i2"]
@@ -184,7 +190,7 @@ def test_stats_temporal_i2_picks_from_the_i2_frames(tmp_path, small_cfg):
     stack = out / "frames.twmg"
     assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i2",
                  "--out", str(tmp_path / "st")]) == 0
-    px = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i2"))
+    px = _pick(framestack.iter_frames(stack, "i2"))
     assert (tmp_path / "st" / "stats_report.txt").read_text().startswith(
         f"temporal i2, pixel {px}\n")
 
@@ -263,7 +269,7 @@ def test_reconstruct_non_finite_stack_is_data_error(tmp_path, capsys, arm, count
 def test_reconstruct_holds_few_frames(tmp_path):
     # the reader's traced peak, in frames of 8 W H bytes: the auto pick forms
     # its contrast in one frame, the loop holds three sums and the frame read,
-    # and result() adds only the map and the mean i2
+    # result() adds only the map, and no frame outlives the pairs it came in
     w = 256
     rng = np.random.default_rng(4)
     shots = (framestack.ShotRecord(i1=rng.random((w, w)), i2=rng.random((w, w)), shot_index=k)
@@ -278,7 +284,7 @@ def test_reconstruct_holds_few_frames(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * w * w) <= 5.5
+    assert peak / (8 * w * w) <= 5.12
 
 
 def test_stats_spatial_reads_the_last_shot(tmp_path, small_cfg, capsys):
@@ -323,7 +329,7 @@ def test_stats_temporal_default_pixel_is_auto_reference(tmp_path, small_cfg):
     auto, given = tmp_path / "auto", tmp_path / "given"
     assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i1",
                  "--out", str(auto)]) == 0
-    ref = statistics.auto_reference_pixel(framestack.iter_frames(stack, "i1"))
+    ref = _pick(framestack.iter_frames(stack, "i1"))
     report = (auto / "stats_report.txt").read_text()
     assert report.startswith(f"temporal i1, pixel {ref}\n")
     assert main(["stats", str(stack), "--mode", "temporal", "--arm", "i1",
@@ -771,6 +777,32 @@ def test_stack_readers_load_no_simulator(tmp_path, small_cfg, argv):
     assert _loaded_after(code, SIMULATOR + ("concurrent.futures",)) == []
 
 
+@pytest.mark.parametrize("argv, spans", [
+    (["reconstruct", "--ref-pixel", "auto"], ("auto_reference_pixel", "correlate")),
+    (["stats", "--mode", "temporal"], ("auto_reference_pixel", "thermal_test"))])
+def test_traced_readers_run_the_library_estimators(tmp_path, argv, spans):
+    # perfbench/tracer.py wraps the estimators by name: the readers must
+    # call them, so that their per-layer spans are recorded, not read as 0
+    rng = np.random.default_rng(6)
+    shots = (framestack.ShotRecord(i1=rng.exponential(1.0, (16, 16)),
+                                   i2=rng.exponential(1.0, (16, 16)), shot_index=k)
+             for k in range(120))
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, shots, 16, 16, 120, 0, "test")
+    trace = tmp_path / "trace.json"
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    proc = subprocess.run([sys.executable, str(tracer), str(trace), argv[0], str(stack),
+                           *argv[1:], "--out", str(tmp_path / "out")],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(trace.read_text())
+    recorded = {span[0] for span in got["spans"]}
+    for name in ("auto_reference_pixel", "correlate"):
+        assert f"twmghost.statistics.{name}" not in got["absent"]
+    for name in spans:
+        assert f"statistics.{name}" in recorded, sorted(recorded)
+
+
 def test_one_thread_simulate_loads_no_estimator(tmp_path, small_cfg):
     argv = ["simulate-chaotic", "--config", small_cfg, "--threads", "1",
             "--out", str(tmp_path / "run")]
@@ -791,9 +823,9 @@ def test_public_names_resolve_from_the_package():
             "    assert value is getattr(home, name) is globals()[name], name")
     assert _loaded_after(code, ()) == []
     assert set(twmghost.__all__) == {
-        "ChaoticExperiment", "CorrelationMap", "DetectorSpec", "InteractionGeometry",
-        "ModeSet", "ObjectMask", "ScalarField", "ShotRecord", "SourceSpec", "WaveVector",
-        "coherent_image", "correlate", "sample_modes", "thermal_test"}
+        "ChaoticExperiment", "DetectorSpec", "InteractionGeometry", "ModeSet", "ObjectMask",
+        "ScalarField", "ShotRecord", "SourceSpec", "WaveVector", "coherent_image", "correlate",
+        "reference_pairs", "sample_modes", "thermal_test"}
 
 
 def test_unknown_package_attribute_raises():

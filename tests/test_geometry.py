@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twmghost.errors import DegenerateGeometry, GeometryError
+from twmghost.errors import DegenerateGeometry, InvalidSpec
 from twmghost.geometry import InteractionGeometry, WaveVector, geometric_factor, unit_vectors
 from twmghost.pipeline import _idlers
 
@@ -139,10 +139,10 @@ def test_geometry_validation():
     InteractionGeometry(k1, k2, k3, 4e-3, 0.3, 0.4, 0.2, 0.15)
     # the crystal must sit behind the lens: 0 < d < 2f
     for d in (0.6, 0.7, 0.0, -0.1):
-        with pytest.raises(GeometryError):
+        with pytest.raises(InvalidSpec):
             InteractionGeometry(k1, k2, k3, 4e-3, 0.3, d, 0.2, 0.15)
     bad_k2 = WaveVector(900e-9, 1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidSpec):
         InteractionGeometry(k1, bad_k2, k3, 4e-3, 0.3, 0.4, 0.2, 0.15)
 
 
@@ -166,7 +166,7 @@ def _geometry_with(**kwargs):
         "crystal_length-inf", "crystal_length-nan", "lens_fourier_f-negative"])
 def test_geometry_rejects_non_finite_and_out_of_range(build):
     # NaN passes a check written as x <= 0
-    with pytest.raises(GeometryError, match="must be positive and finite"):
+    with pytest.raises(InvalidSpec, match="must be positive and finite"):
         build()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from twmghost import framestack, masks, statistics
 from twmghost.config import DEFAULTS, load_config, manifest_text
-from twmghost.errors import (CorruptStack, EmptyEnsemble, InvalidSpec, ShapeMismatch,
+from twmghost.errors import (CorruptStack, InsufficientSamples, InvalidSpec, ShapeMismatch,
                              UnreadableFile, UnsupportedFormat)
 from twmghost.pipeline import ShotRecord
 
@@ -182,8 +182,8 @@ def test_empty_stack_has_no_reference_pixel(tmp_path):
     path = tmp_path / "s.twmg"
     framestack.write_stack(path, [], 8, 8, 0, 0, "x")
     assert framestack.arm_moments(path).n == 0
-    with pytest.raises(EmptyEnsemble):
-        statistics.highest_contrast_pixel(framestack.arm_moments(path))
+    with pytest.raises(InsufficientSamples, match="no frames"):
+        statistics.auto_reference_pixel(framestack.arm_moments(path))
 
 
 def test_reader_argument_errors(tmp_path, rng):

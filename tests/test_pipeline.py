@@ -402,7 +402,28 @@ def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
 
 
 @pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
-@pytest.mark.parametrize("n_modes, coherent_sum, fft", [(200, False, True), (20, False, False),
+def test_shots_make_only_the_blocks_they_yield(monkeypatch):
+    # no shot asked for makes no block; shots 7 and 8 straddle blocks 0 and 1
+    cfg = _grid_config(64, 20)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
+    assert exp.flat_stack is not None and exp.block == 8
+    made = []
+    block = exp._block
+
+    def counted(b):
+        made.append(b)
+        return block(b)
+
+    monkeypatch.setattr(exp, "_block", counted)
+    for n_shots in (0, -3):
+        assert list(exp.shots(n_shots, start=5)) == []
+    assert made == []
+    assert [rec.shot_index for rec in exp.shots(2, start=7)] == [7, 8]
+    assert made == [0, 1]
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
+@pytest.mark.parametrize("n_modes, coherent_sum, fft",[(200, False, True), (20, False, False),
                                                      (20, True, False)],
                          ids=["fft", "copy-stack", "coherent-sum"])
 def test_detector_applies_once_to_each_record(n_modes, coherent_sum, fft):

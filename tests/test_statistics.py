@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twmghost.errors import EmptyEnsemble, InsufficientSamples, ShapeMismatch
+from twmghost.errors import InsufficientSamples, ShapeMismatch
+from twmghost.framestack import Moments
 from twmghost.pipeline import ShotRecord
 from twmghost.statistics import (
     CovarianceAccumulator,
@@ -12,9 +13,18 @@ from twmghost.statistics import (
     auto_reference_pixel,
     correlate,
     jackknife_error,
+    reference_pairs,
     snr_report,
     thermal_test,
 )
+
+
+def _correlate(shots, ref):
+    return correlate(reference_pairs(shots, ref))
+
+
+def _pick(frames):
+    return auto_reference_pixel(Moments.of(frames))
 
 
 def _synthetic_shots(rng, n=60, w=16, coupled=False):
@@ -33,33 +43,30 @@ def _synthetic_shots(rng, n=60, w=16, coupled=False):
 def test_correlate_against_direct_covariance(rng):
     shots = _synthetic_shots(rng, n=40)
     ref = (3, 3)
-    cm = correlate(shots, ref)
+    g = _correlate(shots, ref)
     i1r = np.array([s.i1[ref] for s in shots])
     i2 = np.array([s.i2 for s in shots])
     direct = (i2 * i1r[:, None, None]).mean(axis=0) - i1r.mean() * i2.mean(axis=0)
-    assert np.allclose(cm.g_map, direct, atol=1e-12)
-    assert cm.n_shots == 40
-    assert cm.mean_i1 == pytest.approx(i1r.mean())
-    assert np.allclose(cm.mean_i2, i2.mean(axis=0))
+    assert np.allclose(g, direct, atol=1e-12)
 
 
 def test_correlate_recovers_self_covariance(rng):
     shots = _synthetic_shots(rng, n=400, coupled=True)
-    cm = correlate(shots, (3, 3))
+    g = _correlate(shots, (3, 3))
     i1r = np.array([s.i1[3, 3] for s in shots])
     var = i1r.var()  # 1/n convention matches the accumulator
-    assert np.allclose(cm.g_map[2:6, 2:6], var, atol=1e-12)
+    assert np.allclose(g[2:6, 2:6], var, atol=1e-12)
     # uncoupled pixels stay near zero
-    assert np.abs(cm.g_map[10:, 10:]).max() < 5.0 / np.sqrt(400)
+    assert np.abs(g[10:, 10:]).max() < 5.0 / np.sqrt(400)
 
 
 def test_accumulator_streaming_equals_batch(rng):
     shots = _synthetic_shots(rng, n=25)
-    acc = CovarianceAccumulator((5, 7))
+    acc = CovarianceAccumulator()
     for s in shots:
         acc.add(s.i1[5, 7], s.i2)
-    cm = acc.result()
-    assert np.allclose(cm.g_map, correlate(shots, (5, 7)).g_map, atol=1e-12)
+    g = acc.result()
+    assert g.tobytes() == _correlate(shots, (5, 7)).tobytes()
     # the sums are those of the plain per-shot expressions with x shifted by
     # the first shot's value, bit for bit
     x0 = float(shots[0].i1[5, 7])
@@ -69,14 +76,13 @@ def test_accumulator_streaming_equals_batch(rng):
         s1 += x
         s2 += s.i2
         s12 += x * s.i2
-    assert acc.x0 == x0 and acc.s1 == s1
-    assert cm.mean_i1 == x0 + s1 / 25
+    assert acc.n == 25 and acc.x0 == x0 and acc.s1 == s1
     assert acc.s2.tobytes() == s2.tobytes() and acc.s12.tobytes() == s12.tobytes()
 
 
 def test_accumulator_errors(rng):
-    acc = CovarianceAccumulator((0, 0))
-    with pytest.raises(EmptyEnsemble):
+    acc = CovarianceAccumulator()
+    with pytest.raises(InsufficientSamples, match="need at least 2 shots, got 0"):
         acc.result()
     acc.add(1.0, np.ones((4, 4)))
     with pytest.raises(ShapeMismatch):
@@ -85,7 +91,7 @@ def test_accumulator_errors(rng):
     shots = [ShotRecord(i1=np.ones((4, 4)), i2=np.ones((4, 4)), shot_index=k) for k in range(3)]
     for ref in ((4, 0), (-1, 0)):
         with pytest.raises(ShapeMismatch):
-            correlate(shots, ref)
+            _correlate(shots, ref)
 
 
 def test_auto_reference_pixel(rng):
@@ -99,14 +105,14 @@ def test_auto_reference_pixel(rng):
         i1[9, 4] = rng.exponential(1.0, size=2).sum()
         i1[12, 1] = rng.exponential(1.0, size=3).sum()
         shots.append(ShotRecord(i1=i1, i2=i1.copy(), shot_index=s))
-    assert auto_reference_pixel(s.i1 for s in shots) == (3, 5)
-    assert auto_reference_pixel(s.i2 for s in shots) == (3, 5)
+    assert _pick(s.i1 for s in shots) == (3, 5)
+    assert _pick(s.i2 for s in shots) == (3, 5)
     # deterministic intensities: no bin varies, so the brightest is picked
     frame = np.zeros((16, 16))
     frame[3, 5], frame[9, 4] = 1.0, 2.0
-    assert auto_reference_pixel(frame.copy() for _ in range(20)) == (9, 4)
-    with pytest.raises(EmptyEnsemble):
-        auto_reference_pixel([])
+    assert _pick(frame.copy() for _ in range(20)) == (9, 4)
+    with pytest.raises(InsufficientSamples, match="no frames"):
+        _pick([])
 
 
 def test_brightest_pixel_ties_go_to_the_first():
@@ -115,10 +121,10 @@ def test_brightest_pixel_ties_go_to_the_first():
     for later in (2.0 + 4e-16, 2.0 - 4e-16):
         frame = np.zeros((16, 16))
         frame[3, 5], frame[9, 4], frame[12, 1] = 2.0, later, 1.0
-        assert auto_reference_pixel(frame.copy() for _ in range(20)) == (3, 5)
+        assert _pick(frame.copy() for _ in range(20)) == (3, 5)
     frame[9, 4] = 2.0 * (1 + 1e-8)
-    assert auto_reference_pixel(frame.copy() for _ in range(20)) == (9, 4)
-    assert auto_reference_pixel(np.zeros((4, 4)) for _ in range(3)) == (0, 0)
+    assert _pick(frame.copy() for _ in range(20)) == (9, 4)
+    assert _pick(np.zeros((4, 4)) for _ in range(3)) == (0, 0)
 
 
 def test_thermal_test_accepts_exponential(rng):
@@ -223,10 +229,9 @@ def test_thermal_test_non_finite_samples_are_insufficient(rng, bad):
 def test_jackknife_matches_brute_force(rng):
     shots = _synthetic_shots(rng, n=15)
     ref = (3, 3)
-    _, se = jackknife_error(shots, ref)
+    _, se = jackknife_error(reference_pairs(shots, ref))
     n = len(shots)
-    full = [correlate([s for j, s in enumerate(shots) if j != i], ref).g_map
-            for i in range(n)]
+    full = [_correlate([s for j, s in enumerate(shots) if j != i], ref) for i in range(n)]
     loo = np.array(full)
     mean_loo = loo.mean(axis=0)
     brute = np.sqrt((n - 1) / n * np.sum((loo - mean_loo) ** 2, axis=0))
@@ -237,10 +242,10 @@ def test_jackknife_independence_bound(rng):
     # for independent ensembles the covariance stays within 5 jackknife
     # errors everywhere (seeded; ~0.999^256 chance level per pixel)
     shots = _synthetic_shots(rng, n=200)
-    cm, se = jackknife_error(iter(shots), (8, 8))
+    g, se = jackknife_error(reference_pairs(iter(shots), (8, 8)))
     # G comes from the same sums as correlate's
-    assert cm.g_map.tobytes() == correlate(shots, (8, 8)).g_map.tobytes()
-    assert np.all(np.abs(cm.g_map) < 5.0 * se)
+    assert g.tobytes() == _correlate(shots, (8, 8)).tobytes()
+    assert np.all(np.abs(g) < 5.0 * se)
 
 
 def _centred_jackknife(x, y):
@@ -266,8 +271,8 @@ def test_near_constant_reference(rng):
     shots = [ShotRecord(i1=np.full((4, 4), xv), i2=yv, shot_index=k)
              for k, (xv, yv) in enumerate(zip(x, y))]
     want = np.tensordot(x - x.mean(), y - y.mean(axis=0), 1) / n
-    cm, se = jackknife_error(shots, (1, 1))
-    for g in (correlate(shots, (1, 1)).g_map, cm.g_map):
+    g_jack, se = jackknife_error(reference_pairs(shots, (1, 1)))
+    for g in (_correlate(shots, (1, 1)), g_jack):
         assert np.abs(g - want).max() <= 1e-9 * np.abs(want).max()
     brute = _centred_jackknife(x, y)
     assert np.abs(se - brute).max() <= 1e-9 * brute.max()
@@ -283,7 +288,7 @@ def test_jackknife_memory_is_bounded_in_shots():
     def peak(n):
         tracemalloc.start()
         try:
-            jackknife_error(shots(n), (3, 3))
+            jackknife_error(reference_pairs(shots(n), (3, 3)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,20 +299,20 @@ def test_jackknife_memory_is_bounded_in_shots():
 
 def test_jackknife_requires_enough_shots(rng):
     with pytest.raises(InsufficientSamples):
-        jackknife_error(_synthetic_shots(rng, n=5), (0, 0))
+        jackknife_error(reference_pairs(_synthetic_shots(rng, n=5), (0, 0)))
 
 
 def test_snr_report_checkpoints(rng):
     shots = _synthetic_shots(rng, n=120, coupled=True)
     support = np.zeros((16, 16), dtype=bool)
     support[2:6, 2:6] = True
-    rows = snr_report(shots, (3, 3), support, checkpoints=[30, 60, 120])
+    rows = snr_report(reference_pairs(shots, (3, 3)), support, checkpoints=[30, 60, 120])
     assert [r["n_shots"] for r in rows] == [30, 60, 120]
     assert not any(r["low_confidence"] for r in rows)
     # final entry reproduces the batch computation
-    cm = correlate(shots, (3, 3))
-    inside = cm.g_map[support].mean()
-    outside = cm.g_map[~support]
+    g = _correlate(shots, (3, 3))
+    inside = g[support].mean()
+    outside = g[~support]
     assert rows[-1]["snr"] == pytest.approx((inside - outside.mean()) / outside.std())
     # a genuinely coupled block should stand far above the floor
     assert rows[-1]["snr"] > 5.0
@@ -317,13 +322,13 @@ def test_snr_report_appends_final(rng):
     shots = _synthetic_shots(rng, n=50, coupled=True)
     support = np.zeros((16, 16), dtype=bool)
     support[2:6, 2:6] = True
-    rows = snr_report(shots, (3, 3), support, checkpoints=[20])
+    rows = snr_report(reference_pairs(shots, (3, 3)), support, checkpoints=[20])
     assert [r["n_shots"] for r in rows] == [20, 50]
-    rows = snr_report(shots, (3, 3), support)
+    rows = snr_report(reference_pairs(shots, (3, 3)), support)
     assert [r["n_shots"] for r in rows] == [50]
 
 
 def test_snr_report_empty(rng):
     support = np.zeros((16, 16), dtype=bool)
-    with pytest.raises(EmptyEnsemble):
-        snr_report([], (0, 0), support)
+    with pytest.raises(InsufficientSamples, match="need at least 2 shots, got 0"):
+        snr_report(reference_pairs([], (0, 0)), support)
