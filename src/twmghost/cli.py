@@ -138,9 +138,11 @@ def _parse_pixel(text, shape):
 
 def _stack_pairs(path, ref):
     """(reference value, i2) of each shot: the i1 trace at `ref` beside the
-    i2 frames, never a whole i1 frame.  Exhausted, it frees the zip, which
-    would keep its last pair (and with it an i2 frame) in its result tuple."""
-    yield from zip(framestack.pixel_trace(path, ref, "i1"), framestack.iter_frames(path, "i2"))
+    i2 frames, never a whole i1 frame.  No zip: its reused result tuple
+    would keep the last frame while the next one is read."""
+    frames = framestack.iter_frames(path, "i2")
+    for x in framestack.pixel_trace(path, ref, "i1"):
+        yield x, next(frames)
 
 
 def cmd_reconstruct(args) -> int:

@@ -40,3 +40,8 @@ class CorruptStack(TwmError):
 
 class ImageClipped(UserWarning):
     """Mode copies of the image were shifted partly or wholly off the grid."""
+
+
+class ModesOffGrid(UserWarning):
+    """Seed modes focus off the Fourier-plane grid: the reference arm i1
+    misses their intensity, which still reaches the image arm i2."""

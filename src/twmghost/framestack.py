@@ -23,16 +23,18 @@ Readers, each seeking to the bytes it needs:
 * `pixel_trace(path, pixel, arm)` - one arm's value at one pixel in every
   shot, 8 bytes per shot;
 * `arm_moments(path, arm)` - one arm's per-pixel sums of I and I^2: the
-  trailer for i1 (two frames), else one pass of the arm's frames.
+  trailer for i1, read in bands of rows as they are walked, else one pass
+  of the arm's frames.
 
 What the CLI reads of a stack of n shots (a W x H frame is F = 8 W H bytes):
 
-* `reconstruct --ref-pixel auto`: the trailer (auto reference, 2 F), the
-  reference pixel's i1 trace (8 n) and the i2 frames (n F); with the pixel
-  given, no trailer;
-* `stats --mode temporal`: the trailer (auto pixel, 2 F) and the pixel's
-  trace (8 n); with `--pixel` given, the trace alone; with `--arm i2` and no
-  pixel, the i2 frames (n F) in place of the trailer;
+* `reconstruct --ref-pixel auto`: the trailer (auto reference, 2 F, a band
+  of rows of each map at a time), the reference pixel's i1 trace (8 n) and
+  the i2 frames (n F, one at a time); with the pixel given, no trailer;
+* `stats --mode temporal`: the trailer (auto pixel, 2 F in row bands, read
+  twice when no pixel varies) and the pixel's trace (8 n); with `--pixel`
+  given, the trace alone; with `--arm i2` and no pixel, the i2 frames (n F)
+  in place of the trailer;
 * `stats --mode spatial --shot k`: one frame (F).
 """
 
@@ -50,6 +52,10 @@ from .errors import CorruptStack, ShapeMismatch
 MAGIC = b"TWMG"
 VERSION = 2
 _HEAD = struct.Struct("<4sIIIIQI")
+
+# rows of the moment maps per band of `Moments.bands`: 1/8 of a 256-row
+# frame, so the trailer's two band buffers are a quarter of a frame
+_BAND_ROWS = 32
 
 
 @dataclass
@@ -86,8 +92,8 @@ class Moments:
 
     The stack writer and `Moments.of` sum frames with the same `add`, so the
     stored trailer is bit-identical to a pass over the frames read back.
-    `statistics.auto_reference_pixel` picks from it: `arm_moments` of a
-    stack, or `Moments.of(frames)` for frames in hand.
+    `statistics.auto_reference_pixel` picks from its `bands`: `arm_moments`
+    of a stack, or `Moments.of(frames)` for frames in hand.
     """
 
     def __init__(self, shape=None):
@@ -113,6 +119,37 @@ class Moments:
         for frame in frames:
             moments.add(frame)
         return moments
+
+    def bands(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(first row, its rows of sum I, its rows of sum I^2) for each band
+        of _BAND_ROWS rows, top to bottom: here views of the sums."""
+        for row in range(0, self.s1.shape[0], _BAND_ROWS):
+            yield row, self.s1[row:row + _BAND_ROWS], self.s2[row:row + _BAND_ROWS]
+
+
+class _TrailerMoments(Moments):
+    """The i1 moments stored in a stack's trailer, which `bands` reads a band
+    at a time into one reused pair of buffers: no W x H map is held, and a
+    band is valid until the next is read."""
+
+    def __init__(self, path, header: StackHeader, offset: int):
+        super().__init__()
+        self.n = header.n_shots
+        self._path, self._shape = path, (header.width, header.height)
+        self._trailer = offset + header.n_shots * header.frame_bytes
+
+    def bands(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        w, h = self._shape
+        rows = min(_BAND_ROWS, w)
+        buffers = np.empty((2, rows, h), dtype="<f8")
+        with open(self._path, "rb") as fh:
+            for row in range(0, w, rows):
+                band = buffers[:, :min(rows, w - row)]
+                # map k (the sum, then the sum of squares) starts k W H values in
+                for k, name in enumerate(("sum", "sum of squares")):
+                    fh.seek(self._trailer + (k * w + row) * h * 8)
+                    _read_exact(fh, band[k], f"i1 {name} map")
+                yield row, band[0], band[1]
 
 
 def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
@@ -215,6 +252,8 @@ def iter_frames(path, arm: str = "i1", start: int = 0) -> Iterator[np.ndarray]:
             frame = np.empty((header.width, header.height), dtype="<f8")
             _read_exact(fh, frame, f"shot {idx} {arm} frame")
             yield frame
+            # dropped before the next frame is read
+            del frame
 
 
 def pixel_trace(path, pixel: tuple[int, int], arm: str = "i1") -> np.ndarray:
@@ -237,17 +276,9 @@ def pixel_trace(path, pixel: tuple[int, int], arm: str = "i1") -> np.ndarray:
 
 def arm_moments(path, arm: str = "i1") -> Moments:
     """One arm's per-pixel sums of I and I^2 over every shot: for i1 the
-    stored trailer (two frames read), for i2 one pass of the arm's frames
+    stored trailer, its header checked now and its maps read a band of rows
+    at a time by each walk of `bands`; for i2 one pass of the arm's frames
     through `Moments`."""
     if arm == "i2":
         return Moments.of(iter_frames(path, arm))
-    header, offset = _arm_payload(path, arm)
-    moments = Moments()
-    moments.n = header.n_shots
-    shape = (header.width, header.height)
-    moments.s1, moments.s2 = np.empty(shape, dtype="<f8"), np.empty(shape, dtype="<f8")
-    with open(path, "rb") as fh:
-        fh.seek(offset + header.n_shots * header.frame_bytes)
-        for name, total in (("sum", moments.s1), ("sum of squares", moments.s2)):
-            _read_exact(fh, total, f"i1 {name} map")
-    return moments
+    return _TrailerMoments(path, *_arm_payload(path, arm))

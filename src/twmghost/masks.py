@@ -33,18 +33,30 @@ class ObjectMask:
 def three_holes(width: int = 256, pitch: float = 52e-6, hole_diameter: float = 256e-6,
                 spacing: float = 1.2e-3) -> ObjectMask:
     """Copper-sheet style target: three circular holes on an equilateral
-    triangle of side `spacing`, centered on the grid."""
-    for name, value in (("hole_diameter", hole_diameter), ("spacing", spacing)):
+    triangle of side `spacing`, centered on the grid.  Each hole is drawn on
+    its bounding box, widened by a pixel on each side, with the full grid's
+    per-pixel distances, so the bytes are those of the whole-grid formula."""
+    for name, value in (("pitch", pitch), ("hole_diameter", hole_diameter),
+                        ("spacing", spacing)):
         if not 0 < value < np.inf:
             raise InvalidSpec(f"{name} must be positive and finite")
     x = (np.arange(width) - width // 2) * pitch
-    xx, yy = np.meshgrid(x, x, indexing="ij")
     rad = spacing / np.sqrt(3.0)
     centers = [(rad * np.cos(a), rad * np.sin(a))
                for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
+    r = hole_diameter / 2
     t = np.zeros((width, width))
+
+    def span(c):
+        """Grid indices of the hole's bounding box about center coordinate c."""
+        lo = int(np.floor((c - r) / pitch)) + width // 2 - 1
+        hi = int(np.ceil((c + r) / pitch)) + width // 2 + 2
+        return slice(min(max(lo, 0), width), min(max(hi, 0), width))
+
     for cx, cy in centers:
-        t[np.hypot(xx - cx, yy - cy) <= hole_diameter / 2] = 1.0
+        sx, sy = span(cx), span(cy)
+        box = t[sx, sy]
+        box[np.hypot(x[sx, None] - cx, x[None, sy] - cy) <= r] = 1.0
     return ObjectMask(transmission=t, pitch=pitch)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, sample_amplitudes,
                              sample_modes)
-from .errors import ImageClipped, InvalidSpec, ShapeMismatch
+from .errors import ImageClipped, InvalidSpec, ModesOffGrid, ShapeMismatch
 from .framestack import ShotRecord
 from .geometry import InteractionGeometry, geometric_factor, unit_vectors
 from .masks import ObjectMask
@@ -269,6 +269,11 @@ class ChaoticExperiment:
         # each mode's pixel on the Fourier arm i1, -1 off the grid
         w, h = self.base_image.shape
         self.i1_bin = fourier_bin_index(m0, g.lens_fourier_f, self.pitch, (w, h))
+        off = int(np.count_nonzero(self.i1_bin < 0))
+        if off:
+            warnings.warn(f"{off} of {spec.n_modes} modes focus off the {w} x {h} Fourier grid: "
+                          f"i1 misses their intensity, i2 still holds their image copies",
+                          ModesOffGrid, stacklevel=2)
         self.flat_stack = None
         self.block = SHOT_BLOCK
         if coherent_sum:

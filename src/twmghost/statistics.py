@@ -126,9 +126,12 @@ def reference_pairs(shots: Iterable[ShotRecord], ref_pixel: tuple[int, int]):
 
 
 def _fed(acc: CovarianceAccumulator, pairs: Iterable[tuple[float, np.ndarray]]):
-    """`acc` once it has taken every (reference value, i2) pair, in order."""
+    """`acc` once it has taken every (reference value, i2) pair, in order;
+    each pair is dropped before the next is pulled, so that a stream of
+    frames read one at a time has one in flight."""
     for x, i2 in pairs:
         acc.add(x, i2)
+        del x, i2
     return acc
 
 
@@ -157,37 +160,61 @@ THERMAL_CONTRAST_FLOOR = 1e-4
 BRIGHTEST_TIE = 1e-9
 
 
-def auto_reference_pixel(moments: Moments) -> tuple[int, int]:
-    """Pixel of highest temporal contrast sigma/<I> among pixels with <I> > 0,
-    from per-pixel sums of I and I^2 over n frames (`framestack.arm_moments`
-    of a stack, or `Moments.of(frames)`).
-
-    A Fourier bin (arm i1) fed by one thermal mode has contrast 1, one fed
-    by M modes 1/sqrt(M) (Goodman, Speckle Phenomena in Optics), so this is
-    a single-mode bin, whose covariance map is one copy of the image, not a
-    superposition of shifted copies.  When no pixel varies (deterministic
-    mode intensities) it is the brightest pixel: the first in row-major
-    order among those within BRIGHTEST_TIE of the largest mean, so that
-    round-off in the sums cannot move the pick with the frame count.
-    """
-    n = moments.n
-    if n == 0:
-        raise InsufficientSamples("no frames")
-    mean = moments.s1 / n
-    # sd, then the contrast, formed in place in one frame
-    contrast = moments.s2 / n
+def _contrast(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and temporal contrast sigma/<I> (0 where <I> <= 0) of pixels
+    whose sums of I and I^2 over n frames are s1 and s2."""
+    mean = s1 / n
+    # sd, then the contrast, formed in place in one array
+    contrast = s2 / n
     contrast -= mean * mean
     np.maximum(contrast, 0.0, out=contrast)
     np.sqrt(contrast, out=contrast)
     lit = mean > 0
     np.divide(contrast, mean, out=contrast, where=lit)
     contrast[~lit] = 0.0
-    if contrast.max() > THERMAL_CONTRAST_FLOOR:
-        flat = np.argmax(contrast)
-    else:
-        flat = np.argmax(mean >= mean.max() * (1.0 - BRIGHTEST_TIE))
-    idx = np.unravel_index(int(flat), mean.shape)
-    return (int(idx[0]), int(idx[1]))
+    return mean, contrast
+
+
+def auto_reference_pixel(moments: Moments) -> tuple[int, int]:
+    """Pixel of highest temporal contrast sigma/<I> among pixels with <I> > 0,
+    from per-pixel sums of I and I^2 over n frames (`framestack.arm_moments`
+    of a stack, or `Moments.of(frames)`), walked a band of rows at a time.
+
+    A Fourier bin (arm i1) fed by one thermal mode has contrast 1, one fed
+    by M modes 1/sqrt(M) (Goodman, Speckle Phenomena in Optics), so this is
+    a single-mode bin, whose covariance map is one copy of the image, not a
+    superposition of shifted copies; of equal maxima the first in row-major
+    order wins.  When no pixel varies (deterministic mode intensities) it is
+    the brightest pixel: the first in row-major order among those within
+    BRIGHTEST_TIE of the largest mean, so that round-off in the sums cannot
+    move the pick with the frame count.  That threshold needs the largest
+    mean of all bands, so this case walks the bands a second time.  The
+    pick is the whole-frame formula's, NaN sums included.
+    """
+    n = moments.n
+    if n == 0:
+        raise InsufficientSamples("no frames")
+    peak = brightest = -np.inf
+    flat = 0
+    for row, s1, s2 in moments.bands():
+        width = s1.shape[1]
+        mean, contrast = _contrast(s1, s2, n)
+        top = contrast.max()
+        if top > peak:
+            flat = row * width + int(np.argmax(contrast))
+        # np.maximum keeps a NaN, which compares false from then on
+        peak, brightest = np.maximum(peak, top), np.maximum(brightest, mean.max())
+        # freed before the next band's are formed
+        del mean, contrast
+    if not peak > THERMAL_CONTRAST_FLOOR:
+        least = brightest * (1.0 - BRIGHTEST_TIE)
+        flat = 0
+        for row, s1, _ in moments.bands():
+            bright = s1 / n >= least
+            if bright.any():
+                flat = row * width + int(np.argmax(bright))
+                break
+    return divmod(flat, width)
 
 
 # fewest samples thermal_test accepts, and the bins of the histogram it returns

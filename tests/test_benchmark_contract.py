@@ -3,23 +3,30 @@
 The checker builds its reference facts from `ChaoticExperiment` and reads
 the CLI's outputs; these tests run it on a small run of each shot path, so
 that a library change that breaks it fails here and not only in the
-benchmark.
+benchmark.  The gated workloads' configurations, as perfbench/run.py writes
+them, are also set up here and must keep every mode on the Fourier grid.
 """
 
 import importlib.util
+import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from twmghost.cli import main as cli_main
+from twmghost.config import load_config
+from twmghost.errors import ModesOffGrid
+from twmghost.pipeline import ChaoticExperiment
 
-CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+ROOT = Path(__file__).resolve().parent.parent
+CHECKS = ROOT / "perfbench" / "checks.py"
+GATED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.fixture(scope="module")
-def checks():
-    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # its dataclasses look their module up there
     try:
@@ -27,6 +34,28 @@ def checks():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def checks():
+    yield from _load("perfbench_checks", CHECKS)
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    yield from _load("perfbench_run", ROOT / "perfbench" / "run.py")
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_gated_workloads_keep_every_mode_on_the_fourier_grid(tmp_path, bench_run, workload):
+    # no ModesOffGrid warning at set-up: every mode lights its i1 bin
+    ini = bench_run.write_config(bench_run.WORKLOADS[workload], tmp_path / "workload.ini")
+    cfg = load_config(str(ini) if ini else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ModesOffGrid)
+        exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                                cfg.master_seed)
+    assert (exp.i1_bin >= 0).all()
 
 
 # 64 x 64 grids: 20 modes take the copy-stack path, 200 the FFT path

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -133,15 +134,16 @@ def test_readers_reject_truncated_trailer(tmp_path, rng, monkeypatch):
         framestack.read_header(path)
     with pytest.raises(CorruptStack):
         framestack.arm_moments(path, "i1")
-    # cut after the header was read: the short read itself is caught
+    # cut after the header was read: the short read itself is caught, as
+    # the trailer's bands are read
     monkeypatch.setattr(framestack, "read_header", lambda _: whole)
     with pytest.raises(CorruptStack, match="i1 sum of squares map truncated"):
-        framestack.arm_moments(path, "i1")
+        list(framestack.arm_moments(path, "i1").bands())
 
 
 @pytest.mark.parametrize("n", [1, 5])
 @pytest.mark.parametrize("sparse", [False, True])
-def test_stored_moments_equal_streamed_pass(tmp_path, rng, n, sparse):
+def test_stored_moments_equal_streamed_pass(tmp_path, rng, monkeypatch, n, sparse):
     recs = _records(rng, n=n)
     if sparse:
         # i1 as the simulator writes it: a few lit Fourier bins per shot
@@ -152,8 +154,38 @@ def test_stored_moments_equal_streamed_pass(tmp_path, rng, n, sparse):
     stored = framestack.arm_moments(path, "i1")
     streamed = framestack.Moments.of(framestack.iter_frames(path, "i1"))
     assert stored.n == streamed.n == n
-    assert stored.s1.tobytes() == streamed.s1.tobytes()
-    assert stored.s2.tobytes() == streamed.s2.tobytes()
+    # band by band: the trailer read into its reused buffers against views
+    # of the sums of a pass over the frames; bands of 3 rows leave a short one
+    for band_rows in (3, 32):
+        monkeypatch.setattr(framestack, "_BAND_ROWS", band_rows)
+        rows = []
+        for (row, s1, s2), (streamed_row, t1, t2) in zip(stored.bands(), streamed.bands(),
+                                                         strict=True):
+            assert row == streamed_row == len(rows)
+            assert s1.shape == s2.shape == (min(band_rows, 8 - row), 8)
+            assert s1.tobytes() == t1.tobytes()
+            assert s2.tobytes() == t2.tobytes()
+            rows += range(row, row + len(s1))
+        assert rows == list(range(8))
+
+
+def test_auto_pick_from_the_trailer_holds_under_a_frame(tmp_path):
+    # the pick reads the trailer a band of rows at a time: its traced peak
+    # stays under one frame of 8 W H bytes on a 256 x 256 stack
+    w = 256
+    rng = np.random.default_rng(5)
+    shots = (ShotRecord(i1=rng.random((w, w)), i2=rng.random((w, w)), shot_index=k)
+             for k in range(2))
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, shots, w, w, 2, 0, "x")
+    pick = statistics.auto_reference_pixel(framestack.arm_moments(path, "i1"))   # warm-up
+    tracemalloc.start()
+    try:
+        assert statistics.auto_reference_pixel(framestack.arm_moments(path, "i1")) == pick
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * w * w) <= 1.0
 
 
 def test_read_header_reads_version_2_only(tmp_path, rng, stack_header):
@@ -302,6 +334,31 @@ def test_three_holes_mask_geometry():
     assert d01 == pytest.approx(1.2e-3, rel=0.05)
     assert d02 == pytest.approx(1.2e-3, rel=0.05)
     assert d12 == pytest.approx(1.2e-3, rel=0.05)
+
+
+def _three_holes_full_grid(width, pitch, hole_diameter, spacing):
+    """The three-hole target drawn on the whole grid, one hypot map per hole."""
+    x = (np.arange(width) - width // 2) * pitch
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    rad = spacing / np.sqrt(3.0)
+    t = np.zeros((width, width))
+    for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3):
+        t[np.hypot(xx - rad * np.cos(a), yy - rad * np.sin(a)) <= hole_diameter / 2] = 1.0
+    return t
+
+
+@pytest.mark.parametrize("width, pitch", [(256, 52e-6), (128, 104e-6), (64, 208e-6),
+                                          (64, 30e-6), (33, 52e-6), (16, 52e-6), (1, 52e-6)])
+@pytest.mark.parametrize("hole_diameter, spacing", [
+    (256e-6, 1.2e-3),     # the default target
+    (2e-3, 1.2e-3),       # holes that overlap, and on small grids run off the edge
+    (156e-6, 260e-6),     # holes a few pixels wide, close together
+])
+def test_three_holes_equals_the_full_grid_formula(width, pitch, hole_diameter, spacing):
+    # each hole drawn on its bounding box gives the bytes of the whole grid's
+    # distance maps, also where the grid edge clips a hole or cuts it away
+    t = masks.three_holes(width, pitch, hole_diameter, spacing).transmission
+    assert np.array_equal(t, _three_holes_full_grid(width, pitch, hole_diameter, spacing))
 
 
 @pytest.mark.parametrize("build, what", [

@@ -11,7 +11,7 @@ from twmghost.chaotic_source import (ModeSet, SourceSpec, bin_intensities, fouri
                                      sample_modes)
 from twmghost.cli import main as cli_main
 from twmghost.config import load_config
-from twmghost.errors import ImageClipped, InvalidSpec, ShapeMismatch
+from twmghost.errors import ImageClipped, InvalidSpec, ModesOffGrid, ShapeMismatch
 from twmghost.geometry import geometric_factor, unit_vectors
 from twmghost.pipeline import (
     ChaoticExperiment,
@@ -296,6 +296,21 @@ def test_clipped_image_energy_warns_once(width, n_modes, spread, clipped):
     messages = [str(w.message) for w in caught if w.category is ImageClipped]
     assert messages == ([clipped] if clipped else [])
     assert (exp.energy_kept.min() < 0.99) == bool(clipped)
+
+
+def test_modes_off_the_fourier_grid_warn_once():
+    # the 64 x 64 run of the CLI tests: 5 of its 20 modes focus off the i1
+    # grid; the bins dropped are the modes that i1_bin marks -1
+    cfg = load_config(None, {("grid", "width"): 64, ("grid", "height"): 64,
+                             ("source", "n_modes"): 20})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                                cfg.master_seed)
+    messages = [str(w.message) for w in caught if w.category is ModesOffGrid]
+    assert messages == ["5 of 20 modes focus off the 64 x 64 Fourier grid: i1 misses their "
+                        "intensity, i2 still holds their image copies"]
+    assert int(np.count_nonzero(exp.i1_bin < 0)) == 5
 
 
 def test_fft_shot_is_never_negative(monkeypatch, mask, geometry):

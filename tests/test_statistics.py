@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twmghost import framestack
 from twmghost.errors import InsufficientSamples, ShapeMismatch
 from twmghost.framestack import Moments
 from twmghost.pipeline import ShotRecord
 from twmghost.statistics import (
+    BRIGHTEST_TIE,
+    THERMAL_CONTRAST_FLOOR,
     CovarianceAccumulator,
     _ks_sf,
     auto_reference_pixel,
@@ -125,6 +128,107 @@ def test_brightest_pixel_ties_go_to_the_first():
     frame[9, 4] = 2.0 * (1 + 1e-8)
     assert _pick(frame.copy() for _ in range(20)) == (9, 4)
     assert _pick(np.zeros((4, 4)) for _ in range(3)) == (0, 0)
+
+
+def _whole_frame_pick(s1, s2, n):
+    """The auto reference pixel by its formula on whole W x H maps."""
+    mean = s1 / n
+    sd = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
+    contrast = np.divide(sd, mean, out=np.zeros_like(sd), where=mean > 0)
+    if contrast.max() > THERMAL_CONTRAST_FLOOR:
+        flat = np.argmax(contrast)
+    else:
+        flat = np.argmax(mean >= mean.max() * (1.0 - BRIGHTEST_TIE))
+    return tuple(int(v) for v in np.unravel_index(int(flat), s1.shape))
+
+
+def _moments(s1, s2, n):
+    moments = Moments()
+    moments.n, moments.s1, moments.s2 = n, s1, s2
+    return moments
+
+
+def _stored_moments(tmp_path, frames):
+    """The trailer-backed moments of a stack whose i1 frames are `frames`."""
+    path = tmp_path / "pick.twmg"
+    w, h = frames[0].shape
+    framestack.write_stack(path, (ShotRecord(i1=f, i2=f, shot_index=k)
+                                  for k, f in enumerate(frames)), w, h, len(frames), 0, "x")
+    return framestack.arm_moments(path, "i1")
+
+
+# W = 45 rows is a multiple of none of the band heights; 1000 is one band
+BAND_HEIGHTS = [1, 7, 32, 1000]
+
+
+@pytest.mark.parametrize("band_rows", BAND_HEIGHTS)
+def test_banded_pick_equals_whole_frame_formula(tmp_path, monkeypatch, rng, band_rows):
+    monkeypatch.setattr(framestack, "_BAND_ROWS", band_rows)
+    for trial in range(20):
+        n = int(rng.integers(1, 30))
+        frames = rng.exponential(1.0, size=(n, 45, 13)) * rng.integers(0, 2, size=(45, 13))
+        if trial % 4 == 3:     # deterministic intensities: the brightest-bin fallback
+            frames[:] = frames[0]
+        streamed = Moments.of(frames)
+        want = _whole_frame_pick(streamed.s1, streamed.s2, n)
+        assert auto_reference_pixel(streamed) == want
+        assert auto_reference_pixel(_stored_moments(tmp_path, frames)) == want
+        # random sums, not the moments of any frames: contrasts of every size
+        s1 = rng.exponential(1.0, size=(45, 13)) * rng.integers(0, 2, size=(45, 13))
+        s2 = s1 * s1 / n * rng.uniform(0.5, 3.0, size=(45, 13))
+        assert auto_reference_pixel(_moments(s1, s2, n)) == _whole_frame_pick(s1, s2, n)
+
+
+@pytest.mark.parametrize("band_rows", BAND_HEIGHTS)
+def test_banded_pick_ties_and_fallback_across_bands(tmp_path, monkeypatch, rng, band_rows):
+    monkeypatch.setattr(framestack, "_BAND_ROWS", band_rows)
+    # the last row of the first band and the first row of the next (the last
+    # two rows when there is one band)
+    edge = min(band_rows, 44) - 1
+
+    def pick(frames):
+        frames = np.asarray(frames, dtype=float)
+        streamed = auto_reference_pixel(Moments.of(frames))
+        assert auto_reference_pixel(_stored_moments(tmp_path, frames)) == streamed
+        return streamed
+
+    # equal maxima on both sides of the boundary: the first in row-major
+    # order wins, though its column is the later one
+    frames = rng.exponential(1.0, size=(50, 45, 13)) + 20.0
+    frames[:, edge, 9] = frames[:, edge + 1, 2] = rng.exponential(1.0, size=50)
+    assert pick(frames) == (edge, 9)
+    frames[:, edge, 9] += 20.0
+    assert pick(frames) == (edge + 1, 2)
+    # no pixel varies: the brightest, its maximum in a later band
+    frame = np.ones((45, 13))
+    frame[44, 7] = 5.0
+    assert pick([frame] * 3) == (44, 7)
+    # within BRIGHTEST_TIE of it, across bands: the first in row-major order
+    frame[edge, 11] = 5.0 * (1.0 - BRIGHTEST_TIE / 2)
+    assert pick([frame] * 3) == (edge, 11)
+    frame[0, 1] = 5.0 * (1.0 - BRIGHTEST_TIE / 2)
+    assert pick([frame] * 3) == (0, 1)
+    # just outside the tie: the brightest again
+    frame[0, 1] = frame[edge, 11] = 5.0 * (1.0 - 2 * BRIGHTEST_TIE)
+    assert pick([frame] * 3) == (44, 7)
+    # an all-dark frame: the first pixel
+    assert pick([np.zeros((45, 13))] * 3) == (0, 0)
+    with pytest.raises(InsufficientSamples, match="no frames"):
+        auto_reference_pixel(Moments())
+
+
+def test_banded_pick_follows_whole_frame_on_non_finite_sums(monkeypatch):
+    # a NaN anywhere makes the whole frame's maxima NaN: the pick is the
+    # first pixel, in whichever band the NaN lies
+    monkeypatch.setattr(framestack, "_BAND_ROWS", 7)
+    s1 = np.arange(1.0, 1.0 + 45 * 13).reshape(45, 13)
+    s2 = s1 * s1 * 2.0
+    for bad in ((0, 0), (20, 4), (44, 12)):
+        for total in (s1, s2):
+            spoiled = total.copy()
+            spoiled[bad] = np.nan
+            sums = (spoiled, s2) if total is s1 else (s1, spoiled)
+            assert auto_reference_pixel(_moments(*sums, 5)) == _whole_frame_pick(*sums, 5)
 
 
 def test_thermal_test_accepts_exponential(rng):
