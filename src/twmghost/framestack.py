@@ -61,11 +61,14 @@ _BAND_ROWS = 32
 @dataclass
 class ShotRecord:
     """One laser shot: Fourier-plane map of the seed and image-plane map of
-    the generated field."""
+    the generated field.  `i1_lit`, when given, holds the flat pixels
+    outside which i1 is zero, and the stack writer sums i1's moments there
+    alone."""
 
     i1: np.ndarray
     i2: np.ndarray
     shot_index: int
+    i1_lit: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,9 @@ class Moments:
     """Per-pixel sums of I and I^2 over frames added in shot order, n of them.
 
     The stack writer and `Moments.of` sum frames with the same `add`, so the
-    stored trailer is bit-identical to a pass over the frames read back.
+    stored trailer is bit-identical to a pass over the frames read back; a
+    frame that is zero off the flat pixels `lit` adds only those, as adding
+    0.0 changes no sum.
     `statistics.auto_reference_pixel` picks from its `bands`: `arm_moments`
     of a stack, or `Moments.of(frames)` for frames in hand.
     """
@@ -104,13 +109,21 @@ class Moments:
 
     def _start(self, shape):
         self.s1, self.s2 = np.zeros(shape), np.zeros(shape)
-        self._square = np.empty(shape)
 
-    def add(self, frame: np.ndarray):
+    def add(self, frame: np.ndarray, lit: np.ndarray | None = None):
         if self.s1 is None:
             self._start(frame.shape)
-        self.s1 += frame
-        self.s2 += np.multiply(frame, frame, out=self._square)
+        shape = frame.shape if lit is None else lit.shape
+        if self._square is None or self._square.shape != shape:
+            self._square = np.empty(shape)
+        if lit is None:
+            self.s1 += frame
+            self.s2 += np.multiply(frame, frame, out=self._square)
+        else:
+            # "wrap" is unbuffered, and add.at refuses an index past the frame
+            v = np.take(frame.reshape(-1), lit, out=self._square, mode="wrap")
+            np.add.at(self.s1.reshape(-1), lit, v)
+            np.add.at(self.s2.reshape(-1), lit, np.multiply(v, v, out=v))
         self.n += 1
 
     @classmethod
@@ -118,6 +131,8 @@ class Moments:
         moments = cls()
         for frame in frames:
             moments.add(frame)
+            # dropped before the next frame is read
+            del frame
         return moments
 
     def bands(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -177,7 +192,7 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                     if a.shape != (width, height):
                         raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
                     fh.write(a.data)
-                moments.add(i1)
+                moments.add(i1, shot.i1_lit)
                 written += 1
                 # dropped before the next record is made
                 del shot, i1, i2, a

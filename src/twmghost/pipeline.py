@@ -150,6 +150,17 @@ def _energy_kept(image: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarra
     return (sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]) / sat[w, h]
 
 
+def _kernel_rows(px: np.ndarray, py: np.ndarray, nx: int, ny: int):
+    """The rows of the Nx x Ny padded grid that hold an impulse at (px, py)
+    mod the grid, in order, and each impulse's flat index into the
+    (rows x Ny) kernel made of those rows alone: the rows and the inverse of
+    np.unique(px % nx, return_inverse=True), by a count of each row, without
+    the sort code np.unique maps."""
+    rows = px % nx
+    held = np.bincount(rows, minlength=nx) > 0
+    return np.flatnonzero(held), (np.cumsum(held) - 1)[rows] * ny + py % ny
+
+
 def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
     """Complex generated field at the detector plane for an on-axis
     plane-wave seed of unit amplitude.
@@ -213,7 +224,8 @@ class ChaoticExperiment:
     Holds the base coherent image, the unit vectors of the fixed modes'
     phase-matched idlers (`idler`, 3 x n), integer pixel offsets,
     geometric/acceptance weights and each mode's Fourier-plane pixel
-    `i1_bin` (which `bin_modes` inverts), so that one shot reduces to
+    `i1_bin` (which `bin_modes` inverts), with `i1_lit`, the flat pixels of
+    the detected i1 frame that those bins light, so that one shot reduces to
     drawing its mode amplitudes and a weighted sum over modes.  The incoherent sum is
     made by FFT convolution of the base image with the shot's impulse map
     (one weighted impulse per mode at its offset) when that costs fewer
@@ -274,6 +286,7 @@ class ChaoticExperiment:
             warnings.warn(f"{off} of {spec.n_modes} modes focus off the {w} x {h} Fourier grid: "
                           f"i1 misses their intensity, i2 still holds their image copies",
                           ModesOffGrid, stacklevel=2)
+        self.i1_lit = self._i1_lit()
         self.flat_stack = None
         self.block = SHOT_BLOCK
         if coherent_sum:
@@ -299,16 +312,25 @@ class ChaoticExperiment:
         if spec.n_modes * w * h > 2 * nx * ny * np.log2(nx * ny):
             self.block = 1
             self.pad = (nx, ny)
-            # the padded-grid rows that hold an impulse, and each kept mode's
-            # flat index into the (rows x Ny) kernel made of them alone
-            self.kernel_rows, rank = np.unique(px % nx, return_inverse=True)
-            self.impulse_index = rank * ny + py % ny
+            self.kernel_rows, self.impulse_index = _kernel_rows(px, py, nx, ny)
             self.base_hat = np.fft.rfft2(self.base_image, self.pad)
         else:
             stack = np.empty((spec.n_modes,) + self.base_image.shape, dtype=float)
             for n in range(spec.n_modes):
                 stack[n] = self.expected_image(n)
             self.flat_stack = stack.reshape(spec.n_modes, -1)
+
+    def _i1_lit(self) -> np.ndarray:
+        """Flat pixels of the detected i1 frame that some mode lights, in
+        order: the on-grid `i1_bin`s, binned into the kept square.  Every
+        other pixel of every shot's i1 is zero, as binning, clipping and
+        quantization keep a zero at zero."""
+        w, h = self.base_image.shape
+        b = self.det.pixel_binning
+        bw, bh = self.det.output_shape(w, h)
+        r, c = divmod(self.i1_bin[self.i1_bin >= 0], h)
+        keep = (r < bw * b) & (c < bh * b)
+        return np.flatnonzero(np.bincount(r[keep] // b * bh + c[keep] // b, minlength=bw * bh))
 
     def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Mode intensities (block x n_modes) and undetected i2 maps
@@ -350,7 +372,8 @@ class ChaoticExperiment:
         and their bytes do not depend on `threads`.  One block is alive at a
         time on one thread: a block's frames are freed before the next
         block is made.  i1 is binned as each record is yielded, and both
-        arms go through `apply_detector`.  One shot is
+        arms go through `apply_detector`; every record carries `i1_lit`, so
+        the stack writer sums i1's moments at those pixels.  One shot is
         `next(exp.shots(1, start=k))`; n_shots <= 0 makes no block.
         """
         if n_shots <= 0:
@@ -365,7 +388,8 @@ class ChaoticExperiment:
             for k in range(max(start, first), min(stop, first + self.block)):
                 yield ShotRecord(
                     i1=apply_detector(bin_intensities(self.i1_bin, p[k - first], shape), self.det),
-                    i2=apply_detector(i2[k - first], self.det), shot_index=k)
+                    i2=apply_detector(i2[k - first], self.det), shot_index=k,
+                    i1_lit=self.i1_lit)
             # freed before the next block is made (a zip over the results
             # would keep them in its reused result tuple)
             del p, i2

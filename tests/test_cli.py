@@ -288,6 +288,28 @@ def test_reconstruct_holds_few_frames(tmp_path):
     assert peak / (8 * w * w) <= 4.25
 
 
+def test_stats_temporal_i2_holds_one_frame_in_flight(tmp_path):
+    # the i2 pick sums the frames with Moments.of, which drops each frame
+    # before it reads the next: its two sums, the square scratch and one
+    # frame, in frames of 8 W H bytes (the thermal test needs 100 shots)
+    w, n = 256, 100
+    rng = np.random.default_rng(6)
+    i1 = rng.random((w, w))
+    shots = (framestack.ShotRecord(i1=i1, i2=rng.exponential(size=(w, w)), shot_index=k)
+             for k in range(n))
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, shots, w, w, n, 0, "test")
+    argv = ["stats", str(stack), "--mode", "temporal", "--arm", "i2", "--out", str(tmp_path / "st")]
+    assert main(argv) == 0    # warm-up: imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * w * w) <= 4.25
+
+
 def test_stats_spatial_reads_the_last_shot(tmp_path, small_cfg, capsys):
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])

@@ -19,6 +19,7 @@ from twmghost.pipeline import (
     ObjectMask,
     ShotRecord,
     _idlers,
+    _kernel_rows,
     _shift_zero_fill,
     apply_detector,
     coherent_field,
@@ -397,6 +398,112 @@ def test_full_grid_comparison_sees_the_axis_order():
     assert not np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("px", [
+    np.random.default_rng(1).integers(-400, 400, 2000),   # offsets of both signs
+    np.array([-3, 317, 5, -323, 5, 0, 320, -640]),        # rows that collide mod 320
+    np.array([-7]),                                      # a single impulse
+    np.full(50, 12),                                     # many impulses in one row
+    np.array([], dtype=int),                             # no impulse at all
+], ids=["random", "collisions", "one-impulse", "one-row", "empty"])
+def test_kernel_rows_match_np_unique(px):
+    nx, ny = 320, 324
+    py = np.random.default_rng(2).integers(-400, 400, len(px))
+    rows, index = _kernel_rows(px, py, nx, ny)
+    # the reference: the sorted distinct rows and the inverse of np.unique
+    want_rows, rank = np.unique(px % nx, return_inverse=True)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(index, rank * ny + py % ny)
+    assert rows.dtype.kind == index.dtype.kind == "i"
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ModesOffGrid")
+@pytest.mark.parametrize("n_modes, fft", [(200, True), (20, False)], ids=["fft", "copy-stack"])
+def test_setup_and_shots_never_call_np_unique(monkeypatch, n_modes, fft):
+    cfg = _grid_config(64, n_modes)
+    mask = cfg.load_object_mask()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refused)
+    exp = ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed)
+    assert (exp.flat_stack is None) == fft
+    framestack.write_stack(os.devnull, exp.shots(10), 64, 64, 10, 0, "test")
+
+
+# (n_modes, DetectorSpec keywords, coherent_sum); at 64^2, 5 of the 20
+# modes fall off the Fourier grid
+LIT_CONFIGS = {
+    "ideal": (20, {}, False),
+    "ideal-fft": (200, {}, False),
+    "bit-depth-12": (20, {"bit_depth": 12}, False),
+    "binning-2": (20, {"pixel_binning": 2}, False),
+    "binning-3": (200, {"pixel_binning": 3}, False),   # 4 modes land in the dropped edge bins
+    "coherent-sum": (20, {}, True),
+}
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ModesOffGrid")
+@pytest.mark.parametrize("config", LIT_CONFIGS)
+def test_i1_is_zero_off_its_lit_pixels_and_the_trailer_is_dense(tmp_path, config):
+    n_modes, det, coherent_sum = LIT_CONFIGS[config]
+    cfg = _grid_config(64, n_modes)
+    det = DetectorSpec(**det)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed,
+                            det=det, coherent_sum=coherent_sum)
+    w, h = det.output_shape(64, 64)
+    n = 12
+    records = list(exp.shots(n))
+    lit = exp.i1_lit
+    lit_somewhere = np.zeros(w * h, dtype=bool)
+    for rec in records:
+        assert rec.i1_lit is lit
+        lit_somewhere |= rec.i1.ravel() != 0
+    # the pixels some shot lights are the lit set: none outside it, and none
+    # of it dark in every shot
+    assert np.array_equal(np.flatnonzero(lit_somewhere), lit)
+    assert 0 < len(lit) < w * h
+    # the trailer summed at the lit pixels equals a dense pass over the
+    # frames read back
+    path = tmp_path / "lit.twmg"
+    framestack.write_stack(path, records, w, h, n, 0, "test")
+    moments = framestack.Moments.of(framestack.iter_frames(path, "i1"))
+    raw = path.read_bytes()
+    assert raw[-16 * w * h:] == moments.s1.tobytes() + moments.s2.tobytes()
+    # records without i1_lit take the dense sum: the same stack for the same
+    # frames, and a frame lit off the set still counts everywhere
+    plain = [ShotRecord(rec.i1, rec.i2, rec.shot_index) for rec in records]
+    assert plain[0].i1_lit is None
+    framestack.write_stack(tmp_path / "plain.twmg", plain, w, h, n, 0, "test")
+    assert (tmp_path / "plain.twmg").read_bytes() == raw
+    for rec in plain:
+        rec.i1 = rec.i1 + 1.0
+    framestack.write_stack(tmp_path / "dense.twmg", plain, w, h, n, 0, "test")
+    dense = framestack.Moments.of(rec.i1 for rec in plain)
+    assert (tmp_path / "dense.twmg").read_bytes()[-16 * w * h:] == (dense.s1.tobytes()
+                                                                     + dense.s2.tobytes())
+
+
+def test_writer_sums_lit_i1_without_a_square_scratch():
+    # the FFT experiment's records carry i1_lit: the writer holds its two
+    # moment frames and no third, frame-sized square scratch
+    w = 256
+    cfg = _grid_config(w, 200)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
+    assert exp.flat_stack is None
+    records = list(exp.shots(4))
+    framestack.write_stack(os.devnull, records, w, w, 4, 0, "test")   # warm-up
+    tracemalloc.start()
+    try:
+        framestack.write_stack(os.devnull, records, w, w, 4, 0, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * w * w) <= 2.25
+
+
 @pytest.mark.parametrize("coherent_sum", [False, True])
 def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
     # the copy-stack paths make 8 shots in one product: check all 8 of
@@ -477,16 +584,16 @@ def test_one_shot_run_repeats_shot_zero_on_fft_path(tmp_path):
 
 @pytest.mark.parametrize("overrides, n_shots, setup_budget, loop_budget", [
     # 2000 modes at 256^2, FFT shots: set-up holds one band of padded lines
-    ({("source", "n_modes"): 2000}, 8, 8.0, 6.5),
+    ({("source", "n_modes"): 2000}, 8, 8.0, 5.5),
     # 24 modes at 128^2, copy-stack shots in blocks of 8
     ({("grid", "width"): 128, ("grid", "height"): 128, ("source", "n_modes"): 24,
-      ("source", "angular_spread"): 1e-3}, 32, None, 14.0),
+      ("source", "angular_spread"): 1e-3}, 32, None, 12.5),
 ], ids=["wideband-modes", "small-frames"])
 def test_simulate_holds_few_frames(overrides, n_shots, setup_budget, loop_budget):
     # traced peaks in frames of 8 W H bytes: set-up's, and the shot loop's
     # above the memory set-up leaves live, which holds one block of shots
     # (the previous block is freed before the next is made) and the
-    # writer's three moment frames
+    # writer's two moment frames, as it sums i1 at its lit pixels alone
     cfg = load_config(None, {("run", "master_seed"): 12345, **overrides})
     mask = cfg.load_object_mask()
     w = cfg.width
