@@ -62,8 +62,8 @@ _BAND_ROWS = 32
 class ShotRecord:
     """One laser shot: Fourier-plane map of the seed and image-plane map of
     the generated field.  `i1_lit`, when given, holds the flat pixels
-    outside which i1 is zero, and the stack writer sums i1's moments there
-    alone."""
+    outside which i1 is zero, in increasing order, and the stack writer sums
+    i1's moments there alone."""
 
     i1: np.ndarray
     i2: np.ndarray
@@ -94,37 +94,64 @@ class Moments:
     """Per-pixel sums of I and I^2 over frames added in shot order, n of them.
 
     The stack writer and `Moments.of` sum frames with the same `add`, so the
-    stored trailer is bit-identical to a pass over the frames read back; a
-    frame that is zero off the flat pixels `lit` adds only those, as adding
-    0.0 changes no sum.
+    stored trailer is bit-identical to a pass over the frames read back.
+    A float64 frame given with `lit`, the flat pixels outside which it is
+    zero (the writer's i1 and its `i1_lit`), is summed there alone, and
+    CorruptStack is raised if it is not zero elsewhere: while each frame
+    comes with the first frame's own `lit` array, `s1` and `s2` are vectors
+    of len(lit) sums.  A frame without it, or with another array, turns them
+    into the W x H maps from then on, as frames without `lit` always have
+    them.  Each pixel gets the same additions in the same order either way
+    and a sum of zeros stays 0.0, so `_maps` gives the same W x H sums.
     `statistics.auto_reference_pixel` picks from its `bands`: `arm_moments`
     of a stack, or `Moments.of(frames)` for frames in hand.
     """
 
-    def __init__(self, shape=None):
+    def __init__(self):
         self.n = 0
-        self.s1 = self.s2 = self._square = None
-        if shape is not None:
-            self._start(shape)
-
-    def _start(self, shape):
-        self.s1, self.s2 = np.zeros(shape), np.zeros(shape)
+        self.s1 = self.s2 = self._lit = self._square = None
 
     def add(self, frame: np.ndarray, lit: np.ndarray | None = None):
-        if self.s1 is None:
-            self._start(frame.shape)
-        shape = frame.shape if lit is None else lit.shape
-        if self._square is None or self._square.shape != shape:
-            self._square = np.empty(shape)
-        if lit is None:
+        if self.n == 0 and lit is not None:
+            self._lit = _checked_lit(lit, frame.size, self.n)
+            self.s1, self.s2, self._square = (np.zeros(lit.size) for _ in range(3))
+        if lit is not None and lit is self._lit:
+            # "wrap" is unbuffered; the checked lit is within the frame
+            v = np.take(frame.reshape(-1), lit, out=self._square, mode="wrap")
+            # i1 must be zero off lit.  The bit counts (4 us on a 128 x 128
+            # frame, the float count 14 us) differ only for that or a -0.0
+            if (np.count_nonzero(frame.view(np.uint64)) != np.count_nonzero(v.view(np.uint64))
+                    and np.count_nonzero(frame) != np.count_nonzero(v)):
+                raise CorruptStack(f"shot {self.n}: i1 is non-zero off its i1_lit pixels")
+            self.s1 += v
+            self.s2 += np.multiply(v, v, out=v)
+        else:
+            self._dense(frame.shape)
             self.s1 += frame
             self.s2 += np.multiply(frame, frame, out=self._square)
-        else:
-            # "wrap" is unbuffered, and add.at refuses an index past the frame
-            v = np.take(frame.reshape(-1), lit, out=self._square, mode="wrap")
-            np.add.at(self.s1.reshape(-1), lit, v)
-            np.add.at(self.s2.reshape(-1), lit, np.multiply(v, v, out=v))
         self.n += 1
+
+    def _dense(self, shape):
+        """Make `s1` and `s2` the W x H maps, zero where no lit vector sums."""
+        if self.s1 is not None and self._lit is None:
+            return
+        s1, s2 = np.zeros(shape), np.zeros(shape)
+        if self._lit is not None:
+            s1.reshape(-1)[self._lit], s2.reshape(-1)[self._lit] = self.s1, self.s2
+        self.s1, self.s2, self._lit = s1, s2, None
+        self._square = np.empty(shape)
+
+    def _maps(self, shape) -> Iterator[np.ndarray]:
+        """The W x H sum of I, then of I^2; lit vectors are put one after the
+        other into one zeroed frame, which holds each until the next."""
+        if self._lit is None:
+            self._dense(shape)
+            yield from (self.s1, self.s2)
+            return
+        frame = np.zeros(shape)
+        for s in (self.s1, self.s2):
+            frame.reshape(-1)[self._lit] = s
+            yield frame
 
     @classmethod
     def of(cls, frames: Iterable[np.ndarray]) -> "Moments":
@@ -140,6 +167,17 @@ class Moments:
         of _BAND_ROWS rows, top to bottom: here views of the sums."""
         for row in range(0, self.s1.shape[0], _BAND_ROWS):
             yield row, self.s1[row:row + _BAND_ROWS], self.s2[row:row + _BAND_ROWS]
+
+
+def _checked_lit(lit, size: int, shot: int) -> np.ndarray:
+    """`lit` if it is a 1-D integer array of strictly increasing flat pixels
+    in [0, size), else CorruptStack naming the shot."""
+    if not (isinstance(lit, np.ndarray) and lit.ndim == 1 and lit.dtype.kind in "iu"
+            and (lit.size == 0 or (lit[0] >= 0 and lit[-1] < size))
+            and np.all(lit[1:] > lit[:-1])):
+        raise CorruptStack(f"shot {shot}: i1_lit is not strictly increasing flat pixels "
+                           f"in [0, {size})")
+    return lit
 
 
 class _TrailerMoments(Moments):
@@ -171,11 +209,16 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 n_shots: int, master_seed: int, rng_algorithm: str) -> StackHeader:
     """Write the stack; the shots must arrive in shot_index order from 0, as
     position k of the stack is read back as shot k (CorruptStack if not).
-    If writing fails, the file is removed before the error propagates, so no
-    partial stack is left at `path`."""
+    While the records carry the first one's `i1_lit` array, i1's moments are
+    summed in two vectors at those pixels and put into the two trailer maps,
+    one zeroed frame, after the last shot (see `Moments`); an `i1_lit` that
+    is not strictly increasing pixels of the frame, or an i1 non-zero off
+    it, is a CorruptStack naming the shot.  If writing fails, the file is
+    removed before the error propagates, so no partial stack is left at
+    `path`."""
     name = rng_algorithm.encode("utf-8")
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
-    moments = Moments((width, height))
+    moments = Moments()
     written = 0
     # opened outside the clean-up: a path that cannot be opened is left alone
     fh = open(path, "wb")
@@ -198,8 +241,8 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 del shot, i1, i2, a
             if written != n_shots:
                 raise CorruptStack(f"wrote {written} shots, header said {n_shots}")
-            fh.write(moments.s1.astype("<f8", copy=False).data)
-            fh.write(moments.s2.astype("<f8", copy=False).data)
+            for s in moments._maps((width, height)):
+                fh.write(s.astype("<f8", copy=False).data)
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise

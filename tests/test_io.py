@@ -169,6 +169,66 @@ def test_stored_moments_equal_streamed_pass(tmp_path, rng, monkeypatch, n, spars
         assert rows == list(range(8))
 
 
+def _lit_records(rng, lit, n=5, w=8):
+    """Records whose i1 is zero off the flat pixels `lit`, each carrying it as i1_lit."""
+    recs = _records(rng, n=n, w=w)
+    for rec in recs:
+        rec.i1.reshape(-1)[np.setdiff1d(np.arange(w * w), lit)] = 0.0
+        rec.i1_lit = lit
+    return recs
+
+
+LIT = np.array([3, 10, 11, 40, 63])
+
+
+@pytest.mark.parametrize("bad_lit, shot", [
+    (np.array([3, 10, 10, 40, 63]), 0),
+    (np.array([3, 10, 11, 40, 64]), 0),
+    (np.array([-1, 3, 10, 11, 40]), 0),
+    (LIT.astype(float), 0),
+    (LIT, 2),
+], ids=["repeated-index", "index-past-frame", "negative-index", "float-index",
+        "frame-lit-off-its-set"])
+def test_writer_refuses_a_bad_i1_lit(tmp_path, rng, bad_lit, shot):
+    # each would make a trailer that disagrees with the frames: a repeated
+    # pixel summed twice, or a pixel lit off the set never summed
+    recs = _lit_records(rng, LIT)
+    for rec in recs:
+        rec.i1_lit = bad_lit
+    recs[2].i1[0, 0] = 1.0
+    path = tmp_path / "s.twmg"
+    with pytest.raises(CorruptStack, match=f"shot {shot}: i1"):
+        framestack.write_stack(path, recs, 8, 8, 5, 0, "x")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("later_lit", [np.array([0, 3, 5]), LIT.copy(), None],
+                         ids=["another-set", "an-equal-copy", "none"])
+def test_writer_switching_i1_lit_mid_run_keeps_the_trailer_dense(tmp_path, rng, later_lit):
+    # shots 0-2 carry LIT; from shot 3 on, another array or none, with i1 lit
+    # off LIT: the sums turn dense there, and the trailer is still the pass
+    # over the frames read back
+    recs = _lit_records(rng, LIT)
+    for rec in recs[3:]:
+        rec.i1 = rng.random((8, 8)) if later_lit is None else _lit_records(rng, later_lit)[0].i1
+        rec.i1_lit = later_lit
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, recs, 8, 8, 5, 0, "x")
+    streamed = framestack.Moments.of(framestack.iter_frames(path, "i1"))
+    assert path.read_bytes()[-2 * 8 * 64:] == streamed.s1.tobytes() + streamed.s2.tobytes()
+
+
+def test_writer_takes_minus_zero_off_i1_lit_as_zero(tmp_path, rng):
+    # -0.0 has a set bit but adds nothing: the stack is written, and its
+    # trailer is the pass over the frames read back
+    recs = _lit_records(rng, LIT)
+    recs[1].i1[0, 0] = -0.0
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, recs, 8, 8, 5, 0, "x")
+    streamed = framestack.Moments.of(framestack.iter_frames(path, "i1"))
+    assert path.read_bytes()[-2 * 8 * 64:] == streamed.s1.tobytes() + streamed.s2.tobytes()
+
+
 def test_auto_pick_from_the_trailer_holds_under_a_frame(tmp_path):
     # the pick reads the trailer a band of rows at a time: its traced peak
     # stays under one frame of 8 W H bytes on a 256 x 256 stack
