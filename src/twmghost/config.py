@@ -144,6 +144,25 @@ def _float(raw: dict, sec: str, key: str, bound: str | None = None) -> float:
     return value
 
 
+def _int(raw: dict, sec: str, key: str) -> int:
+    """raw[sec][key] as an integer, else an InvalidSpec naming the key."""
+    text = raw[sec][key]
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidSpec(f"[{sec}] {key} = {text!r} is not an integer") from None
+
+
+def _bool(raw: dict, sec: str, key: str) -> bool:
+    """raw[sec][key] as a boolean, else an InvalidSpec naming the key."""
+    text = raw[sec][key]
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise InvalidSpec(f"[{sec}] {key} = {text!r} is not a boolean")
+
+
 def _build(raw: dict) -> RunConfig:
     geom = InteractionGeometry(
         k1=WaveVector(_float(raw, "geometry", "lambda1"), _float(raw, "geometry", "n1")),
@@ -152,18 +171,15 @@ def _build(raw: dict) -> RunConfig:
         crystal_length=_float(raw, "geometry", "crystal_length"),
         f=_float(raw, "geometry", "f"), d=_float(raw, "geometry", "d"),
         s2=_float(raw, "geometry", "s2"), lens_fourier_f=_float(raw, "geometry", "fourier_f"))
-    ss = raw["source"]
-    source = SourceSpec(n_modes=int(ss["n_modes"]),
+    source = SourceSpec(n_modes=_int(raw, "source", "n_modes"),
                         angular_spread=_float(raw, "source", "angular_spread"),
                         amplitude_scale=_float(raw, "source", "amplitude_scale"),
-                        fixed_directions=_bool(ss["fixed_directions"]),
-                        amplitude_law=ss["amplitude_law"])
-    ds = raw["detector"]
-    det = DetectorSpec(bit_depth=int(ds["bit_depth"]),
+                        fixed_directions=_bool(raw, "source", "fixed_directions"),
+                        amplitude_law=raw["source"]["amplitude_law"])
+    det = DetectorSpec(bit_depth=_int(raw, "detector", "bit_depth"),
                        saturation_level=_float(raw, "detector", "saturation_level", ">= 0"),
-                       pixel_binning=int(ds["pixel_binning"]))
-    grid = raw["grid"]
-    width, height = int(grid["width"]), int(grid["height"])
+                       pixel_binning=_int(raw, "detector", "pixel_binning"))
+    width, height = _int(raw, "grid", "width"), _int(raw, "grid", "height")
     pitch = _float(raw, "grid", "pitch", "> 0")
     if height != width:
         raise InvalidSpec(f"grid height {height} != width {width}: only square grids "
@@ -175,7 +191,7 @@ def _build(raw: dict) -> RunConfig:
         raise InvalidSpec(f"[detector] pixel_binning = {det.pixel_binning} is larger than "
                           f"the {width}-pixel grid: the binned frames would be empty")
     rs = raw["run"]
-    shots, seed = int(rs["shots"]), int(rs["master_seed"])
+    shots, seed = _int(raw, "run", "shots"), _int(raw, "run", "master_seed")
     # the ranges of the stack header's u32 shot count and u64 seed
     if not 1 <= shots < 2 ** 32:
         raise InvalidSpec(f"[run] shots = {shots} is outside 1 <= shots < 2**32")
@@ -191,15 +207,7 @@ def _build(raw: dict) -> RunConfig:
                      mask_name=rs["mask"], mask_pitch=mp,
                      hole_diameter=_float(raw, "run", "hole_diameter", "> 0"),
                      hole_spacing=_float(raw, "run", "hole_spacing", "> 0"),
-                     coherent_sum=_bool(rs["coherent_sum"]), raw=raw)
-
-
-def _bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+                     coherent_sum=_bool(raw, "run", "coherent_sum"), raw=raw)
 
 
 def manifest_text(cfg: RunConfig, code_version: str, rng_algorithm: str) -> str:

@@ -14,6 +14,12 @@ Layout (little-endian):
             accumulated in shot order by `Moments` from the frames written
 
 File length (payload and trailer) is validated against the header on read.
+When a shot's i1 is zero off the record's `i1_lit` pixels (the simulator's
+Fourier arm, where each mode lights one pixel), the writer writes only the
+span of i1 from the first lit pixel through the last and seeks past the
+bytes before and after it.  On a seekable file those bytes are never
+written, and they read back as +0.0, byte for byte what a dense write
+stores; the file's size and layout are the same either way.
 A stack of an older version is rebuilt from its run's `manifest.ini`.
 
 Readers, each seeking to the bytes it needs:
@@ -40,6 +46,7 @@ What the CLI reads of a stack of n shots (a W x H frame is F = 8 W H bytes):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,7 +118,9 @@ class Moments:
         self.n = 0
         self.s1 = self.s2 = self._lit = self._square = None
 
-    def add(self, frame: np.ndarray, lit: np.ndarray | None = None):
+    def add(self, frame: np.ndarray, lit: np.ndarray | None = None) -> bool:
+        """Add one frame; True when it was summed at `lit` alone and no bit of
+        it is set off `lit`, so that every value there is +0.0."""
         if self.n == 0 and lit is not None:
             self._lit = _checked_lit(lit, frame.size, self.n)
             self.s1, self.s2, self._square = (np.zeros(lit.size) for _ in range(3))
@@ -120,16 +129,19 @@ class Moments:
             v = np.take(frame.reshape(-1), lit, out=self._square, mode="wrap")
             # i1 must be zero off lit.  The bit counts (4 us on a 128 x 128
             # frame, the float count 14 us) differ only for that or a -0.0
-            if (np.count_nonzero(frame.view(np.uint64)) != np.count_nonzero(v.view(np.uint64))
-                    and np.count_nonzero(frame) != np.count_nonzero(v)):
+            bare = (np.count_nonzero(frame.view(np.uint64))
+                    == np.count_nonzero(v.view(np.uint64)))
+            if not bare and np.count_nonzero(frame) != np.count_nonzero(v):
                 raise CorruptStack(f"shot {self.n}: i1 is non-zero off its i1_lit pixels")
             self.s1 += v
             self.s2 += np.multiply(v, v, out=v)
-        else:
-            self._dense(frame.shape)
-            self.s1 += frame
-            self.s2 += np.multiply(frame, frame, out=self._square)
+            self.n += 1
+            return bare
+        self._dense(frame.shape)
+        self.s1 += frame
+        self.s2 += np.multiply(frame, frame, out=self._square)
         self.n += 1
+        return False
 
     def _dense(self, shape):
         """Make `s1` and `s2` the W x H maps, zero where no lit vector sums."""
@@ -213,7 +225,12 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
     summed in two vectors at those pixels and put into the two trailer maps,
     one zeroed frame, after the last shot (see `Moments`); an `i1_lit` that
     is not strictly increasing pixels of the frame, or an i1 non-zero off
-    it, is a CorruptStack naming the shot.  If writing fails, the file is
+    it, is a CorruptStack naming the shot.  On a seekable file, such an i1
+    with no bit set off `i1_lit` (no -0.0 there) is written from its first
+    lit pixel through its last: the bytes before and after that span are
+    seeked past, never written, and read back as zero.  An i1 without
+    `i1_lit`, with another array, or with a bit set off it, the i2 frames
+    and the trailer are written whole.  If writing fails, the file is
     removed before the error propagates, so no partial stack is left at
     `path`."""
     name = rng_algorithm.encode("utf-8")
@@ -226,6 +243,8 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
         with fh:
             fh.write(_HEAD.pack(MAGIC, VERSION, width, height, n_shots, master_seed, len(name)))
             fh.write(name)
+            # a pipe cannot seek past i1's unlit bytes: it gets them written
+            seekable = fh.seekable()
             for shot in shots:
                 if shot.shot_index != written:
                     raise CorruptStack(f"shot {shot.shot_index} arrived at stack position "
@@ -234,8 +253,12 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 for a in (i1, i2):
                     if a.shape != (width, height):
                         raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
-                    fh.write(a.data)
-                moments.add(i1, shot.i1_lit)
+                if moments.add(i1, shot.i1_lit) and seekable:
+                    _write_span(fh, i1, shot.i1_lit)
+                else:
+                    fh.write(i1.data)
+                # i2 ends each record in written bytes, and the trailer the file
+                fh.write(i2.data)
                 written += 1
                 # dropped before the next record is made
                 del shot, i1, i2, a
@@ -247,6 +270,17 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
         Path(path).unlink(missing_ok=True)
         raise
     return header
+
+
+def _write_span(fh, frame: np.ndarray, lit: np.ndarray):
+    """Write `frame`, zero off the flat pixels `lit`, as its values from
+    lit[0] through lit[-1], seeking past the bytes before and after them;
+    an empty `lit` writes nothing and seeks past the whole frame."""
+    flat = frame.reshape(-1)
+    first, end = (int(lit[0]), int(lit[-1]) + 1) if lit.size else (0, 0)
+    fh.seek(8 * first, os.SEEK_CUR)
+    fh.write(flat[first:end].data)
+    fh.seek(8 * (flat.size - end), os.SEEK_CUR)
 
 
 def read_header(path) -> tuple[StackHeader, int]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -734,6 +735,36 @@ def test_config_number_out_of_range_is_config_error(tmp_path, small_cfg, capsys,
         monkeypatch.setenv(var, val)
     out = tmp_path / "out"
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("env", "[source] n_modes", "2e3"),
+    ("file", "[run] shots", "1.5"),
+    ("env", "[run] master_seed", "-"),
+    ("file", "[grid] width", "abc"),
+    ("env", "[detector] pixel_binning", "1.0"),
+    ("file", "[run] coherent_sum", "maybe"),
+    ("env", "[source] fixed_directions", "maybe"),
+], ids=["n_modes", "shots", "master_seed", "width", "pixel_binning", "coherent_sum",
+        "fixed_directions"])
+def test_config_malformed_integer_or_boolean_names_the_key(tmp_path, small_cfg, capsys,
+                                                           monkeypatch, where, key, value):
+    # a value that is not an integer or a boolean is refused by its key, from
+    # a file or from the environment, before `--out` is made
+    sec, name = key[1:].split("] ")
+    config = small_cfg
+    if where == "env":
+        monkeypatch.setenv(f"TWMG_{sec.upper()}__{name.upper()}", value)
+    else:
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{sec}]\n{name} = {value}\n")
+    with pytest.raises(InvalidSpec, match=re.escape(f"{key} = {value!r} is not a")):
+        load_config(str(config))
+    out = tmp_path / "out"
+    assert main(["simulate-chaotic", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not out.exists()

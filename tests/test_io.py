@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -204,7 +205,8 @@ def test_writer_refuses_a_bad_i1_lit(tmp_path, rng, bad_lit, shot):
 
 @pytest.mark.parametrize("later_lit", [np.array([0, 3, 5]), LIT.copy(), None],
                          ids=["another-set", "an-equal-copy", "none"])
-def test_writer_switching_i1_lit_mid_run_keeps_the_trailer_dense(tmp_path, rng, later_lit):
+def test_writer_switching_i1_lit_mid_run_keeps_the_trailer_dense(tmp_path, rng, monkeypatch,
+                                                                later_lit):
     # shots 0-2 carry LIT; from shot 3 on, another array or none, with i1 lit
     # off LIT: the sums turn dense there, and the trailer is still the pass
     # over the frames read back
@@ -212,21 +214,86 @@ def test_writer_switching_i1_lit_mid_run_keeps_the_trailer_dense(tmp_path, rng, 
     for rec in recs[3:]:
         rec.i1 = rng.random((8, 8)) if later_lit is None else _lit_records(rng, later_lit)[0].i1
         rec.i1_lit = later_lit
+    # shot 4 carries LIT again: the sums stay dense, and so does its frame
+    recs[4].i1_lit = LIT
+    recs[4].i1.reshape(-1)[np.setdiff1d(np.arange(64), LIT)] = 0.0
+    stream, spans = _spanned(monkeypatch, recs)
     path = tmp_path / "s.twmg"
-    framestack.write_stack(path, recs, 8, 8, 5, 0, "x")
+    framestack.write_stack(path, stream, 8, 8, 5, 0, "x")
+    # i1 is written as a lit span while the sums are lit vectors, then whole
+    assert spans == [0, 1, 2]
+    assert [f.tobytes() for f in framestack.iter_frames(path, "i1")] == [
+        rec.i1.tobytes() for rec in recs]
     streamed = framestack.Moments.of(framestack.iter_frames(path, "i1"))
     assert path.read_bytes()[-2 * 8 * 64:] == streamed.s1.tobytes() + streamed.s2.tobytes()
 
 
-def test_writer_takes_minus_zero_off_i1_lit_as_zero(tmp_path, rng):
+def test_writer_takes_minus_zero_off_i1_lit_as_zero(tmp_path, rng, monkeypatch):
     # -0.0 has a set bit but adds nothing: the stack is written, and its
-    # trailer is the pass over the frames read back
+    # trailer is the pass over the frames read back.  That frame is written
+    # whole, as a byte seeked past would read back as +0.0
     recs = _lit_records(rng, LIT)
     recs[1].i1[0, 0] = -0.0
+    stream, spans = _spanned(monkeypatch, recs)
     path = tmp_path / "s.twmg"
-    framestack.write_stack(path, recs, 8, 8, 5, 0, "x")
-    streamed = framestack.Moments.of(framestack.iter_frames(path, "i1"))
+    framestack.write_stack(path, stream, 8, 8, 5, 0, "x")
+    assert spans == [0, 2, 3, 4]
+    back = list(framestack.iter_frames(path, "i1"))
+    assert np.signbit(back[1][0, 0])
+    assert [f.tobytes() for f in back] == [rec.i1.tobytes() for rec in recs]
+    streamed = framestack.Moments.of(back)
     assert path.read_bytes()[-2 * 8 * 64:] == streamed.s1.tobytes() + streamed.s2.tobytes()
+
+
+def test_writer_leaves_an_empty_lit_i1_all_hole(tmp_path, monkeypatch):
+    # no pixel lit: every i1 byte is seeked past, and reads back as zero
+    rng, lit = np.random.default_rng(3), np.array([], dtype=np.intp)
+    recs = [ShotRecord(i1=np.zeros((8, 8)), i2=rng.random((8, 8)), shot_index=k, i1_lit=lit)
+            for k in range(3)]
+    stream, spans = _spanned(monkeypatch, recs)
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, stream, 8, 8, 3, 0, "x")
+    assert spans == [0, 1, 2]
+    framestack.write_stack(tmp_path / "dense.twmg", [replace(rec, i1_lit=None) for rec in recs],
+                           8, 8, 3, 0, "x")
+    assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
+    assert all(not f.any() and not np.signbit(f).any()
+               for f in framestack.iter_frames(path, "i1"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_writer_gives_a_pipe_the_dense_bytes(tmp_path, rng):
+    # a pipe cannot seek: every i1 byte is written, and a reader draining it
+    # gets the bytes of the stack written to a file
+    recs = _lit_records(rng, LIT)
+    framestack.write_stack(tmp_path / "file.twmg", recs, 8, 8, 5, 0, "x")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    framestack.write_stack(fifo, recs, 8, 8, 5, 0, "x")
+    reader.join(timeout=30)
+    assert got == [(tmp_path / "file.twmg").read_bytes()]
+
+
+def _spanned(monkeypatch, recs):
+    """`recs` as a stream for the writer, and the list, filled as it writes,
+    of the stack positions whose i1 it writes as a lit span."""
+    spans, taken = [], []
+    write_span = framestack._write_span
+
+    def counted(fh, frame, lit):
+        spans.append(len(taken) - 1)
+        write_span(fh, frame, lit)
+
+    def stream():
+        for rec in recs:
+            taken.append(rec.shot_index)
+            yield rec
+
+    monkeypatch.setattr(framestack, "_write_span", counted)
+    return stream(), spans
 
 
 def test_auto_pick_from_the_trailer_holds_under_a_frame(tmp_path):

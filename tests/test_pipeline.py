@@ -486,6 +486,78 @@ def test_i1_is_zero_off_its_lit_pixels_and_the_trailer_is_dense(tmp_path, config
                                                                      + dense.s2.tobytes())
 
 
+def _count_spans(monkeypatch):
+    """A list that gets one entry for each i1 frame written as a lit span."""
+    spans = []
+    write_span = framestack._write_span
+
+    def counted(fh, frame, lit):
+        spans.append(len(lit))
+        write_span(fh, frame, lit)
+
+    monkeypatch.setattr(framestack, "_write_span", counted)
+    return spans
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ModesOffGrid")
+@pytest.mark.parametrize("n_modes, det, coherent_sum", [
+    (20, {}, False), (200, {}, False), (20, {}, True),
+    (20, {"pixel_binning": 2, "bit_depth": 12}, False),
+], ids=["copy-stack", "fft", "coherent-sum", "binning-2-bit-depth-12"])
+def test_span_written_stack_equals_its_dense_rewrite(tmp_path, monkeypatch, n_modes, det,
+                                                      coherent_sum):
+    # every shot's i1 is written as its lit span; records read back carry no
+    # i1_lit, so writing them again writes every byte: the same stack
+    cfg = _grid_config(64, n_modes)
+    det = DetectorSpec(**det)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed,
+                            det=det, coherent_sum=coherent_sum)
+    w, h = det.output_shape(64, 64)
+    n = 10
+    spans = _count_spans(monkeypatch)
+    path = tmp_path / "span.twmg"
+    framestack.write_stack(path, exp.shots(n), w, h, n, 0, "test")
+    assert spans == [len(exp.i1_lit)] * n
+    framestack.write_stack(tmp_path / "dense.twmg", framestack.iter_shots(path), w, h, n, 0,
+                           "test")
+    # the rewrite wrote no span
+    assert len(spans) == n
+    assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
+
+
+def _makes_holes(directory) -> bool:
+    """Whether a file on `directory` written past a 1 MiB gap uses fewer
+    blocks than its size: whether its file system keeps unwritten ranges
+    as holes."""
+    probe = directory / "probe"
+    with open(probe, "wb") as fh:
+        fh.seek(1 << 20)
+        fh.write(b"x")
+    st = os.stat(probe)
+    probe.unlink()
+    return st.st_blocks * 512 < st.st_size
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
+def test_small_frames_stack_leaves_the_unlit_i1_bytes_unwritten(tmp_path):
+    # 128^2, 24 modes in a narrow cone: the lit span covers a few of i1's
+    # 32 pages, and the rest of each i1 frame is a hole in the file
+    if not _makes_holes(tmp_path):
+        pytest.skip("the file system under tmp_path allocates unwritten ranges: no holes")
+    cfg = load_config(None, {("grid", "width"): 128, ("grid", "height"): 128,
+                             ("source", "n_modes"): 24, ("source", "angular_spread"): 1e-3})
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
+    n = 40
+    path = tmp_path / "span.twmg"
+    framestack.write_stack(path, exp.shots(n), 128, 128, n, 0, "test")
+    st = os.stat(path)
+    assert st.st_blocks * 512 < st.st_size
+    framestack.write_stack(tmp_path / "dense.twmg", framestack.iter_shots(path), 128, 128, n,
+                           0, "test")
+    assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
+
+
 def test_writer_sums_lit_i1_without_a_square_scratch():
     # the FFT experiment's records carry i1_lit: the writer sums i1 in
     # lit-length vectors and holds one frame, the trailer's, at the end
