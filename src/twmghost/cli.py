@@ -43,18 +43,17 @@ def _build_parser() -> _Parser:
                 description="Three-wave-mixing ghost imaging simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="INI config file")
-        sp.add_argument("--seed", type=int, help="override master seed")
-        sp.add_argument("--shots", type=int, help="override shot count")
-        sp.add_argument("--out", default=".", help="output directory")
-
+    # the coherent chain has no seed, shots or threads to take
     sp = sub.add_parser("simulate-coherent", help="coherent imaging chain")
     sp.set_defaults(run=cmd_simulate_coherent)
-    common(sp)
+    sp.add_argument("--config", help="INI config file")
+    sp.add_argument("--out", default=".", help="output directory")
     sp = sub.add_parser("simulate-chaotic", help="per-shot chaotic run to a frame stack")
     sp.set_defaults(run=cmd_simulate_chaotic)
-    common(sp)
+    sp.add_argument("--config", help="INI config file")
+    sp.add_argument("--seed", type=int, help="override master seed")
+    sp.add_argument("--shots", type=int, help="override shot count")
+    sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--threads", type=int, default=1,
                     help="worker threads (outputs are thread-count independent)")
     sp = sub.add_parser("reconstruct", help="correlation-map reconstruction from a stack")
@@ -68,7 +67,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--mode", choices=("spatial", "temporal"), default="spatial")
     sp.add_argument("--pixel",
                     help="'row,col' pixel for temporal mode (default: highest contrast)")
-    sp.add_argument("--shot", type=int, default=0, help="shot index for spatial mode")
+    sp.add_argument("--shot", type=int, help="shot index for spatial mode (default: 0)")
     sp.add_argument("--arm", choices=("i1", "i2"), default="i1")
     sp.add_argument("--out", default=".")
     sub.add_parser("selftest", help="run the built-in oracle checks").set_defaults(run=cmd_selftest)
@@ -119,7 +118,8 @@ def cmd_simulate_chaotic(args) -> int:
     stack_path = out / "frames.twmg"
     width, height = cfg.detector.output_shape(cfg.width, cfg.height)
     framestack.write_stack(stack_path, exp.shots(cfg.shots, threads=args.threads), width,
-                           height, cfg.shots, cfg.master_seed, RNG_ALGORITHM)
+                           height, cfg.shots, cfg.master_seed, RNG_ALGORITHM,
+                           i1_lit=exp.i1_lit)
     (out / "manifest.ini").write_text(
         config.manifest_text(cfg, __version__, RNG_ALGORITHM))
     print(f"{cfg.shots} shots written to {stack_path}")
@@ -165,19 +165,25 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_stats(args) -> int:
     from . import statistics
+    # an option the mode never reads is refused, not ignored
+    if args.mode == "spatial" and args.pixel is not None:
+        raise UsageError("--pixel is read by --mode temporal only")
+    if args.mode == "temporal" and args.shot is not None:
+        raise UsageError("--shot is read by --mode spatial only")
     header, _ = framestack.read_header(args.stack)
     arm = args.arm
     if args.mode == "spatial":
-        if not 0 <= args.shot < header.n_shots:
-            raise CorruptStack(f"shot {args.shot} not in stack of {header.n_shots}")
-        frame = next(framestack.iter_frames(args.stack, arm, start=args.shot))
+        shot = args.shot or 0
+        if not 0 <= shot < header.n_shots:
+            raise CorruptStack(f"shot {shot} not in stack of {header.n_shots}")
+        frame = next(framestack.iter_frames(args.stack, arm, start=shot))
         samples = frame[frame > 0] if arm == "i1" else frame.ravel()
         if arm == "i1" and samples.size < statistics.MIN_SAMPLES:
             raise InsufficientSamples(
-                f"shot {args.shot} has {samples.size} lit Fourier bins, fewer than the "
+                f"shot {shot} has {samples.size} lit Fourier bins, fewer than the "
                 f"{statistics.MIN_SAMPLES} samples the thermal test needs; use --mode "
                 f"temporal (one pixel over the shots) or --arm i2 (every image pixel)")
-        label = f"spatial {arm}, shot {args.shot}"
+        label = f"spatial {arm}, shot {shot}"
     else:
         # the arm's moments pick the pixel (none when it is given), then 8
         # bytes per shot for its trace: memory stays bounded in the shot count

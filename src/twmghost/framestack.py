@@ -14,12 +14,13 @@ Layout (little-endian):
             accumulated in shot order by `Moments` from the frames written
 
 File length (payload and trailer) is validated against the header on read.
-When a shot's i1 is zero off the record's `i1_lit` pixels (the simulator's
-Fourier arm, where each mode lights one pixel), the writer writes only the
-span of i1 from the first lit pixel through the last and seeks past the
-bytes before and after it.  On a seekable file those bytes are never
-written, and they read back as +0.0, byte for byte what a dense write
-stores; the file's size and layout are the same either way.
+`write_stack` may be given `i1_lit`, the flat pixels outside which every
+shot's i1 is +0.0 (the simulator's Fourier arm, where each mode lights the
+same pixel in every shot).  It then sums i1's moments there alone and, on
+a seekable file, writes only the span of each i1 from the first lit pixel
+through the last, seeking past the bytes before and after it: they are
+never written and read back as +0.0, byte for byte what a dense write
+stores, so the file's size and layout are the same either way.
 A stack of an older version is rebuilt from its run's `manifest.ini`.
 
 Readers, each seeking to the bytes it needs:
@@ -68,14 +69,11 @@ _BAND_ROWS = 32
 @dataclass
 class ShotRecord:
     """One laser shot: Fourier-plane map of the seed and image-plane map of
-    the generated field.  `i1_lit`, when given, holds the flat pixels
-    outside which i1 is zero, in increasing order, and the stack writer sums
-    i1's moments there alone."""
+    the generated field."""
 
     i1: np.ndarray
     i2: np.ndarray
     shot_index: int
-    i1_lit: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -102,63 +100,43 @@ class Moments:
 
     The stack writer and `Moments.of` sum frames with the same `add`, so the
     stored trailer is bit-identical to a pass over the frames read back.
-    A float64 frame given with `lit`, the flat pixels outside which it is
-    zero (the writer's i1 and its `i1_lit`), is summed there alone, and
-    CorruptStack is raised if it is not zero elsewhere: while each frame
-    comes with the first frame's own `lit` array, `s1` and `s2` are vectors
-    of len(lit) sums.  A frame without it, or with another array, turns them
-    into the W x H maps from then on, as frames without `lit` always have
-    them.  Each pixel gets the same additions in the same order either way
-    and a sum of zeros stays 0.0, so `_maps` gives the same W x H sums.
-    `statistics.auto_reference_pixel` picks from its `bands`: `arm_moments`
-    of a stack, or `Moments.of(frames)` for frames in hand.
+    Made with `lit`, the flat pixels outside which every frame is +0.0 (the
+    writer's i1 and its `i1_lit`), `s1` and `s2` are vectors of len(lit)
+    sums at those pixels, and a float64 frame with any bit set elsewhere,
+    -0.0 included, is a CorruptStack naming its shot; without it they are
+    the W x H maps.  Each pixel gets the same additions in the same order
+    either way and a sum of zeros stays 0.0, so `_maps` gives the same
+    W x H sums.  `statistics.auto_reference_pixel` picks from its `bands`:
+    `arm_moments` of a stack, or `Moments.of(frames)` for frames in hand.
     """
 
-    def __init__(self):
+    def __init__(self, lit: np.ndarray | None = None):
         self.n = 0
-        self.s1 = self.s2 = self._lit = self._square = None
-
-    def add(self, frame: np.ndarray, lit: np.ndarray | None = None) -> bool:
-        """Add one frame; True when it was summed at `lit` alone and no bit of
-        it is set off `lit`, so that every value there is +0.0."""
-        if self.n == 0 and lit is not None:
-            self._lit = _checked_lit(lit, frame.size, self.n)
+        self._lit = lit
+        self.s1 = self.s2 = self._square = None
+        if lit is not None:
             self.s1, self.s2, self._square = (np.zeros(lit.size) for _ in range(3))
-        if lit is not None and lit is self._lit:
-            # "wrap" is unbuffered; the checked lit is within the frame
-            v = np.take(frame.reshape(-1), lit, out=self._square, mode="wrap")
-            # i1 must be zero off lit.  The bit counts (4 us on a 128 x 128
-            # frame, the float count 14 us) differ only for that or a -0.0
-            bare = (np.count_nonzero(frame.view(np.uint64))
-                    == np.count_nonzero(v.view(np.uint64)))
-            if not bare and np.count_nonzero(frame) != np.count_nonzero(v):
-                raise CorruptStack(f"shot {self.n}: i1 is non-zero off its i1_lit pixels")
-            self.s1 += v
-            self.s2 += np.multiply(v, v, out=v)
-            self.n += 1
-            return bare
-        self._dense(frame.shape)
+
+    def add(self, frame: np.ndarray):
+        """Add one frame."""
+        if self._lit is not None:
+            # "wrap" is unbuffered; a checked lit is within the frame
+            v = np.take(frame.reshape(-1), self._lit, out=self._square, mode="wrap")
+            # one bit count (4 us on a 128 x 128 frame) finds a set bit off lit
+            if np.count_nonzero(frame.view(np.uint64)) != np.count_nonzero(v.view(np.uint64)):
+                raise CorruptStack(f"shot {self.n}: i1 is not +0.0 off its i1_lit pixels")
+            frame = v
+        elif self.s1 is None:
+            self.s1, self.s2, self._square = (np.zeros(frame.shape) for _ in range(3))
         self.s1 += frame
         self.s2 += np.multiply(frame, frame, out=self._square)
         self.n += 1
-        return False
-
-    def _dense(self, shape):
-        """Make `s1` and `s2` the W x H maps, zero where no lit vector sums."""
-        if self.s1 is not None and self._lit is None:
-            return
-        s1, s2 = np.zeros(shape), np.zeros(shape)
-        if self._lit is not None:
-            s1.reshape(-1)[self._lit], s2.reshape(-1)[self._lit] = self.s1, self.s2
-        self.s1, self.s2, self._lit = s1, s2, None
-        self._square = np.empty(shape)
 
     def _maps(self, shape) -> Iterator[np.ndarray]:
         """The W x H sum of I, then of I^2; lit vectors are put one after the
         other into one zeroed frame, which holds each until the next."""
         if self._lit is None:
-            self._dense(shape)
-            yield from (self.s1, self.s2)
+            yield from (self.s1, self.s2) if self.n else (np.zeros(shape),) * 2
             return
         frame = np.zeros(shape)
         for s in (self.s1, self.s2):
@@ -181,14 +159,13 @@ class Moments:
             yield row, self.s1[row:row + _BAND_ROWS], self.s2[row:row + _BAND_ROWS]
 
 
-def _checked_lit(lit, size: int, shot: int) -> np.ndarray:
+def _checked_lit(lit, size: int) -> np.ndarray:
     """`lit` if it is a 1-D integer array of strictly increasing flat pixels
-    in [0, size), else CorruptStack naming the shot."""
+    in [0, size), else CorruptStack."""
     if not (isinstance(lit, np.ndarray) and lit.ndim == 1 and lit.dtype.kind in "iu"
             and (lit.size == 0 or (lit[0] >= 0 and lit[-1] < size))
             and np.all(lit[1:] > lit[:-1])):
-        raise CorruptStack(f"shot {shot}: i1_lit is not strictly increasing flat pixels "
-                           f"in [0, {size})")
+        raise CorruptStack(f"i1_lit is not strictly increasing flat pixels in [0, {size})")
     return lit
 
 
@@ -218,24 +195,26 @@ class _TrailerMoments(Moments):
 
 
 def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
-                n_shots: int, master_seed: int, rng_algorithm: str) -> StackHeader:
+                n_shots: int, master_seed: int, rng_algorithm: str,
+                i1_lit: np.ndarray | None = None) -> StackHeader:
     """Write the stack; the shots must arrive in shot_index order from 0, as
     position k of the stack is read back as shot k (CorruptStack if not).
-    While the records carry the first one's `i1_lit` array, i1's moments are
-    summed in two vectors at those pixels and put into the two trailer maps,
-    one zeroed frame, after the last shot (see `Moments`); an `i1_lit` that
-    is not strictly increasing pixels of the frame, or an i1 non-zero off
-    it, is a CorruptStack naming the shot.  On a seekable file, such an i1
-    with no bit set off `i1_lit` (no -0.0 there) is written from its first
-    lit pixel through its last: the bytes before and after that span are
-    seeked past, never written, and read back as zero.  An i1 without
-    `i1_lit`, with another array, or with a bit set off it, the i2 frames
-    and the trailer are written whole.  If writing fails, the file is
-    removed before the error propagates, so no partial stack is left at
-    `path`."""
+    With `i1_lit`, the strictly increasing flat pixels outside which every
+    i1 is +0.0, i1's moments are summed in two vectors at those pixels and
+    put into the two trailer maps, one zeroed frame, after the last shot
+    (see `Moments`).  A bad `i1_lit` is a CorruptStack raised before the
+    file is opened; an i1 with any bit set off it, -0.0 included, is one
+    naming the shot.  On a seekable file each i1 is then written from its
+    first lit pixel through its last: the bytes before and after that span
+    are seeked past, never written, and read back as +0.0.  Without
+    `i1_lit` or on a pipe, i1 is written whole, as are every i2 and the
+    trailer.  If writing fails, the file is removed before the error
+    propagates, so no partial stack is left at `path`."""
     name = rng_algorithm.encode("utf-8")
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
-    moments = Moments()
+    if i1_lit is not None:
+        i1_lit = _checked_lit(i1_lit, width * height)
+    moments = Moments(i1_lit)
     written = 0
     # opened outside the clean-up: a path that cannot be opened is left alone
     fh = open(path, "wb")
@@ -244,7 +223,7 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
             fh.write(_HEAD.pack(MAGIC, VERSION, width, height, n_shots, master_seed, len(name)))
             fh.write(name)
             # a pipe cannot seek past i1's unlit bytes: it gets them written
-            seekable = fh.seekable()
+            span = i1_lit is not None and fh.seekable()
             for shot in shots:
                 if shot.shot_index != written:
                     raise CorruptStack(f"shot {shot.shot_index} arrived at stack position "
@@ -253,8 +232,9 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 for a in (i1, i2):
                     if a.shape != (width, height):
                         raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
-                if moments.add(i1, shot.i1_lit) and seekable:
-                    _write_span(fh, i1, shot.i1_lit)
+                moments.add(i1)
+                if span:
+                    _write_span(fh, i1, i1_lit)
                 else:
                     fh.write(i1.data)
                 # i2 ends each record in written bytes, and the trailer the file

@@ -225,14 +225,15 @@ class ChaoticExperiment:
     phase-matched idlers (`idler`, 3 x n), integer pixel offsets,
     geometric/acceptance weights and each mode's Fourier-plane pixel
     `i1_bin` (which `bin_modes` inverts), with `i1_lit`, the flat pixels of
-    the detected i1 frame that those bins light, so that one shot reduces to
-    drawing its mode amplitudes and a weighted sum over modes.  The incoherent sum is
-    made by FFT convolution of the base image with the shot's impulse map
-    (one weighted impulse per mode at its offset) when that costs fewer
-    operations than the product with a per-mode copy stack,
-    n_modes W H > 2 Nx Ny log2(Nx Ny) on the Nx x Ny padded grid; otherwise,
-    and always for the coherent sum, `flat_stack` holds one weighted copy
-    per mode.  `flat_stack` is None on the FFT path.
+    the detected i1 frame that those bins light in every shot (one array
+    per run, which `write_stack` takes once per stack), so that one shot
+    reduces to drawing its mode amplitudes and a weighted sum over modes.
+    The incoherent sum is made by FFT convolution of the base image with
+    the shot's impulse map (one weighted impulse per mode at its offset)
+    when that costs fewer operations than the product with a per-mode copy
+    stack, n_modes W H > 2 Nx Ny log2(Nx Ny) on the Nx x Ny padded grid;
+    otherwise, and always for the coherent sum, `flat_stack` holds one
+    weighted copy per mode.  `flat_stack` is None on the FFT path.
 
     On the FFT path a shot's kernel holds only the `kernel_rows` of the
     padded grid that carry an impulse (often under half of Nx), and
@@ -323,8 +324,8 @@ class ChaoticExperiment:
     def _i1_lit(self) -> np.ndarray:
         """Flat pixels of the detected i1 frame that some mode lights, in
         order: the on-grid `i1_bin`s, binned into the kept square.  Every
-        other pixel of every shot's i1 is zero, as binning, clipping and
-        quantization keep a zero at zero."""
+        other pixel of every shot's i1 is +0.0, as binning, clipping and
+        quantization keep a +0.0 at +0.0."""
         w, h = self.base_image.shape
         b = self.det.pixel_binning
         bw, bh = self.det.output_shape(w, h)
@@ -372,9 +373,9 @@ class ChaoticExperiment:
         and their bytes do not depend on `threads`.  One block is alive at a
         time on one thread: a block's frames are freed before the next
         block is made.  i1 is binned as each record is yielded, and both
-        arms go through `apply_detector`; every record carries `i1_lit`, so
-        the stack writer sums i1's moments at those pixels.  One shot is
-        `next(exp.shots(1, start=k))`; n_shots <= 0 makes no block.
+        arms go through `apply_detector`; every record's i1 is +0.0 off
+        `i1_lit`.  One shot is `next(exp.shots(1, start=k))`; n_shots <= 0
+        makes no block.
         """
         if n_shots <= 0:
             return
@@ -388,8 +389,7 @@ class ChaoticExperiment:
             for k in range(max(start, first), min(stop, first + self.block)):
                 yield ShotRecord(
                     i1=apply_detector(bin_intensities(self.i1_bin, p[k - first], shape), self.det),
-                    i2=apply_detector(i2[k - first], self.det), shot_index=k,
-                    i1_lit=self.i1_lit)
+                    i2=apply_detector(i2[k - first], self.det), shot_index=k)
             # freed before the next block is made (a zip over the results
             # would keep them in its reused result tuple)
             del p, i2

@@ -71,6 +71,26 @@ def test_simulate_coherent_takes_no_threads(tmp_path, small_cfg, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["stats", "{stack}", "--mode", "spatial", "--pixel", "3,4"], "--pixel"),
+    (["stats", "{stack}", "--mode", "temporal", "--shot", "7"], "--shot"),
+    (["simulate-coherent", "--seed", "7"], "--seed"),
+    (["simulate-coherent", "--shots", "3"], "--shots"),
+], ids=["stats-spatial-pixel", "stats-temporal-shot", "coherent-seed", "coherent-shots"])
+def test_option_the_command_never_reads_is_usage_error(tmp_path, rng, capsys, argv, option):
+    # taken and ignored, each would give a report of another pixel or shot,
+    # or a coherent image that no seed or shot count changes
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, [framestack.ShotRecord(i1=rng.random((8, 8)),
+                                                         i2=rng.random((8, 8)), shot_index=k)
+                                   for k in range(8)], 8, 8, 8, 0, "test")
+    out = tmp_path / "out"
+    assert main([a.format(stack=stack) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and option in err
+    assert not out.exists()
+
+
 def test_simulate_chaotic_and_reconstruct(tmp_path, small_cfg):
     out = tmp_path / "run"
     rc = main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])
@@ -501,7 +521,7 @@ def test_non_square_grid_is_data_error(tmp_path, capsys):
     ("simulate-chaotic", ["--seed", str(2 ** 64)], {}, "[run] master_seed"),
     ("simulate-chaotic", ["--shots", str(2 ** 32)], {}, "[run] shots"),
     ("simulate-chaotic", ["--shots", "0"], {}, "[run] shots"),
-    ("simulate-coherent", ["--seed", "-1"], {}, "[run] master_seed"),
+    ("simulate-coherent", [], {"TWMG_RUN__MASTER_SEED": "-1"}, "[run] master_seed"),
 ], ids=["negative-seed", "negative-seed-env", "seed-2**64", "shots-2**32", "no-shots",
         "coherent-negative-seed"])
 def test_seed_or_shots_outside_the_header_fields_is_config_error(tmp_path, small_cfg, capsys,

@@ -171,11 +171,10 @@ def test_stored_moments_equal_streamed_pass(tmp_path, rng, monkeypatch, n, spars
 
 
 def _lit_records(rng, lit, n=5, w=8):
-    """Records whose i1 is zero off the flat pixels `lit`, each carrying it as i1_lit."""
+    """Records whose i1 is +0.0 off the flat pixels `lit`."""
     recs = _records(rng, n=n, w=w)
     for rec in recs:
         rec.i1.reshape(-1)[np.setdiff1d(np.arange(w * w), lit)] = 0.0
-        rec.i1_lit = lit
     return recs
 
 
@@ -183,79 +182,59 @@ LIT = np.array([3, 10, 11, 40, 63])
 
 
 @pytest.mark.parametrize("bad_lit, shot", [
-    (np.array([3, 10, 10, 40, 63]), 0),
-    (np.array([3, 10, 11, 40, 64]), 0),
-    (np.array([-1, 3, 10, 11, 40]), 0),
-    (LIT.astype(float), 0),
+    (np.array([3, 10, 10, 40, 63]), None),
+    (np.array([3, 10, 11, 40, 64]), None),
+    (np.array([-1, 3, 10, 11, 40]), None),
+    (LIT.astype(float), None),
     (LIT, 2),
 ], ids=["repeated-index", "index-past-frame", "negative-index", "float-index",
         "frame-lit-off-its-set"])
-def test_writer_refuses_a_bad_i1_lit(tmp_path, rng, bad_lit, shot):
+def test_writer_refuses_a_bad_i1_lit(tmp_path, rng, monkeypatch, bad_lit, shot):
     # each would make a trailer that disagrees with the frames: a repeated
-    # pixel summed twice, or a pixel lit off the set never summed
+    # pixel summed twice, or a pixel lit off the set never summed.  A bad
+    # set is refused before the file is opened or a shot is taken; a frame
+    # lit off a good one is refused at its shot, and the file removed
     recs = _lit_records(rng, LIT)
-    for rec in recs:
-        rec.i1_lit = bad_lit
     recs[2].i1[0, 0] = 1.0
+    stream = iter(recs)
     path = tmp_path / "s.twmg"
-    with pytest.raises(CorruptStack, match=f"shot {shot}: i1"):
-        framestack.write_stack(path, recs, 8, 8, 5, 0, "x")
+    opened = []
+    monkeypatch.setattr(framestack, "open", lambda *a: opened.append(a) or open(*a),
+                        raising=False)
+    match = "^i1_lit is not" if shot is None else f"^shot {shot}: i1 is not"
+    with pytest.raises(CorruptStack, match=match):
+        framestack.write_stack(path, stream, 8, 8, 5, 0, "x", i1_lit=bad_lit)
     assert not path.exists()
+    assert len(opened) == (shot is not None)
+    assert len(list(stream)) == (5 if shot is None else 2)
 
 
-@pytest.mark.parametrize("later_lit", [np.array([0, 3, 5]), LIT.copy(), None],
-                         ids=["another-set", "an-equal-copy", "none"])
-def test_writer_switching_i1_lit_mid_run_keeps_the_trailer_dense(tmp_path, rng, monkeypatch,
-                                                                later_lit):
-    # shots 0-2 carry LIT; from shot 3 on, another array or none, with i1 lit
-    # off LIT: the sums turn dense there, and the trailer is still the pass
-    # over the frames read back
-    recs = _lit_records(rng, LIT)
-    for rec in recs[3:]:
-        rec.i1 = rng.random((8, 8)) if later_lit is None else _lit_records(rng, later_lit)[0].i1
-        rec.i1_lit = later_lit
-    # shot 4 carries LIT again: the sums stay dense, and so does its frame
-    recs[4].i1_lit = LIT
-    recs[4].i1.reshape(-1)[np.setdiff1d(np.arange(64), LIT)] = 0.0
-    stream, spans = _spanned(monkeypatch, recs)
-    path = tmp_path / "s.twmg"
-    framestack.write_stack(path, stream, 8, 8, 5, 0, "x")
-    # i1 is written as a lit span while the sums are lit vectors, then whole
-    assert spans == [0, 1, 2]
-    assert [f.tobytes() for f in framestack.iter_frames(path, "i1")] == [
-        rec.i1.tobytes() for rec in recs]
-    streamed = framestack.Moments.of(framestack.iter_frames(path, "i1"))
-    assert path.read_bytes()[-2 * 8 * 64:] == streamed.s1.tobytes() + streamed.s2.tobytes()
-
-
-def test_writer_takes_minus_zero_off_i1_lit_as_zero(tmp_path, rng, monkeypatch):
-    # -0.0 has a set bit but adds nothing: the stack is written, and its
-    # trailer is the pass over the frames read back.  That frame is written
-    # whole, as a byte seeked past would read back as +0.0
+def test_writer_refuses_minus_zero_off_i1_lit(tmp_path, rng):
+    # -0.0 adds nothing to a sum, but a byte seeked past reads back as +0.0:
+    # a lit set promises +0.0 off it, so -0.0 there is refused at its shot.
+    # Without the set the frame is written whole, -0.0 and all
     recs = _lit_records(rng, LIT)
     recs[1].i1[0, 0] = -0.0
-    stream, spans = _spanned(monkeypatch, recs)
     path = tmp_path / "s.twmg"
-    framestack.write_stack(path, stream, 8, 8, 5, 0, "x")
-    assert spans == [0, 2, 3, 4]
+    with pytest.raises(CorruptStack, match="^shot 1: i1 is not"):
+        framestack.write_stack(path, recs, 8, 8, 5, 0, "x", i1_lit=LIT)
+    assert not path.exists()
+    framestack.write_stack(path, recs, 8, 8, 5, 0, "x")
     back = list(framestack.iter_frames(path, "i1"))
     assert np.signbit(back[1][0, 0])
     assert [f.tobytes() for f in back] == [rec.i1.tobytes() for rec in recs]
-    streamed = framestack.Moments.of(back)
-    assert path.read_bytes()[-2 * 8 * 64:] == streamed.s1.tobytes() + streamed.s2.tobytes()
 
 
 def test_writer_leaves_an_empty_lit_i1_all_hole(tmp_path, monkeypatch):
     # no pixel lit: every i1 byte is seeked past, and reads back as zero
     rng, lit = np.random.default_rng(3), np.array([], dtype=np.intp)
-    recs = [ShotRecord(i1=np.zeros((8, 8)), i2=rng.random((8, 8)), shot_index=k, i1_lit=lit)
+    recs = [ShotRecord(i1=np.zeros((8, 8)), i2=rng.random((8, 8)), shot_index=k)
             for k in range(3)]
     stream, spans = _spanned(monkeypatch, recs)
     path = tmp_path / "s.twmg"
-    framestack.write_stack(path, stream, 8, 8, 3, 0, "x")
+    framestack.write_stack(path, stream, 8, 8, 3, 0, "x", i1_lit=lit)
     assert spans == [0, 1, 2]
-    framestack.write_stack(tmp_path / "dense.twmg", [replace(rec, i1_lit=None) for rec in recs],
-                           8, 8, 3, 0, "x")
+    framestack.write_stack(tmp_path / "dense.twmg", recs, 8, 8, 3, 0, "x")
     assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
     assert all(not f.any() and not np.signbit(f).any()
                for f in framestack.iter_frames(path, "i1"))
@@ -266,13 +245,13 @@ def test_writer_gives_a_pipe_the_dense_bytes(tmp_path, rng):
     # a pipe cannot seek: every i1 byte is written, and a reader draining it
     # gets the bytes of the stack written to a file
     recs = _lit_records(rng, LIT)
-    framestack.write_stack(tmp_path / "file.twmg", recs, 8, 8, 5, 0, "x")
+    framestack.write_stack(tmp_path / "file.twmg", recs, 8, 8, 5, 0, "x", i1_lit=LIT)
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    framestack.write_stack(fifo, recs, 8, 8, 5, 0, "x")
+    framestack.write_stack(fifo, recs, 8, 8, 5, 0, "x", i1_lit=LIT)
     reader.join(timeout=30)
     assert got == [(tmp_path / "file.twmg").read_bytes()]
 

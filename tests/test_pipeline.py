@@ -429,7 +429,7 @@ def test_setup_and_shots_never_call_np_unique(monkeypatch, n_modes, fft):
     monkeypatch.setattr(np, "unique", refused)
     exp = ChaoticExperiment(mask, cfg.geometry, cfg.source, cfg.master_seed)
     assert (exp.flat_stack is None) == fft
-    framestack.write_stack(os.devnull, exp.shots(10), 64, 64, 10, 0, "test")
+    framestack.write_stack(os.devnull, exp.shots(10), 64, 64, 10, 0, "test", i1_lit=exp.i1_lit)
 
 
 # (n_modes, DetectorSpec keywords, coherent_sum); at 64^2, 5 of the 20
@@ -459,7 +459,6 @@ def test_i1_is_zero_off_its_lit_pixels_and_the_trailer_is_dense(tmp_path, config
     lit = exp.i1_lit
     lit_somewhere = np.zeros(w * h, dtype=bool)
     for rec in records:
-        assert rec.i1_lit is lit
         lit_somewhere |= rec.i1.ravel() != 0
     # the pixels some shot lights are the lit set: none outside it, and none
     # of it dark in every shot
@@ -468,18 +467,15 @@ def test_i1_is_zero_off_its_lit_pixels_and_the_trailer_is_dense(tmp_path, config
     # the trailer summed at the lit pixels equals a dense pass over the
     # frames read back
     path = tmp_path / "lit.twmg"
-    framestack.write_stack(path, records, w, h, n, 0, "test")
+    framestack.write_stack(path, records, w, h, n, 0, "test", i1_lit=lit)
     moments = framestack.Moments.of(framestack.iter_frames(path, "i1"))
     raw = path.read_bytes()
     assert raw[-16 * w * h:] == moments.s1.tobytes() + moments.s2.tobytes()
-    # records without i1_lit take the dense sum: the same stack for the same
-    # frames, and a frame lit off the set still counts everywhere
-    plain = [ShotRecord(rec.i1, rec.i2, rec.shot_index) for rec in records]
-    assert plain[0].i1_lit is None
-    framestack.write_stack(tmp_path / "plain.twmg", plain, w, h, n, 0, "test")
+    # written without i1_lit, the records take the dense sum: the same stack
+    # for the same frames, and a frame lit off the set still counts everywhere
+    framestack.write_stack(tmp_path / "plain.twmg", records, w, h, n, 0, "test")
     assert (tmp_path / "plain.twmg").read_bytes() == raw
-    for rec in plain:
-        rec.i1 = rec.i1 + 1.0
+    plain = [ShotRecord(rec.i1 + 1.0, rec.i2, rec.shot_index) for rec in records]
     framestack.write_stack(tmp_path / "dense.twmg", plain, w, h, n, 0, "test")
     dense = framestack.Moments.of(rec.i1 for rec in plain)
     assert (tmp_path / "dense.twmg").read_bytes()[-16 * w * h:] == (dense.s1.tobytes()
@@ -507,8 +503,9 @@ def _count_spans(monkeypatch):
 ], ids=["copy-stack", "fft", "coherent-sum", "binning-2-bit-depth-12"])
 def test_span_written_stack_equals_its_dense_rewrite(tmp_path, monkeypatch, n_modes, det,
                                                       coherent_sum):
-    # every shot's i1 is written as its lit span; records read back carry no
-    # i1_lit, so writing them again writes every byte: the same stack
+    # every shot's i1 is written as its lit span; the same records written
+    # without i1_lit, and the records read back written again, have every
+    # byte written: the same stack
     cfg = _grid_config(64, n_modes)
     det = DetectorSpec(**det)
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed,
@@ -517,12 +514,14 @@ def test_span_written_stack_equals_its_dense_rewrite(tmp_path, monkeypatch, n_mo
     n = 10
     spans = _count_spans(monkeypatch)
     path = tmp_path / "span.twmg"
-    framestack.write_stack(path, exp.shots(n), w, h, n, 0, "test")
+    framestack.write_stack(path, exp.shots(n), w, h, n, 0, "test", i1_lit=exp.i1_lit)
     assert spans == [len(exp.i1_lit)] * n
+    framestack.write_stack(tmp_path / "plain.twmg", exp.shots(n), w, h, n, 0, "test")
     framestack.write_stack(tmp_path / "dense.twmg", framestack.iter_shots(path), w, h, n, 0,
                            "test")
-    # the rewrite wrote no span
+    # neither wrote a span
     assert len(spans) == n
+    assert path.read_bytes() == (tmp_path / "plain.twmg").read_bytes()
     assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
 
 
@@ -550,7 +549,7 @@ def test_small_frames_stack_leaves_the_unlit_i1_bytes_unwritten(tmp_path):
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
     n = 40
     path = tmp_path / "span.twmg"
-    framestack.write_stack(path, exp.shots(n), 128, 128, n, 0, "test")
+    framestack.write_stack(path, exp.shots(n), 128, 128, n, 0, "test", i1_lit=exp.i1_lit)
     st = os.stat(path)
     assert st.st_blocks * 512 < st.st_size
     framestack.write_stack(tmp_path / "dense.twmg", framestack.iter_shots(path), 128, 128, n,
@@ -559,17 +558,17 @@ def test_small_frames_stack_leaves_the_unlit_i1_bytes_unwritten(tmp_path):
 
 
 def test_writer_sums_lit_i1_without_a_square_scratch():
-    # the FFT experiment's records carry i1_lit: the writer sums i1 in
-    # lit-length vectors and holds one frame, the trailer's, at the end
+    # given the FFT experiment's i1_lit, the writer sums i1 in lit-length
+    # vectors and holds one frame, the trailer's, at the end
     w = 256
     cfg = _grid_config(w, 200)
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
     assert exp.flat_stack is None
     records = list(exp.shots(4))
-    framestack.write_stack(os.devnull, records, w, w, 4, 0, "test")   # warm-up
+    framestack.write_stack(os.devnull, records, w, w, 4, 0, "test", i1_lit=exp.i1_lit)  # warm-up
     tracemalloc.start()
     try:
-        framestack.write_stack(os.devnull, records, w, w, 4, 0, "test")
+        framestack.write_stack(os.devnull, records, w, w, 4, 0, "test", i1_lit=exp.i1_lit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -665,7 +664,7 @@ def test_simulate_holds_few_frames(overrides, n_shots, setup_budget, loop_budget
     # traced peaks in frames of 8 W H bytes: set-up's, and the shot loop's
     # above the memory set-up leaves live, which holds one block of shots
     # (the previous block is freed before the next is made) and the
-    # writer's lit-length moment vectors and the mask of i1's non-zeros
+    # writer's lit-length moment vectors, given the run's i1_lit
     cfg = load_config(None, {("run", "master_seed"): 12345, **overrides})
     mask = cfg.load_object_mask()
     w = cfg.width
@@ -679,7 +678,8 @@ def test_simulate_holds_few_frames(overrides, n_shots, setup_budget, loop_budget
         exp = setup()
         live, setup_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        framestack.write_stack(os.devnull, exp.shots(n_shots), w, w, n_shots, 0, "test")
+        framestack.write_stack(os.devnull, exp.shots(n_shots), w, w, n_shots, 0, "test",
+                               i1_lit=exp.i1_lit)
         loop_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
