@@ -8,10 +8,11 @@ spatial and the temporal ensembles.
 
 Determinism: every ModeSet is a pure function of (master_seed, shot_index),
 realized with numpy's SeedSequence spawn keys, so shots can be generated in
-any order or in parallel with bit-identical results.  By default mode
-directions are drawn once (shot 0 stream) and held fixed across shots while
+any order or in parallel with bit-identical results.  Mode directions are
+drawn once per run (shot 0 stream) and held fixed across shots while
 amplitudes are re-randomized per shot, mimicking a ground-glass diffuser
-that re-randomizes the field over a persistent set of grating directions.
+that re-randomizes the field over a persistent set of grating directions,
+so each mode lights the same Fourier-plane pixel in every shot.
 
 On the Fourier plane of the seed arm each mode lands on one pixel.
 `fourier_bin_index` is that one mode-to-pixel map (a flat index per mode,
@@ -40,11 +41,11 @@ class SourceSpec:
     n_modes: int
     angular_spread: float
     amplitude_scale: float = 1.0
-    fixed_directions: bool = True
     # "gaussian" draws circular complex Gaussian amplitudes (thermal
     # intensities); "fixed-modulus" keeps |a| = amplitude_scale and only
     # randomizes the phase (zero intensity variance control).
     amplitude_law: str = "gaussian"
+    fixed_directions = True  # always; not a field: kept for perfbench/checks.py's guard
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -65,8 +66,6 @@ class ModeSet:
     theta: np.ndarray
     beta: np.ndarray
     amplitude: np.ndarray
-    shot_index: int
-    master_seed: int
 
 
 def _rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -77,15 +76,13 @@ def _rng(master_seed: int, *key: int) -> np.random.Generator:
 def sample_modes(spec: SourceSpec, master_seed: int, shot_index: int) -> ModeSet:
     """Draw the ModeSet of one shot; deterministic in (master_seed, shot_index)."""
     amp = sample_amplitudes(spec, master_seed, shot_index)
-    dir_shot = 0 if spec.fixed_directions else shot_index
-    rd = _rng(master_seed, 0, dir_shot)
+    rd = _rng(master_seed, 0, 0)
     # uniform over the (theta, beta) disc
     rad = spec.angular_spread * np.sqrt(rd.random(spec.n_modes))
     phi = 2.0 * np.pi * rd.random(spec.n_modes)
     theta = rad * np.cos(phi)
     beta = rad * np.sin(phi)
-    return ModeSet(theta=theta, beta=beta, amplitude=amp,
-                   shot_index=shot_index, master_seed=master_seed)
+    return ModeSet(theta=theta, beta=beta, amplitude=amp)
 
 
 def sample_amplitudes(spec: SourceSpec, master_seed: int, shot_index: int) -> np.ndarray:

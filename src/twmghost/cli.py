@@ -121,7 +121,7 @@ def cmd_simulate_chaotic(args) -> int:
                            height, cfg.shots, cfg.master_seed, RNG_ALGORITHM,
                            i1_lit=exp.i1_lit)
     (out / "manifest.ini").write_text(
-        config.manifest_text(cfg, __version__, RNG_ALGORITHM))
+        config.manifest_text(cfg, __version__, RNG_ALGORITHM), encoding="utf-8")
     print(f"{cfg.shots} shots written to {stack_path}")
     return 0
 

@@ -3,7 +3,8 @@
 Config files are INI-style (section headers, key = value).  Any key can be
 overridden from the environment as TWMG_<SECTION>__<KEY> (upper-case).  A
 section, key or TWMG_ variable that names no key of DEFAULTS is an
-InvalidSpec, so a typo cannot fall back to a default unnoticed.  The
+InvalidSpec, so a typo cannot fall back to a default unnoticed.  Values
+are taken verbatim: a `%` is an ordinary character.  The
 defaults reproduce the desk-scale apparatus: 1064 nm seed, 532 nm pump,
 f = 300 mm imaging lens in a 2f-2f layout, 4 mm crystal, 150 mm Fourier
 lens, 256 x 256 detector with 16 um pixels.
@@ -34,7 +35,7 @@ DEFAULTS = {
     },
     "source": {
         "n_modes": "200", "angular_spread": "5e-3", "amplitude_scale": "1.0",
-        "fixed_directions": "true", "amplitude_law": "gaussian",
+        "amplitude_law": "gaussian",
     },
     "detector": {"bit_depth": "0", "saturation_level": "0", "pixel_binning": "1"},
     "grid": {"width": "256", "height": "256", "pitch": "16e-6"},
@@ -46,8 +47,10 @@ DEFAULTS = {
 }
 
 # keys of older configs that no longer reach an output: a file may still set
-# them, and they are echoed to the manifest, but nothing reads them
-RETIRED = {"geometry": ("d_O", "d_F", "fourier_d"), "run": ("output_dir",)}
+# them, and they are echoed to the manifest, but nothing reads them, except
+# that mode directions are always fixed, so fixed_directions must be true
+RETIRED = {"geometry": ("d_O", "d_F", "fourier_d"), "source": ("fixed_directions",),
+           "run": ("output_dir",)}
 
 
 @dataclass
@@ -92,12 +95,16 @@ def _check_key(sec: str, key: str) -> None:
 
 
 def _merged(path=None) -> dict:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are taken verbatim
     cp.optionxform = str  # keep keys as written
     cp.read_dict(DEFAULTS)
     if path is not None:
-        with open(path) as fh:
-            cp.read_file(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                cp.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise InvalidSpec(f"config file {str(path)!r} is not a valid INI file: "
+                              f"{exc}") from None
     for sec in cp.sections():
         for key in cp[sec]:
             _check_key(sec, key)
@@ -174,8 +181,10 @@ def _build(raw: dict) -> RunConfig:
     source = SourceSpec(n_modes=_int(raw, "source", "n_modes"),
                         angular_spread=_float(raw, "source", "angular_spread"),
                         amplitude_scale=_float(raw, "source", "amplitude_scale"),
-                        fixed_directions=_bool(raw, "source", "fixed_directions"),
                         amplitude_law=raw["source"]["amplitude_law"])
+    if "fixed_directions" in raw["source"] and not _bool(raw, "source", "fixed_directions"):
+        raise InvalidSpec(f"[source] fixed_directions = {raw['source']['fixed_directions']} "
+                          "is not supported: mode directions are always fixed")
     det = DetectorSpec(bit_depth=_int(raw, "detector", "bit_depth"),
                        saturation_level=_float(raw, "detector", "saturation_level", ">= 0"),
                        pixel_binning=_int(raw, "detector", "pixel_binning"))
@@ -212,7 +221,7 @@ def _build(raw: dict) -> RunConfig:
 
 def manifest_text(cfg: RunConfig, code_version: str, rng_algorithm: str) -> str:
     """Full config echo; a run is replayable from this text alone."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp.read_dict(cfg.raw)
     buf = io.StringIO()

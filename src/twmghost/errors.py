@@ -10,7 +10,7 @@ class DegenerateGeometry(TwmError):
 
 
 class InvalidSpec(TwmError):
-    """A source, geometry or run specification is out of its valid range."""
+    """A source, geometry or run specification, or a file it names, is invalid."""
 
 
 class SamplingViolation(TwmError):
@@ -24,14 +24,6 @@ class ShapeMismatch(TwmError):
 class InsufficientSamples(TwmError):
     """An estimator or statistical test was given fewer shots or samples than
     it needs, or samples it cannot use."""
-
-
-class UnreadableFile(TwmError):
-    """A file could not be opened or parsed at all."""
-
-
-class UnsupportedFormat(TwmError):
-    """A file parsed, but is not in a supported format/variant."""
 
 
 class CorruptStack(TwmError):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, UnreadableFile, UnsupportedFormat
+from .errors import InvalidSpec
 
 BUILTIN_THREE_HOLES = "three-holes"
 
@@ -67,7 +67,7 @@ def _read_pnm_tokens(data: bytes, count: int):
     while len(tokens) < count:
         m = re.match(rb"\s*(#[^\n]*\n|\S+)", data[pos:])
         if m is None:
-            raise UnsupportedFormat("truncated PNM header")
+            raise InvalidSpec("truncated PNM header")
         tok = m.group(1)
         pos += m.end()
         if not tok.startswith(b"#"):
@@ -80,27 +80,27 @@ def load_mask(path, pitch: float) -> ObjectMask:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise UnreadableFile(f"cannot read mask {path}: {exc}") from exc
+        raise InvalidSpec(f"cannot read mask {path}: {exc}") from exc
     if len(data) < 2 or data[:1] != b"P":
-        raise UnsupportedFormat(f"{path}: not a portable graymap")
+        raise InvalidSpec(f"{path}: not a portable graymap")
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
-        raise UnsupportedFormat(f"{path}: unsupported PNM magic {magic!r}")
+        raise InvalidSpec(f"{path}: unsupported PNM magic {magic!r}")
     tokens, pos = _read_pnm_tokens(data[2:], 3)
     width, height, maxval = (int(t) for t in tokens)
     if maxval <= 0 or maxval > 65535:
-        raise UnsupportedFormat(f"{path}: maxval {maxval} out of range")
+        raise InvalidSpec(f"{path}: maxval {maxval} out of range")
     npx = width * height
     if magic == b"P2":
         vals = np.array(data[2 + pos:].split()[:npx], dtype=float)
         if vals.size != npx:
-            raise UnsupportedFormat(f"{path}: truncated P2 payload")
+            raise InvalidSpec(f"{path}: truncated P2 payload")
     else:
         start = 2 + pos + 1  # single whitespace after maxval
         dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         raw = data[start:start + npx * dt.itemsize]
         if len(raw) != npx * dt.itemsize:
-            raise UnsupportedFormat(f"{path}: truncated P5 payload")
+            raise InvalidSpec(f"{path}: truncated P5 payload")
         vals = np.frombuffer(raw, dtype=dt).astype(float)
     grid = (vals / maxval).reshape(height, width).T  # PNM rows are y, we use x-major
     return ObjectMask(transmission=grid, pitch=pitch)

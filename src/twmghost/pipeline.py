@@ -255,9 +255,6 @@ class ChaoticExperiment:
     def __init__(self, mask: ObjectMask, g: InteractionGeometry, spec: SourceSpec,
                  master_seed: int, det: DetectorSpec | None = None,
                  coherent_sum: bool = False):
-        if not spec.fixed_directions:
-            raise InvalidSpec("ChaoticExperiment requires fixed mode directions "
-                              "(source fixed_directions = true)")
         self.g, self.spec = g, spec
         self.master_seed = master_seed
         self.det = det or DetectorSpec()

@@ -53,16 +53,15 @@ def test_sampling_is_deterministic():
 
 
 def test_fixed_directions_share_geometry_not_amplitudes():
-    spec = SourceSpec(n_modes=50, angular_spread=5e-3, fixed_directions=True)
+    spec = SourceSpec(n_modes=50, angular_spread=5e-3)
     s0 = sample_modes(spec, 42, 0)
     s5 = sample_modes(spec, 42, 5)
     assert np.array_equal(s0.theta, s5.theta)
     assert np.array_equal(s0.beta, s5.beta)
     assert not np.array_equal(s0.amplitude, s5.amplitude)
-    free = SourceSpec(n_modes=50, angular_spread=5e-3, fixed_directions=False)
-    f0 = sample_modes(free, 42, 0)
-    f5 = sample_modes(free, 42, 5)
-    assert not np.array_equal(f0.theta, f5.theta)
+    # directions are always fixed: there is no field to ask for free ones
+    with pytest.raises(TypeError):
+        SourceSpec(n_modes=50, angular_spread=5e-3, fixed_directions=False)
 
 
 def test_directions_within_spread_disc():
@@ -76,8 +75,7 @@ def test_directions_within_spread_disc():
 
 def test_gaussian_amplitudes_are_thermal():
     # <I> = scale^2, <I^2>/<I>^2 = 2 for circular complex Gaussian fields
-    spec = SourceSpec(n_modes=200, angular_spread=5e-3, amplitude_scale=1.7,
-                      fixed_directions=False)
+    spec = SourceSpec(n_modes=200, angular_spread=5e-3, amplitude_scale=1.7)
     samples = np.concatenate([np.abs(sample_modes(spec, 7, s).amplitude) ** 2
                               for s in range(100)])
     assert samples.mean() == pytest.approx(1.7 ** 2, rel=0.02)
@@ -95,7 +93,7 @@ def test_fixed_modulus_amplitudes():
 
 def test_single_mode_on_axis_is_constant():
     m = ModeSet(theta=np.array([0.0]), beta=np.array([0.0]),
-                amplitude=np.array([0.3 + 0.4j]), shot_index=0, master_seed=0)
+                amplitude=np.array([0.3 + 0.4j]))
     f = field_from_modes(m, _plane(width=64))
     assert np.allclose(f.grid, 0.3 + 0.4j)
 
@@ -105,7 +103,7 @@ def test_two_mode_fringe_period():
     theta = 2e-3
     lam = 1064e-9
     m = ModeSet(theta=np.array([theta, -theta]), beta=np.zeros(2),
-                amplitude=np.array([1.0 + 0j, 1.0 + 0j]), shot_index=0, master_seed=0)
+                amplitude=np.array([1.0 + 0j, 1.0 + 0j]))
     plane = _plane(width=256, pitch=16e-6, lam=lam)
     inten = np.abs(field_from_modes(m, plane).grid) ** 2
     # fringes run along y (axis 1); measure the period from the FFT peak
@@ -124,8 +122,7 @@ def test_field_linearity_and_concatenate():
     fb = field_from_modes(b, plane).grid
     ab = ModeSet(theta=np.concatenate([a.theta, b.theta]),
                  beta=np.concatenate([a.beta, b.beta]),
-                 amplitude=np.concatenate([a.amplitude, b.amplitude]),
-                 shot_index=0, master_seed=11)
+                 amplitude=np.concatenate([a.amplitude, b.amplitude]))
     fab = field_from_modes(ab, plane).grid
     assert np.allclose(fab, fa + fb, atol=1e-9 * np.abs(fab).max())
 
@@ -161,7 +158,7 @@ def test_fourier_bin_index_formula():
 
 def test_fourier_intensity_single_mode_single_pixel(geometry):
     m = ModeSet(theta=np.array([1.1e-3]), beta=np.array([-0.7e-3]),
-                amplitude=np.array([2.0 - 1.0j]), shot_index=0, master_seed=0)
+                amplitude=np.array([2.0 - 1.0j]))
     out = _binned_intensity(m, geometry.lens_fourier_f)
     assert np.count_nonzero(out) == 1
     assert out.max() == pytest.approx(5.0)
@@ -176,7 +173,7 @@ def test_fourier_intensity_total_weight(geometry):
     # and bin_intensities drops its weight
     m = sample_modes(SourceSpec(n_modes=100, angular_spread=5e-3), 5, 0)
     tilted = ModeSet(theta=np.append(m.theta, 0.03), beta=np.append(m.beta, 0.0),
-                     amplitude=np.append(m.amplitude, 10.0), shot_index=0, master_seed=5)
+                     amplitude=np.append(m.amplitude, 10.0))
     index = fourier_bin_index(tilted, geometry.lens_fourier_f, 16e-6, (256, 256))
     assert index[-1] == -1 and (index[:-1] >= 0).all()
     out = _binned_intensity(tilted, geometry.lens_fourier_f)

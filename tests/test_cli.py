@@ -680,12 +680,14 @@ def test_manifest_replays_the_run(tmp_path, small_cfg, monkeypatch):
 
 
 def test_old_geometry_keys_replay_byte_identical(tmp_path, small_cfg):
-    # manifests written before d_O, d_F, fourier_d and output_dir were dropped
-    # still load and replay the same stack: those keys never reached an
-    # output, and --out alone names the output directory
+    # manifests written before d_O, d_F, fourier_d, fixed_directions and
+    # output_dir were dropped still load and replay the same stack: those keys
+    # never reached an output (directions were fixed), and --out alone names
+    # the output directory
     elsewhere = tmp_path / "elsewhere"
     old = tmp_path / "old.ini"
     old.write_text(SMALL_CFG.replace("shots = 12", f"shots = 12\noutput_dir = {elsewhere}")
+                   .replace("n_modes = 20", "n_modes = 20\nfixed_directions = true")
                    + "\n[geometry]\nd_O = 0.6\nd_F = 0.2\nfourier_d = 0.15\n")
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(a)]) == 0
@@ -713,7 +715,10 @@ def test_bad_config_is_data_error(tmp_path):
     ("[source]\nn_mode = 7\n", {}, "'n_mode'"),
     ("[sorce]\nn_modes = 7\n", {}, "[sorce]"),
     ("[run]\nshots = 12\n", {"TWMG_SOURCE__N_MODE": "7"}, "TWMG_SOURCE__N_MODE"),
-], ids=["key", "section", "variable"])
+    # a retired key may be set in a file, but has no variable
+    ("[run]\nshots = 12\n", {"TWMG_SOURCE__FIXED_DIRECTIONS": "true"},
+     "TWMG_SOURCE__FIXED_DIRECTIONS"),
+], ids=["key", "section", "variable", "retired-variable"])
 def test_config_typo_is_data_error(tmp_path, monkeypatch, ini, env, name):
     # a mistyped name must not fall back to the default unnoticed
     p = tmp_path / "typo.ini"
@@ -767,7 +772,7 @@ def test_config_number_out_of_range_is_config_error(tmp_path, small_cfg, capsys,
     ("file", "[grid] width", "abc"),
     ("env", "[detector] pixel_binning", "1.0"),
     ("file", "[run] coherent_sum", "maybe"),
-    ("env", "[source] fixed_directions", "maybe"),
+    ("file", "[source] fixed_directions", "maybe"),
 ], ids=["n_modes", "shots", "master_seed", "width", "pixel_binning", "coherent_sum",
         "fixed_directions"])
 def test_config_malformed_integer_or_boolean_names_the_key(tmp_path, small_cfg, capsys,
@@ -790,6 +795,46 @@ def test_config_malformed_integer_or_boolean_names_the_key(tmp_path, small_cfg, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ini, env, message", [
+    (b"[run]\nshots = 12\nshots = 13\n", {}, "option 'shots' in section 'run' already exists"),
+    (b"[run]\nshots = 12\n[run]\nmaster_seed = 3\n", {}, "section 'run' already exists"),
+    (b"shots = 12\n[run]\n", {}, "no section headers"),
+    (b"[run]\nshots\n", {}, "parsing errors"),
+    (b"[run]\nmask = \xff.pgm\n", {}, "decode"),
+    (b"[run]\nshots = 12%\n", {}, "[run] shots = '12%' is not an integer"),
+    (b"[run]\nshots = 12\n", {"TWMG_RUN__MASK": "no%mask.pgm"}, "'no%mask.pgm' does not exist"),
+], ids=["duplicate-key", "duplicate-section", "no-section", "no-equals", "not-utf8",
+        "percent-in-file", "percent-in-variable"])
+def test_malformed_config_file_is_data_error(tmp_path, capsys, monkeypatch, ini, env, message):
+    # a file configparser cannot read, or a value with a `%`, is a data
+    # error that names what is wrong, with no traceback and no `--out`
+    p = tmp_path / "bad.ini"
+    p.write_bytes(ini)
+    for var, val in env.items():
+        monkeypatch.setenv(var, val)
+    out = tmp_path / "out"
+    assert main(["simulate-chaotic", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_percent_in_mask_path_is_taken_verbatim(tmp_path):
+    # values are not interpolated: `%` is an ordinary character, read from
+    # the file and echoed to the manifest as written, so the run replays
+    pgm = tmp_path / "my%mask.pgm"
+    hole = np.zeros((64, 64))
+    hole[30:34, 30:34] = 1.0
+    masks.save_pgm16(pgm, hole)
+    ini = tmp_path / "pct.ini"
+    ini.write_text(SMALL_CFG + f"mask = {pgm}\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate-chaotic", "--config", str(ini), "--out", str(a)]) == 0
+    assert f"mask = {pgm}\n" in (a / "manifest.ini").read_text()
+    assert main(["simulate-chaotic", "--config", str(a / "manifest.ini"), "--out", str(b)]) == 0
+    assert (a / "frames.twmg").read_bytes() == (b / "frames.twmg").read_bytes()
+
+
 def test_sampling_violation_is_numeric_error(tmp_path):
     # a mask that fills the object grid aliases the lens chirp; set-up fails
     # before `--out` is made
@@ -801,11 +846,13 @@ def test_sampling_violation_is_numeric_error(tmp_path):
         assert not out.exists()
 
 
-def test_free_mode_directions_are_config_error(tmp_path, small_cfg, capsys, monkeypatch):
-    # the shot loop needs fixed directions: refused in set-up, before `--out`
-    monkeypatch.setenv("TWMG_SOURCE__FIXED_DIRECTIONS", "false")
+def test_free_mode_directions_are_config_error(tmp_path, capsys):
+    # mode directions are always fixed: a file that asks for free ones is
+    # refused in set-up, before `--out`
+    p = tmp_path / "free.ini"
+    p.write_text(SMALL_CFG.replace("n_modes = 20", "n_modes = 20\nfixed_directions = false"))
     out = tmp_path / "out"
-    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 2
+    assert main(["simulate-chaotic", "--config", str(p), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "fixed_directions" in err and "Traceback" not in err
     assert not out.exists()

@@ -8,8 +8,7 @@ import pytest
 
 from twmghost import framestack, masks, statistics
 from twmghost.config import DEFAULTS, load_config, manifest_text
-from twmghost.errors import (CorruptStack, InsufficientSamples, InvalidSpec, ShapeMismatch,
-                             UnreadableFile, UnsupportedFormat)
+from twmghost.errors import CorruptStack, InsufficientSamples, InvalidSpec, ShapeMismatch
 from twmghost.pipeline import ShotRecord
 
 
@@ -406,10 +405,10 @@ def test_load_mask_p2_ascii(tmp_path):
 
 
 def test_load_mask_errors(tmp_path):
-    with pytest.raises(UnreadableFile):
+    with pytest.raises(InvalidSpec, match="cannot read mask"):
         masks.load_mask(tmp_path / "missing.pgm", pitch=1e-5)
     (tmp_path / "bad.pgm").write_bytes(b"P7\nnot a pgm\n")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(InvalidSpec, match="unsupported PNM magic"):
         masks.load_mask(tmp_path / "bad.pgm", pitch=1e-5)
 
 

@@ -46,7 +46,7 @@ def _image_offsets(theta2, beta2, g, pitch):
             np.rint(g.s2 * np.cos(beta2) * np.sin(theta2) / pitch).astype(int))
 
 
-def _per_mode_shot(mask, g, modes, det=None):
+def _per_mode_shot(mask, g, modes, shot, det=None):
     """Independent oracle for ChaoticExperiment.shots: builds the imaging chain
     from scratch and sums one shifted copy per mode, its offset written out
     from the idler angles."""
@@ -64,7 +64,7 @@ def _per_mode_shot(mask, g, modes, det=None):
     index = fourier_bin_index(modes, g.lens_fourier_f, base.pitch, base_image.shape)
     i1 = bin_intensities(index, np.abs(modes.amplitude) ** 2, base_image.shape)
     return ShotRecord(i1=apply_detector(i1, det), i2=apply_detector(i2, det),
-                      shot_index=modes.shot_index)
+                      shot_index=shot)
 
 
 def _acceptance(theta, g):
@@ -197,8 +197,8 @@ def test_coherent_image_point_inversion(geometry):
 def test_single_mode_shot_is_scaled_coherent_image(mask, geometry):
     # N=1 on-axis: i2 equals the coherent image scaled by |a|^2
     m = ModeSet(theta=np.array([0.0]), beta=np.array([0.0]),
-                amplitude=np.array([1.7 - 0.4j]), shot_index=0, master_seed=0)
-    rec = _per_mode_shot(mask, geometry, m)
+                amplitude=np.array([1.7 - 0.4j]))
+    rec = _per_mode_shot(mask, geometry, m, 0)
     base = coherent_image(mask, geometry).grid
     assert np.allclose(rec.i2, abs(1.7 - 0.4j) ** 2 * base, rtol=1e-9)
 
@@ -209,11 +209,10 @@ def test_incoherent_additivity(mask, geometry):
     b = sample_modes(spec, 22, 0)
     ab = ModeSet(theta=np.concatenate([a.theta, b.theta]),
                  beta=np.concatenate([a.beta, b.beta]),
-                 amplitude=np.concatenate([a.amplitude, b.amplitude]),
-                 shot_index=0, master_seed=21)
-    ia = _per_mode_shot(mask, geometry, a).i2
-    ib = _per_mode_shot(mask, geometry, b).i2
-    iab = _per_mode_shot(mask, geometry, ab).i2
+                 amplitude=np.concatenate([a.amplitude, b.amplitude]))
+    ia = _per_mode_shot(mask, geometry, a, 0).i2
+    ib = _per_mode_shot(mask, geometry, b, 0).i2
+    iab = _per_mode_shot(mask, geometry, ab, 0).i2
     assert np.allclose(iab, ia + ib, atol=1e-12 * max(iab.max(), 1e-300))
 
 
@@ -221,7 +220,7 @@ def test_experiment_matches_one_off_shot(mask, geometry):
     spec = SourceSpec(n_modes=16, angular_spread=5e-3)
     exp = ChaoticExperiment(mask, geometry, spec, 314)
     rec_fast = next(exp.shots(1, start=2))
-    rec_slow = _per_mode_shot(mask, geometry, sample_modes(exp.spec, exp.master_seed, 2))
+    rec_slow = _per_mode_shot(mask, geometry, sample_modes(exp.spec, exp.master_seed, 2), 2)
     assert np.allclose(rec_fast.i2, rec_slow.i2, rtol=1e-9)
     assert np.array_equal(rec_fast.i1, rec_slow.i1)
 
@@ -240,7 +239,7 @@ def _assert_matches_per_mode_sum(exp, cfg, mask, shot):
     rec = next(exp.shots(1, start=shot))
     # the experiment's own draw, which a test may have patched
     modes = pipeline.sample_modes(exp.spec, exp.master_seed, shot)
-    want = _per_mode_shot(mask, cfg.geometry, modes)
+    want = _per_mode_shot(mask, cfg.geometry, modes, shot)
     assert np.abs(rec.i2 - want.i2).max() <= 1e-12 * np.abs(want.i2).max()
     assert rec.i2.min() >= 0.0
     assert np.array_equal(rec.i1, want.i1)
@@ -589,7 +588,8 @@ def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
     assert [r.shot_index for r in records] == list(range(8, 16))
     for rec in records:
         want = _per_mode_shot(mask, cfg.geometry,
-                              sample_modes(exp.spec, exp.master_seed, rec.shot_index))
+                              sample_modes(exp.spec, exp.master_seed, rec.shot_index),
+                              rec.shot_index)
         assert np.abs(rec.i2 - want.i2).max() <= 1e-12 * np.abs(want.i2).max()
         assert np.array_equal(rec.i1, want.i1)
 
@@ -633,7 +633,7 @@ def test_detector_applies_once_to_each_record(n_modes, coherent_sum, fft):
         assert np.array_equal(rec.i1, apply_detector(plain.i1, det))
         assert np.array_equal(rec.i2, apply_detector(plain.i2, det))
     # the mode-by-mode oracle's i1 through the same detector
-    want = _per_mode_shot(mask, cfg.geometry, sample_modes(cfg.source, cfg.master_seed, 9), det)
+    want = _per_mode_shot(mask, cfg.geometry, sample_modes(cfg.source, cfg.master_seed, 9), 9, det)
     assert np.array_equal(rec.i1, want.i1)
 
 
@@ -687,12 +687,6 @@ def test_simulate_holds_few_frames(overrides, n_shots, setup_budget, loop_budget
     if setup_budget is not None:
         assert setup_peak / frame <= setup_budget
     assert (loop_peak - live) / frame <= loop_budget
-
-
-def test_experiment_requires_fixed_directions(mask, geometry):
-    spec = SourceSpec(n_modes=4, angular_spread=5e-3, fixed_directions=False)
-    with pytest.raises(InvalidSpec):
-        ChaoticExperiment(mask, geometry, spec, 1)
 
 
 def test_mode_offsets_match_image_offset(mask, geometry):
