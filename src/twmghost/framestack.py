@@ -14,13 +14,13 @@ Layout (little-endian):
             accumulated in shot order by `Moments` from the frames written
 
 File length (payload and trailer) is validated against the header on read.
-`write_stack` may be given `i1_lit`, the flat pixels outside which every
-shot's i1 is +0.0 (the simulator's Fourier arm, where each mode lights the
-same pixel in every shot).  It then sums i1's moments there alone and, on
-a seekable file, writes only the span of each i1 from the first lit pixel
+`write_stack` sums i1's moments at `i1_lit`, the flat pixels outside which
+every shot's i1 is +0.0 (the simulator's Fourier arm, where each mode
+lights the same pixel in every shot; without it, every pixel).  On a
+seekable file it writes only the span of each i1 from the first lit pixel
 through the last, seeking past the bytes before and after it: they are
-never written and read back as +0.0, byte for byte what a dense write
-stores, so the file's size and layout are the same either way.
+never written and read back as +0.0, so the file's size, layout and bytes
+do not depend on the lit set.
 A stack of an older version is rebuilt from its run's `manifest.ini`.
 
 Readers, each seeking to the bytes it needs:
@@ -87,6 +87,11 @@ class StackHeader:
     rng_algorithm: str
 
     def __post_init__(self):
+        # the unsigned widths of their fields in _HEAD
+        for name, bits in (("width", 32), ("height", 32), ("n_shots", 32), ("master_seed", 64)):
+            value = getattr(self, name)
+            if not 0 <= value < 2 ** bits:
+                raise CorruptStack(f"{name} {value} does not fit its header field")
         if self.width == 0 or self.height == 0:
             raise CorruptStack(f"empty {self.width} x {self.height} frames")
 
@@ -100,13 +105,14 @@ class Moments:
 
     The stack writer and `Moments.of` sum frames with the same `add`, so the
     stored trailer is bit-identical to a pass over the frames read back.
-    Made with `lit`, the flat pixels outside which every frame is +0.0 (the
-    writer's i1 and its `i1_lit`), `s1` and `s2` are vectors of len(lit)
-    sums at those pixels, and a float64 frame with any bit set elsewhere,
-    -0.0 included, is a CorruptStack naming its shot; without it they are
-    the W x H maps.  Each pixel gets the same additions in the same order
-    either way and a sum of zeros stays 0.0, so `_maps` gives the same
-    W x H sums.  `statistics.auto_reference_pixel` picks from its `bands`:
+    The writer makes it with `lit`, the flat pixels outside which every
+    frame is +0.0 (its `i1_lit`, every pixel by default): `s1` and `s2` are
+    then vectors of len(lit) sums at those pixels, which `_maps` puts into
+    the W x H trailer maps, and a float64 frame with any bit set elsewhere,
+    -0.0 included, is a CorruptStack naming its shot.  `Moments.of` makes
+    it without, and `s1` and `s2` are the W x H maps.  Each pixel gets the
+    same additions in the same order either way and a sum of zeros stays
+    0.0.  `statistics.auto_reference_pixel` picks from its `bands`:
     `arm_moments` of a stack, or `Moments.of(frames)` for frames in hand.
     """
 
@@ -133,11 +139,8 @@ class Moments:
         self.n += 1
 
     def _maps(self, shape) -> Iterator[np.ndarray]:
-        """The W x H sum of I, then of I^2; lit vectors are put one after the
+        """The W x H sum of I, then of I^2: the lit vectors put one after the
         other into one zeroed frame, which holds each until the next."""
-        if self._lit is None:
-            yield from (self.s1, self.s2) if self.n else (np.zeros(shape),) * 2
-            return
         frame = np.zeros(shape)
         for s in (self.s1, self.s2):
             frame.reshape(-1)[self._lit] = s
@@ -199,22 +202,22 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 i1_lit: np.ndarray | None = None) -> StackHeader:
     """Write the stack; the shots must arrive in shot_index order from 0, as
     position k of the stack is read back as shot k (CorruptStack if not).
-    With `i1_lit`, the strictly increasing flat pixels outside which every
-    i1 is +0.0, i1's moments are summed in two vectors at those pixels and
-    put into the two trailer maps, one zeroed frame, after the last shot
-    (see `Moments`).  A bad `i1_lit` is a CorruptStack raised before the
-    file is opened; an i1 with any bit set off it, -0.0 included, is one
-    naming the shot.  On a seekable file each i1 is then written from its
+    `i1_lit` holds the strictly increasing flat pixels outside which every
+    i1 is +0.0; without it every pixel is lit.  i1's moments are summed in
+    two vectors at those pixels and put into the two trailer maps, one
+    zeroed frame, after the last shot (see `Moments`).  A header field out
+    of its range or a bad `i1_lit` is a CorruptStack raised before the
+    file is opened; an i1 with any bit set off `i1_lit`, -0.0 included, is
+    one naming the shot.  On a seekable file each i1 is written from its
     first lit pixel through its last: the bytes before and after that span
-    are seeked past, never written, and read back as +0.0.  Without
-    `i1_lit` or on a pipe, i1 is written whole, as are every i2 and the
-    trailer.  If writing fails, the file is removed before the error
-    propagates, so no partial stack is left at `path`."""
+    are seeked past, never written, and read back as +0.0.  On a pipe i1 is
+    written whole, as are every i2 and the trailer.  If writing fails, the
+    file is removed before the error propagates, so no partial stack is
+    left at `path`."""
     name = rng_algorithm.encode("utf-8")
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
-    if i1_lit is not None:
-        i1_lit = _checked_lit(i1_lit, width * height)
-    moments = Moments(i1_lit)
+    lit = np.arange(width * height) if i1_lit is None else _checked_lit(i1_lit, width * height)
+    moments = Moments(lit)
     written = 0
     # opened outside the clean-up: a path that cannot be opened is left alone
     fh = open(path, "wb")
@@ -223,7 +226,7 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
             fh.write(_HEAD.pack(MAGIC, VERSION, width, height, n_shots, master_seed, len(name)))
             fh.write(name)
             # a pipe cannot seek past i1's unlit bytes: it gets them written
-            span = i1_lit is not None and fh.seekable()
+            span = fh.seekable()
             for shot in shots:
                 if shot.shot_index != written:
                     raise CorruptStack(f"shot {shot.shot_index} arrived at stack position "
@@ -234,7 +237,7 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                         raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
                 moments.add(i1)
                 if span:
-                    _write_span(fh, i1, i1_lit)
+                    _write_span(fh, i1, lit)
                 else:
                     fh.write(i1.data)
                 # i2 ends each record in written bytes, and the trailer the file

@@ -22,6 +22,8 @@ class ObjectMask:
 
     def __post_init__(self):
         t = np.asarray(self.transmission, dtype=float)
+        if t.size == 0:
+            raise InvalidSpec(f"mask transmission of shape {t.shape} is empty")
         # written so that NaN fails them too
         if not (0 <= t.min() and t.max() <= 1):
             raise InvalidSpec("mask transmission values must lie in [0, 1]")
@@ -33,9 +35,7 @@ class ObjectMask:
 def three_holes(width: int = 256, pitch: float = 52e-6, hole_diameter: float = 256e-6,
                 spacing: float = 1.2e-3) -> ObjectMask:
     """Copper-sheet style target: three circular holes on an equilateral
-    triangle of side `spacing`, centered on the grid.  Each hole is drawn on
-    its bounding box, widened by a pixel on each side, with the full grid's
-    per-pixel distances, so the bytes are those of the whole-grid formula."""
+    triangle of side `spacing`, centered on the grid."""
     for name, value in (("pitch", pitch), ("hole_diameter", hole_diameter),
                         ("spacing", spacing)):
         if not 0 < value < np.inf:
@@ -44,19 +44,9 @@ def three_holes(width: int = 256, pitch: float = 52e-6, hole_diameter: float = 2
     rad = spacing / np.sqrt(3.0)
     centers = [(rad * np.cos(a), rad * np.sin(a))
                for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
-    r = hole_diameter / 2
     t = np.zeros((width, width))
-
-    def span(c):
-        """Grid indices of the hole's bounding box about center coordinate c."""
-        lo = int(np.floor((c - r) / pitch)) + width // 2 - 1
-        hi = int(np.ceil((c + r) / pitch)) + width // 2 + 2
-        return slice(min(max(lo, 0), width), min(max(hi, 0), width))
-
     for cx, cy in centers:
-        sx, sy = span(cx), span(cy)
-        box = t[sx, sy]
-        box[np.hypot(x[sx, None] - cx, x[None, sy] - cy) <= r] = 1.0
+        t[np.hypot(x[:, None] - cx, x[None, :] - cy) <= hole_diameter / 2] = 1.0
     return ObjectMask(transmission=t, pitch=pitch)
 
 
@@ -87,12 +77,20 @@ def load_mask(path, pitch: float) -> ObjectMask:
     if magic not in (b"P2", b"P5"):
         raise InvalidSpec(f"{path}: unsupported PNM magic {magic!r}")
     tokens, pos = _read_pnm_tokens(data[2:], 3)
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise InvalidSpec(f"{path}: PNM header holds a value that is not an integer") from exc
+    if width < 0 or height < 0:
+        raise InvalidSpec(f"{path}: negative size {width} x {height}")
     if maxval <= 0 or maxval > 65535:
         raise InvalidSpec(f"{path}: maxval {maxval} out of range")
     npx = width * height
     if magic == b"P2":
-        vals = np.array(data[2 + pos:].split()[:npx], dtype=float)
+        try:
+            vals = np.array(data[2 + pos:].split()[:npx], dtype=float)
+        except ValueError as exc:
+            raise InvalidSpec(f"{path}: P2 payload holds a value that is not a number") from exc
         if vals.size != npx:
             raise InvalidSpec(f"{path}: truncated P2 payload")
     else:

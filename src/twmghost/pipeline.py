@@ -320,15 +320,13 @@ class ChaoticExperiment:
 
     def _i1_lit(self) -> np.ndarray:
         """Flat pixels of the detected i1 frame that some mode lights, in
-        order: the on-grid `i1_bin`s, binned into the kept square.  Every
-        other pixel of every shot's i1 is +0.0, as binning, clipping and
-        quantization keep a +0.0 at +0.0."""
-        w, h = self.base_image.shape
-        b = self.det.pixel_binning
-        bw, bh = self.det.output_shape(w, h)
-        r, c = divmod(self.i1_bin[self.i1_bin >= 0], h)
-        keep = (r < bw * b) & (c < bh * b)
-        return np.flatnonzero(np.bincount(r[keep] // b * bh + c[keep] // b, minlength=bw * bh))
+        order: a count of the modes on each `i1_bin`, binned by the detector
+        (binning alone: clipping or quantizing a count says nothing of a
+        shot's intensities).  Every other pixel of every shot's i1 is +0.0,
+        as binning, clipping and quantization keep a +0.0 at +0.0."""
+        count = bin_intensities(self.i1_bin, np.ones(self.spec.n_modes), self.base_image.shape)
+        binned = apply_detector(count, DetectorSpec(pixel_binning=self.det.pixel_binning))
+        return np.flatnonzero(binned)
 
     def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Mode intensities (block x n_modes) and undetected i2 maps

@@ -504,6 +504,22 @@ def test_mask_file_of_another_size_is_data_error(tmp_path, capsys, cmd):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["simulate-coherent", "simulate-chaotic"])
+@pytest.mark.parametrize("data", [b"P5\nabc 64\n255\n", b"P2\n2 1\n255\n0 x\n",
+                                  b"P5\n-2 -3\n255\nXXXXXX", b"P5\n0 0\n255\n"],
+                         ids=["header-not-integer", "p2-value-not-number", "negative-size",
+                              "no-pixels"])
+def test_malformed_mask_file_is_data_error(tmp_path, capsys, cmd, data):
+    pgm = tmp_path / "bad.pgm"
+    pgm.write_bytes(data)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(SMALL_CFG + f"mask = {pgm}\n")
+    out = tmp_path / "out"
+    assert main([cmd, "--config", str(ini), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_square_grid_is_data_error(tmp_path, capsys):
     p = tmp_path / "wide.ini"
     p.write_text(SMALL_CFG.replace("height = 64", "height = 48"))

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -95,6 +96,29 @@ def test_stack_rejects_empty_frames(tmp_path, stack_header, width, height):
         framestack.write_stack(path, [framestack.ShotRecord(i1=frame, i2=frame, shot_index=0)],
                                width, height, 1, 0, "x")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("width", 2 ** 32), ("height", -1), ("n_shots", 2 ** 32), ("n_shots", -1),
+    ("master_seed", 2 ** 64), ("master_seed", -1),
+])
+def test_writer_refuses_a_header_field_out_of_range(tmp_path, monkeypatch, field, value):
+    # W, H and the shot count are u32 fields and the seed a u64: a value
+    # they cannot hold is refused before the file is opened
+    fields = {"width": 8, "height": 8, "n_shots": 0, "master_seed": 0, field: value}
+    opened = []
+    monkeypatch.setattr(framestack, "open", lambda *a: opened.append(a) or open(*a),
+                        raising=False)
+    path = tmp_path / "s.twmg"
+    with pytest.raises(CorruptStack, match=f"^{field} {value} does not fit"):
+        framestack.write_stack(path, [], rng_algorithm="x", **fields)
+    assert not opened and not path.exists()
+
+
+def test_header_fields_hold_their_largest_values(tmp_path):
+    path = tmp_path / "s.twmg"
+    framestack.write_stack(path, [], 8, 8, 0, 2 ** 64 - 1, "x")
+    assert framestack.read_header(path)[0].master_seed == 2 ** 64 - 1
 
 
 def test_stack_rejects_truncation(tmp_path, rng):
@@ -211,7 +235,7 @@ def test_writer_refuses_a_bad_i1_lit(tmp_path, rng, monkeypatch, bad_lit, shot):
 def test_writer_refuses_minus_zero_off_i1_lit(tmp_path, rng):
     # -0.0 adds nothing to a sum, but a byte seeked past reads back as +0.0:
     # a lit set promises +0.0 off it, so -0.0 there is refused at its shot.
-    # Without the set the frame is written whole, -0.0 and all
+    # Without the set every pixel is lit and written, -0.0 and all
     recs = _lit_records(rng, LIT)
     recs[1].i1[0, 0] = -0.0
     path = tmp_path / "s.twmg"
@@ -222,6 +246,22 @@ def test_writer_refuses_minus_zero_off_i1_lit(tmp_path, rng):
     back = list(framestack.iter_frames(path, "i1"))
     assert np.signbit(back[1][0, 0])
     assert [f.tobytes() for f in back] == [rec.i1.tobytes() for rec in recs]
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_write_without_i1_lit_lights_every_pixel(tmp_path, rng, n):
+    # without i1_lit the writer takes every pixel as lit: the same bytes as
+    # a write given all of them, a -0.0 in i1 kept, and for no shots too
+    recs = _records(rng, n=n)
+    if n:
+        recs[1].i1[2, 3] = -0.0
+    plain, every = tmp_path / "plain.twmg", tmp_path / "every.twmg"
+    framestack.write_stack(plain, recs, 8, 8, n, 0, "x")
+    framestack.write_stack(every, recs, 8, 8, n, 0, "x", i1_lit=np.arange(64))
+    assert plain.read_bytes() == every.read_bytes()
+    back = list(framestack.iter_frames(plain, "i1"))
+    assert [f.tobytes() for f in back] == [rec.i1.tobytes() for rec in recs]
+    assert n == 0 or np.signbit(back[1][2, 3])
 
 
 def test_writer_leaves_an_empty_lit_i1_all_hole(tmp_path, monkeypatch):
@@ -412,6 +452,21 @@ def test_load_mask_errors(tmp_path):
         masks.load_mask(tmp_path / "bad.pgm", pitch=1e-5)
 
 
+@pytest.mark.parametrize("data, match", [
+    (b"P5\nabc 64\n255\n", "{path}: PNM header holds a value that is not an integer"),
+    (b"P2\n2 1\n255\n0 x\n", "{path}: P2 payload holds a value that is not a number"),
+    (b"P5\n-2 -3\n255\nXXXXXX", "{path}: negative size -2 x -3"),
+    (b"P5\n0 0\n255\n", r"mask transmission of shape \(0, 0\) is empty"),
+], ids=["header-not-integer", "p2-value-not-number", "negative-size", "no-pixels"])
+def test_load_mask_refuses_a_malformed_graymap(tmp_path, data, match):
+    # a graymap that cannot be parsed is an InvalidSpec, naming the file
+    # where the parser finds the fault
+    path = tmp_path / "m.pgm"
+    path.write_bytes(data)
+    with pytest.raises(InvalidSpec, match=match.replace("{path}", re.escape(str(path)))):
+        masks.load_mask(path, pitch=1e-5)
+
+
 def test_csv_full_precision_roundtrip(tmp_path, rng):
     arr = rng.standard_normal((5, 4))
     masks.save_csv(tmp_path / "a.csv", arr, header="c0,c1,c2,c3")
@@ -460,8 +515,8 @@ def _three_holes_full_grid(width, pitch, hole_diameter, spacing):
     (156e-6, 260e-6),     # holes a few pixels wide, close together
 ])
 def test_three_holes_equals_the_full_grid_formula(width, pitch, hole_diameter, spacing):
-    # each hole drawn on its bounding box gives the bytes of the whole grid's
-    # distance maps, also where the grid edge clips a hole or cuts it away
+    # the bytes of the whole grid's distance maps, also where the grid edge
+    # clips a hole or cuts it away
     t = masks.three_holes(width, pitch, hole_diameter, spacing).transmission
     assert np.array_equal(t, _three_holes_full_grid(width, pitch, hole_diameter, spacing))
 

@@ -503,8 +503,8 @@ def _count_spans(monkeypatch):
 def test_span_written_stack_equals_its_dense_rewrite(tmp_path, monkeypatch, n_modes, det,
                                                       coherent_sum):
     # every shot's i1 is written as its lit span; the same records written
-    # without i1_lit, and the records read back written again, have every
-    # byte written: the same stack
+    # without i1_lit, and the records read back written again, have each i1
+    # written whole as the span of every pixel: the same stack
     cfg = _grid_config(64, n_modes)
     det = DetectorSpec(**det)
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed,
@@ -518,8 +518,8 @@ def test_span_written_stack_equals_its_dense_rewrite(tmp_path, monkeypatch, n_mo
     framestack.write_stack(tmp_path / "plain.twmg", exp.shots(n), w, h, n, 0, "test")
     framestack.write_stack(tmp_path / "dense.twmg", framestack.iter_shots(path), w, h, n, 0,
                            "test")
-    # neither wrote a span
-    assert len(spans) == n
+    # each write without i1_lit wrote one whole-frame span per shot
+    assert spans == [len(exp.i1_lit)] * n + [w * h] * 2 * n
     assert path.read_bytes() == (tmp_path / "plain.twmg").read_bytes()
     assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
 
