@@ -18,7 +18,8 @@ from twmghost import masks
 from twmghost.config import load_config
 from twmghost.framestack import Moments
 from twmghost.pipeline import ChaoticExperiment
-from twmghost.statistics import auto_reference_pixel, correlate, reference_pairs, snr_report
+from twmghost.statistics import (CovarianceAccumulator, auto_reference_pixel, correlate,
+                                 reference_pairs, snr)
 
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
@@ -49,9 +50,10 @@ masks.save_csv(out / "correlation_map.csv", g)
 
 # reconstruction quality grows like sqrt(number of shots)
 support = expected > 1e-3 * expected.max()
-rows = snr_report(reference_pairs(exp.shots(n_shots), ref), support,
-                  checkpoints=[50, 100, 200, 400])
+acc = CovarianceAccumulator()
 print("shots   SNR")
-for r in rows:
-    print(f"{r['n_shots']:5d}   {r['snr']:5.1f}")
+for x, i2 in reference_pairs(exp.shots(n_shots), ref):
+    acc.add(x, i2)
+    if acc.n in (50, 100, 200, 400):
+        print(f"{acc.n:5d}   {snr(acc.result(), support):5.1f}")
 print(f"wrote single_shot.pgm and correlation_map.pgm to {out}/")

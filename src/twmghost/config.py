@@ -132,12 +132,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         raise InvalidSpec(f"bad configuration: {exc}") from exc
 
 
-# bounds on float keys beyond being finite, by the rule's text
-_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
-
-
-def _float(raw: dict, sec: str, key: str, bound: str | None = None) -> float:
-    """raw[sec][key] as a finite float that meets `bound`, else an
+def _float(raw: dict, sec: str, key: str, positive: bool = False) -> float:
+    """raw[sec][key] as a finite float, > 0 if `positive`, else an
     InvalidSpec naming the key."""
     text = raw[sec][key]
     try:
@@ -146,8 +142,8 @@ def _float(raw: dict, sec: str, key: str, bound: str | None = None) -> float:
         raise InvalidSpec(f"[{sec}] {key} = {text!r} is not a number") from None
     if not math.isfinite(value):
         raise InvalidSpec(f"[{sec}] {key} = {text} is not finite")
-    if bound is not None and not _BOUNDS[bound](value):
-        raise InvalidSpec(f"[{sec}] {key} = {text} must be {bound}")
+    if positive and not value > 0:
+        raise InvalidSpec(f"[{sec}] {key} = {text} must be > 0")
     return value
 
 
@@ -185,17 +181,20 @@ def _build(raw: dict) -> RunConfig:
     if "fixed_directions" in raw["source"] and not _bool(raw, "source", "fixed_directions"):
         raise InvalidSpec(f"[source] fixed_directions = {raw['source']['fixed_directions']} "
                           "is not supported: mode directions are always fixed")
-    det = DetectorSpec(bit_depth=_int(raw, "detector", "bit_depth"),
-                       saturation_level=_float(raw, "detector", "saturation_level", ">= 0"),
-                       pixel_binning=_int(raw, "detector", "pixel_binning"))
+    det_args = (_int(raw, "detector", "bit_depth"), _float(raw, "detector", "saturation_level"),
+                _int(raw, "detector", "pixel_binning"))
+    try:   # DetectorSpec's errors start with the key they refuse
+        det = DetectorSpec(*det_args)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"[detector] {exc}") from None
     width, height = _int(raw, "grid", "width"), _int(raw, "grid", "height")
-    pitch = _float(raw, "grid", "pitch", "> 0")
+    pitch = _float(raw, "grid", "pitch", positive=True)
     if height != width:
         raise InvalidSpec(f"grid height {height} != width {width}: only square grids "
                           "are supported")
     # the lens transform and free propagation run FFTs of power-of-two sides
-    if width < 1 or width & (width - 1):
-        raise InvalidSpec(f"[grid] width = {width} is not a power of two")
+    if width < 2 or width & (width - 1):
+        raise InvalidSpec(f"[grid] width = {width} is not a power of two of at least 2")
     if det.pixel_binning > width:
         raise InvalidSpec(f"[detector] pixel_binning = {det.pixel_binning} is larger than "
                           f"the {width}-pixel grid: the binned frames would be empty")
@@ -209,13 +208,13 @@ def _build(raw: dict) -> RunConfig:
     if rs["mask_pitch"] == "auto":
         mp = object_pitch_for_detector(geom, width, pitch)
     else:
-        mp = _float(raw, "run", "mask_pitch", "> 0")
+        mp = _float(raw, "run", "mask_pitch", positive=True)
     return RunConfig(geometry=geom, source=source, detector=det,
                      width=width, height=height, pitch=pitch,
                      shots=shots, master_seed=seed,
                      mask_name=rs["mask"], mask_pitch=mp,
-                     hole_diameter=_float(raw, "run", "hole_diameter", "> 0"),
-                     hole_spacing=_float(raw, "run", "hole_spacing", "> 0"),
+                     hole_diameter=_float(raw, "run", "hole_diameter", positive=True),
+                     hole_spacing=_float(raw, "run", "hole_spacing", positive=True),
                      coherent_sum=_bool(raw, "run", "coherent_sum"), raw=raw)
 
 

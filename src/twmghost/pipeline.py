@@ -68,6 +68,8 @@ class DetectorSpec:
             raise InvalidSpec("pixel_binning must be >= 1")
         if not 0 <= self.saturation_level < np.inf:
             raise InvalidSpec("saturation_level must be >= 0 and finite")
+        if self.saturation_level > 0 and self.bit_depth == 0:
+            raise InvalidSpec("saturation_level needs a bit_depth: bit_depth 0 does not clip")
 
     def output_shape(self, width: int, height: int) -> tuple[int, int]:
         """Frame shape after binning; partial bins at the far edges are dropped."""

@@ -162,6 +162,24 @@ def _transfer_factor(n: int, pitch: float, lam: float, distance: float) -> np.nd
 _BAND = 32
 
 
+def _filter_lines(src: np.ndarray, dst: np.ndarray, factor: np.ndarray) -> None:
+    """Each line (row) of `src`, zero-padded to factor.size, transformed,
+    multiplied by `factor`, transformed back and cropped to its middle, into
+    the same line of `dst`; a band of lines at a time through one buffer.
+    The sides are powers of two, so a band of min(_BAND, lines) divides them."""
+    lines, n0 = src.shape
+    c0 = (factor.size - n0) // 2
+    nb = min(_BAND, lines)
+    band = np.empty((nb, factor.size), dtype=complex)
+    for i in range(0, lines, nb):
+        band[:, :c0] = band[:, c0 + n0:] = 0
+        band[:, c0:c0 + n0] = src[i:i + nb]
+        np.fft.fft(band, axis=1, out=band)
+        band *= factor
+        np.fft.ifft(band, axis=1, out=band)
+        dst[i:i + nb] = band[:, c0:c0 + n0]
+
+
 def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarField:
     """Band-limited angular-spectrum propagation over `distance` (same pitch).
 
@@ -180,35 +198,12 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
     lam = field.wavelength
     k = 2.0 * np.pi / lam
     w0, h0 = field.grid.shape
-    w, h = pad * w0, pad * h0
-    r0, c0 = (w - w0) // 2, (h - h0) // 2
     out = np.empty((w0, h0), dtype=complex)
-    # the rows (axis 1), a band at a time: pad to h, filter, keep the h0
-    # columns of the field.  The sides are powers of two, so a band of
-    # min(_BAND, side) lines divides them
-    ky = _transfer_factor(h, field.pitch, lam, distance)
-    nb = min(_BAND, w0)
-    rows = np.empty((nb, h), dtype=complex)
-    for i in range(0, w0, nb):
-        rows[:, :c0] = rows[:, c0 + h0:] = 0
-        rows[:, c0:c0 + h0] = field.grid[i:i + nb]
-        np.fft.fft(rows, axis=1, out=rows)
-        rows *= ky
-        np.fft.ifft(rows, axis=1, out=rows)
-        out[i:i + nb] = rows[:, c0:c0 + h0]
-    del rows
-    # then the columns (axis 0) of the output, with the plane-wave phase
-    # exp(-i k z)
-    kx = _transfer_factor(w, field.pitch, lam, distance) * np.exp(-1j * k * distance)
-    nb = min(_BAND, h0)
-    cols = np.empty((w, nb), dtype=complex)
-    for j in range(0, h0, nb):
-        cols[:r0] = cols[r0 + w0:] = 0
-        cols[r0:r0 + w0] = out[:, j:j + nb]
-        np.fft.fft(cols, axis=0, out=cols)
-        cols *= kx[:, None]
-        np.fft.ifft(cols, axis=0, out=cols)
-        out[:, j:j + nb] = cols[r0:r0 + w0]
+    # the rows (axis 1) into the output, then the output's columns (axis 0)
+    # in place, with the plane-wave phase exp(-i k z)
+    _filter_lines(field.grid, out, _transfer_factor(pad * h0, field.pitch, lam, distance))
+    _filter_lines(out.T, out.T, _transfer_factor(pad * w0, field.pitch, lam, distance)
+                  * np.exp(-1j * k * distance))
     return ScalarField(out, field.pitch, field.wavelength)
 
 

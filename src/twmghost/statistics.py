@@ -12,16 +12,17 @@ reference gives G at the round-off of its variation, not of its mean.
 Accumulation is strictly sequential in shot order (double precision), so
 results are bit-identical regardless of how shots were produced.
 
-Every estimator (`correlate`, `jackknife_error`, `snr_report`) takes such
-pairs: `reference_pairs` makes them from shot records, and the
-`reconstruct` command from a stack's i1 pixel trace beside its i2 frames.
+`correlate` and `jackknife_error` take such pairs: `reference_pairs` makes
+them from shot records, and the `reconstruct` command from a stack's i1
+pixel trace beside its i2 frames.  `snr` scores a map G, such as a running
+`result()`, against the object's footprint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -350,34 +351,17 @@ def _pelz_good_cdf(n: int, d: float) -> float:
                                              / math.sqrt(n))
 
 
-def _snr_row(acc: CovarianceAccumulator, support: np.ndarray) -> dict:
-    g = acc.result()
-    inside, outside = g[support], g[~support]
-    sd = float(outside.std())
-    snr = float((inside.mean() - outside.mean()) / sd) if sd else 0.0
-    return {"n_shots": acc.n, "snr": snr, "low_confidence": acc.n < 10}
-
-
-def snr_report(pairs: Iterable[tuple[float, np.ndarray]], support: np.ndarray,
-               checkpoints: Sequence[int] | None = None) -> list[dict]:
-    """Reconstruction SNR at increasing shot counts, in one streaming pass.
-
-    SNR = (mean G inside `support` - mean G outside) / std(G outside), with
-    `support` a boolean map of the expected object footprint on the image
-    grid (including the reference-mode shift).  The covariance map is
-    snapshotted from the running accumulator at each requested checkpoint;
-    the full-ensemble value is always reported last.  Entries with fewer
-    than 10 shots are flagged low-confidence; fewer than 2 in all is an
-    InsufficientSamples.
-    """
+def snr(g: np.ndarray, support: np.ndarray) -> float:
+    """(mean G inside `support` - mean G outside) / std(G outside), 0 where G
+    outside does not vary, with `support` a boolean map of the expected
+    object footprint on G's grid (including the reference-mode shift).  A
+    support of another shape, or one with an empty side, is refused."""
     support = np.asarray(support, dtype=bool)
-    cps = set(int(c) for c in checkpoints) if checkpoints else None
-    acc = CovarianceAccumulator()
-    out = []
-    for x, i2 in pairs:
-        acc.add(x, i2)
-        if cps is not None and acc.n in cps and acc.n >= 2:
-            out.append(_snr_row(acc, support))
-    if not out or out[-1]["n_shots"] != acc.n:
-        out.append(_snr_row(acc, support))
-    return out
+    if support.shape != g.shape:
+        raise ShapeMismatch(f"support shape {support.shape} != map shape {g.shape}")
+    inside, outside = g[support], g[~support]
+    if not (inside.size and outside.size):
+        side = "outside" if inside.size else "inside"
+        raise InsufficientSamples(f"no map pixels {side} the support: no SNR to form")
+    sd = float(outside.std())
+    return float((inside.mean() - outside.mean()) / sd) if sd else 0.0

@@ -18,11 +18,12 @@ from twmghost.chaotic_source import (SourceSpec, bin_intensities, fourier_bin_in
 from twmghost.cli import main as cli_main
 from twmghost.pipeline import ChaoticExperiment, coherent_image
 from twmghost.statistics import (
+    CovarianceAccumulator,
     auto_reference_pixel,
     correlate,
     jackknife_error,
     reference_pairs,
-    snr_report,
+    snr,
     thermal_test,
 )
 from twmghost.twm_core import (
@@ -277,15 +278,16 @@ def test_criterion_7_snr_scaling(experiment, reference):
     # diffraction-broadened hole edges): signal pixels left "outside" put a
     # floor under the noise estimate and flatten the scaling
     support = expected > 1e-3 * expected.max()
-    rows = snr_report(reference_pairs(experiment.shots(1000), ref), support,
-                      checkpoints=[125, 250, 500, 1000])
-    ns = np.array([r["n_shots"] for r in rows], dtype=float)
-    snr = np.array([r["snr"] for r in rows])
-    slope = np.polyfit(np.log(ns), np.log(snr), 1)[0]
+    ns, values, acc = [125, 250, 500, 1000], [], CovarianceAccumulator()
+    for x, i2 in reference_pairs(experiment.shots(1000), ref):
+        acc.add(x, i2)
+        if acc.n in ns:
+            values.append(snr(acc.result(), support))
+    slope = np.polyfit(np.log(ns), np.log(values), 1)[0]
     _report(7, "SNR grows as sqrt(n): fitted exponent 0.5 +/- 0.1 over "
                "{125, 250, 500, 1000} shots",
             bool(abs(slope - 0.5) <= 0.1),
-            "exponent %.3f, SNR %s" % (slope, [f"{v:.1f}" for v in snr]))
+            "exponent %.3f, SNR %s" % (slope, [f"{v:.1f}" for v in values]))
 
 
 def test_criterion_8_thread_determinism(tmp_path):

@@ -764,10 +764,12 @@ def test_config_typo_is_data_error(tmp_path, monkeypatch, ini, env, name):
     ({"TWMG_RUN__HOLE_SPACING": "nan"}, "[run] hole_spacing"),
     ({"TWMG_RUN__HOLE_DIAMETER": "-1"}, "[run] hole_diameter"),
     ({"TWMG_DETECTOR__SATURATION_LEVEL": "-1"}, "[detector] saturation_level"),
+    ({"TWMG_GRID__WIDTH": "1", "TWMG_GRID__HEIGHT": "1"}, "[grid] width"),
+    ({"TWMG_DETECTOR__SATURATION_LEVEL": "1e-30"}, "[detector] saturation_level"),
 ], ids=["pitch-0", "pitch-negative", "pitch-nan", "width-96", "s2-nan", "fourier_f-nan",
         "crystal_length-inf", "angular_spread-nan", "angular_spread-inf",
         "amplitude_scale-nan", "mask_pitch-nan", "hole_spacing-nan", "hole_diameter-negative",
-        "saturation_level-negative"])
+        "saturation_level-negative", "width-1", "saturation_level-without-bit_depth"])
 def test_config_number_out_of_range_is_config_error(tmp_path, small_cfg, capsys, monkeypatch,
                                                     env, key):
     # a non-finite, zero or negative number must neither crash, nor pass as a

@@ -86,6 +86,9 @@ def test_detector_spec_validation():
         DetectorSpec(bit_depth=10)
     with pytest.raises(InvalidSpec):
         DetectorSpec(pixel_binning=0)
+    # apply_detector clips only when it quantizes, so the level would be ignored
+    with pytest.raises(InvalidSpec, match="saturation_level needs a bit_depth"):
+        DetectorSpec(saturation_level=1.0)
 
 
 @pytest.mark.parametrize("level", [-1.0, np.nan, np.inf])

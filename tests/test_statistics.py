@@ -17,7 +17,7 @@ from twmghost.statistics import (
     correlate,
     jackknife_error,
     reference_pairs,
-    snr_report,
+    snr,
     thermal_test,
 )
 
@@ -406,33 +406,33 @@ def test_jackknife_requires_enough_shots(rng):
         jackknife_error(reference_pairs(_synthetic_shots(rng, n=5), (0, 0)))
 
 
-def test_snr_report_checkpoints(rng):
+def test_snr_of_the_running_map_equals_the_batch_formula(rng):
     shots = _synthetic_shots(rng, n=120, coupled=True)
     support = np.zeros((16, 16), dtype=bool)
     support[2:6, 2:6] = True
-    rows = snr_report(reference_pairs(shots, (3, 3)), support, checkpoints=[30, 60, 120])
-    assert [r["n_shots"] for r in rows] == [30, 60, 120]
-    assert not any(r["low_confidence"] for r in rows)
-    # final entry reproduces the batch computation
-    g = _correlate(shots, (3, 3))
-    inside = g[support].mean()
-    outside = g[~support]
-    assert rows[-1]["snr"] == pytest.approx((inside - outside.mean()) / outside.std())
+    acc, got = CovarianceAccumulator(), {}
+    for x, i2 in reference_pairs(shots, (3, 3)):
+        acc.add(x, i2)
+        if acc.n in (30, 120):
+            got[acc.n] = snr(acc.result(), support)
+    for n, value in got.items():
+        i1r = np.array([s.i1[3, 3] for s in shots[:n]])
+        i2 = np.array([s.i2 for s in shots[:n]])
+        g = (i2 * i1r[:, None, None]).mean(axis=0) - i1r.mean() * i2.mean(axis=0)
+        outside = g[~support]
+        assert value == pytest.approx((g[support].mean() - outside.mean()) / outside.std())
     # a genuinely coupled block should stand far above the floor
-    assert rows[-1]["snr"] > 5.0
+    assert got[120] > 5.0
 
 
-def test_snr_report_appends_final(rng):
-    shots = _synthetic_shots(rng, n=50, coupled=True)
-    support = np.zeros((16, 16), dtype=bool)
-    support[2:6, 2:6] = True
-    rows = snr_report(reference_pairs(shots, (3, 3)), support, checkpoints=[20])
-    assert [r["n_shots"] for r in rows] == [20, 50]
-    rows = snr_report(reference_pairs(shots, (3, 3)), support)
-    assert [r["n_shots"] for r in rows] == [50]
+@pytest.mark.parametrize("fill, side", [(True, "outside"), (False, "inside")])
+def test_snr_refuses_a_support_with_an_empty_side(rng, fill, side):
+    g = _correlate(_synthetic_shots(rng, n=20), (3, 3))
+    with pytest.raises(InsufficientSamples, match=f"no map pixels {side} the support"):
+        snr(g, np.full(g.shape, fill))
 
 
-def test_snr_report_empty(rng):
-    support = np.zeros((16, 16), dtype=bool)
-    with pytest.raises(InsufficientSamples, match="need at least 2 shots, got 0"):
-        snr_report(reference_pairs([], (0, 0)), support)
+def test_snr_refuses_a_support_of_another_shape(rng):
+    g = _correlate(_synthetic_shots(rng, n=20), (3, 3))
+    with pytest.raises(ShapeMismatch, match="support shape"):
+        snr(g, np.ones((8, 16), dtype=bool))
