@@ -3,8 +3,8 @@
 Subcommands: simulate-coherent, simulate-chaotic, reconstruct, stats,
 selftest; each subparser names its handler as `run`.  Exit codes follow
 the error classes: 0 success, 1 a usage error, 3 a numerical failure
-(SamplingViolation, DegenerateGeometry, FloatingPointError), 2 any other
-TwmError (a data or configuration error) or OSError.
+(SamplingViolation, DegenerateGeometry, FloatingPointError, OverflowError),
+2 any other TwmError (a data or configuration error) or OSError.
 
 Each subcommand imports only the modules it runs; at module level there
 are only the ones every command uses (`errors`, `framestack`, `masks`).
@@ -26,7 +26,7 @@ from . import framestack, masks
 from .errors import (CorruptStack, DegenerateGeometry, InsufficientSamples, SamplingViolation,
                      TwmError)
 
-_NUMERIC_ERRORS = (SamplingViolation, DegenerateGeometry, FloatingPointError)
+_NUMERIC_ERRORS = (SamplingViolation, DegenerateGeometry, FloatingPointError, OverflowError)
 
 
 class UsageError(Exception):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, sample_amplitudes,
                              sample_modes)
-from .errors import ImageClipped, InvalidSpec, ModesOffGrid, ShapeMismatch
+from .errors import DegenerateGeometry, ImageClipped, InvalidSpec, ModesOffGrid, ShapeMismatch
 from .framestack import ShotRecord
 from .geometry import InteractionGeometry, geometric_factor, unit_vectors
 from .masks import ObjectMask
@@ -266,7 +266,17 @@ class ChaoticExperiment:
         self.base_image = np.abs(base.grid) ** 2
         m0 = sample_modes(spec, master_seed, 0)
         seed = unit_vectors(m0.theta, m0.beta)
-        self.idler, self.accept = _idlers(seed, g)
+        # an index, wavelength or crystal length out of float range makes the
+        # idlers or acceptance non-finite: refused below, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.idler, self.accept = _idlers(seed, g)
+        bad = int(np.count_nonzero(~(np.isfinite(self.idler).all(axis=0)
+                                     & np.isfinite(self.accept))))
+        if bad:
+            raise DegenerateGeometry(
+                f"{bad} of {spec.n_modes} seed modes have a non-finite idler direction or "
+                f"phase-matching acceptance: the [geometry] indices, wavelengths or "
+                f"crystal_length are out of floating-point range")
         # an idler along u images the object at s2 (ux, uy) on the detector
         self.px, self.py = np.rint(g.s2 * self.idler[:2] / self.pitch).astype(int)
         # the base image energy each mode's shifted copy keeps on the grid;

@@ -16,11 +16,15 @@ results are bit-identical regardless of how shots were produced.
 them from shot records, and the `reconstruct` command from a stack's i1
 pixel trace beside its i2 frames.  `snr` scores a map G, such as a running
 `result()`, against the object's footprint.
+
+`thermal_test` checks that intensities follow the thermal (exponential) law
+of their own mean.  Its Kolmogorov-Smirnov p-value is the fitted-mean null
+of Lilliefors (JASA 64, 387 (1969)), read from one table in Stephens'
+modified statistic (JASA 69, 730 (1974)), which holds for every n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -222,10 +226,40 @@ def auto_reference_pixel(moments: Moments) -> tuple[int, int]:
 MIN_SAMPLES = 100
 _HISTOGRAM_BINS = 50
 
+# (Stephens' D*, upper-tail probability p) knots of the Lilliefors null,
+# made by tests/lilliefors_table.py: 4e6 seeded draws at n = 400.  Stephens'
+# published 15-1 % points are 0.926, 0.990, 1.094, 1.190 and 1.308
+_D_STAR, _P = np.array([
+    (0.3367, 0.999), (0.3939, 0.99), (0.4267, 0.975), (0.4586, 0.95), (0.5003, 0.9),
+    (0.5584, 0.8), (0.6062, 0.7), (0.6514, 0.6), (0.6974, 0.5), (0.7474, 0.4),
+    (0.8052, 0.3), (0.8784, 0.2), (0.9265, 0.15), (0.9900, 0.1), (1.0896, 0.05),
+    (1.1808, 0.025), (1.2921, 0.01), (1.3706, 0.005), (1.4453, 0.0025), (1.5371, 0.001),
+    (1.6018, 0.0005)]).T
+_LOG_P = np.log(_P)
+
+
+def _lilliefors_sf(n: int, d: float) -> float:
+    """P(D >= d) for the Kolmogorov-Smirnov distance D of n exponential
+    samples from the exponential law of their own mean, Lilliefors' null.
+    Stephens' D* = (D - 0.2/n)(sqrt(n) + 0.26 + 0.5/sqrt(n)) makes that law
+    almost independent of n, so log p is interpolated in D* between the
+    knots; p is 1 below the first, and above the last log p goes on linearly
+    in D*^2, at the slope of the last two knots."""
+    root = np.sqrt(n)
+    dstar = (d - 0.2 / n) * (root + 0.26 + 0.5 / root)
+    if dstar <= _D_STAR[0]:
+        return 1.0
+    if dstar <= _D_STAR[-1]:
+        return float(np.exp(np.interp(dstar, _D_STAR, _LOG_P)))
+    slope = (_LOG_P[-1] - _LOG_P[-2]) / (_D_STAR[-1] ** 2 - _D_STAR[-2] ** 2)
+    return float(np.exp(_LOG_P[-1] + slope * (dstar ** 2 - _D_STAR[-1] ** 2)))
+
 
 def thermal_test(samples) -> HistogramFit:
     """Kolmogorov-Smirnov test of the samples against the thermal law
-    P(I) = exp(-I/<I>)/<I> with <I> the sample mean, which must be > 0."""
+    P(I) = exp(-I/<I>)/<I> with <I> the sample mean, which must be > 0.  The
+    mean is fitted from the samples themselves, so the p-value is Lilliefors'
+    (`_lilliefors_sf`), not Kolmogorov's, which would read far too high."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size < MIN_SAMPLES:
         raise InsufficientSamples(f"need >= {MIN_SAMPLES} samples, got {samples.size}")
@@ -239,7 +273,7 @@ def thermal_test(samples) -> HistogramFit:
     n = samples.size
     cdf = -np.expm1(-np.sort(samples) / mean)
     ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
-    p = _ks_sf(n, float(ks))
+    p = _lilliefors_sf(n, float(ks))
     try:
         counts, edges = np.histogram(samples, bins=_HISTOGRAM_BINS)
     except ValueError:   # the range is narrower than _HISTOGRAM_BINS steps of the float grid
@@ -248,107 +282,6 @@ def thermal_test(samples) -> HistogramFit:
             f"range to split into {_HISTOGRAM_BINS} histogram bins") from None
     return HistogramFit(bin_edges=edges, counts=counts, fitted_mean=mean,
                        ks_statistic=float(ks), p_value=float(p))
-
-
-# the Durbin matrix power is kept in range by exact power-of-two rescaling
-_SCALE_EXP = 128
-_SCALE = 2.0 ** _SCALE_EXP
-# above this many samples the CDF off the tail is the Pelz-Good series, as
-# in Simard & L'Ecuyer and scipy's kstwo: the Durbin matrix would take
-# seconds (1449 x 1449 at n = 262144, n d^2 = 2), and the series is off by
-# O(1/n^2)
-_ASYMPTOTIC_N = 100_000
-
-
-def _ks_sf(n: int, d: float) -> float:
-    """P(D_n >= d) for the two-sided one-sample Kolmogorov-Smirnov statistic.
-
-    Branches as in Simard & L'Ecuyer, J. Stat. Softw. 39(11) (2011): in the
-    tail, twice the one-sided Birnbaum-Tingey probability (Miller's
-    approximation, exact for d >= 0.5); elsewhere one minus the CDF, which
-    is the exact Durbin-matrix CDF of Marsaglia, Tsang & Wang, J. Stat.
-    Softw. 8(18) (2003), whose cost grows as (2 ceil(n d))^3 log n, up to
-    n = _ASYMPTOTIC_N, and the Pelz-Good asymptotic series above it.
-    """
-    if d >= 1.0:
-        return 0.0
-    if n * d <= 0.5:
-        return 1.0
-    nd2 = n * d * d
-    if d >= 0.5 or nd2 > 4.0 or (n > 140 and nd2 >= 2.2):
-        # P(D+_n >= d) = d sum_j C(n,j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1)
-        j = np.arange(int(np.floor(n * (1.0 - d))) + 1)
-        lg = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-        with np.errstate(divide="ignore"):
-            log_terms = (lg[n] - lg[j] - lg[n - j]
-                         + (n - j) * np.log(np.maximum(1.0 - d - j / n, 0.0))
-                         + (j - 1) * np.log(d + j / n))
-        return min(1.0, 2.0 * d * float(np.exp(log_terms).sum()))
-    if n > _ASYMPTOTIC_N:
-        return min(1.0, max(0.0, 1.0 - _pelz_good_cdf(n, d)))
-    # d = (k - h)/n with 0 <= h < 1; P(D_n < d) = n!/n^n (H^n)[k-1, k-1]
-    k = int(np.ceil(n * d))
-    h = k - n * d
-    m = 2 * k - 1
-    fac = np.ones(m + 1)                  # fac[i] = 1/i!, underflowing to 0
-    for i in range(1, m + 1):
-        fac[i] = fac[i - 1] / i
-    v = (1.0 - h ** np.arange(1, m + 1)) * fac[1:]
-    v[-1] = (1.0 + max(2.0 * h - 1.0, 0.0) ** m - 2.0 * h ** m) * fac[m]
-    H = np.zeros((m, m))
-    for i in range(1, m):
-        H[i - 1:, i] = fac[:m - i + 1]
-    H[:, 0] = v
-    H[-1, :] = v[::-1]
-    power, expnt, h_expnt, e = np.eye(m), 0, 0, n
-    while True:
-        if e % 2:
-            power = power @ H
-            expnt += h_expnt
-            if power[k - 1, k - 1] > _SCALE:
-                power /= _SCALE
-                expnt += _SCALE_EXP
-        e //= 2
-        if not e:
-            break
-        H = H @ H
-        h_expnt *= 2
-        if H[k - 1, k - 1] > _SCALE:
-            H /= _SCALE
-            h_expnt += _SCALE_EXP
-    p = power[k - 1, k - 1]
-    for i in range(1, n + 1):
-        p = i * p / n
-        if p < 1.0 / _SCALE:
-            p *= _SCALE
-            expnt -= _SCALE_EXP
-    return min(1.0, max(0.0, 1.0 - math.ldexp(p, expnt)))
-
-
-def _pelz_good_cdf(n: int, d: float) -> float:
-    """P(D_n < d) ~ K0(z) + K1(z)/sqrt(n) + K2(z)/n + K3(z)/n^1.5, z = d sqrt(n).
-
-    The Li-Chien / Korolyuk expansion in the small-z form of Pelz & Good,
-    J. R. Stat. Soc. B 38, 152 (1976), as given by Simard & L'Ecuyer (2011):
-    theta sums over odd m = 2k - 1 of exp(-pi^2 m^2 / (8 z^2)), plus sums over
-    all k of exp(-pi^2 k^2 / (2 z^2)) in K2 and K3.
-    """
-    z = d * math.sqrt(n)
-    z2 = z * z
-    k = np.arange(1, math.ceil(16.0 * z / math.pi) + 1, dtype=float)
-    m2 = (2.0 * k - 1.0) ** 2 * (math.pi ** 2 / 4.0)     # (pi m / 2)^2
-    odd = np.exp(-m2 / (2.0 * z2))
-    all_k = (math.pi * k) ** 2
-    even = all_k * np.exp(-all_k / (2.0 * z2))
-    k0 = odd.sum() / z
-    k1 = ((m2 - z2) * odd).sum() / (6.0 * z ** 4)
-    k2 = (((6.0 * z2 + 2.0) * z2 * z2 + (2.0 * z2 - 5.0) * z2 * m2 + (1.0 - 2.0 * z2) * m2 * m2)
-          * odd).sum() / (72.0 * z ** 7) - even.sum() / (36.0 * z ** 3)
-    k3 = ((-(30.0 + 90.0 * z2) * z2 ** 3 + (135.0 - 96.0 * z2) * z2 * z2 * m2
-           + (212.0 * z2 - 60.0) * z2 * m2 * m2 + (5.0 - 30.0 * z2) * m2 ** 3)
-          * odd).sum() / (6480.0 * z ** 10) + ((3.0 * z2 - all_k) * even).sum() / (216.0 * z ** 6)
-    return math.sqrt(2.0 * math.pi) * float(k0 + (k1 + (k2 + k3 / math.sqrt(n)) / math.sqrt(n))
-                                             / math.sqrt(n))
 
 
 def snr(g: np.ndarray, support: np.ndarray) -> float:

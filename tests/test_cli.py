@@ -864,6 +864,32 @@ def test_sampling_violation_is_numeric_error(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["simulate-coherent", "simulate-chaotic"])
+def test_overflow_is_numeric_error(tmp_path, small_cfg, capsys, monkeypatch, cmd):
+    # n3 = 1e-308 overflows the lens transform's float arithmetic in set-up:
+    # a numerical failure, with no traceback and no `--out`
+    monkeypatch.setenv("TWMG_GEOMETRY__N3", "1e-308")
+    out = tmp_path / "out"
+    assert main([cmd, "--config", small_cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["n1", "crystal_length"])
+def test_non_finite_phase_matching_is_numeric_error(tmp_path, small_cfg, capsys, monkeypatch,
+                                                    key):
+    # at 1e308 the idlers or their acceptance are not finite, and the run
+    # would write an i2 of NaN: set-up refuses it, naming the modes, before
+    # `--out`
+    monkeypatch.setenv(f"TWMG_GEOMETRY__{key.upper()}", "1e308")
+    out = tmp_path / "out"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "20 of 20 seed modes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_free_mode_directions_are_config_error(tmp_path, capsys):
     # mode directions are always fixed: a file that asks for free ones is
     # refused in set-up, before `--out`

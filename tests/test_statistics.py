@@ -12,7 +12,7 @@ from twmghost.statistics import (
     BRIGHTEST_TIE,
     THERMAL_CONTRAST_FLOOR,
     CovarianceAccumulator,
-    _ks_sf,
+    _lilliefors_sf,
     auto_reference_pixel,
     correlate,
     jackknife_error,
@@ -244,69 +244,70 @@ def test_thermal_test_rejects_gaussian(rng):
     assert fit.p_value < 1e-6
 
 
-def _in_pelz_good_region(n, d):
-    # where scipy's kstwo.sf uses the asymptotic Pelz-Good series
-    return n > 140 and n * d * d < 2.2 and n * d ** 1.5 > 1.4
-
-
-@pytest.mark.parametrize("n", [100, 140, 141, 500, 2000, 10_000])
-def test_ks_sf_matches_scipy_kstwo(n):
-    kstwo = pytest.importorskip("scipy.stats").kstwo
-    # n d^2 through the Durbin branch (incl. n d <= 1) and both tail cut-offs,
-    # then the edges n d <= 0.5, d >= 0.5 and d = 1
-    nd2 = np.concatenate([[0.3 / n, 1.0 / n], np.linspace(0.05, 6.0, 40), [18.0, 50.0, 300.0]])
-    d = np.concatenate([np.sqrt(nd2 / n), [0.4 / n, 0.5, 0.75, 0.99, 1.0]])
-    for di in d:
-        want = float(kstwo.sf(di, n))
-        rel = 1e-4 if _in_pelz_good_region(n, di) else 1e-10
-        assert _ks_sf(n, float(di)) == pytest.approx(want, rel=rel, abs=1e-300), (n, di)
-
-
-@pytest.mark.parametrize("n", [200_000, 262_144, 1_000_000])
-def test_ks_sf_large_n_matches_scipy_kstwo(n):
-    # above 1e5 samples (a spatial i2 map of a 512 x 512 frame holds 262144)
-    # the CDF off the tail is the Pelz-Good series, as in kstwo; 1e-10 is
-    # tight enough to see its 1/n^1.5 term.  The tail's log-space sum keeps
-    # about 3e-10 at these n, so it is held to 1e-6
-    kstwo = pytest.importorskip("scipy.stats").kstwo
-    for nd2 in np.concatenate([np.linspace(0.05, 2.15, 22), [2.3, 4.0]]):
-        d = float(np.sqrt(nd2 / n))
-        rel = 1e-10 if nd2 < 2.2 else 1e-6
-        assert _ks_sf(n, d) == pytest.approx(float(kstwo.sf(d, n)), rel=rel), (n, nd2)
-
-
-def test_ks_sf_large_n_is_fast():
-    # at n d^2 = 2 the Durbin matrix is 1449 x 1449 and its power takes seconds
-    n = 262_144
-    d = float(np.sqrt(2.0 / n))
-    start = time.perf_counter()
-    _ks_sf(n, d)
-    assert time.perf_counter() - start < 0.05
-
-
-def test_ks_sf_edges():
-    assert _ks_sf(500, 0.5 / 500) == 1.0
-    assert _ks_sf(500, 0.1 / 500) == 1.0
-    assert _ks_sf(500, 1.0) == 0.0
-    assert _ks_sf(500, 1.5) == 0.0
-    # n d <= 1 has the closed form P(D_n < d) = n!/n^n (2 n d - 1)^n, which
-    # vanishes at large n, so check it at small n
-    n, d = 5, 0.8 / 5
-    cdf = np.prod(np.arange(1, n + 1) / n * (2 * n * d - 1))
-    assert _ks_sf(n, d) == pytest.approx(1.0 - cdf, rel=1e-14)
-
-
 @pytest.mark.parametrize("power", [1.0, 2.0])
 def test_thermal_test_matches_scipy_kstest(rng, power):
     sstats = pytest.importorskip("scipy.stats")
-    # thermal samples, and squared ones the test rejects
+    # thermal samples, and squared ones the test rejects; goodness_of_fit
+    # draws the fitted-mean null by Monte Carlo, so its p is held to 4 of its
+    # standard errors, plus 0.005 for the table's own draws and interpolation
+    draws = 2000
     for n in (100, 1000, 5000):
         samples = rng.exponential(1.0, size=n) ** power
         fit = thermal_test(samples)
         ref = sstats.kstest(samples, "expon", args=(0.0, samples.mean()))
         assert abs(fit.ks_statistic - ref.statistic) <= 1e-15
-        rel = 1e-4 if _in_pelz_good_region(n, fit.ks_statistic) else 1e-10
-        assert fit.p_value == pytest.approx(ref.pvalue, rel=rel, abs=1e-300)
+        mc = sstats.goodness_of_fit(sstats.expon, samples, known_params={"loc": 0.0},
+                                    statistic="ks", n_mc_samples=draws, random_state=n)
+        assert mc.statistic == pytest.approx(fit.ks_statistic, rel=1e-12)
+        se = np.sqrt(mc.pvalue * (1.0 - mc.pvalue) / draws)
+        assert abs(fit.p_value - mc.pvalue) <= 4.0 * se + 0.005, (n, fit.p_value, mc.pvalue)
+
+
+@pytest.mark.parametrize("n", [100, 300, 2000])
+def test_thermal_test_is_calibrated(n):
+    # exactly thermal samples are rejected at each level at its nominal
+    # rate, within 3 binomial standard errors of 2000 draws
+    draws = 2000
+    rng = np.random.default_rng(n)
+    p = np.array([thermal_test(rng.exponential(1.0, size=n)).p_value for _ in range(draws)])
+    for level in (0.01, 0.05, 0.10):
+        rate = float(np.mean(p < level))
+        assert abs(rate - level) <= 3.0 * np.sqrt(level * (1.0 - level) / draws), (level, rate)
+
+
+@pytest.mark.parametrize("shape, n, floor", [(1.3, 300, 0.40), (1.15, 2000, 0.80)])
+def test_thermal_test_rejects_gamma_law(shape, n, floor):
+    # gamma laws near the exponential: at the 1 % level the Kolmogorov null
+    # of a fully specified law rejected 18 % and 55 % of these draws, the
+    # fitted-mean null 55 % and 86 %
+    rng = np.random.default_rng(int(shape * 100) + n)
+    p = np.array([thermal_test(rng.gamma(shape, size=n)).p_value for _ in range(300)])
+    assert np.mean(p < 0.01) >= floor
+
+
+def _d(n, dstar):
+    # the KS distance D whose Stephens statistic at n is dstar
+    root = np.sqrt(n)
+    return 0.2 / n + dstar / (root + 0.26 + 0.5 / root)
+
+
+def test_thermal_test_null_matches_stephens_points():
+    # Stephens (1974), exponential with the mean fitted: the upper 15, 10, 5,
+    # 2.5 and 1 % points of D*, which the table meets to 0.02
+    n = 400
+    for dstar, level in ((0.926, 0.15), (0.990, 0.10), (1.094, 0.05), (1.190, 0.025),
+                         (1.308, 0.01)):
+        low, high = (_lilliefors_sf(n, _d(n, dstar + step)) for step in (-0.02, 0.02))
+        assert low > level > high, (dstar, low, high)
+
+
+def test_thermal_test_p_value_edges():
+    # p is 1 at D = 0 and below the first knot, falls through the table, and
+    # past its last knot still reads far-tail rejections, down to 0
+    n = 400
+    p = [_lilliefors_sf(n, _d(n, dstar)) for dstar in (0.3, 1.0, 1.6, 2.5, 40.0)]
+    assert _lilliefors_sf(n, 0.0) == p[0] == 1.0
+    assert p[1] > p[2] > 1e-4 and 1e-6 > p[3] > p[4] == 0.0
 
 
 def test_thermal_test_needs_samples(rng):
