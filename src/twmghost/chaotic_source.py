@@ -117,16 +117,21 @@ def field_from_modes(m: ModeSet, plane: ScalarField) -> ScalarField:
 def fourier_bin_index(m: ModeSet, f_lens: float, pitch: float, shape) -> np.ndarray:
     """Flat row-major pixel of each mode on the Fourier plane of the seed arm,
     a `shape` = (w, h) grid of `pitch` with the optical axis at
-    (w // 2, h // 2); -1 for a mode whose pixel is off the grid.
+    (w // 2, h // 2); -1 for a mode whose pixel is off the grid, or whose
+    position is not finite.
 
     A plane wave along the unit vector u focuses at f (ux, uy) behind a lens
     of focal length `f_lens`; the continuum delta of the lens transform is
     idealized as that single pixel.
     """
     w, h = shape
-    ix, iy = (np.rint(f_lens * unit_vectors(m.theta, m.beta)[:2] / pitch).astype(int)
-              + [[w // 2], [h // 2]])
-    on = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    # a position beyond float range is inf, and off the grid
+    with np.errstate(over="ignore"):
+        fx, fy = (np.rint(f_lens * unit_vectors(m.theta, m.beta)[:2] / pitch)
+                  + [[w // 2], [h // 2]])
+    on = (fx >= 0) & (fx < w) & (fy >= 0) & (fy < h)
+    # cast on the grid alone, where every position is a small integer
+    ix, iy = np.where(on, [fx, fy], 0).astype(int)
     return np.where(on, ix * h + iy, -1)
 
 

@@ -114,9 +114,16 @@ def cmd_simulate_chaotic(args) -> int:
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
                             cfg.master_seed, det=cfg.detector,
                             coherent_sum=cfg.coherent_sum)
+    width, height = cfg.detector.output_shape(cfg.width, cfg.height)
+    # the library builds such an experiment (its i2 is real); a stack of it
+    # has no reference arm to correlate with
+    if exp.i1_lit.size == 0:
+        raise DegenerateGeometry(
+            f"Fourier arm: no seed mode lights a pixel of the {width} x {height} i1 frame, so "
+            f"every shot's i1 would be zero ([geometry] fourier_f, [grid] pitch, "
+            f"[source] angular_spread)")
     out = _outdir(args.out)
     stack_path = out / "frames.twmg"
-    width, height = cfg.detector.output_shape(cfg.width, cfg.height)
     framestack.write_stack(stack_path, exp.shots(cfg.shots, threads=args.threads), width,
                            height, cfg.shots, cfg.master_seed, RNG_ALGORITHM,
                            i1_lit=exp.i1_lit)

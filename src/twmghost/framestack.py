@@ -11,12 +11,13 @@ Layout (little-endian):
     u32     length of RNG algorithm name, then that many UTF-8 bytes
     payload n_shots * (I1 then I2), each W*H float64, row-major (x-major)
     trailer sum of I1 then sum of I1^2 over the shots, each W*H float64,
-            accumulated in shot order by `Moments` from the frames written
+            summed in shot order by the writer from the frames written
 
 File length (payload and trailer) is validated against the header on read.
-`write_stack` sums i1's moments at `i1_lit`, the flat pixels outside which
-every shot's i1 is +0.0 (the simulator's Fourier arm, where each mode
-lights the same pixel in every shot; without it, every pixel).  On a
+`write_stack` sums i1 and i1^2 itself, at `i1_lit` alone, the flat pixels
+outside which every shot's i1 is +0.0 (the simulator's Fourier arm, where
+each mode lights the same pixel in every shot; without it, every pixel):
+the trailer equals `Moments.of` of the i1 frames read back.  On a
 seekable file it writes only the span of each i1 from the first lit pixel
 through the last, seeking past the bytes before and after it: they are
 never written and read back as +0.0, so the file's size, layout and bytes
@@ -101,50 +102,27 @@ class StackHeader:
 
 
 class Moments:
-    """Per-pixel sums of I and I^2 over frames added in shot order, n of them.
+    """Per-pixel sums of I and I^2 over W x H frames added in shot order, n
+    of them: `s1` and `s2`, None until the first frame.
 
-    The stack writer and `Moments.of` sum frames with the same `add`, so the
-    stored trailer is bit-identical to a pass over the frames read back.
-    The writer makes it with `lit`, the flat pixels outside which every
-    frame is +0.0 (its `i1_lit`, every pixel by default): `s1` and `s2` are
-    then vectors of len(lit) sums at those pixels, which `_maps` puts into
-    the W x H trailer maps, and a float64 frame with any bit set elsewhere,
-    -0.0 included, is a CorruptStack naming its shot.  `Moments.of` makes
-    it without, and `s1` and `s2` are the W x H maps.  Each pixel gets the
-    same additions in the same order either way and a sum of zeros stays
-    0.0.  `statistics.auto_reference_pixel` picks from its `bands`:
-    `arm_moments` of a stack, or `Moments.of(frames)` for frames in hand.
+    `statistics.auto_reference_pixel` picks from its `bands`: `arm_moments`
+    of a stack, or `Moments.of(frames)` for frames in hand.  The stack
+    writer sums i1 itself, at its lit pixels alone; each pixel gets the
+    same additions in the same order as here and a sum of zeros stays 0.0,
+    so its trailer is bit-identical to `Moments.of` of the frames read back.
     """
 
-    def __init__(self, lit: np.ndarray | None = None):
+    def __init__(self):
         self.n = 0
-        self._lit = lit
         self.s1 = self.s2 = self._square = None
-        if lit is not None:
-            self.s1, self.s2, self._square = (np.zeros(lit.size) for _ in range(3))
 
     def add(self, frame: np.ndarray):
         """Add one frame."""
-        if self._lit is not None:
-            # "wrap" is unbuffered; a checked lit is within the frame
-            v = np.take(frame.reshape(-1), self._lit, out=self._square, mode="wrap")
-            # one bit count (4 us on a 128 x 128 frame) finds a set bit off lit
-            if np.count_nonzero(frame.view(np.uint64)) != np.count_nonzero(v.view(np.uint64)):
-                raise CorruptStack(f"shot {self.n}: i1 is not +0.0 off its i1_lit pixels")
-            frame = v
-        elif self.s1 is None:
+        if self.s1 is None:
             self.s1, self.s2, self._square = (np.zeros(frame.shape) for _ in range(3))
         self.s1 += frame
         self.s2 += np.multiply(frame, frame, out=self._square)
         self.n += 1
-
-    def _maps(self, shape) -> Iterator[np.ndarray]:
-        """The W x H sum of I, then of I^2: the lit vectors put one after the
-        other into one zeroed frame, which holds each until the next."""
-        frame = np.zeros(shape)
-        for s in (self.s1, self.s2):
-            frame.reshape(-1)[self._lit] = s
-            yield frame
 
     @classmethod
     def of(cls, frames: Iterable[np.ndarray]) -> "Moments":
@@ -203,21 +181,23 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
     """Write the stack; the shots must arrive in shot_index order from 0, as
     position k of the stack is read back as shot k (CorruptStack if not).
     `i1_lit` holds the strictly increasing flat pixels outside which every
-    i1 is +0.0; without it every pixel is lit.  i1's moments are summed in
-    two vectors at those pixels and put into the two trailer maps, one
-    zeroed frame, after the last shot (see `Moments`).  A header field out
-    of its range or a bad `i1_lit` is a CorruptStack raised before the
-    file is opened; an i1 with any bit set off `i1_lit`, -0.0 included, is
-    one naming the shot.  On a seekable file each i1 is written from its
-    first lit pixel through its last: the bytes before and after that span
-    are seeked past, never written, and read back as +0.0.  On a pipe i1 is
-    written whole, as are every i2 and the trailer.  If writing fails, the
-    file is removed before the error propagates, so no partial stack is
-    left at `path`."""
+    i1 is +0.0; without it every pixel is lit.  The writer sums i1 and
+    i1^2 at those pixels alone, in two vectors of len(i1_lit) values, as
+    `Moments.add` sums whole frames, and after the last shot puts them one
+    after the other into one zeroed frame, the two trailer maps.  A header
+    field out of its range or a bad `i1_lit` is a CorruptStack raised
+    before the file is opened; an i1 with any bit set off `i1_lit`, -0.0
+    included, is one naming the shot.  On a seekable file each i1 is
+    written from its first lit pixel through its last: the bytes before and
+    after that span are seeked past, never written, and read back as +0.0.
+    On a pipe i1 is written whole, as are every i2 and the trailer.  If
+    writing fails, the file is removed before the error propagates, so no
+    partial stack is left at `path`."""
     name = rng_algorithm.encode("utf-8")
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
     lit = np.arange(width * height) if i1_lit is None else _checked_lit(i1_lit, width * height)
-    moments = Moments(lit)
+    # i1's sums at the lit pixels, and the lit values of the shot in hand
+    s1, s2, values = (np.zeros(lit.size) for _ in range(3))
     written = 0
     # opened outside the clean-up: a path that cannot be opened is left alone
     fh = open(path, "wb")
@@ -235,7 +215,14 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 for a in (i1, i2):
                     if a.shape != (width, height):
                         raise CorruptStack(f"frame shape {a.shape} != ({width}, {height})")
-                moments.add(i1)
+                # "wrap" is unbuffered; a checked lit is within the frame
+                np.take(i1.reshape(-1), lit, out=values, mode="wrap")
+                # one bit count (4 us on a 128 x 128 frame) finds a set bit off lit
+                if (np.count_nonzero(i1.view(np.uint64))
+                        != np.count_nonzero(values.view(np.uint64))):
+                    raise CorruptStack(f"shot {written}: i1 is not +0.0 off its i1_lit pixels")
+                s1 += values
+                s2 += np.multiply(values, values, out=values)
                 if span:
                     _write_span(fh, i1, lit)
                 else:
@@ -247,8 +234,11 @@ def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 del shot, i1, i2, a
             if written != n_shots:
                 raise CorruptStack(f"wrote {written} shots, header said {n_shots}")
-            for s in moments._maps((width, height)):
-                fh.write(s.astype("<f8", copy=False).data)
+            # the W x H sum of I, then of I^2, each in turn in one zeroed frame
+            trailer = np.zeros(width * height, dtype="<f8")
+            for sums in (s1, s2):
+                trailer[lit] = sums
+                fh.write(trailer.data)
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise

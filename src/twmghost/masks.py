@@ -40,7 +40,10 @@ def three_holes(width: int = 256, pitch: float = 52e-6, hole_diameter: float = 2
                         ("spacing", spacing)):
         if not 0 < value < np.inf:
             raise InvalidSpec(f"{name} must be positive and finite")
-    x = (np.arange(width) - width // 2) * pitch
+    # a coordinate beyond float range is inf, which no hole reaches: the lens
+    # transform refuses such a pitch by name
+    with np.errstate(over="ignore"):
+        x = (np.arange(width) - width // 2) * pitch
     rad = spacing / np.sqrt(3.0)
     centers = [(rad * np.cos(a), rad * np.sin(a))
                for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]

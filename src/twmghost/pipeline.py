@@ -137,8 +137,9 @@ def _shift_zero_fill(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 
 def _energy_kept(image: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Fraction of the sum of `image` that `_shift_zero_fill` keeps at each
-    shift (dx[n], dy[n]), from one summed-area table."""
+    """Fraction of the sum of `image`, which is not all zero, that
+    `_shift_zero_fill` keeps at each shift (dx[n], dy[n]), from one
+    summed-area table."""
     w, h = image.shape
     sat = np.zeros((w + 1, h + 1))
     sat[1:, 1:] = image
@@ -147,8 +148,6 @@ def _energy_kept(image: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarra
     # the source rows and columns that stay on the grid
     r0, r1 = np.clip(-dx, 0, w), np.clip(w - dx, 0, w)
     c0, c1 = np.clip(-dy, 0, h), np.clip(h - dy, 0, h)
-    if sat[w, h] <= 0:   # a dark image loses only the copies shifted off the grid
-        return ((r1 > r0) & (c1 > c0)).astype(float)
     return (sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]) / sat[w, h]
 
 
@@ -264,6 +263,12 @@ class ChaoticExperiment:
         base = coherent_field(mask, g)
         self.pitch = base.pitch
         self.base_image = np.abs(base.grid) ** 2
+        if not self.base_image.any():
+            w, h = self.base_image.shape
+            raise DegenerateGeometry(
+                f"coherent image: no energy on the {w} x {h} grid, so every shot's i2 would be "
+                f"zero (the object mask's transmission sums to {mask.transmission.sum():.3g} "
+                f"at pitch {mask.pitch:.3g} m)")
         m0 = sample_modes(spec, master_seed, 0)
         seed = unit_vectors(m0.theta, m0.beta)
         # an index, wavelength or crystal length out of float range makes the

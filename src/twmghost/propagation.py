@@ -32,6 +32,10 @@ from .errors import SamplingViolation
 from .geometry import InteractionGeometry
 
 
+# the largest float64 whose square is finite
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
@@ -135,6 +139,11 @@ def lens_image_2f2f(obj: ScalarField, g: InteractionGeometry) -> ScalarField:
     k3 = g.k3.magnitude
     d, f = g.d, g.f
     w, h = obj.shape
+    # the chirp and the scale square the object's coordinates and pitch
+    if not max(w, h) * obj.pitch < _SQRT_MAX:
+        raise SamplingViolation(
+            f"lens transform (lens_image_2f2f): the object pitch {obj.pitch:.3g} m over "
+            f"{max(w, h)} pixels squares beyond floating-point range")
     x, y = obj.coords()
     chirp_in = k3 * (f - d) / (d * f)
     _check_chirp_sampling(obj.grid, obj.pitch, chirp_in, "lens_image_2f2f input")

@@ -866,13 +866,54 @@ def test_sampling_violation_is_numeric_error(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["simulate-coherent", "simulate-chaotic"])
 def test_overflow_is_numeric_error(tmp_path, small_cfg, capsys, monkeypatch, cmd):
-    # n3 = 1e-308 overflows the lens transform's float arithmetic in set-up:
-    # a numerical failure, with no traceback and no `--out`
-    monkeypatch.setenv("TWMG_GEOMETRY__N3", "1e-308")
+    # each makes an object pitch whose square overflows the lens transform's
+    # float arithmetic in set-up: a numerical failure, with no traceback and
+    # no `--out`
+    for var, value in (("TWMG_GEOMETRY__N3", "1e-308"), ("TWMG_GRID__PITCH", "1e-308"),
+                       ("TWMG_RUN__MASK_PITCH", "1e308")):
+        with monkeypatch.context() as env:
+            env.setenv(var, value)
+            out = tmp_path / "out"
+            assert main([cmd, "--config", small_cfg, "--out", str(out)]) == 3, var
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+# set-up inputs whose run would write an all-zero arm or overflow: (variables,
+# the commands they reach, the stage that refuses them)
+DEGENERATE_SETUPS = {
+    "grid-32": ({"TWMG_GRID__WIDTH": "32", "TWMG_GRID__HEIGHT": "32"}, ["simulate-chaotic"],
+                "coherent image: no energy on the 32 x 32 grid"),
+    "pitch-1e-30": ({"TWMG_GRID__PITCH": "1e-30"}, ["simulate-chaotic"],
+                    "coherent image: no energy on the 64 x 64 grid"),
+    "fourier_f-1e308": ({"TWMG_GEOMETRY__FOURIER_F": "1e308"}, ["simulate-chaotic"],
+                        "Fourier arm: no seed mode lights a pixel"),
+    "pitch-1e-308": ({"TWMG_GRID__PITCH": "1e-308"}, ["simulate-chaotic", "simulate-coherent"],
+                     "lens transform (lens_image_2f2f): the object pitch"),
+    "mask_pitch-1e308": ({"TWMG_RUN__MASK_PITCH": "1e308"},
+                         ["simulate-chaotic", "simulate-coherent"],
+                         "lens transform (lens_image_2f2f): the object pitch 1e+308 m"),
+}
+
+
+@pytest.mark.parametrize("case, cmd", [(case, cmd) for case, (_, cmds, _) in
+                                       DEGENERATE_SETUPS.items() for cmd in cmds],
+                         ids=lambda v: v)
+def test_degenerate_setup_names_its_stage(tmp_path, small_cfg, capsys, monkeypatch, case, cmd):
+    # a run whose image or reference arm would be all zero, or whose object
+    # pitch overflows the lens transform, is refused in set-up: exit 3,
+    # naming the stage, with no numpy warning, no traceback and no `--out`
+    env, _, stage = DEGENERATE_SETUPS[case]
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
     out = tmp_path / "out"
-    assert main([cmd, "--config", small_cfg, "--out", str(out)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--config", small_cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "Traceback" not in err
+    assert stage in err and "Traceback" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
 
 
