@@ -53,8 +53,8 @@ class SourceSpec:
         # written so that NaN fails them too
         if not 0 < self.angular_spread < np.inf:
             raise InvalidSpec("angular_spread must be positive and finite")
-        if not 0 < self.amplitude_scale < np.inf:
-            raise InvalidSpec("amplitude_scale must be positive and finite")
+        if not 0 < self.amplitude_scale <= 1e50:  # so the stack's sums of i1^2 stay finite
+            raise InvalidSpec("amplitude_scale must be > 0 and at most 1e50")
         if self.amplitude_law not in ("gaussian", "fixed-modulus"):
             raise InvalidSpec(f"unknown amplitude_law {self.amplitude_law!r}")
 

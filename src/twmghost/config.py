@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .chaotic_source import SourceSpec
 from .errors import InvalidSpec
 from .geometry import InteractionGeometry, WaveVector
-from .pipeline import DetectorSpec, ObjectMask, object_pitch_for_detector
+from .pipeline import DetectorSpec, object_pitch_for_detector
 from . import masks
 
 ENV_PREFIX = "TWMG_"
@@ -70,7 +70,7 @@ class RunConfig:
     coherent_sum: bool
     raw: dict = field(default_factory=dict)
 
-    def load_object_mask(self) -> ObjectMask:
+    def load_object_mask(self) -> masks.ObjectMask:
         """The object mask on the width x width grid; a mask file of any
         other size is an InvalidSpec."""
         if self.mask_name == masks.BUILTIN_THREE_HOLES:

@@ -164,7 +164,8 @@ def _kernel_rows(px: np.ndarray, py: np.ndarray, nx: int, ny: int):
 
 def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
     """Complex generated field at the detector plane for an on-axis
-    plane-wave seed of unit amplitude.
+    plane-wave seed of unit amplitude; DegenerateGeometry if the pump map
+    has no energy on the grid (zero at every pixel: a mask dark at its pitch).
 
     The conversion at the crystal plane is pointwise and weak: the seed is
     undepleted and a2 = i g fgeo L conj(a1) a3(rF), with the argument
@@ -174,18 +175,23 @@ def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
     obj = ScalarField(mask.transmission.astype(complex), mask.pitch,
                       g.k3.wavelength / g.k3.index)
     a3_F = lens_image_2f2f(obj, g)
-    # normalize the pump map in place so the weak-conversion argument peaks
-    # at WEAK_CONVERSION_ARG
     e2 = a3_F.grid
-    e2 *= 1j * WEAK_CONVERSION_ARG / max(np.abs(e2).max(), 1e-300)
+    peak = np.abs(e2).max()
+    if not peak:
+        raise DegenerateGeometry(
+            f"coherent image: no energy on the {e2.shape[0]} x {e2.shape[1]} grid (the object "
+            f"mask's transmission sums to {mask.transmission.sum():.3g} at pitch "
+            f"{mask.pitch:.3g} m)")
+    # normalize in place: the weak-conversion argument peaks at WEAK_CONVERSION_ARG
+    e2 *= 1j * WEAK_CONVERSION_ARG / peak
     return free_propagate(ScalarField(e2, a3_F.pitch, lam2), g.s2, pad=2)
 
 
 def coherent_image(mask: ObjectMask, g: InteractionGeometry,
                    det: DetectorSpec = DetectorSpec()) -> ScalarField:
     """Detected intensity of the coherent chain (on-axis plane-wave seed of
-    unit amplitude).  With pixel binning the reported pitch is that of the
-    binned pixels.
+    unit amplitude), in the frame shape and binned pitch of every chaotic
+    shot: `det.output_shape`, any binned size of at least 1.
     """
     e2 = coherent_field(mask, g)
     return ScalarField(apply_detector(np.abs(e2.grid) ** 2, det),
@@ -263,12 +269,6 @@ class ChaoticExperiment:
         base = coherent_field(mask, g)
         self.pitch = base.pitch
         self.base_image = np.abs(base.grid) ** 2
-        if not self.base_image.any():
-            w, h = self.base_image.shape
-            raise DegenerateGeometry(
-                f"coherent image: no energy on the {w} x {h} grid, so every shot's i2 would be "
-                f"zero (the object mask's transmission sums to {mask.transmission.sum():.3g} "
-                f"at pitch {mask.pitch:.3g} m)")
         m0 = sample_modes(spec, master_seed, 0)
         seed = unit_vectors(m0.theta, m0.beta)
         # an index, wavelength or crystal length out of float range makes the

@@ -1,8 +1,8 @@
 """Discretized scalar-field propagation.
 
 Conventions: a forward plane wave is exp(-i k . r).  Grids are square-pixel,
-power-of-two sized, with axis 0 of `grid` the x coordinate and axis 1 the y
-coordinate, both centered (index W//2 is x = 0).
+with axis 0 of `grid` the x coordinate and axis 1 the y coordinate, both
+centered (index W//2 is x = 0).  The transforms take power-of-two sides.
 
 Two numerical kernels are used:
 
@@ -36,8 +36,9 @@ from .geometry import InteractionGeometry
 _SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
+def _check_fft_grid(grid: np.ndarray) -> None:
+    if not all(n >= 2 and n & (n - 1) == 0 for n in grid.shape):
+        raise SamplingViolation(f"grid must be 2-D with power-of-two sides, got {grid.shape}")
 
 
 @dataclass
@@ -50,8 +51,8 @@ class ScalarField:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid)
-        if self.grid.ndim != 2 or not (_is_pow2(self.grid.shape[0]) and _is_pow2(self.grid.shape[1])):
-            raise SamplingViolation(f"grid must be 2-D with power-of-two sides, got {self.grid.shape}")
+        if self.grid.ndim != 2 or not self.grid.size:
+            raise SamplingViolation(f"grid must be 2-D and not empty, got {self.grid.shape}")
         # written so that NaN fails it too
         if not (0 < self.pitch < np.inf and 0 < self.wavelength < np.inf):
             raise SamplingViolation("pitch and wavelength must be positive and finite")
@@ -81,14 +82,15 @@ def _alternating(n: int) -> np.ndarray:
 def _ft_plus(u: np.ndarray, pre=(1.0, 1.0), post=(1.0, 1.0)) -> np.ndarray:
     """Centered DFT with kernel exp(+2 pi i (f x + g y)), unnormalized, of u
     times pre[0][:, None] * pre[1][None, :], times post[0][:, None] *
-    post[1][None, :].  Computed in u, a complex array with even sides, which
-    is returned.
+    post[1][None, :].  Computed in u, a complex array with power-of-two
+    sides, which is returned.
 
     On an even grid of n points the centering shifts are sign flips:
     ifftshift is the factor (-1)^m on the input and fftshift the factor
     (-1)^(k + n/2) on the output, so they fold into the 1-D factors and no
     shifted copy is made.
     """
+    _check_fft_grid(u)
     w, h = u.shape
     sx, sy = _alternating(w), _alternating(h)
     u *= (pre[0] * sx)[:, None]
@@ -100,30 +102,27 @@ def _ft_plus(u: np.ndarray, pre=(1.0, 1.0), post=(1.0, 1.0)) -> np.ndarray:
     return u
 
 
-def _effective_radius(grid: np.ndarray, pitch: float) -> float:
+def _effective_radius(field: ScalarField) -> float:
     """Radius of the support where the field is non-negligible."""
-    mag = np.abs(grid)
+    mag = np.abs(field.grid)
     peak = mag.max()
     if peak == 0:
         return 0.0
-    w, h = grid.shape
-    x = (np.arange(w) - w // 2) * pitch
-    y = (np.arange(h) - h // 2) * pitch
+    x, y = field.coords()
     rho = np.hypot(x[:, None], y[None, :])
     return float(rho.max(where=mag > 1e-6 * peak, initial=0.0))
 
 
-def _check_chirp_sampling(grid, pitch, k_chirp, what):
+def _check_chirp_sampling(field: ScalarField, k_chirp, what):
     """Require the quadratic phase exp(i k_chirp rho^2 / 2) to be Nyquist
     resolved over the occupied part of the grid."""
     if k_chirp == 0:
         return
-    r_eff = _effective_radius(grid, pitch)
-    f_local = abs(k_chirp) * r_eff / (2.0 * np.pi)
-    if f_local > 0.5 / pitch:
+    f_local = abs(k_chirp) * _effective_radius(field) / (2.0 * np.pi)
+    if f_local > 0.5 / field.pitch:
         raise SamplingViolation(
             f"{what}: quadratic phase local frequency {f_local:.3g}/m exceeds "
-            f"Nyquist {0.5 / pitch:.3g}/m over the occupied aperture")
+            f"Nyquist {0.5 / field.pitch:.3g}/m over the occupied aperture")
 
 
 def lens_image_2f2f(obj: ScalarField, g: InteractionGeometry) -> ScalarField:
@@ -146,7 +145,7 @@ def lens_image_2f2f(obj: ScalarField, g: InteractionGeometry) -> ScalarField:
             f"{max(w, h)} pixels squares beyond floating-point range")
     x, y = obj.coords()
     chirp_in = k3 * (f - d) / (d * f)
-    _check_chirp_sampling(obj.grid, obj.pitch, chirp_in, "lens_image_2f2f input")
+    _check_chirp_sampling(obj, chirp_in, "lens_image_2f2f input")
     pitch_out = g.k3.wavelength / g.k3.index * d / (w * obj.pitch)
     xo = (np.arange(w) - w // 2) * pitch_out
     yo = (np.arange(h) - h // 2) * pitch_out
@@ -200,6 +199,7 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
     frequency sampling and with it that band; use pad=2 for distances
     beyond W * pitch^2 / lambda.
     """
+    _check_fft_grid(field.grid)
     if distance < 0:
         raise SamplingViolation("propagation distance must be non-negative")
     if distance == 0:

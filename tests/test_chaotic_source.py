@@ -31,6 +31,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("kwargs", [
     {"angular_spread": np.nan}, {"angular_spread": np.inf}, {"angular_spread": -1e-3},
     {"amplitude_scale": np.nan}, {"amplitude_scale": np.inf}, {"amplitude_scale": 0.0},
+    {"amplitude_scale": 1e308},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_spec_rejects_non_finite_and_out_of_range(kwargs):
     # NaN passes a check written as x <= 0

@@ -881,40 +881,80 @@ def test_overflow_is_numeric_error(tmp_path, small_cfg, capsys, monkeypatch, cmd
 
 
 # set-up inputs whose run would write an all-zero arm or overflow: (variables,
-# the commands they reach, the stage that refuses them)
+# the commands they reach, their exit code, the stage or key that refuses them)
 DEGENERATE_SETUPS = {
-    "grid-32": ({"TWMG_GRID__WIDTH": "32", "TWMG_GRID__HEIGHT": "32"}, ["simulate-chaotic"],
+    "grid-32": ({"TWMG_GRID__WIDTH": "32", "TWMG_GRID__HEIGHT": "32"},
+                ["simulate-chaotic", "simulate-coherent"], 3,
                 "coherent image: no energy on the 32 x 32 grid"),
-    "pitch-1e-30": ({"TWMG_GRID__PITCH": "1e-30"}, ["simulate-chaotic"],
+    "pitch-1e-30": ({"TWMG_GRID__PITCH": "1e-30"}, ["simulate-chaotic", "simulate-coherent"], 3,
                     "coherent image: no energy on the 64 x 64 grid"),
-    "fourier_f-1e308": ({"TWMG_GEOMETRY__FOURIER_F": "1e308"}, ["simulate-chaotic"],
+    "fourier_f-1e308": ({"TWMG_GEOMETRY__FOURIER_F": "1e308"}, ["simulate-chaotic"], 3,
                         "Fourier arm: no seed mode lights a pixel"),
-    "pitch-1e-308": ({"TWMG_GRID__PITCH": "1e-308"}, ["simulate-chaotic", "simulate-coherent"],
+    "pitch-1e-308": ({"TWMG_GRID__PITCH": "1e-308"}, ["simulate-chaotic", "simulate-coherent"], 3,
                      "lens transform (lens_image_2f2f): the object pitch"),
     "mask_pitch-1e308": ({"TWMG_RUN__MASK_PITCH": "1e308"},
-                         ["simulate-chaotic", "simulate-coherent"],
+                         ["simulate-chaotic", "simulate-coherent"], 3,
                          "lens transform (lens_image_2f2f): the object pitch 1e+308 m"),
+    "amplitude_scale-1e308": ({"TWMG_SOURCE__AMPLITUDE_SCALE": "1e308"},
+                              ["simulate-chaotic", "simulate-coherent"], 2,
+                              "amplitude_scale must be > 0 and at most 1e50"),
 }
 
 
-@pytest.mark.parametrize("case, cmd", [(case, cmd) for case, (_, cmds, _) in
+@pytest.mark.parametrize("case, cmd", [(case, cmd) for case, (_, cmds, _, _) in
                                        DEGENERATE_SETUPS.items() for cmd in cmds],
                          ids=lambda v: v)
 def test_degenerate_setup_names_its_stage(tmp_path, small_cfg, capsys, monkeypatch, case, cmd):
     # a run whose image or reference arm would be all zero, or whose object
-    # pitch overflows the lens transform, is refused in set-up: exit 3,
-    # naming the stage, with no numpy warning, no traceback and no `--out`
-    env, _, stage = DEGENERATE_SETUPS[case]
+    # pitch overflows the lens transform, is refused in set-up (exit 3), and
+    # one whose mode amplitudes would overflow the stack is refused by its
+    # key (exit 2): each naming the stage or key, with no numpy warning, no
+    # traceback and no `--out`
+    env, _, code, stage = DEGENERATE_SETUPS[case]
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([cmd, "--config", small_cfg, "--out", str(out)]) == 3
+        assert main([cmd, "--config", small_cfg, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert stage in err and "Traceback" not in err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
+
+
+def test_amplitude_scale_limit(tmp_path, small_cfg, monkeypatch):
+    # at the largest amplitude_scale the source takes, every frame and the
+    # trailer's sums of i1 and i1^2 over the shots stay finite; above it the
+    # key is refused
+    monkeypatch.setenv("TWMG_SOURCE__AMPLITUDE_SCALE", "1e50")
+    stack = tmp_path / "run" / "frames.twmg"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(stack.parent)]) == 0
+    assert all(np.isfinite(s.i1).all() and np.isfinite(s.i2).all()
+               for s in framestack.iter_shots(stack))
+    trailer = np.frombuffer(stack.read_bytes()[-2 * 64 * 64 * 8:], "<f8")
+    assert np.isfinite(trailer).all() and trailer.max() > 1e100
+    monkeypatch.setenv("TWMG_SOURCE__AMPLITUDE_SCALE", "1.1e50")
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("binning, side", [(3, 21), (64, 1)])
+def test_simulate_commands_agree_on_the_binned_frame(tmp_path, capsys, binning, side):
+    # the coherent image has the binned frame shape of every chaotic shot,
+    # whether or not its side is a power of two, and the binned pitch
+    p = tmp_path / "binned.ini"
+    p.write_text(SMALL_CFG + f"\n[detector]\npixel_binning = {binning}\n")
+    assert main(["simulate-chaotic", "--config", str(p), "--out", str(tmp_path / "run")]) == 0
+    header, _ = framestack.read_header(tmp_path / "run" / "frames.twmg")
+    capsys.readouterr()
+    assert main(["simulate-coherent", "--config", str(p), "--out", str(tmp_path / "coh")]) == 0
+    image = np.loadtxt(tmp_path / "coh" / "coherent_image.csv", delimiter=",", ndmin=2)
+    assert image.shape == (header.width, header.height) == (side, side)
+    assert image.any()
+    pgm = (tmp_path / "coh" / "coherent_image.pgm").read_bytes()
+    assert pgm.startswith(b"P5\n%d %d\n" % (side, side))
+    pitch = float(re.search(r"\(pitch (\S+) m\)", capsys.readouterr().out).group(1))
+    assert pitch == pytest.approx(binning * load_config(str(p)).pitch, rel=1e-5)
 
 
 @pytest.mark.parametrize("key", ["n1", "crystal_length"])

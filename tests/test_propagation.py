@@ -21,8 +21,16 @@ def _gaussian_field(width=256, pitch=10e-6, w0=0.3e-3, lam=1064e-9):
 
 
 def test_field_validation():
-    with pytest.raises(SamplingViolation):
-        ScalarField(np.zeros((100, 100)), 1e-5, 1e-6)   # not power of two
+    # a field of any 2-D shape carries an intensity (a binned coherent image);
+    # the transforms take power-of-two sides alone
+    odd = ScalarField(np.zeros((100, 100)), 1e-5, 1e-6)
+    with pytest.raises(SamplingViolation, match="power-of-two"):
+        free_propagate(odd, 0.1)
+    with pytest.raises(SamplingViolation, match="power-of-two"):
+        fourier_plane(odd, 0.15)
+    for shape in [(64,), (0, 0)]:
+        with pytest.raises(SamplingViolation, match="2-D and not empty"):
+            ScalarField(np.zeros(shape), 1e-5, 1e-6)
     with pytest.raises(SamplingViolation):
         ScalarField(np.zeros((64, 64)), -1e-5, 1e-6)
     bad = np.zeros((64, 64))
