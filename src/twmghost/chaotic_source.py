@@ -53,10 +53,14 @@ class SourceSpec:
         # written so that NaN fails them too
         if not 0 < self.angular_spread < np.inf:
             raise InvalidSpec("angular_spread must be positive and finite")
-        if not 0 < self.amplitude_scale <= 1e50:  # so the stack's sums of i1^2 stay finite
-            raise InvalidSpec("amplitude_scale must be > 0 and at most 1e50")
+        # above, the stack's sums of i1^2 overflow; below, |a|^2 and G leave
+        # the normal floats and then underflow to all-zero frames
+        if not 1e-50 <= self.amplitude_scale <= 1e50:
+            raise InvalidSpec(f"amplitude_scale = {self.amplitude_scale:g} is outside "
+                              "1e-50 <= amplitude_scale <= 1e50")
         if self.amplitude_law not in ("gaussian", "fixed-modulus"):
-            raise InvalidSpec(f"unknown amplitude_law {self.amplitude_law!r}")
+            raise InvalidSpec(f"amplitude_law = {self.amplitude_law!r} is not 'gaussian' or "
+                              "'fixed-modulus'")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ The simulate commands import `config` and `pipeline` (and with them the
 source, propagation and geometry modules), `reconstruct` and `stats`
 import `statistics`, and `selftest` imports `selftest`.  So the stack
 readers neither load nor compile the simulator.
+
+`simulate-chaotic` imports `numpy.random` first, with `_hashlib` blocked
+for that one import: numpy.random imports `secrets`, which would map
+OpenSSL's libcrypto (3.4 MB resident) for OS entropy that no run draws,
+since every stream is seeded from the master seed.  hashlib and hmac fall
+back to their builtin digests, and `_hashlib` imports as usual afterwards.
 """
 
 from __future__ import annotations
@@ -105,6 +111,14 @@ def cmd_simulate_coherent(args) -> int:
 
 
 def cmd_simulate_chaotic(args) -> int:
+    # numpy.random without OpenSSL's libcrypto, whose OS entropy no seeded
+    # run draws (see the module docstring)
+    if "_hashlib" not in sys.modules:
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["_hashlib"]
     from . import __version__, config
     from .chaotic_source import RNG_ALGORITHM
     from .pipeline import ChaoticExperiment

@@ -166,6 +166,15 @@ def _bool(raw: dict, sec: str, key: str) -> bool:
     raise InvalidSpec(f"[{sec}] {key} = {text!r} is not a boolean")
 
 
+def _spec(sec: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), its InvalidSpec named by the section: the
+    specs' errors start with the key they refuse."""
+    try:
+        return cls(*args, **kwargs)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"[{sec}] {exc}") from None
+
+
 def _build(raw: dict) -> RunConfig:
     geom = InteractionGeometry(
         k1=WaveVector(_float(raw, "geometry", "lambda1"), _float(raw, "geometry", "n1")),
@@ -174,19 +183,16 @@ def _build(raw: dict) -> RunConfig:
         crystal_length=_float(raw, "geometry", "crystal_length"),
         f=_float(raw, "geometry", "f"), d=_float(raw, "geometry", "d"),
         s2=_float(raw, "geometry", "s2"), lens_fourier_f=_float(raw, "geometry", "fourier_f"))
-    source = SourceSpec(n_modes=_int(raw, "source", "n_modes"),
-                        angular_spread=_float(raw, "source", "angular_spread"),
-                        amplitude_scale=_float(raw, "source", "amplitude_scale"),
-                        amplitude_law=raw["source"]["amplitude_law"])
+    source = _spec("source", SourceSpec, n_modes=_int(raw, "source", "n_modes"),
+                   angular_spread=_float(raw, "source", "angular_spread"),
+                   amplitude_scale=_float(raw, "source", "amplitude_scale"),
+                   amplitude_law=raw["source"]["amplitude_law"])
     if "fixed_directions" in raw["source"] and not _bool(raw, "source", "fixed_directions"):
         raise InvalidSpec(f"[source] fixed_directions = {raw['source']['fixed_directions']} "
                           "is not supported: mode directions are always fixed")
-    det_args = (_int(raw, "detector", "bit_depth"), _float(raw, "detector", "saturation_level"),
+    det = _spec("detector", DetectorSpec, _int(raw, "detector", "bit_depth"),
+                _float(raw, "detector", "saturation_level"),
                 _int(raw, "detector", "pixel_binning"))
-    try:   # DetectorSpec's errors start with the key they refuse
-        det = DetectorSpec(*det_args)
-    except InvalidSpec as exc:
-        raise InvalidSpec(f"[detector] {exc}") from None
     width, height = _int(raw, "grid", "width"), _int(raw, "grid", "height")
     pitch = _float(raw, "grid", "pitch", positive=True)
     if height != width:

@@ -108,15 +108,19 @@ def load_mask(path, pitch: float) -> ObjectMask:
 
 
 def save_pgm16(path, image: np.ndarray):
-    """Write a min-max normalized 16-bit big-endian PGM; returns (lo, hi)."""
+    """Write a min-max normalized 16-bit big-endian PGM; returns (lo, hi).
+    A constant image has no span to normalize by: it is written white
+    (65535), or black if it is zero."""
     img = np.asarray(image, dtype=float)
     lo, hi = float(img.min()), float(img.max())
-    span = hi - lo if hi > lo else 1.0
-    scaled = img - lo      # one float copy, scaled in place
-    scaled /= span
-    scaled *= 65535.0
-    q = np.rint(scaled, out=scaled).astype(">u2")
-    del scaled
+    if hi > lo:
+        scaled = img - lo      # one float copy, scaled in place
+        scaled /= hi - lo
+        scaled *= 65535.0
+        q = np.rint(scaled, out=scaled).astype(">u2")
+        del scaled
+    else:
+        q = np.full(img.shape, 65535 if hi else 0, dtype=">u2")
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n65535\n" % (q.shape[0], q.shape[1]))
         fh.write(q.T.tobytes())  # back to PNM row order

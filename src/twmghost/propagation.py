@@ -147,6 +147,13 @@ def lens_image_2f2f(obj: ScalarField, g: InteractionGeometry) -> ScalarField:
     chirp_in = k3 * (f - d) / (d * f)
     _check_chirp_sampling(obj, chirp_in, "lens_image_2f2f input")
     pitch_out = g.k3.wavelength / g.k3.index * d / (w * obj.pitch)
+    # the output chirp forms xo^2, k3 xo^2 and k3 xo^2 / d, each of which
+    # must be finite (in Python floats an overflow here is inf, no warning)
+    edge = max(w, h) * pitch_out
+    if not (edge < _SQRT_MAX and k3 * edge * edge / min(d, 1.0) < np.inf):
+        raise SamplingViolation(
+            f"lens transform (lens_image_2f2f): the output pitch {pitch_out:.3g} m over "
+            f"{max(w, h)} pixels puts the output chirp's phase beyond floating-point range")
     xo = (np.arange(w) - w // 2) * pitch_out
     yo = (np.arange(h) - h // 2) * pitch_out
     # exp(i c rho^2 / 2) = exp(i c x^2 / 2) exp(i c y^2 / 2) for both chirps

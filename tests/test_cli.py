@@ -895,9 +895,21 @@ DEGENERATE_SETUPS = {
     "mask_pitch-1e308": ({"TWMG_RUN__MASK_PITCH": "1e308"},
                          ["simulate-chaotic", "simulate-coherent"], 3,
                          "lens transform (lens_image_2f2f): the object pitch 1e+308 m"),
+    "mask_pitch-3e-162": ({"TWMG_RUN__MASK_PITCH": "3e-162"},
+                          ["simulate-chaotic", "simulate-coherent"], 3,
+                          "lens transform (lens_image_2f2f): the output pitch 1.11e+153 m"),
+    # the output pitch squares within range, the chirp's k3 / d scaling not
+    "mask_pitch-1e-160": ({"TWMG_RUN__MASK_PITCH": "1e-160"},
+                          ["simulate-chaotic", "simulate-coherent"], 3,
+                          "lens transform (lens_image_2f2f): the output pitch 3.33e+151 m"),
     "amplitude_scale-1e308": ({"TWMG_SOURCE__AMPLITUDE_SCALE": "1e308"},
                               ["simulate-chaotic", "simulate-coherent"], 2,
-                              "amplitude_scale must be > 0 and at most 1e50"),
+                              "[source] amplitude_scale = 1e+308 is outside "
+                              "1e-50 <= amplitude_scale <= 1e50"),
+    "amplitude_scale-1e-200": ({"TWMG_SOURCE__AMPLITUDE_SCALE": "1e-200"},
+                               ["simulate-chaotic", "simulate-coherent"], 2,
+                               "[source] amplitude_scale = 1e-200 is outside "
+                               "1e-50 <= amplitude_scale <= 1e50"),
 }
 
 
@@ -906,10 +918,10 @@ DEGENERATE_SETUPS = {
                          ids=lambda v: v)
 def test_degenerate_setup_names_its_stage(tmp_path, small_cfg, capsys, monkeypatch, case, cmd):
     # a run whose image or reference arm would be all zero, or whose object
-    # pitch overflows the lens transform, is refused in set-up (exit 3), and
-    # one whose mode amplitudes would overflow the stack is refused by its
-    # key (exit 2): each naming the stage or key, with no numpy warning, no
-    # traceback and no `--out`
+    # or output pitch overflows the lens transform, is refused in set-up
+    # (exit 3), and one whose mode amplitudes would overflow the stack or
+    # underflow to zero is refused by its key (exit 2): each naming the stage
+    # or key, with no numpy warning, no traceback and no `--out`
     env, _, code, stage = DEGENERATE_SETUPS[case]
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -937,6 +949,23 @@ def test_amplitude_scale_limit(tmp_path, small_cfg, monkeypatch):
     monkeypatch.setenv("TWMG_SOURCE__AMPLITUDE_SCALE", "1.1e50")
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "x")]) == 2
 
+    # at the smallest, the frames, the trailer and the correlation map hold
+    # no subnormal value (G is of order |a|^4, 1e-200); below it the key is
+    # refused
+    def subnormal(a):
+        return bool(((a != 0) & (np.abs(a) < np.finfo(float).tiny)).any())
+    monkeypatch.setenv("TWMG_SOURCE__AMPLITUDE_SCALE", "1e-50")
+    stack = tmp_path / "low" / "frames.twmg"
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(stack.parent)]) == 0
+    assert main(["reconstruct", str(stack), "--out", str(stack.parent)]) == 0
+    g = np.loadtxt(stack.parent / "correlation_map.csv", delimiter=",")
+    trailer = np.frombuffer(stack.read_bytes()[-2 * 64 * 64 * 8:], "<f8")
+    assert g.any() and trailer.any()
+    assert not any(subnormal(a) for s in framestack.iter_shots(stack) for a in (s.i1, s.i2))
+    assert not subnormal(trailer) and not subnormal(g)
+    monkeypatch.setenv("TWMG_SOURCE__AMPLITUDE_SCALE", "9e-51")
+    assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "y")]) == 2
+
 
 @pytest.mark.parametrize("binning, side", [(3, 21), (64, 1)])
 def test_simulate_commands_agree_on_the_binned_frame(tmp_path, capsys, binning, side):
@@ -953,6 +982,8 @@ def test_simulate_commands_agree_on_the_binned_frame(tmp_path, capsys, binning, 
     assert image.any()
     pgm = (tmp_path / "coh" / "coherent_image.pgm").read_bytes()
     assert pgm.startswith(b"P5\n%d %d\n" % (side, side))
+    # its brightest pixel is white, the 1 x 1 image's one pixel too
+    assert np.frombuffer(pgm[-2 * side * side:], ">u2").max() == 65535
     pitch = float(re.search(r"\(pitch (\S+) m\)", capsys.readouterr().out).group(1))
     assert pitch == pytest.approx(binning * load_config(str(p)).pitch, rel=1e-5)
 
@@ -998,10 +1029,11 @@ SIMULATOR = ("twmghost.pipeline", "twmghost.config", "twmghost.chaotic_source",
              "twmghost.propagation", "twmghost.geometry")
 
 
-def _loaded_after(code, names):
+def _loaded_after(code, names, then=""):
     """Which of `names` are in sys.modules after `code` runs in a fresh
-    interpreter."""
-    script = f"import json, sys\n{code}\nprint(json.dumps(sorted(set(sys.modules) & {set(names)!r})))"
+    interpreter; `then` runs in it after they are listed."""
+    script = (f"import json, sys\n{code}\nloaded = sorted(set(sys.modules) & {set(names)!r})\n"
+              f"{then}\nprint(json.dumps(loaded))")
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1050,10 +1082,16 @@ def test_traced_readers_run_the_library_estimators(tmp_path, argv, spans):
 
 
 def test_one_thread_simulate_loads_no_estimator(tmp_path, small_cfg):
+    # nor OpenSSL's `_hashlib`, which numpy.random's `secrets` import would
+    # load; the block covers that import alone, so hashlib's digests still
+    # work after the run and `_hashlib` still imports
     argv = ["simulate-chaotic", "--config", small_cfg, "--threads", "1",
             "--out", str(tmp_path / "run")]
     code = f"import twmghost.cli\nassert twmghost.cli.main({argv!r}) == 0"
-    assert _loaded_after(code, ("twmghost.statistics", "concurrent.futures")) == []
+    then = ("import hashlib, _hashlib\n"
+            "assert hashlib.sha256(b'abc').hexdigest().startswith('ba7816bf')")
+    assert _loaded_after(code, ("twmghost.statistics", "concurrent.futures", "_hashlib"),
+                         then) == []
 
 
 def test_public_names_resolve_from_the_package():

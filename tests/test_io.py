@@ -434,6 +434,14 @@ def test_pgm16_roundtrip(tmp_path, rng):
     assert back.pitch == 16e-6
 
 
+@pytest.mark.parametrize("value, pixel", [(0.013575, 65535), (-2.0, 65535), (0.0, 0)])
+def test_pgm16_constant_image(tmp_path, value, pixel):
+    # a constant image has no span to normalize by: white unless it is zero
+    assert masks.save_pgm16(tmp_path / "c.pgm", np.full((3, 2), value)) == (value, value)
+    data = (tmp_path / "c.pgm").read_bytes()
+    assert data == b"P5\n3 2\n65535\n" + pixel.to_bytes(2, "big") * 6
+
+
 def test_load_mask_p2_ascii(tmp_path):
     (tmp_path / "a.pgm").write_text("P2\n# comment\n2 3\n255\n"
                                     "0 255\n128 0\n255 128\n")
