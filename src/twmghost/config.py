@@ -213,6 +213,11 @@ def _build(raw: dict) -> RunConfig:
         raise InvalidSpec(f"[run] master_seed = {seed} is outside 0 <= master_seed < 2**64")
     if rs["mask_pitch"] == "auto":
         mp = object_pitch_for_detector(geom, width, pitch)
+        # lambda3 d / (n3 width pitch) underflows to 0 or overflows to inf
+        # at a pitch far enough from the detector's scale
+        if not 0 < mp < math.inf:
+            raise InvalidSpec(f"[grid] pitch = {raw['grid']['pitch']} gives the object pitch "
+                              f"(mask_pitch = auto) {mp:.3g} m, outside floating-point range")
     else:
         mp = _float(raw, "run", "mask_pitch", positive=True)
     return RunConfig(geometry=geom, source=source, detector=det,

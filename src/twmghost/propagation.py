@@ -213,6 +213,19 @@ def free_propagate(field: ScalarField, distance: float, pad: int = 1) -> ScalarF
         return replace(field, grid=field.grid.copy())
     lam = field.wavelength
     k = 2.0 * np.pi / lam
+    # the band limit n pitch / (2 lam z), the plane-wave phase k z and the
+    # transfer phase pi lam z f^2 up to the Nyquist frequency 1 / (2 pitch)
+    # must each be finite (in Python floats an overflow here is inf, no
+    # warning, and 2 lam z underflowing to 0 a ZeroDivisionError)
+    n_max = pad * max(field.grid.shape)
+    f_nyq = 0.5 / field.pitch
+    if not (2.0 * lam * distance > 0 and n_max * field.pitch / (2.0 * lam * distance) < np.inf
+            and k * distance < np.inf and f_nyq < _SQRT_MAX
+            and np.pi * lam * distance * f_nyq ** 2 < np.inf):
+        raise SamplingViolation(
+            f"free propagation (free_propagate): the distance {distance:.3g} m at wavelength "
+            f"{lam:.3g} m puts the transfer function's phase or band limit beyond "
+            f"floating-point range")
     w0, h0 = field.grid.shape
     out = np.empty((w0, h0), dtype=complex)
     # the rows (axis 1) into the output, then the output's columns (axis 0)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -902,6 +903,21 @@ DEGENERATE_SETUPS = {
     "mask_pitch-1e-160": ({"TWMG_RUN__MASK_PITCH": "1e-160"},
                           ["simulate-chaotic", "simulate-coherent"], 3,
                           "lens transform (lens_image_2f2f): the output pitch 3.33e+151 m"),
+    # free propagation's transfer phase overflows at a long distance, its
+    # band limit at a short one, and the plane-wave phase k2 s2 at an n2
+    # that makes the idler's wavelength subnormal
+    "s2-1e308": ({"TWMG_GEOMETRY__S2": "1e308"}, ["simulate-chaotic", "simulate-coherent"], 3,
+                 "free propagation (free_propagate): the distance 1e+308 m"),
+    "s2-1e-320": ({"TWMG_GEOMETRY__S2": "1e-320"}, ["simulate-chaotic", "simulate-coherent"], 3,
+                  "free propagation (free_propagate): the distance 1e-320 m"),
+    "n2-1e308": ({"TWMG_GEOMETRY__N2": "1e308"}, ["simulate-chaotic", "simulate-coherent"], 3,
+                 "free propagation (free_propagate): the distance 0.2 m at wavelength 1.06e-314 m"),
+    # the auto object pitch lambda3 d / (n3 width pitch) underflows to 0 or
+    # overflows to inf
+    "pitch-1e308": ({"TWMG_GRID__PITCH": "1e308"}, ["simulate-chaotic", "simulate-coherent"], 2,
+                    "[grid] pitch = 1e308 gives the object pitch (mask_pitch = auto) 0 m"),
+    "pitch-1e-320": ({"TWMG_GRID__PITCH": "1e-320"}, ["simulate-chaotic", "simulate-coherent"],
+                     2, "[grid] pitch = 1e-320 gives the object pitch (mask_pitch = auto) inf m"),
     "amplitude_scale-1e308": ({"TWMG_SOURCE__AMPLITUDE_SCALE": "1e308"},
                               ["simulate-chaotic", "simulate-coherent"], 2,
                               "[source] amplitude_scale = 1e+308 is outside "
@@ -918,10 +934,12 @@ DEGENERATE_SETUPS = {
                          ids=lambda v: v)
 def test_degenerate_setup_names_its_stage(tmp_path, small_cfg, capsys, monkeypatch, case, cmd):
     # a run whose image or reference arm would be all zero, or whose object
-    # or output pitch overflows the lens transform, is refused in set-up
-    # (exit 3), and one whose mode amplitudes would overflow the stack or
-    # underflow to zero is refused by its key (exit 2): each naming the stage
-    # or key, with no numpy warning, no traceback and no `--out`
+    # or output pitch overflows the lens transform, or whose distance or
+    # wavelength overflows free propagation, is refused in set-up (exit 3),
+    # and one whose mode amplitudes would overflow the stack or underflow to
+    # zero, or whose grid pitch puts the object pitch out of range, is
+    # refused by its key (exit 2): each naming the stage or key, with no
+    # numpy warning, no traceback and no `--out`
     env, _, code, stage = DEGENERATE_SETUPS[case]
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -1014,6 +1032,74 @@ def test_free_mode_directions_are_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _noise_stack(path):
+    """A 16 x 16, 120-shot stack of exponential (thermal) frames, no
+    simulator run."""
+    rng = np.random.default_rng(6)
+    records = (framestack.ShotRecord(i1=rng.exponential(1.0, (16, 16)),
+                                     i2=rng.exponential(1.0, (16, 16)), shot_index=k)
+               for k in range(120))
+    framestack.write_stack(path, records, 16, 16, 120, 0, "test")
+    return path
+
+
+@pytest.mark.parametrize("case, code", [("simulate", 0), ("usage", 1), ("missing", 2)])
+def test_run_exits_with_mains_code_and_freezes_the_collector(tmp_path, small_cfg, monkeypatch,
+                                                             case, code):
+    # the process entry point: main on sys.argv, then the freeze that lets
+    # the interpreter's shutdown collection skip every object alive
+    argv = {"simulate": ["simulate-coherent", "--config", small_cfg,
+                         "--out", str(tmp_path / "coh")],
+            "usage": ["no-such-command"],
+            "missing": ["stats", str(tmp_path / "missing.twmg")]}[case]
+    monkeypatch.setattr(sys, "argv", ["twmghost", *argv])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, small_cfg):
+    # the tests and perfbench/tracer.py call main in process: a freeze there
+    # would keep every object then alive out of all later collections
+    state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    assert main(["simulate-coherent", "--config", small_cfg, "--out", str(tmp_path)]) == 0
+    assert main(["no-such-command"]) == 1
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state
+
+
+def test_module_entry_point_keeps_exit_codes_and_output(tmp_path, small_cfg):
+    # `python -m twmghost.cli`, the path the benchmark times, through run():
+    # stdout on a pipe arrives whole, and each failure exits with its code
+    # and message, with no traceback
+    stack = _noise_stack(tmp_path / "frames.twmg")
+    corrupt = tmp_path / "corrupt.twmg"
+    corrupt.write_bytes(b"not a stack")
+
+    def cli_module(*argv, **env):
+        return subprocess.run([sys.executable, "-m", "twmghost.cli", *argv],
+                              env={**_src_env(), **env}, capture_output=True, text=True,
+                              timeout=120)
+
+    proc = cli_module("stats", str(stack), "--mode", "temporal", "--out", str(tmp_path / "st"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (tmp_path / "st" / "stats_report.txt").read_text()
+    assert proc.stdout.splitlines()[-1].startswith("verdict:")
+    for code, message, proc in (
+            (1, "usage error:", cli_module("stats", str(stack), "--mode", "spatial",
+                                           "--pixel", "3,4")),
+            (2, "error:", cli_module("stats", str(corrupt))),
+            (3, "numerical failure: free propagation",
+             cli_module("simulate-coherent", "--config", small_cfg,
+                        "--out", str(tmp_path / "coh"), TWMG_GEOMETRY__S2="1e308"))):
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+    assert not (tmp_path / "coh").exists()
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats takes most of a second to import and only `stats` needs it
     proc = subprocess.run([sys.executable, "-c",
@@ -1061,12 +1147,7 @@ def test_stack_readers_load_no_simulator(tmp_path, small_cfg, argv):
 def test_traced_readers_run_the_library_estimators(tmp_path, argv, spans):
     # perfbench/tracer.py wraps the estimators by name: the readers must
     # call them, so that their per-layer spans are recorded, not read as 0
-    rng = np.random.default_rng(6)
-    shots = (framestack.ShotRecord(i1=rng.exponential(1.0, (16, 16)),
-                                   i2=rng.exponential(1.0, (16, 16)), shot_index=k)
-             for k in range(120))
-    stack = tmp_path / "frames.twmg"
-    framestack.write_stack(stack, shots, 16, 16, 120, 0, "test")
+    stack = _noise_stack(tmp_path / "frames.twmg")
     trace = tmp_path / "trace.json"
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     proc = subprocess.run([sys.executable, str(tracer), str(trace), argv[0], str(stack),
