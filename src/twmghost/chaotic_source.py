@@ -129,10 +129,7 @@ def fourier_bin_index(m: ModeSet, f_lens: float, pitch: float, shape) -> np.ndar
     idealized as that single pixel.
     """
     w, h = shape
-    # a position beyond float range is inf, and off the grid
-    with np.errstate(over="ignore"):
-        fx, fy = (np.rint(f_lens * unit_vectors(m.theta, m.beta)[:2] / pitch)
-                  + [[w // 2], [h // 2]])
+    fx, fy = np.rint(f_lens * unit_vectors(m.theta, m.beta)[:2] / pitch) + [[w // 2], [h // 2]]
     on = (fx >= 0) & (fx < w) & (fy >= 0) & (fy < h)
     # cast on the grid alone, where every position is a small integer
     ix, iy = np.where(on, [fx, fy], 0).astype(int)

@@ -140,13 +140,18 @@ def cmd_simulate_chaotic(args) -> int:
                             cfg.master_seed, det=cfg.detector,
                             coherent_sum=cfg.coherent_sum)
     width, height = cfg.detector.output_shape(cfg.width, cfg.height)
-    # the library builds such an experiment (its i2 is real); a stack of it
-    # has no reference arm to correlate with
+    # the library builds such experiments; a stack of one has no reference
+    # arm, or no image, to correlate
     if exp.i1_lit.size == 0:
         raise DegenerateGeometry(
             f"Fourier arm: no seed mode lights a pixel of the {width} x {height} i1 frame, so "
             f"every shot's i1 would be zero ([geometry] fourier_f, [grid] pitch, "
             f"[source] angular_spread)")
+    if exp.kept.size == 0:
+        raise DegenerateGeometry(
+            f"image arm: every mode copy is shifted a whole grid side or more off the "
+            f"{cfg.width} x {cfg.height} image, so every shot's i2 would be zero ([geometry] s2, "
+            f"the indices and wavelengths, [grid] pitch, [source] angular_spread)")
     out = _outdir(args.out)
     stack_path = out / "frames.twmg"
     framestack.write_stack(stack_path, exp.shots(cfg.shots, threads=args.threads), width,

@@ -14,7 +14,12 @@ class InvalidSpec(TwmError):
 
 
 class SamplingViolation(TwmError):
-    """A field is too coarsely sampled for the requested transform."""
+    """A field is too coarsely sampled for the requested transform, or a
+    set-up stage left floating-point range."""
+
+
+class NonFiniteField(SamplingViolation):
+    """A field holds a NaN or infinite sample."""
 
 
 class ShapeMismatch(TwmError):

@@ -331,11 +331,12 @@ def pixel_trace(path, pixel: tuple[int, int], arm: str = "i1") -> np.ndarray:
     offset += (r * header.height + c) * 8
     trace = np.empty(header.n_shots, dtype="<f8")
     values = memoryview(trace).cast("B")
-    # unbuffered: each read fetches the 8 bytes asked for, not a buffer's worth
+    # one positional read of the 8 bytes asked for straight into the trace
     with open(path, "rb", buffering=0) as fh:
+        fd = fh.fileno()
         for idx in range(header.n_shots):
-            fh.seek(offset + idx * header.frame_bytes)
-            _read_exact(fh, values[8 * idx:8 * idx + 8], f"shot {idx} {arm} pixel ({r}, {c})")
+            if os.preadv(fd, [values[8 * idx:8 * idx + 8]], offset + idx * header.frame_bytes) != 8:
+                raise CorruptStack(f"{fh.name}: shot {idx} {arm} pixel ({r}, {c}) truncated")
     return trace
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,7 +38,8 @@ import numpy as np
 
 from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, sample_amplitudes,
                              sample_modes)
-from .errors import DegenerateGeometry, ImageClipped, InvalidSpec, ModesOffGrid, ShapeMismatch
+from .errors import (DegenerateGeometry, ImageClipped, InvalidSpec, ModesOffGrid, NonFiniteField,
+                     SamplingViolation, ShapeMismatch)
 from .framestack import ShotRecord
 from .geometry import InteractionGeometry, geometric_factor, unit_vectors
 from .masks import ObjectMask
@@ -98,6 +100,20 @@ def apply_detector(i: np.ndarray, det: DetectorSpec) -> np.ndarray:
     return np.rint(out / sat * levels) * (sat / levels)
 
 
+@contextmanager
+def _stage(name: str, **inputs):
+    """Run one set-up stage with numpy raising on overflow, invalid values
+    and division by zero: that, Python's own float overflow or division by
+    zero, or a non-finite field made in the stage, is one SamplingViolation
+    naming the stage and its key inputs."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, OverflowError, ZeroDivisionError, NonFiniteField) as exc:
+        at = ", ".join(f"{key} = {value:.3g}" for key, value in inputs.items())
+        raise SamplingViolation(f"{name} at {at} leaves floating-point range ({exc})") from exc
+
+
 def _idlers(u1: np.ndarray, g: InteractionGeometry):
     """Unit idler vectors (3 x n) and phase-matching acceptance of seed modes
     along the unit vectors u1 (3 x n).
@@ -148,7 +164,14 @@ def _energy_kept(image: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarra
     # the source rows and columns that stay on the grid
     r0, r1 = np.clip(-dx, 0, w), np.clip(w - dx, 0, w)
     c0, c1 = np.clip(-dy, 0, h), np.clip(h - dy, 0, h)
-    return (sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]) / sat[w, h]
+    # paired so that a copy off the grid along either axis keeps exactly
+    # +0.0 (summed left to right it keeps +-6e-17); the clip to [0, 1] takes
+    # out the round-off left where the kept part of the image is dark.  Not
+    # np.clip: on float64, with cached bytecode, it raised the peak RSS of a
+    # 20-shot wideband-modes run by 0.5 MB; np.maximum and np.minimum by
+    # under 0.1 MB
+    kept = (sat[r1, c1] - sat[r0, c1]) - (sat[r1, c0] - sat[r0, c0])
+    return np.minimum(np.maximum(kept / sat[w, h], 0.0), 1.0)
 
 
 def _kernel_rows(px: np.ndarray, py: np.ndarray, nx: int, ny: int):
@@ -165,7 +188,9 @@ def _kernel_rows(px: np.ndarray, py: np.ndarray, nx: int, ny: int):
 def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
     """Complex generated field at the detector plane for an on-axis
     plane-wave seed of unit amplitude; DegenerateGeometry if the pump map
-    has no energy on the grid (zero at every pixel: a mask dark at its pitch).
+    has no energy on the grid (zero at every pixel: a mask dark at its pitch),
+    and a SamplingViolation naming the stage, the lens transform or free
+    propagation, that leaves floating-point range.
 
     The conversion at the crystal plane is pointwise and weak: the seed is
     undepleted and a2 = i g fgeo L conj(a1) a3(rF), with the argument
@@ -174,7 +199,9 @@ def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
     lam2 = g.k2.wavelength / g.k2.index
     obj = ScalarField(mask.transmission.astype(complex), mask.pitch,
                       g.k3.wavelength / g.k3.index)
-    a3_F = lens_image_2f2f(obj, g)
+    with _stage("lens transform (lens_image_2f2f)", object_pitch=obj.pitch,
+                wavelength=obj.wavelength, f=g.f, d=g.d):
+        a3_F = lens_image_2f2f(obj, g)
     e2 = a3_F.grid
     peak = np.abs(e2).max()
     if not peak:
@@ -182,9 +209,11 @@ def coherent_field(mask: ObjectMask, g: InteractionGeometry) -> ScalarField:
             f"coherent image: no energy on the {e2.shape[0]} x {e2.shape[1]} grid (the object "
             f"mask's transmission sums to {mask.transmission.sum():.3g} at pitch "
             f"{mask.pitch:.3g} m)")
-    # normalize in place: the weak-conversion argument peaks at WEAK_CONVERSION_ARG
-    e2 *= 1j * WEAK_CONVERSION_ARG / peak
-    return free_propagate(ScalarField(e2, a3_F.pitch, lam2), g.s2, pad=2)
+    with _stage("free propagation (free_propagate)", distance=g.s2, wavelength=lam2,
+                pitch=a3_F.pitch):
+        # normalize in place: the weak-conversion argument peaks at WEAK_CONVERSION_ARG
+        e2 *= 1j * WEAK_CONVERSION_ARG / peak
+        return free_propagate(ScalarField(e2, a3_F.pitch, lam2), g.s2, pad=2)
 
 
 def coherent_image(mask: ObjectMask, g: InteractionGeometry,
@@ -269,33 +298,30 @@ class ChaoticExperiment:
         base = coherent_field(mask, g)
         self.pitch = base.pitch
         self.base_image = np.abs(base.grid) ** 2
+        w, h = self.base_image.shape
         m0 = sample_modes(spec, master_seed, 0)
         seed = unit_vectors(m0.theta, m0.beta)
-        # an index, wavelength or crystal length out of float range makes the
-        # idlers or acceptance non-finite: refused below, without numpy's warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _stage("idlers (_idlers)", k1=g.k1.magnitude, k2=g.k2.magnitude,
+                    k3=g.k3.magnitude, crystal_length=g.crystal_length, s2=g.s2,
+                    pitch=self.pitch):
             self.idler, self.accept = _idlers(seed, g)
-        bad = int(np.count_nonzero(~(np.isfinite(self.idler).all(axis=0)
-                                     & np.isfinite(self.accept))))
-        if bad:
-            raise DegenerateGeometry(
-                f"{bad} of {spec.n_modes} seed modes have a non-finite idler direction or "
-                f"phase-matching acceptance: the [geometry] indices, wavelengths or "
-                f"crystal_length are out of floating-point range")
-        # an idler along u images the object at s2 (ux, uy) on the detector
-        self.px, self.py = np.rint(g.s2 * self.idler[:2] / self.pitch).astype(int)
+            # an idler along u images the object at s2 (ux, uy) on the detector
+            self.px, self.py = np.rint(g.s2 * self.idler[:2] / self.pitch).astype(int)
+            self.mode_weight = self.accept * geometric_factor(seed, self.idler) ** 2
         # the base image energy each mode's shifted copy keeps on the grid;
-        # a copy shifted a whole grid side or more keeps none
+        # a copy shifted a whole grid side or more keeps none, and is left
+        # out of `kept`, so that it cannot grow the FFT path's padding
         self.energy_kept = _energy_kept(self.base_image, self.px, self.py)
+        self.kept = np.flatnonzero((np.abs(self.px) < w) & (np.abs(self.py) < h))
         clipped = self.energy_kept < MIN_ENERGY_KEPT
         if clipped.any():
             warnings.warn(f"{int(clipped.sum())} of {spec.n_modes} mode copies keep less than "
                           f"{MIN_ENERGY_KEPT:.0%} of the image energy on the grid, the worst "
                           f"{self.energy_kept.min():.1%}", ImageClipped, stacklevel=2)
-        self.mode_weight = self.accept * geometric_factor(seed, self.idler) ** 2
         # each mode's pixel on the Fourier arm i1, -1 off the grid
-        w, h = self.base_image.shape
-        self.i1_bin = fourier_bin_index(m0, g.lens_fourier_f, self.pitch, (w, h))
+        with _stage("Fourier arm (fourier_bin_index)", fourier_f=g.lens_fourier_f,
+                    pitch=self.pitch):
+            self.i1_bin = fourier_bin_index(m0, g.lens_fourier_f, self.pitch, (w, h))
         off = int(np.count_nonzero(self.i1_bin < 0))
         if off:
             warnings.warn(f"{off} of {spec.n_modes} modes focus off the {w} x {h} Fourier grid: "
@@ -304,36 +330,35 @@ class ChaoticExperiment:
         self.i1_lit = self._i1_lit()
         self.flat_stack = None
         self.block = SHOT_BLOCK
-        if coherent_sum:
-            k2 = g.k2.magnitude
-            x, yv = base.coords()
-            ux, uy = self.idler[:2]
-            stack = np.empty((spec.n_modes, w, h), dtype=complex)
-            for n in range(spec.n_modes):
-                ramp = np.exp(-1j * k2 * (ux[n] * x[:, None] + uy[n] * yv[None, :]))
-                stack[n] = (np.sqrt(self.mode_weight[n])
-                            * ramp * _shift_zero_fill(base.grid, self.px[n], self.py[n]))
-            self.flat_stack = stack.reshape(spec.n_modes, -1)
-            return
-        # the other paths need only base_image and pitch
-        del base
-        # a copy shifted by a whole grid side or more is all zero fill: leave
-        # it out, so that it cannot grow the padding
-        self.kept = np.flatnonzero((np.abs(self.px) < w) & (np.abs(self.py) < h))
-        px, py = self.px[self.kept], self.py[self.kept]
-        # at W + max|px| by H + max|py| no shifted copy wraps onto the image
-        nx = _next_5_smooth(w + int(np.abs(px).max(initial=0)))
-        ny = _next_5_smooth(h + int(np.abs(py).max(initial=0)))
-        if spec.n_modes * w * h > 2 * nx * ny * np.log2(nx * ny):
-            self.block = 1
-            self.pad = (nx, ny)
-            self.kernel_rows, self.impulse_index = _kernel_rows(px, py, nx, ny)
-            self.base_hat = np.fft.rfft2(self.base_image, self.pad)
-        else:
-            stack = np.empty((spec.n_modes,) + self.base_image.shape, dtype=float)
-            for n in range(spec.n_modes):
-                stack[n] = self.expected_image(n)
-            self.flat_stack = stack.reshape(spec.n_modes, -1)
+        with _stage("image copies (copy stack or FFT kernel)", n_modes=spec.n_modes,
+                    k2=g.k2.magnitude, pitch=self.pitch):
+            if coherent_sum:
+                k2 = g.k2.magnitude
+                x, yv = base.coords()
+                ux, uy = self.idler[:2]
+                stack = np.empty((spec.n_modes, w, h), dtype=complex)
+                for n in range(spec.n_modes):
+                    ramp = np.exp(-1j * k2 * (ux[n] * x[:, None] + uy[n] * yv[None, :]))
+                    stack[n] = (np.sqrt(self.mode_weight[n])
+                                * ramp * _shift_zero_fill(base.grid, self.px[n], self.py[n]))
+                self.flat_stack = stack.reshape(spec.n_modes, -1)
+                return
+            # the other paths need only base_image and pitch
+            del base
+            px, py = self.px[self.kept], self.py[self.kept]
+            # at W + max|px| by H + max|py| no shifted copy wraps onto the image
+            nx = _next_5_smooth(w + int(np.abs(px).max(initial=0)))
+            ny = _next_5_smooth(h + int(np.abs(py).max(initial=0)))
+            if spec.n_modes * w * h > 2 * nx * ny * np.log2(nx * ny):
+                self.block = 1
+                self.pad = (nx, ny)
+                self.kernel_rows, self.impulse_index = _kernel_rows(px, py, nx, ny)
+                self.base_hat = np.fft.rfft2(self.base_image, self.pad)
+            else:
+                stack = np.empty((spec.n_modes,) + self.base_image.shape, dtype=float)
+                for n in range(spec.n_modes):
+                    stack[n] = self.expected_image(n)
+                self.flat_stack = stack.reshape(spec.n_modes, -1)
 
     def _i1_lit(self) -> np.ndarray:
         """Flat pixels of the detected i1 frame that some mode lights, in

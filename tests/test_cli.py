@@ -16,22 +16,11 @@ import pytest
 import twmghost
 from twmghost import cli, framestack, masks, statistics
 from twmghost.cli import main
-from twmghost.config import load_config
+from twmghost.config import DEFAULTS, load_config
 from twmghost.errors import InvalidSpec, TwmError
 from twmghost.pipeline import ChaoticExperiment
 
-
-SMALL_CFG = """\
-[grid]
-width = 64
-height = 64
-
-[source]
-n_modes = 20
-
-[run]
-shots = 12
-"""
+from setup_cases import DEGENERATE_SETUPS, SMALL_CFG, SWEEP_CFG, SWEEP_VALUES, prepare, problems
 
 
 def _src_env():
@@ -881,76 +870,53 @@ def test_overflow_is_numeric_error(tmp_path, small_cfg, capsys, monkeypatch, cmd
         assert not out.exists()
 
 
-# set-up inputs whose run would write an all-zero arm or overflow: (variables,
-# the commands they reach, their exit code, the stage or key that refuses them)
-DEGENERATE_SETUPS = {
-    "grid-32": ({"TWMG_GRID__WIDTH": "32", "TWMG_GRID__HEIGHT": "32"},
-                ["simulate-chaotic", "simulate-coherent"], 3,
-                "coherent image: no energy on the 32 x 32 grid"),
-    "pitch-1e-30": ({"TWMG_GRID__PITCH": "1e-30"}, ["simulate-chaotic", "simulate-coherent"], 3,
-                    "coherent image: no energy on the 64 x 64 grid"),
-    "fourier_f-1e308": ({"TWMG_GEOMETRY__FOURIER_F": "1e308"}, ["simulate-chaotic"], 3,
-                        "Fourier arm: no seed mode lights a pixel"),
-    "pitch-1e-308": ({"TWMG_GRID__PITCH": "1e-308"}, ["simulate-chaotic", "simulate-coherent"], 3,
-                     "lens transform (lens_image_2f2f): the object pitch"),
-    "mask_pitch-1e308": ({"TWMG_RUN__MASK_PITCH": "1e308"},
-                         ["simulate-chaotic", "simulate-coherent"], 3,
-                         "lens transform (lens_image_2f2f): the object pitch 1e+308 m"),
-    "mask_pitch-3e-162": ({"TWMG_RUN__MASK_PITCH": "3e-162"},
-                          ["simulate-chaotic", "simulate-coherent"], 3,
-                          "lens transform (lens_image_2f2f): the output pitch 1.11e+153 m"),
-    # the output pitch squares within range, the chirp's k3 / d scaling not
-    "mask_pitch-1e-160": ({"TWMG_RUN__MASK_PITCH": "1e-160"},
-                          ["simulate-chaotic", "simulate-coherent"], 3,
-                          "lens transform (lens_image_2f2f): the output pitch 3.33e+151 m"),
-    # free propagation's transfer phase overflows at a long distance, its
-    # band limit at a short one, and the plane-wave phase k2 s2 at an n2
-    # that makes the idler's wavelength subnormal
-    "s2-1e308": ({"TWMG_GEOMETRY__S2": "1e308"}, ["simulate-chaotic", "simulate-coherent"], 3,
-                 "free propagation (free_propagate): the distance 1e+308 m"),
-    "s2-1e-320": ({"TWMG_GEOMETRY__S2": "1e-320"}, ["simulate-chaotic", "simulate-coherent"], 3,
-                  "free propagation (free_propagate): the distance 1e-320 m"),
-    "n2-1e308": ({"TWMG_GEOMETRY__N2": "1e308"}, ["simulate-chaotic", "simulate-coherent"], 3,
-                 "free propagation (free_propagate): the distance 0.2 m at wavelength 1.06e-314 m"),
-    # the auto object pitch lambda3 d / (n3 width pitch) underflows to 0 or
-    # overflows to inf
-    "pitch-1e308": ({"TWMG_GRID__PITCH": "1e308"}, ["simulate-chaotic", "simulate-coherent"], 2,
-                    "[grid] pitch = 1e308 gives the object pitch (mask_pitch = auto) 0 m"),
-    "pitch-1e-320": ({"TWMG_GRID__PITCH": "1e-320"}, ["simulate-chaotic", "simulate-coherent"],
-                     2, "[grid] pitch = 1e-320 gives the object pitch (mask_pitch = auto) inf m"),
-    "amplitude_scale-1e308": ({"TWMG_SOURCE__AMPLITUDE_SCALE": "1e308"},
-                              ["simulate-chaotic", "simulate-coherent"], 2,
-                              "[source] amplitude_scale = 1e+308 is outside "
-                              "1e-50 <= amplitude_scale <= 1e50"),
-    "amplitude_scale-1e-200": ({"TWMG_SOURCE__AMPLITUDE_SCALE": "1e-200"},
-                               ["simulate-chaotic", "simulate-coherent"], 2,
-                               "[source] amplitude_scale = 1e-200 is outside "
-                               "1e-50 <= amplitude_scale <= 1e50"),
-}
-
-
-@pytest.mark.parametrize("case, cmd", [(case, cmd) for case, (_, cmds, _, _) in
-                                       DEGENERATE_SETUPS.items() for cmd in cmds],
-                         ids=lambda v: v)
-def test_degenerate_setup_names_its_stage(tmp_path, small_cfg, capsys, monkeypatch, case, cmd):
-    # a run whose image or reference arm would be all zero, or whose object
-    # or output pitch overflows the lens transform, or whose distance or
-    # wavelength overflows free propagation, is refused in set-up (exit 3),
-    # and one whose mode amplitudes would overflow the stack or underflow to
-    # zero, or whose grid pitch puts the object pitch out of range, is
-    # refused by its key (exit 2): each naming the stage or key, with no
-    # numpy warning, no traceback and no `--out`
-    env, _, code, stage = DEGENERATE_SETUPS[case]
-    for var, value in env.items():
+@pytest.mark.parametrize("case, cmd", [(case, cmd) for case, setup in DEGENERATE_SETUPS.items()
+                                       for cmd in setup.cmds], ids=lambda v: v)
+def test_degenerate_setup_names_its_stage(tmp_path, capsys, monkeypatch, case, cmd):
+    # a run whose image or reference arm would be all zero, or whose lens
+    # transform, free propagation or idlers leave floating-point range, is
+    # refused in set-up (exit 3), and one whose mode amplitudes would
+    # overflow the stack or underflow to zero, or whose grid pitch puts the
+    # object pitch out of range, or whose config or mask file is malformed,
+    # is refused by its key or file (exit 2): each naming the stage or key,
+    # with no numpy warning, no traceback and no `--out` (the table of
+    # tests/setup_cases.py, which CI runs through the installed script too)
+    setup = DEGENERATE_SETUPS[case]
+    monkeypatch.chdir(tmp_path)
+    for var, value in setup.env.items():
         monkeypatch.setenv(var, value)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([cmd, "--config", small_cfg, "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    assert stage in err and "Traceback" not in err
+        code = main([cmd, "--config", str(prepare(setup, tmp_path)), "--out", str(out)])
+    err = capsys.readouterr().err + "".join(
+        f"RuntimeWarning: {w.message}\n" for w in caught if issubclass(w.category, RuntimeWarning))
+    assert problems(setup, code, err, out) == []
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES, ids=lambda v: v or "empty")
+@pytest.mark.parametrize("key", [f"{sec}.{key}" for sec in DEFAULTS for key in DEFAULTS[sec]])
+def test_config_sweep_runs_or_refuses_cleanly(tmp_path, capsys, monkeypatch, key, value):
+    # every config key at each value of the sweep: the run either writes a
+    # finite stack whose i1 and i2 each hold light, or is refused (exit 2 or
+    # 3) with no traceback and no `--out`; neither prints a numpy warning
+    sec, name = key.split(".")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(f"TWMG_{sec.upper()}__{name.upper()}", value)
+    config = tmp_path / "sweep.ini"
+    config.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate-chaotic", "--config", str(config), "--out", str(out)])
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert not out.exists()
+    if code:
+        assert code in (2, 3) and "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+        return
+    shots = list(framestack.iter_shots(out / "frames.twmg"))
+    assert all(np.isfinite(s.i1).all() and np.isfinite(s.i2).all() for s in shots)
+    assert any(s.i1.any() for s in shots) and any(s.i2.any() for s in shots)
 
 
 def test_amplitude_scale_limit(tmp_path, small_cfg, monkeypatch):
@@ -1010,13 +976,14 @@ def test_simulate_commands_agree_on_the_binned_frame(tmp_path, capsys, binning, 
 def test_non_finite_phase_matching_is_numeric_error(tmp_path, small_cfg, capsys, monkeypatch,
                                                     key):
     # at 1e308 the idlers or their acceptance are not finite, and the run
-    # would write an i2 of NaN: set-up refuses it, naming the modes, before
-    # `--out`
+    # would write an i2 of NaN: set-up refuses it, naming the idlers' stage
+    # and the input out of range, before `--out`
     monkeypatch.setenv(f"TWMG_GEOMETRY__{key.upper()}", "1e308")
     out = tmp_path / "out"
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "20 of 20 seed modes" in err and "Traceback" not in err
+    at = {"n1": "k1 = inf", "crystal_length": "crystal_length = 1e+308"}[key]
+    assert "idlers (_idlers) at " in err and at in err and "Traceback" not in err
     assert not out.exists()
 
 

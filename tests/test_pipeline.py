@@ -18,6 +18,7 @@ from twmghost.pipeline import (
     DetectorSpec,
     ObjectMask,
     ShotRecord,
+    _energy_kept,
     _idlers,
     _kernel_rows,
     _shift_zero_fill,
@@ -299,6 +300,62 @@ def test_clipped_image_energy_warns_once(width, n_modes, spread, clipped):
     messages = [str(w.message) for w in caught if w.category is ImageClipped]
     assert messages == ([clipped] if clipped else [])
     assert (exp.energy_kept.min() < 0.99) == bool(clipped)
+
+
+def test_copies_shifted_off_the_grid_keep_plus_zero():
+    # a copy shifted a whole grid side off along one axis keeps nothing,
+    # whatever its shift along the other: the summed-area differences leave
+    # round-off of either sign there, and the shares are clipped to +0.0
+    cfg = load_config(None, {("grid", "width"): 64, ("grid", "height"): 64})
+    image = np.abs(coherent_field(cfg.load_object_mask(), cfg.geometry).grid) ** 2
+    along = np.arange(-64, 65)
+    for side in (64, -64, 13334, -13334):
+        for dx, dy in ((along, np.full_like(along, side)), (np.full_like(along, side), along)):
+            kept = _energy_kept(image, dx, dy)
+            assert np.array_equal(kept, np.zeros_like(kept)) and not np.signbit(kept).any()
+
+
+@pytest.mark.parametrize("key, value", [("s2", 64), ("n1", 2)])
+def test_clipped_warning_never_reads_minus_zero(key, value):
+    # every copy of these 64 x 64 runs lands off the grid, one of them 10
+    # pixels off axis along x
+    cfg = load_config(None, {("grid", "width"): 64, ("grid", "height"): 64,
+                             ("source", "n_modes"): 20, ("geometry", key): value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                                cfg.master_seed)
+    assert exp.kept.size == 0 and exp.energy_kept.max() == 0.0
+    messages = [str(w.message) for w in caught if w.category is ImageClipped]
+    assert len(messages) == 1 and messages[0].endswith("the worst 0.0%")
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {("source", "n_modes"): 2000},
+    {("grid", "width"): 128, ("grid", "height"): 128, ("source", "n_modes"): 24,
+     ("source", "angular_spread"): "1e-3"},
+    {("grid", "width"): 64, ("grid", "height"): 64, ("source", "n_modes"): 20,
+     ("run", "coherent_sum"): "true"},
+    {("grid", "width"): 64, ("grid", "height"): 64, ("source", "n_modes"): 20,
+     ("detector", "bit_depth"): 12, ("detector", "pixel_binning"): 2},
+], ids=["paper-default", "wideband-modes", "small-frames", "coherent-sum-64", "detector-64"])
+def test_valid_runs_raise_nothing_under_the_stage_guards(overrides):
+    # set-up runs each stage with numpy raising on overflow, invalid values
+    # and division by zero: the benchmark configs and the 64 x 64 coherent
+    # sum and binning 12-bit detector of CI's chain set up, and make eight
+    # finite shots, with no floating-point error and no numpy warning
+    cfg = load_config(None, overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", RuntimeWarning)
+        exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
+                                cfg.master_seed, det=cfg.detector,
+                                coherent_sum=cfg.coherent_sum)
+        records = list(exp.shots(8))
+    assert exp.kept.size and exp.i1_lit.size
+    assert all(np.isfinite(r.i1).all() and np.isfinite(r.i2).all() and r.i2.any()
+               for r in records)
 
 
 def test_modes_off_the_fourier_grid_warn_once():
