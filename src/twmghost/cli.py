@@ -173,12 +173,12 @@ def _parse_pixel(text, shape):
     return r, c
 
 
-def _stack_pairs(path, ref):
-    """(reference value, i2) of each shot: the i1 trace at `ref` beside the
-    i2 frames, never a whole i1 frame.  No zip: its reused result tuple
-    would keep the last frame while the next one is read."""
+def _stack_pairs(path, trace):
+    """(reference value, i2) of each shot: the reference pixel's i1 trace
+    beside the i2 frames, never a whole i1 frame.  No zip: its reused result
+    tuple would keep the last frame while the next one is read."""
     frames = framestack.iter_frames(path, "i2")
-    for x in framestack.pixel_trace(path, ref, "i1"):
+    for x in trace:
         yield x, next(frames)
 
 
@@ -189,7 +189,14 @@ def cmd_reconstruct(args) -> int:
         ref = statistics.auto_reference_pixel(framestack.arm_moments(args.stack, "i1"))
     else:
         ref = _parse_pixel(args.ref_pixel, (header.width, header.height))
-    g = statistics.correlate(_stack_pairs(args.stack, ref))
+    # an i1 pixel that no mode lights is 0 in every shot: its map would be
+    # all zero, so it is refused as `stats --mode temporal` refuses it
+    trace = framestack.pixel_trace(args.stack, ref, "i1")
+    if not trace.any():
+        raise InsufficientSamples(
+            f"reference i1 pixel ({ref[0]}, {ref[1]}) is 0 in all {header.n_shots} shots: "
+            f"no mode lights it, so there is nothing to correlate")
+    g = statistics.correlate(_stack_pairs(args.stack, trace))
     out = _outdir(args.out)
     lo, hi = masks.save_pgm16(out / "correlation_map.pgm", g)
     masks.save_csv(out / "correlation_map.csv", g)

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from twmghost import framestack, masks
 from twmghost.chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index,
@@ -122,6 +121,7 @@ def test_criterion_2_manley_rowe():
 
 
 def _hole_centroids(arr: np.ndarray, pitch: float, threshold: float):
+    ndimage = pytest.importorskip("scipy.ndimage")
     lab, n = ndimage.label(arr > threshold)
     sizes = ndimage.sum_labels(np.ones_like(lab), lab, range(1, n + 1))
     order = np.argsort(sizes)[::-1][:3]
@@ -217,6 +217,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def test_null_sigma_white_and_smoothed_noise(cfg, rng):
+    ndimage = pytest.importorskip("scipy.ndimage")
     n = cfg.width * cfg.height
     white = _null_sigma(rng.normal(size=(cfg.width, cfg.height)),
                         rng.normal(size=(cfg.width, cfg.height)))

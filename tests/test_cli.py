@@ -23,10 +23,12 @@ from twmghost.pipeline import ChaoticExperiment
 from setup_cases import DEGENERATE_SETUPS, SMALL_CFG, SWEEP_CFG, SWEEP_VALUES, prepare, problems
 
 
-def _src_env():
+def _package_env():
+    """The environment for a fresh interpreter that imports the twmghost this
+    suite imported: the checkout's `src` or an installed copy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+        p for p in (str(Path(twmghost.__file__).resolve().parents[1]), env.get("PYTHONPATH"))
         if p)
     return env
 
@@ -34,6 +36,13 @@ def _src_env():
 def _pick(frames):
     """The auto reference pixel of frames read in full."""
     return statistics.auto_reference_pixel(framestack.Moments.of(frames))
+
+
+def _lit_pixel(stack):
+    """An i1 pixel that some mode lights and the auto pick passes over."""
+    moments = framestack.Moments.of(framestack.iter_frames(stack, "i1"))
+    auto = statistics.auto_reference_pixel(moments)
+    return next(px for px in map(tuple, np.argwhere(moments.s1 > 0).tolist()) if px != auto)
 
 
 @pytest.fixture
@@ -98,12 +107,13 @@ def test_simulate_chaotic_and_reconstruct(tmp_path, small_cfg):
 def test_reconstruct_manual_ref_pixel(tmp_path, small_cfg):
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out)])
+    r, c = _lit_pixel(out / "frames.twmg")
     rec = tmp_path / "rec"
     rc = main(["reconstruct", str(out / "frames.twmg"),
-               "--ref-pixel", "32,32", "--out", str(rec)])
+               "--ref-pixel", f"{r},{c}", "--out", str(rec)])
     assert rc == 0
     norm = np.loadtxt(rec / "correlation_map_norm.csv", delimiter=",", skiprows=1)
-    assert (norm[2], norm[3]) == (32.0, 32.0)
+    assert (norm[2], norm[3]) == (r, c)
 
 
 def test_stats_command(tmp_path, small_cfg):
@@ -126,7 +136,8 @@ def test_reconstruct_map_equals_correlate_of_shots(tmp_path, small_cfg):
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "20"])
     stack = out / "frames.twmg"
     auto = _pick(framestack.iter_frames(stack, "i1"))
-    for ref_arg, ref in (("auto", auto), ("32,32", (32, 32))):
+    r, c = _lit_pixel(stack)
+    for ref_arg, ref in (("auto", auto), (f"{r},{c}", (r, c))):
         rec = tmp_path / ref_arg.replace(",", "_")
         assert main(["reconstruct", str(stack), "--ref-pixel", ref_arg, "--out", str(rec)]) == 0
         want = tmp_path / "want.csv"
@@ -207,22 +218,26 @@ def test_stats_temporal_i2_picks_from_the_i2_frames(tmp_path, small_cfg):
 
 
 def test_stats_temporal_dark_pixel_is_data_error(tmp_path, small_cfg, capsys):
-    # a pixel dark in every shot has no thermal law to fit: exit 2, naming it,
-    # with no numpy warning and no histogram written
+    # a pixel dark in every shot has no thermal law to fit, and as a
+    # reference nothing to correlate (its map would be all zero): each reader
+    # exits 2, naming it, with no numpy warning and no `--out`
     out = tmp_path / "run"
     main(["simulate-chaotic", "--config", small_cfg, "--out", str(out), "--shots", "120"])
     stack = out / "frames.twmg"
     moments = framestack.Moments.of(framestack.iter_frames(stack, "i1"))
     r, c = (int(v) for v in np.argwhere(moments.s1 == 0)[0])
-    st = tmp_path / "st"
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["stats", str(stack), "--mode", "temporal", "--pixel", f"{r},{c}",
-                     "--out", str(st)]) == 2
-    err = capsys.readouterr().err
-    assert f"temporal i1, pixel ({r}, {c}): sample mean 0 <= 0" in err
-    assert not (st / "histogram.csv").exists()
+    for argv, message in (
+            (["stats", str(stack), "--mode", "temporal", "--pixel", f"{r},{c}"],
+             f"temporal i1, pixel ({r}, {c}): sample mean 0 <= 0"),
+            (["reconstruct", str(stack), "--ref-pixel", f"{r},{c}"],
+             f"reference i1 pixel ({r}, {c}) is 0 in all 120 shots")):
+        dest = tmp_path / argv[0]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(dest)]) == 2
+        assert message in capsys.readouterr().err
+        assert not dest.exists()
 
 
 def test_stats_last_bit_range_is_data_error(tmp_path, capsys):
@@ -381,12 +396,25 @@ def test_seed_and_shots_overrides(tmp_path, small_cfg):
     assert header.master_seed == 777 and header.n_shots == 5
 
 
-@pytest.mark.parametrize("n_modes", [20, 200], ids=["copy-stack", "fft"])
-def test_threads_byte_identical(tmp_path, n_modes):
-    # 12 shots: on the copy stack one whole block of 8 and a partial one; on
-    # the FFT path 12 blocks of one shot
+# the three ways a shot is made: copy-stack product, FFT convolution, coherent sum
+SHOT_PATHS = {
+    "stack": SMALL_CFG,
+    "fft": SMALL_CFG.replace("n_modes = 20", "n_modes = 200"),
+    "coherent-sum": SMALL_CFG.replace("shots = 12", "shots = 12\ncoherent_sum = true"),
+}
+
+
+# a binning, quantizing detector on both arms of every shot
+BINNED_12_BIT = SMALL_CFG + "\n[detector]\npixel_binning = 2\nbit_depth = 12\n"
+
+
+@pytest.mark.parametrize("config", [*SHOT_PATHS.values(), BINNED_12_BIT],
+                         ids=["copy-stack", "fft", "coherent-sum", "binning-2-bit-depth-12"])
+def test_threads_byte_identical(tmp_path, config):
+    # 12 shots: on the copy stack (and the coherent sum) one whole block of 8
+    # and a partial one; on the FFT path 12 blocks of one shot
     cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL_CFG.replace("n_modes = 20", f"n_modes = {n_modes}"))
+    cfg.write_text(config)
     stacks = []
     for threads in ("1", "2", "8"):
         out = tmp_path / threads
@@ -394,6 +422,11 @@ def test_threads_byte_identical(tmp_path, n_modes):
                      "--threads", threads]) == 0
         stacks.append((out / "frames.twmg").read_bytes())
     assert stacks[0] == stacks[1] == stacks[2]
+    header, _ = framestack.read_header(tmp_path / "1" / "frames.twmg")
+    assert main(["reconstruct", str(tmp_path / "1" / "frames.twmg"),
+                 "--out", str(tmp_path / "rec")]) == 0
+    gmap = np.loadtxt(tmp_path / "rec" / "correlation_map.csv", delimiter=",")
+    assert gmap.shape == (header.width, header.height)
 
 
 def test_threads_bound_shots_in_flight(tmp_path, small_cfg, monkeypatch):
@@ -443,14 +476,6 @@ def test_shot_count_does_not_change_shot_bytes(tmp_path, small_cfg):
     full, frame = payload("16")
     for shots in (1, 13):
         assert payload(str(shots))[0] == full[:shots * frame]
-
-
-# the three ways a shot is made: copy-stack product, FFT convolution, coherent sum
-SHOT_PATHS = {
-    "stack": SMALL_CFG,
-    "fft": SMALL_CFG.replace("n_modes = 20", "n_modes = 200"),
-    "coherent-sum": SMALL_CFG.replace("shots = 12", "shots = 12\ncoherent_sum = true"),
-}
 
 
 @pytest.mark.parametrize("path", SHOT_PATHS)
@@ -568,23 +593,31 @@ def test_unlisted_twm_error_is_data_error(monkeypatch, capsys):
 
 
 def test_stats_runs_without_scipy(tmp_path):
-    # scipy is a test-only dependency: `stats` must run where it is absent
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(SMALL_CFG)
-    run = tmp_path / "run"
-    assert main(["simulate-chaotic", "--config", str(cfg), "--out", str(run),
-                 "--shots", "100"]) == 0
-    stack = str(run / "frames.twmg")
+    # scipy is a test-only dependency: `stats` must run where it is absent;
+    # the one-mode i1 bin and the auto i2 pixel of a 100-shot run, and the
+    # i1 bin of a binning 12-bit run, read as thermal
+    runs = {"run": SMALL_CFG, "det": BINNED_12_BIT}
     # spatial i1 has one sample per mode bin, too few for the test
-    for mode, arm in (("temporal", "i1"), ("spatial", "i2")):
-        out = tmp_path / mode
+    cases = [("run", "temporal", "i1"), ("run", "temporal", "i2"), ("run", "spatial", "i2"),
+             ("det", "temporal", "i1")]
+    for run, text in runs.items():
+        cfg = tmp_path / f"{run}.ini"
+        cfg.write_text(text)
+        assert main(["simulate-chaotic", "--config", str(cfg), "--out", str(tmp_path / run),
+                     "--shots", "100"]) == 0
+    for run, mode, arm in cases:
+        stack = str(tmp_path / run / "frames.twmg")
+        out = tmp_path / f"{run}-{mode}-{arm}"
         code = ("import sys; sys.modules['scipy'] = None; import twmghost.cli; "
                 f"sys.exit(twmghost.cli.main(['stats', {stack!r}, '--mode', {mode!r}, "
                 f"'--arm', {arm!r}, '--out', {str(out)!r}]))")
-        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+        proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "p_value" in (out / "stats_report.txt").read_text()
+        report = (out / "stats_report.txt").read_text()
+        assert "p_value" in report
+        if mode == "temporal":
+            assert "verdict: consistent with thermal statistics" in report, (run, arm, report)
 
 
 def test_selftest_passes():
@@ -897,26 +930,32 @@ def test_degenerate_setup_names_its_stage(tmp_path, capsys, monkeypatch, case, c
 @pytest.mark.parametrize("value", SWEEP_VALUES, ids=lambda v: v or "empty")
 @pytest.mark.parametrize("key", [f"{sec}.{key}" for sec in DEFAULTS for key in DEFAULTS[sec]])
 def test_config_sweep_runs_or_refuses_cleanly(tmp_path, capsys, monkeypatch, key, value):
-    # every config key at each value of the sweep: the run either writes a
-    # finite stack whose i1 and i2 each hold light, or is refused (exit 2 or
-    # 3) with no traceback and no `--out`; neither prints a numpy warning
+    # every config key at each value of the sweep, through both simulate
+    # commands: each run either writes a finite stack whose i1 and i2 each
+    # hold light, or a finite coherent image that holds light, or is refused
+    # (exit 2 or 3) with no traceback and no `--out`; none prints a numpy
+    # warning
     sec, name = key.split(".")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(f"TWMG_{sec.upper()}__{name.upper()}", value)
     config = tmp_path / "sweep.ini"
     config.write_text(SWEEP_CFG)
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["simulate-chaotic", "--config", str(config), "--out", str(out)])
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    if code:
-        assert code in (2, 3) and "Traceback" not in capsys.readouterr().err
-        assert not out.exists()
-        return
-    shots = list(framestack.iter_shots(out / "frames.twmg"))
-    assert all(np.isfinite(s.i1).all() and np.isfinite(s.i2).all() for s in shots)
-    assert any(s.i1.any() for s in shots) and any(s.i2.any() for s in shots)
+    for cmd in ("simulate-chaotic", "simulate-coherent"):
+        out = tmp_path / cmd
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([cmd, "--config", str(config), "--out", str(out)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], cmd
+        if code:
+            assert code in (2, 3) and "Traceback" not in capsys.readouterr().err, cmd
+            assert not out.exists(), cmd
+        elif cmd == "simulate-chaotic":
+            shots = list(framestack.iter_shots(out / "frames.twmg"))
+            assert all(np.isfinite(s.i1).all() and np.isfinite(s.i2).all() for s in shots)
+            assert any(s.i1.any() for s in shots) and any(s.i2.any() for s in shots)
+        else:
+            image = np.loadtxt(out / "coherent_image.csv", delimiter=",")
+            assert np.isfinite(image).all() and image.any()
 
 
 def test_amplitude_scale_limit(tmp_path, small_cfg, monkeypatch):
@@ -1048,7 +1087,7 @@ def test_module_entry_point_keeps_exit_codes_and_output(tmp_path, small_cfg):
 
     def cli_module(*argv, **env):
         return subprocess.run([sys.executable, "-m", "twmghost.cli", *argv],
-                              env={**_src_env(), **env}, capture_output=True, text=True,
+                              env={**_package_env(), **env}, capture_output=True, text=True,
                               timeout=120)
 
     proc = cli_module("stats", str(stack), "--mode", "temporal", "--out", str(tmp_path / "st"))
@@ -1071,7 +1110,7 @@ def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats takes most of a second to import and only `stats` needs it
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, twmghost.cli; print('scipy.stats' in sys.modules)"],
-                          env=_src_env(), capture_output=True, text=True, timeout=120)
+                          env=_package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -1087,7 +1126,7 @@ def _loaded_after(code, names, then=""):
     interpreter; `then` runs in it after they are listed."""
     script = (f"import json, sys\n{code}\nloaded = sorted(set(sys.modules) & {set(names)!r})\n"
               f"{then}\nprint(json.dumps(loaded))")
-    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+    proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -1119,7 +1158,7 @@ def test_traced_readers_run_the_library_estimators(tmp_path, argv, spans):
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     proc = subprocess.run([sys.executable, str(tracer), str(trace), argv[0], str(stack),
                            *argv[1:], "--out", str(tmp_path / "out")],
-                          env=_src_env(), capture_output=True, text=True, timeout=120)
+                          env=_package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(trace.read_text())
     recorded = {span[0] for span in got["spans"]}

@@ -12,13 +12,17 @@ from pathlib import Path
 
 import pytest
 
+import twmghost
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(tmp_path, argv):
+    # the twmghost this suite imported: the checkout's `src` or an installed copy
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        p for p in (str(Path(twmghost.__file__).resolve().parents[1]), env.get("PYTHONPATH"))
+        if p)
     return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
 

@@ -492,7 +492,7 @@ def test_three_holes_mask_geometry():
     hole_px = np.pi * (128e-6 / 52e-6) ** 2
     assert t.sum() == pytest.approx(3 * hole_px, rel=0.2)
     # centers are pairwise `spacing` apart
-    from scipy import ndimage
+    ndimage = pytest.importorskip("scipy.ndimage")
     lab, n = ndimage.label(t)
     assert n == 3
     cent = np.array(ndimage.center_of_mass(t, lab, range(1, 4))) * 52e-6

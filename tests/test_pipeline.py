@@ -500,6 +500,7 @@ LIT_CONFIGS = {
     "binning-2": (20, {"pixel_binning": 2}, False),
     "binning-3": (200, {"pixel_binning": 3}, False),   # 4 modes land in the dropped edge bins
     "coherent-sum": (20, {}, True),
+    "binning-2-bit-depth-12": (20, {"pixel_binning": 2, "bit_depth": 12}, False),
 }
 
 
