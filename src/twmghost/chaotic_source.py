@@ -7,8 +7,8 @@ produces thermal intensity statistics (P(I) = exp(-I/<I>)/<I>) in both the
 spatial and the temporal ensembles.
 
 Determinism: every ModeSet is a pure function of (master_seed, shot_index),
-realized with numpy's SeedSequence spawn keys, so shots can be generated in
-any order or in parallel with bit-identical results.  Mode directions are
+realized with numpy's SeedSequence spawn keys, so a shot has the same bits
+whichever shots are generated before it, or in the same call.  Mode directions are
 drawn once per run (shot 0 stream) and held fixed across shots while
 amplitudes are re-randomized per shot, mimicking a ground-glass diffuser
 that re-randomizes the field over a persistent set of grating directions,

@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
                 description="Three-wave-mixing ghost imaging simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    # the coherent chain has no seed, shots or threads to take
+    # the coherent chain has no seed or shots to take
     sp = sub.add_parser("simulate-coherent", help="coherent imaging chain")
     sp.set_defaults(run=cmd_simulate_coherent)
     sp.add_argument("--config", help="INI config file")
@@ -71,8 +71,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, help="override master seed")
     sp.add_argument("--shots", type=int, help="override shot count")
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads (outputs are thread-count independent)")
     sp = sub.add_parser("reconstruct", help="correlation-map reconstruction from a stack")
     sp.set_defaults(run=cmd_reconstruct)
     sp.add_argument("stack")
@@ -133,8 +131,6 @@ def cmd_simulate_chaotic(args) -> int:
     from . import __version__, config
     from .chaotic_source import RNG_ALGORITHM
     from .pipeline import ChaoticExperiment
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     cfg = _load_cfg(args)
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
                             cfg.master_seed, det=cfg.detector,
@@ -152,15 +148,41 @@ def cmd_simulate_chaotic(args) -> int:
             f"image arm: every mode copy is shifted a whole grid side or more off the "
             f"{cfg.width} x {cfg.height} image, so every shot's i2 would be zero ([geometry] s2, "
             f"the indices and wavelengths, [grid] pitch, [source] angular_spread)")
-    out = _outdir(args.out)
+    # made once set-up has succeeded; a run that fails while it writes
+    # removes its stack and the directories it made
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
     stack_path = out / "frames.twmg"
-    framestack.write_stack(stack_path, exp.shots(cfg.shots, threads=args.threads), width,
-                           height, cfg.shots, cfg.master_seed, RNG_ALGORITHM,
-                           i1_lit=exp.i1_lit)
+    try:
+        framestack.write_stack(stack_path, _lit_arms(exp.shots(cfg.shots), cfg), width, height,
+                               cfg.shots, cfg.master_seed, RNG_ALGORITHM, i1_lit=exp.i1_lit)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
     (out / "manifest.ini").write_text(
         config.manifest_text(cfg, __version__, RNG_ALGORITHM), encoding="utf-8")
     print(f"{cfg.shots} shots written to {stack_path}")
     return 0
+
+
+def _lit_arms(shots, cfg):
+    """The records of `shots`, then a DegenerateGeometry if i1 or i2 is 0 in
+    every one.  Each arm is tested only until its first lit record: a run
+    lit from shot 0 pays one any() per arm."""
+    dark = ["i1", "i2"]
+    for rec in shots:
+        dark = [arm for arm in dark if not getattr(rec, arm).any()]
+        yield rec
+        # dropped before the next record is made
+        del rec
+    if dark:
+        det = cfg.detector
+        raise DegenerateGeometry(
+            f"{' and '.join(dark)} {'is' if len(dark) == 1 else 'are'} 0 in all {cfg.shots} "
+            f"shots after the detector ([detector] saturation_level = {det.saturation_level:g}, "
+            f"bit_depth = {det.bit_depth}): a value under half a quantization step reads 0")
 
 
 def _parse_pixel(text, shape):
@@ -175,11 +197,20 @@ def _parse_pixel(text, shape):
 
 def _stack_pairs(path, trace):
     """(reference value, i2) of each shot: the reference pixel's i1 trace
-    beside the i2 frames, never a whole i1 frame.  No zip: its reused result
-    tuple would keep the last frame while the next one is read."""
+    beside the i2 frames, never a whole i1 frame; then an
+    InsufficientSamples if i2 is 0 in every shot, tested only until its
+    first lit frame.  No zip: its reused result tuple would keep the last
+    frame while the next one is read."""
     frames = framestack.iter_frames(path, "i2")
+    dark = True
     for x in trace:
-        yield x, next(frames)
+        i2 = next(frames)
+        dark = dark and not i2.any()
+        yield x, i2
+        del i2
+    if dark:
+        raise InsufficientSamples(
+            f"i2 is 0 in all {trace.size} shots: the stack holds no image to correlate")
 
 
 def cmd_reconstruct(args) -> int:

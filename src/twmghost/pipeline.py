@@ -29,7 +29,6 @@ weights, Fourier-plane bins) is computed once per experiment.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -220,11 +219,17 @@ def coherent_image(mask: ObjectMask, g: InteractionGeometry,
                    det: DetectorSpec = DetectorSpec()) -> ScalarField:
     """Detected intensity of the coherent chain (on-axis plane-wave seed of
     unit amplitude), in the frame shape and binned pitch of every chaotic
-    shot: `det.output_shape`, any binned size of at least 1.
+    shot: `det.output_shape`, any binned size of at least 1; DegenerateGeometry
+    if the detector reads 0 at every pixel.
     """
     e2 = coherent_field(mask, g)
-    return ScalarField(apply_detector(np.abs(e2.grid) ** 2, det),
-                       e2.pitch * det.pixel_binning, e2.wavelength)
+    image = apply_detector(np.abs(e2.grid) ** 2, det)
+    if not image.any():
+        raise DegenerateGeometry(
+            f"coherent image: 0 at every pixel after the detector ([detector] saturation_level "
+            f"= {det.saturation_level:g}, bit_depth = {det.bit_depth}): a value under half a "
+            f"quantization step reads 0")
+    return ScalarField(image, e2.pitch * det.pixel_binning, e2.wavelength)
 
 
 # copy-stack shots are made this many at a time, as one matrix product that
@@ -232,26 +237,6 @@ def coherent_image(mask: ObjectMask, g: InteractionGeometry,
 # the BLAS packing buffers: on 128 x 128 with 24 modes, 16 rows added 4 MB
 # and 32 rows 10 MB of peak memory, with no clear gain in time
 SHOT_BLOCK = 8
-
-
-def _ordered_map(fn, items, threads: int):
-    """fn over items in order; with threads > 1 on a pool of that many
-    worker threads, with at most 2 * threads calls started and not yet
-    consumed, so memory stays bounded however slow the consumer is."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    # imported here: concurrent.futures also loads logging, which a
-    # one-thread run does not need
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 class ChaoticExperiment:
@@ -285,7 +270,7 @@ class ChaoticExperiment:
     b * block to (b + 1) * block - 1.  On the copy-stack paths a block is
     SHOT_BLOCK shots and one (SHOT_BLOCK x n_modes) @ flat_stack product,
     always computed whole, so a shot's bytes do not depend on which shots
-    or how many threads were asked for; on the FFT path a block is one shot.
+    were asked for, or in how many calls; on the FFT path a block is one shot.
     """
 
     def __init__(self, mask: ObjectMask, g: InteractionGeometry, spec: SourceSpec,
@@ -402,33 +387,27 @@ class ChaoticExperiment:
         # round-off must not make an intensity negative
         return p, np.maximum(i2, 0.0).reshape(shape)
 
-    def shots(self, n_shots: int, start: int = 0, threads: int = 1) -> Iterator[ShotRecord]:
+    def shots(self, n_shots: int, start: int = 0) -> Iterator[ShotRecord]:
         """Records of shots start to start + n_shots - 1, in index order.
 
-        Whole blocks are made, `threads` at a time on worker threads when
-        threads > 1, with at most 2 * threads blocks in flight; the records
-        and their bytes do not depend on `threads`.  One block is alive at a
-        time on one thread: a block's frames are freed before the next
-        block is made.  i1 is binned as each record is yielded, and both
-        arms go through `apply_detector`; every record's i1 is +0.0 off
-        `i1_lit`.  One shot is `next(exp.shots(1, start=k))`; n_shots <= 0
-        makes no block.
+        Whole blocks are made, one at a time: a block's frames are freed
+        before the next block is made.  i1 is binned as each record is
+        yielded, and both arms go through `apply_detector`; every record's
+        i1 is +0.0 off `i1_lit`.  One shot is `next(exp.shots(1, start=k))`;
+        n_shots <= 0 makes no block.
         """
         if n_shots <= 0:
             return
         stop = start + n_shots
-        blocks = range(start // self.block, -(-stop // self.block))
         shape = self.base_image.shape
-        results = _ordered_map(self._block, blocks, threads)
-        for b in blocks:
-            p, i2 = next(results)
+        for b in range(start // self.block, -(-stop // self.block)):
+            p, i2 = self._block(b)
             first = b * self.block
             for k in range(max(start, first), min(stop, first + self.block)):
                 yield ShotRecord(
                     i1=apply_detector(bin_intensities(self.i1_bin, p[k - first], shape), self.det),
                     i2=apply_detector(i2[k - first], self.det), shot_index=k)
-            # freed before the next block is made (a zip over the results
-            # would keep them in its reused result tuple)
+            # freed before the next block is made
             del p, i2
 
     def expected_image(self, mode: int) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""The set-ups that the simulate commands must refuse, and the values of the
-config sweep: one table, two runners.
+"""The set-ups that the simulate commands must refuse, and the values and
+configs of the config sweep: one table, two runners.
 
 `tests/test_cli.py` runs each case of `DEGENERATE_SETUPS` in process through
-`cli.main`, and sweeps every config key over `SWEEP_VALUES`.  Run as a
-script, this module runs each case through a command line instead, in a
-fresh scratch directory, and exits 1 if any fails:
+`cli.main`, and sweeps every config key over `SWEEP_VALUES` on each of
+`SWEEP_CFGS`.  Run as a script, this module runs each case through a command
+line instead, in a fresh scratch directory, and exits 1 if any fails:
 
     python tests/setup_cases.py twmghost
     python tests/setup_cases.py python -m twmghost.cli
@@ -35,8 +35,21 @@ n_modes = 20
 shots = 12
 """
 
-# the sweep's config: the run above at 4 shots
-SWEEP_CFG = SMALL_CFG.replace("shots = 12", "shots = 4")
+# the three ways a shot is made: copy-stack product, FFT convolution, coherent sum
+SHOT_PATHS = {
+    "stack": SMALL_CFG,
+    "fft": SMALL_CFG.replace("n_modes = 20", "n_modes = 200"),
+    "coherent-sum": SMALL_CFG.replace("shots = 12", "shots = 12\ncoherent_sum = true"),
+}
+
+# a binning, quantizing detector on both arms of every shot
+BINNED_12_BIT = SMALL_CFG + "\n[detector]\npixel_binning = 2\nbit_depth = 12\n"
+
+# each shot path and the binning 12-bit run
+SHOT_CFGS = {**SHOT_PATHS, "binning-2-bit-depth-12": BINNED_12_BIT}
+
+# the sweep's configs: those runs at 4 shots
+SWEEP_CFGS = {name: text.replace("shots = 12", "shots = 4") for name, text in SHOT_CFGS.items()}
 
 # each key of the sweep is set to each of these in turn
 SWEEP_VALUES = ("0", "-1", "1e-308", "1e-30", "0.5", "1", "2", "64", "1e3", "1e308", "", "nan",
@@ -118,6 +131,17 @@ DEGENERATE_SETUPS = {
                      "[grid] width"),
     "saturation_level-1": Setup({"TWMG_DETECTOR__SATURATION_LEVEL": "1"}, BOTH, 2,
                                 "[detector] saturation_level"),
+    # a quantization step more than twice the peak of i2, or of both arms,
+    # reads 0 at every pixel of the coherent image and of every shot
+    "saturation_level-64": Setup({"TWMG_DETECTOR__SATURATION_LEVEL": "64"}, BOTH, 3,
+                                 "[detector] saturation_level = 64, bit_depth = 12",
+                                 ini=BINNED_12_BIT),
+    "saturation_level-1e3": Setup({"TWMG_DETECTOR__SATURATION_LEVEL": "1e3"}, BOTH, 3,
+                                  "[detector] saturation_level = 1000, bit_depth = 12",
+                                  ini=BINNED_12_BIT),
+    "saturation_level-1e308": Setup({"TWMG_DETECTOR__SATURATION_LEVEL": "1e308"}, BOTH, 3,
+                                    "[detector] saturation_level = 1e+308, bit_depth = 12",
+                                    ini=BINNED_12_BIT),
     # files: free mode directions, a key set twice, a PGM header that is not numbers
     "fixed_directions-false": Setup(
         {}, CHAOTIC, 2, "fixed_directions",

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 import warnings
@@ -20,7 +19,8 @@ from twmghost.config import DEFAULTS, load_config
 from twmghost.errors import InvalidSpec, TwmError
 from twmghost.pipeline import ChaoticExperiment
 
-from setup_cases import DEGENERATE_SETUPS, SMALL_CFG, SWEEP_CFG, SWEEP_VALUES, prepare, problems
+from setup_cases import (BINNED_12_BIT, DEGENERATE_SETUPS, SHOT_PATHS, SMALL_CFG, SWEEP_CFGS,
+                         SWEEP_VALUES, prepare, problems)
 
 
 def _package_env():
@@ -62,7 +62,7 @@ def test_simulate_coherent_outputs(tmp_path, small_cfg):
 
 
 def test_simulate_coherent_takes_no_threads(tmp_path, small_cfg, capsys):
-    # the coherent chain has no shot loop to spread over threads
+    # neither simulate command has a worker count to set
     out = tmp_path / "coh"
     assert main(["simulate-coherent", "--config", small_cfg, "--out", str(out),
                  "--threads", "2"]) == 1
@@ -240,6 +240,23 @@ def test_stats_temporal_dark_pixel_is_data_error(tmp_path, small_cfg, capsys):
         assert not dest.exists()
 
 
+def test_reconstruct_dark_image_arm_is_data_error(tmp_path, capsys):
+    # a stack whose i2 is 0 in every shot, which write_stack accepts, has no
+    # image to correlate: its map would be all zero, so `reconstruct` exits
+    # 2, naming the arm, with no numpy warning and no `--out`
+    rng = np.random.default_rng(5)
+    stack = tmp_path / "frames.twmg"
+    framestack.write_stack(stack, (framestack.ShotRecord(i1=rng.exponential(1.0, (16, 16)),
+                                                         i2=np.zeros((16, 16)), shot_index=k)
+                                   for k in range(120)), 16, 16, 120, 0, "test")
+    out = tmp_path / "rec"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reconstruct", str(stack), "--out", str(out)]) == 2
+    assert "i2 is 0 in all 120 shots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_last_bit_range_is_data_error(tmp_path, capsys):
     # an i2 frame of 1.0 and the next double cannot be binned: exit 2, naming
     # the range, and no histogram written
@@ -396,50 +413,16 @@ def test_seed_and_shots_overrides(tmp_path, small_cfg):
     assert header.master_seed == 777 and header.n_shots == 5
 
 
-# the three ways a shot is made: copy-stack product, FFT convolution, coherent sum
-SHOT_PATHS = {
-    "stack": SMALL_CFG,
-    "fft": SMALL_CFG.replace("n_modes = 20", "n_modes = 200"),
-    "coherent-sum": SMALL_CFG.replace("shots = 12", "shots = 12\ncoherent_sum = true"),
-}
-
-
-# a binning, quantizing detector on both arms of every shot
-BINNED_12_BIT = SMALL_CFG + "\n[detector]\npixel_binning = 2\nbit_depth = 12\n"
-
-
-@pytest.mark.parametrize("config", [*SHOT_PATHS.values(), BINNED_12_BIT],
-                         ids=["copy-stack", "fft", "coherent-sum", "binning-2-bit-depth-12"])
-def test_threads_byte_identical(tmp_path, config):
-    # 12 shots: on the copy stack (and the coherent sum) one whole block of 8
-    # and a partial one; on the FFT path 12 blocks of one shot
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(config)
-    stacks = []
-    for threads in ("1", "2", "8"):
-        out = tmp_path / threads
-        assert main(["simulate-chaotic", "--config", str(cfg), "--out", str(out),
-                     "--threads", threads]) == 0
-        stacks.append((out / "frames.twmg").read_bytes())
-    assert stacks[0] == stacks[1] == stacks[2]
-    header, _ = framestack.read_header(tmp_path / "1" / "frames.twmg")
-    assert main(["reconstruct", str(tmp_path / "1" / "frames.twmg"),
-                 "--out", str(tmp_path / "rec")]) == 0
-    gmap = np.loadtxt(tmp_path / "rec" / "correlation_map.csv", delimiter=",")
-    assert gmap.shape == (header.width, header.height)
-
-
-def test_threads_bound_shots_in_flight(tmp_path, small_cfg, monkeypatch):
-    # a slow writer must not let the workers run ahead of it without bound:
-    # count blocks started against blocks whose shots are all written
-    lock = threading.Lock()
+def test_shot_loop_makes_each_block_once_and_one_at_a_time(tmp_path, small_cfg, monkeypatch):
+    # a slow writer: each block of 8 shots is made once, and only after the
+    # writer has taken every shot of the block before it, so one block's
+    # frames are alive at a time
     started, written, leads = [0], [0], []
     block = ChaoticExperiment._block
 
     def counted_block(self, b):
-        with lock:
-            started[0] += 1
-            leads.append(started[0] - written[0] // self.block)
+        started[0] += 1
+        leads.append(started[0] - written[0] // self.block)
         return block(self, b)
 
     write_stack = framestack.write_stack
@@ -449,16 +432,15 @@ def test_threads_bound_shots_in_flight(tmp_path, small_cfg, monkeypatch):
             for rec in shots:
                 time.sleep(0.001)
                 yield rec
-                with lock:
-                    written[0] += 1
+                written[0] += 1
         return write_stack(path, paced(), *args, **kwargs)
 
     monkeypatch.setattr(ChaoticExperiment, "_block", counted_block)
     monkeypatch.setattr(framestack, "write_stack", slow_write_stack)
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "run"),
-                 "--shots", "256", "--threads", "2"]) == 0
+                 "--shots", "256"]) == 0
     assert started[0] == 256 // 8 and written[0] == 256
-    assert max(leads) <= 2 * 2 + 1
+    assert max(leads) == 1
 
 
 def test_shot_count_does_not_change_shot_bytes(tmp_path, small_cfg):
@@ -568,8 +550,10 @@ def test_seed_or_shots_outside_the_header_fields_is_config_error(tmp_path, small
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_one_is_usage_error(tmp_path, small_cfg, capsys, threads):
+@pytest.mark.parametrize("threads", ["0", "-2", "1", "2"])
+def test_simulate_chaotic_takes_no_threads(tmp_path, small_cfg, capsys, threads):
+    # shots are made one block at a time on the calling thread: there is no
+    # worker count to set
     out = tmp_path / "out"
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(out),
                  "--threads", threads]) == 1
@@ -930,32 +914,35 @@ def test_degenerate_setup_names_its_stage(tmp_path, capsys, monkeypatch, case, c
 @pytest.mark.parametrize("value", SWEEP_VALUES, ids=lambda v: v or "empty")
 @pytest.mark.parametrize("key", [f"{sec}.{key}" for sec in DEFAULTS for key in DEFAULTS[sec]])
 def test_config_sweep_runs_or_refuses_cleanly(tmp_path, capsys, monkeypatch, key, value):
-    # every config key at each value of the sweep, through both simulate
-    # commands: each run either writes a finite stack whose i1 and i2 each
-    # hold light, or a finite coherent image that holds light, or is refused
-    # (exit 2 or 3) with no traceback and no `--out`; none prints a numpy
-    # warning
+    # every config key at each value of the sweep, on each shot path and the
+    # binning 12-bit run, through both simulate commands: each run either
+    # writes a finite stack whose i1 and i2 each hold light, or a finite
+    # coherent image that holds light, or is refused (exit 2 or 3) with no
+    # traceback and no `--out`; none prints a numpy warning
     sec, name = key.split(".")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(f"TWMG_{sec.upper()}__{name.upper()}", value)
-    config = tmp_path / "sweep.ini"
-    config.write_text(SWEEP_CFG)
-    for cmd in ("simulate-chaotic", "simulate-coherent"):
-        out = tmp_path / cmd
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([cmd, "--config", str(config), "--out", str(out)])
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], cmd
-        if code:
-            assert code in (2, 3) and "Traceback" not in capsys.readouterr().err, cmd
-            assert not out.exists(), cmd
-        elif cmd == "simulate-chaotic":
-            shots = list(framestack.iter_shots(out / "frames.twmg"))
-            assert all(np.isfinite(s.i1).all() and np.isfinite(s.i2).all() for s in shots)
-            assert any(s.i1.any() for s in shots) and any(s.i2.any() for s in shots)
-        else:
-            image = np.loadtxt(out / "coherent_image.csv", delimiter=",")
-            assert np.isfinite(image).all() and image.any()
+    for run, text in SWEEP_CFGS.items():
+        config = tmp_path / f"{run}.ini"
+        config.write_text(text)
+        for cmd in ("simulate-chaotic", "simulate-coherent"):
+            case = (run, cmd)
+            out = tmp_path / run / cmd
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([cmd, "--config", str(config), "--out", str(out)])
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], case
+            if code:
+                assert code in (2, 3) and "Traceback" not in capsys.readouterr().err, case
+                assert not out.exists(), case
+            elif cmd == "simulate-chaotic":
+                shots = list(framestack.iter_shots(out / "frames.twmg"))
+                assert all(np.isfinite(s.i1).all() and np.isfinite(s.i2).all()
+                           for s in shots), case
+                assert any(s.i1.any() for s in shots) and any(s.i2.any() for s in shots), case
+            else:
+                image = np.loadtxt(out / "coherent_image.csv", delimiter=",")
+                assert np.isfinite(image).all() and image.any(), case
 
 
 def test_amplitude_scale_limit(tmp_path, small_cfg, monkeypatch):
@@ -1169,11 +1156,11 @@ def test_traced_readers_run_the_library_estimators(tmp_path, argv, spans):
 
 
 def test_one_thread_simulate_loads_no_estimator(tmp_path, small_cfg):
-    # nor OpenSSL's `_hashlib`, which numpy.random's `secrets` import would
-    # load; the block covers that import alone, so hashlib's digests still
-    # work after the run and `_hashlib` still imports
-    argv = ["simulate-chaotic", "--config", small_cfg, "--threads", "1",
-            "--out", str(tmp_path / "run")]
+    # nor a worker pool (`concurrent.futures`), nor OpenSSL's `_hashlib`,
+    # which numpy.random's `secrets` import would load; the block covers
+    # that import alone, so hashlib's digests still work after the run and
+    # `_hashlib` still imports
+    argv = ["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "run")]
     code = f"import twmghost.cli\nassert twmghost.cli.main({argv!r}) == 0"
     then = ("import hashlib, _hashlib\n"
             "assert hashlib.sha256(b'abc').hexdigest().startswith('ba7816bf')")
