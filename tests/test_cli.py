@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 
 import twmghost
 from twmghost import cli, framestack, masks, statistics
+from twmghost.chaotic_source import RNG_ALGORITHM
 from twmghost.cli import main
 from twmghost.config import DEFAULTS, load_config
 from twmghost.errors import InvalidSpec, TwmError
@@ -411,6 +413,37 @@ def test_seed_and_shots_overrides(tmp_path, small_cfg):
     assert rc == 0
     header, _ = framestack.read_header(out / "frames.twmg")
     assert header.master_seed == 777 and header.n_shots == 5
+
+
+@pytest.mark.parametrize("config", [*SHOT_PATHS.values(), BINNED_12_BIT],
+                         ids=["copy-stack", "fft", "coherent-sum", "binning-2-bit-depth-12"])
+def test_threads_byte_identical(tmp_path, config):
+    # the stack simulate-chaotic writes is byte-identical to one written from
+    # shots asked for 1, 2 or 8 at a time, as workers that split the shot
+    # loop would ask for them.  12 shots: on the copy stack (and the coherent
+    # sum) one whole block of 8 and a partial one; on the FFT path 12 blocks
+    # of one shot
+    ini = tmp_path / "run.ini"
+    ini.write_text(config)
+    cfg = load_config(str(ini))
+    assert main(["simulate-chaotic", "--config", str(ini), "--out", str(tmp_path / "run")]) == 0
+    stack = (tmp_path / "run" / "frames.twmg").read_bytes()
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed,
+                            det=cfg.detector, coherent_sum=cfg.coherent_sum)
+    width, height = cfg.detector.output_shape(cfg.width, cfg.height)
+    for step in (1, 2, 8):
+        path = tmp_path / f"step{step}.twmg"
+        framestack.write_stack(path,
+                               itertools.chain.from_iterable(
+                                   exp.shots(min(step, cfg.shots - k), k)
+                                   for k in range(0, cfg.shots, step)),
+                               width, height, cfg.shots, cfg.master_seed, RNG_ALGORITHM,
+                               i1_lit=exp.i1_lit)
+        assert path.read_bytes() == stack, step
+    assert main(["reconstruct", str(tmp_path / "run" / "frames.twmg"),
+                 "--out", str(tmp_path / "rec")]) == 0
+    gmap = np.loadtxt(tmp_path / "rec" / "correlation_map.csv", delimiter=",")
+    assert gmap.shape == (width, height)
 
 
 def test_shot_loop_makes_each_block_once_and_one_at_a_time(tmp_path, small_cfg, monkeypatch):
