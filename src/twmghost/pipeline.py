@@ -35,8 +35,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .chaotic_source import (SourceSpec, bin_intensities, fourier_bin_index, sample_amplitudes,
-                             sample_modes)
+from .chaotic_source import (SourceSpec, bin_intensities, draw_amplitudes, fourier_bin_index,
+                             sample_modes, seed_states)
 from .errors import (DegenerateGeometry, ImageClipped, InvalidSpec, ModesOffGrid, NonFiniteField,
                      SamplingViolation, ShapeMismatch)
 from .framestack import ShotRecord
@@ -238,6 +238,13 @@ def coherent_image(mask: ObjectMask, g: InteractionGeometry,
 # and 32 rows 10 MB of peak memory, with no clear gain in time
 SHOT_BLOCK = 8
 
+# the amplitude seeds are hashed this many shots at a time, in aligned
+# chunks of 8 KB: one chunk costs about as much numpy overhead as 3-4 shots
+# hashed one at a time.  A multiple of SHOT_BLOCK, so that a block lies in
+# one chunk, and a power of two, so that a chunk lies in one run of 2**32
+# shot indices
+SEED_CHUNK = 256
+
 
 class ChaoticExperiment:
     """Precomputed machinery for many-shot chaotic runs.
@@ -271,6 +278,8 @@ class ChaoticExperiment:
     SHOT_BLOCK shots and one (SHOT_BLOCK x n_modes) @ flat_stack product,
     always computed whole, so a shot's bytes do not depend on which shots
     were asked for, or in how many calls; on the FFT path a block is one shot.
+    A block's amplitude seeds come from the `seed_states` of its aligned
+    chunk of SEED_CHUNK shots, the one chunk the experiment holds.
     """
 
     def __init__(self, mask: ObjectMask, g: InteractionGeometry, spec: SourceSpec,
@@ -280,6 +289,7 @@ class ChaoticExperiment:
         self.master_seed = master_seed
         self.det = det or DetectorSpec()
         self.coherent_sum = coherent_sum
+        self._seed_chunk, self._seeds = None, None
         base = coherent_field(mask, g)
         self.pitch = base.pitch
         self.base_image = np.abs(base.grid) ** 2
@@ -359,8 +369,11 @@ class ChaoticExperiment:
         """Mode intensities (block x n_modes) and undetected i2 maps
         (block x W x H) of the shots of block b."""
         first = b * self.block
-        amp = np.array([sample_amplitudes(self.spec, self.master_seed, k)
-                        for k in range(first, first + self.block)])
+        chunk, row = divmod(first, SEED_CHUNK)
+        if chunk != self._seed_chunk:
+            self._seeds = seed_states(self.master_seed, 1, chunk * SEED_CHUNK, SEED_CHUNK)
+            self._seed_chunk = chunk
+        amp = draw_amplitudes(self.spec, self._seeds[row:row + self.block])
         p = np.abs(amp) ** 2
         shape = (self.block,) + self.base_image.shape
         if self.coherent_sum:

@@ -8,7 +8,9 @@ from twmghost.chaotic_source import (
     bin_intensities,
     field_from_modes,
     fourier_bin_index,
+    sample_amplitudes,
     sample_modes,
+    seed_states,
 )
 from twmghost.errors import InvalidSpec
 from twmghost.propagation import ScalarField
@@ -50,6 +52,64 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a.amplitude, b.amplitude)
     c = sample_modes(spec, 1000, 3)
     assert not np.array_equal(a.amplitude, c.amplitude)
+
+
+def _numpy_generator(master_seed, *key):
+    ss = np.random.SeedSequence(master_seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+@pytest.mark.parametrize("index", [0, 255, 256, 257, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1])
+@pytest.mark.parametrize("master_seed", [0, 1, 12345, 2 ** 32 + 7, 2 ** 64 - 1])
+def test_seed_states_are_numpys(master_seed, index):
+    # the bulk hash is bit for bit SeedSequence's: as one row, and as its row
+    # of the aligned chunk of 256 that holds it, in both streams
+    first = index - index % 256
+    chunk = seed_states(master_seed, 1, first, 256)
+    assert chunk.shape == (256, 4) and chunk.dtype == np.uint64 and chunk.dtype.isnative
+    for stream in (0, 1):
+        want = np.random.SeedSequence(master_seed, spawn_key=(stream, index)).generate_state(
+            4, np.uint64)
+        got = seed_states(master_seed, stream, index, 1)
+        assert got.shape == (1, 4) and got.dtype == want.dtype
+        assert got[0].tobytes() == want.tobytes()
+    assert chunk[index - first].tobytes() == want.tobytes()
+
+
+def test_negative_shot_index_or_split_chunk_is_refused():
+    spec = SourceSpec(n_modes=5, angular_spread=5e-3)
+    with pytest.raises(InvalidSpec, match="non-negative"):
+        sample_amplitudes(spec, 1, -1)
+    with pytest.raises(InvalidSpec, match="non-negative"):
+        sample_modes(spec, 1, -1)
+    with pytest.raises(InvalidSpec, match="non-negative"):
+        seed_states(3, 1, -256, 256)
+    # a range across 2**32 would need two key lengths
+    with pytest.raises(ValueError):
+        seed_states(3, 1, 2 ** 32 - 1, 2)
+
+
+@pytest.mark.parametrize("n_modes", [1, 7, 24, 200])
+@pytest.mark.parametrize("law", ["gaussian", "fixed-modulus"])
+def test_draws_are_byte_equal_to_numpys(law, n_modes):
+    spec = SourceSpec(n_modes=n_modes, angular_spread=5e-3, amplitude_scale=1.7,
+                      amplitude_law=law)
+    for shot in (0, 9, 300, 2 ** 32 + 1):
+        ra = _numpy_generator(12345, 1, shot)
+        if law == "gaussian":
+            want = ra.standard_normal(n_modes) + 1j * ra.standard_normal(n_modes)
+            want *= spec.amplitude_scale / np.sqrt(2.0)
+        else:
+            want = spec.amplitude_scale * np.exp(2j * np.pi * ra.random(n_modes))
+        got = sample_amplitudes(spec, 12345, shot)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the directions: stream (0, 0)
+    rd = _numpy_generator(12345, 0, 0)
+    rad = spec.angular_spread * np.sqrt(rd.random(n_modes))
+    phi = 2.0 * np.pi * rd.random(n_modes)
+    m = sample_modes(spec, 12345, 5)
+    assert m.theta.tobytes() == (rad * np.cos(phi)).tobytes()
+    assert m.beta.tobytes() == (rad * np.sin(phi)).tobytes()
 
 
 def test_fixed_directions_share_geometry_not_amplitudes():

@@ -8,7 +8,7 @@ import pytest
 
 from twmghost import framestack, pipeline
 from twmghost.chaotic_source import (ModeSet, SourceSpec, bin_intensities, fourier_bin_index,
-                                     sample_modes)
+                                     sample_amplitudes, sample_modes)
 from twmghost.cli import main as cli_main
 from twmghost.config import load_config
 from twmghost.errors import ImageClipped, InvalidSpec, ModesOffGrid, ShapeMismatch
@@ -28,6 +28,7 @@ from twmghost.pipeline import (
     object_pitch_for_detector,
 )
 from twmghost.propagation import ScalarField
+from twmghost.statistics import correlate, reference_pairs
 
 
 def _idler_angles(theta, beta, g):
@@ -395,7 +396,7 @@ def test_fft_shot_is_never_negative(monkeypatch, mask, geometry):
 def _full_grid_kernel(exp, shot):
     """The shot's impulse map on the whole padded grid: each kept mode's
     weighted intensity at its offset, wrapped modulo the grid."""
-    p = np.abs(pipeline.sample_amplitudes(exp.spec, exp.master_seed, shot)) ** 2
+    p = np.abs(sample_amplitudes(exp.spec, exp.master_seed, shot)) ** 2
     nx, ny = exp.pad
     kernel = np.zeros(exp.pad)
     np.add.at(kernel, (exp.px[exp.kept] % nx, exp.py[exp.kept] % ny),
@@ -653,6 +654,46 @@ def test_every_record_of_a_block_matches_per_mode_sum(coherent_sum):
                               rec.shot_index)
         assert np.abs(rec.i2 - want.i2).max() <= 1e-12 * np.abs(want.i2).max()
         assert np.array_equal(rec.i1, want.i1)
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped",
+                            "ignore::twmghost.errors.ModesOffGrid")
+@pytest.mark.parametrize("width, n_modes, spread, fft", [
+    (128, 24, "1e-3", False), (64, 20, None, False), (64, 200, None, True)],
+    ids=["small-frames", "copy-stack-64", "fft-64"])
+def test_map_is_the_mode_space_sum(width, n_modes, spread, fft):
+    # ideal detector, incoherent sum: shot k's i2 is sum_n p_kn expected_image(n)
+    # with p_kn = |a_kn|^2, so over a one-mode reference bin the map is
+    # sum_n c_n expected_image(n), c_n the 1/n covariance of the reference
+    # trace with p_n.  It holds only if every i2 comes from its own shot's
+    # draw: 300 shots cross the seed chunk boundary at shot 256
+    overrides = {("grid", "width"): width, ("grid", "height"): width,
+                 ("source", "n_modes"): n_modes}
+    if spread:
+        overrides[("source", "angular_spread")] = spread
+    cfg = load_config(None, overrides)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
+    assert (exp.flat_stack is None) == fft
+    lit = exp.i1_bin[exp.i1_bin >= 0]
+    single = lit[np.bincount(lit)[lit] == 1]
+    ref = divmod(int(single[0]), width)
+    assert len(exp.bin_modes(ref)) == 1
+    n = 300
+    g = correlate(reference_pairs(exp.shots(n), ref))
+    trace = np.array([rec.i1[ref] for rec in exp.shots(n)])
+    p = np.abs([sample_amplitudes(exp.spec, exp.master_seed, k) for k in range(n)]) ** 2
+    c = ((trace - trace.mean())[:, None] * (p - p.mean(axis=0))).mean(axis=0)
+    want = sum(c[m] * exp.expected_image(m) for m in range(n_modes))
+    assert np.abs(g - want).max() <= 1e-12 * np.abs(g).max()
+
+
+@pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped",
+                            "ignore::twmghost.errors.ModesOffGrid")
+def test_a_negative_shot_index_is_refused():
+    cfg = _grid_config(64, 20)
+    exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source, cfg.master_seed)
+    with pytest.raises(InvalidSpec, match="non-negative"):
+        list(exp.shots(2, start=-1))
 
 
 @pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
