@@ -9,9 +9,19 @@ the error classes: 0 success, 1 a usage error, 3 a numerical failure
 Each subcommand imports only the modules it runs; at module level there
 are only the ones every command uses (`errors`, `framestack`, `masks`).
 The simulate commands import `config` and `pipeline` (and with them the
-source, propagation and geometry modules), `reconstruct` and `stats`
-import `statistics`, and `selftest` imports `selftest`.  So the stack
-readers neither load nor compile the simulator.
+source, propagation and geometry modules), `simulate-chaotic` also
+`shotloop`, `reconstruct` and `stats` import `statistics`, and `selftest`
+imports `selftest`.  So the stack readers neither load nor compile the
+simulator.
+
+After set-up, `simulate-chaotic` runs its shot loop in two processes when
+the run has two shot blocks or more and two CPUs: it forks one helper,
+which makes every other block and writes each record at its fixed offset
+of the stack (`os.pwrite`), and sends back what the trailer sums need.
+The stack is byte for byte the one-process run's; the helper ends in
+`os._exit`, is reaped on every path, and its error is raised here with its
+class and message, so the exit code does not depend on which process
+failed (see `shotloop`).
 
 `simulate-chaotic` imports `numpy.random` first, with `_hashlib` blocked
 for that one import: numpy.random imports `secrets`, which would map
@@ -131,14 +141,15 @@ def cmd_simulate_chaotic(args) -> int:
     from . import __version__, config
     from .chaotic_source import RNG_ALGORITHM
     from .pipeline import ChaoticExperiment
+    from .shotloop import write_chaotic_stack
     cfg = _load_cfg(args)
     exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
                             cfg.master_seed, det=cfg.detector,
                             coherent_sum=cfg.coherent_sum)
-    width, height = cfg.detector.output_shape(cfg.width, cfg.height)
     # the library builds such experiments; a stack of one has no reference
     # arm, or no image, to correlate
     if exp.i1_lit.size == 0:
+        width, height = cfg.detector.output_shape(cfg.width, cfg.height)
         raise DegenerateGeometry(
             f"Fourier arm: no seed mode lights a pixel of the {width} x {height} i1 frame, so "
             f"every shot's i1 would be zero ([geometry] fourier_f, [grid] pitch, "
@@ -155,8 +166,7 @@ def cmd_simulate_chaotic(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stack_path = out / "frames.twmg"
     try:
-        framestack.write_stack(stack_path, _lit_arms(exp.shots(cfg.shots), cfg), width, height,
-                               cfg.shots, cfg.master_seed, RNG_ALGORITHM, i1_lit=exp.i1_lit)
+        write_chaotic_stack(exp, stack_path, cfg.shots, RNG_ALGORITHM)
     except BaseException:
         for d in made:
             d.rmdir()
@@ -165,24 +175,6 @@ def cmd_simulate_chaotic(args) -> int:
         config.manifest_text(cfg, __version__, RNG_ALGORITHM), encoding="utf-8")
     print(f"{cfg.shots} shots written to {stack_path}")
     return 0
-
-
-def _lit_arms(shots, cfg):
-    """The records of `shots`, then a DegenerateGeometry if i1 or i2 is 0 in
-    every one.  Each arm is tested only until its first lit record: a run
-    lit from shot 0 pays one any() per arm."""
-    dark = ["i1", "i2"]
-    for rec in shots:
-        dark = [arm for arm in dark if not getattr(rec, arm).any()]
-        yield rec
-        # dropped before the next record is made
-        del rec
-    if dark:
-        det = cfg.detector
-        raise DegenerateGeometry(
-            f"{' and '.join(dark)} {'is' if len(dark) == 1 else 'are'} 0 in all {cfg.shots} "
-            f"shots after the detector ([detector] saturation_level = {det.saturation_level:g}, "
-            f"bit_depth = {det.bit_depth}): a value under half a quantization step reads 0")
 
 
 def _parse_pixel(text, shape):

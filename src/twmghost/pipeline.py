@@ -254,7 +254,7 @@ class ChaoticExperiment:
     geometric/acceptance weights and each mode's Fourier-plane pixel
     `i1_bin` (which `bin_modes` inverts), with `i1_lit`, the flat pixels of
     the detected i1 frame that those bins light in every shot (one array
-    per run, which `write_stack` takes once per stack), so that one shot
+    per run, which `StackWriter` takes once per stack), so that one shot
     reduces to drawing its mode amplitudes and a weighted sum over modes.
     The incoherent sum is made by FFT convolution of the base image with
     the shot's impulse map (one weighted impulse per mode at its offset)

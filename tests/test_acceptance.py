@@ -6,6 +6,7 @@ verdict of every criterion even when later ones fail.
 """
 
 import itertools
+import os
 import sys
 import time
 
@@ -299,12 +300,14 @@ def test_criterion_7_snr_scaling(experiment, reference):
             "exponent %.3f, SNR %s" % (slope, [f"{v:.1f}" for v in values]))
 
 
-def test_criterion_8_thread_determinism(tmp_path):
-    # what leaves the shot loop free to be split among workers: a stack and
-    # its G map are byte-identical however the shots are asked for.  The CLI
-    # run against a stack written from shots(3), shots(7, 3) and
-    # shots(2, 10), which cut the copy stack's blocks of 8 in the middle, on
-    # each shot path and the binning 12-bit detector
+def test_criterion_8_thread_determinism(tmp_path, monkeypatch):
+    # what leaves the shot loop free to be split among processes: a stack
+    # and its G map are byte-identical however the shots are split between
+    # processes and asked for.  The CLI run (two processes where the machine
+    # has two CPUs) against the one-process run and a stack written from
+    # shots(3), shots(7, 3) and shots(2, 10), which cut the copy stack's
+    # blocks of 8 in the middle, on each shot path and the binning 12-bit
+    # detector
     chunks = ((0, 3), (3, 7), (10, 2))
     differ = []
     for path, text in SHOT_CFGS.items():
@@ -312,8 +315,11 @@ def test_criterion_8_thread_determinism(tmp_path):
         ini.write_text(text)
         cfg = load_config(str(ini))
         assert sum(n for _, n in chunks) == cfg.shots
-        whole, chunked = tmp_path / path / "whole", tmp_path / path / "chunked"
+        whole, one, chunked = (tmp_path / path / name for name in ("whole", "one", "chunked"))
         assert cli_main(["simulate-chaotic", "--config", str(ini), "--out", str(whole)]) == 0
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert cli_main(["simulate-chaotic", "--config", str(ini), "--out", str(one)]) == 0
         exp = ChaoticExperiment(cfg.load_object_mask(), cfg.geometry, cfg.source,
                                 cfg.master_seed, det=cfg.detector,
                                 coherent_sum=cfg.coherent_sum)
@@ -324,16 +330,17 @@ def test_criterion_8_thread_determinism(tmp_path):
                                                              for start, n in chunks),
                                width, height, cfg.shots, cfg.master_seed, RNG_ALGORITHM,
                                i1_lit=exp.i1_lit)
-        for run in (whole, chunked):
+        for run in (whole, one, chunked):
             assert cli_main(["reconstruct", str(run / "frames.twmg"),
                              "--out", str(run / "rec")]) == 0
         gmap = np.loadtxt(whole / "rec" / "correlation_map.csv", delimiter=",")
         assert gmap.shape == (width, height)
-        differ += [f"{path} {name}" for name in ("frames.twmg", "rec/correlation_map.csv")
-                   if (whole / name).read_bytes() != (chunked / name).read_bytes()]
-    _report(8, "a stack and its G map are byte-identical however the shots are chunked, "
-               "on the copy-stack, FFT, coherent-sum and binning 12-bit paths",
-            not differ, ", ".join(differ))
+        differ += [f"{path} {run.name} {name}" for run in (one, chunked)
+                   for name in ("frames.twmg", "rec/correlation_map.csv")
+                   if (whole / name).read_bytes() != (run / name).read_bytes()]
+    _report(8, "a stack and its G map are byte-identical however the shots are split between "
+               "processes and chunked, on the copy-stack, FFT, coherent-sum and binning 12-bit "
+               "paths", not differ, ", ".join(differ))
 
 
 @pytest.mark.parametrize("n_frames", [1, 8, 256])

@@ -1,8 +1,10 @@
+import contextlib
 import gc
 import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -21,8 +23,8 @@ from twmghost.config import DEFAULTS, load_config
 from twmghost.errors import InvalidSpec, TwmError
 from twmghost.pipeline import ChaoticExperiment
 
-from setup_cases import (BINNED_12_BIT, DEGENERATE_SETUPS, SHOT_PATHS, SMALL_CFG, SWEEP_CFGS,
-                         SWEEP_VALUES, prepare, problems)
+from setup_cases import (BINNED_12_BIT, DEGENERATE_SETUPS, SHOT_CFGS, SHOT_PATHS, SMALL_CFG,
+                         SWEEP_CFGS, SWEEP_VALUES, prepare, problems)
 
 
 def _package_env():
@@ -418,11 +420,11 @@ def test_seed_and_shots_overrides(tmp_path, small_cfg):
 @pytest.mark.parametrize("config", [*SHOT_PATHS.values(), BINNED_12_BIT],
                          ids=["copy-stack", "fft", "coherent-sum", "binning-2-bit-depth-12"])
 def test_threads_byte_identical(tmp_path, config):
-    # the stack simulate-chaotic writes is byte-identical to one written from
-    # shots asked for 1, 2 or 8 at a time, as workers that split the shot
-    # loop would ask for them.  12 shots: on the copy stack (and the coherent
-    # sum) one whole block of 8 and a partial one; on the FFT path 12 blocks
-    # of one shot
+    # the stack simulate-chaotic writes, however it splits the shots between
+    # processes, is byte-identical to one written from shots asked for 1, 2
+    # or 8 at a time.  12 shots: on the copy stack (and the coherent sum) one
+    # whole block of 8 and a partial one; on the FFT path 12 blocks of one
+    # shot
     ini = tmp_path / "run.ini"
     ini.write_text(config)
     cfg = load_config(str(ini))
@@ -447,33 +449,182 @@ def test_threads_byte_identical(tmp_path, config):
 
 
 def test_shot_loop_makes_each_block_once_and_one_at_a_time(tmp_path, small_cfg, monkeypatch):
-    # a slow writer: each block of 8 shots is made once, and only after the
-    # writer has taken every shot of the block before it, so one block's
-    # frames are alive at a time
-    started, written, leads = [0], [0], []
-    block = ChaoticExperiment._block
+    # a slow writer: each block of 8 shots is made once, by process b % 2
+    # where the run has two CPUs, and each process makes a block only after
+    # it has written every shot of its block before, so one block's frames
+    # are alive in a process at a time
+    log = tmp_path / "events"
+    block, put = ChaoticExperiment._block, framestack.StackWriter.put
+
+    def note(what, n):
+        # one appended write per line: the two processes' lines never mix
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {what} {n}\n")
 
     def counted_block(self, b):
-        started[0] += 1
-        leads.append(started[0] - written[0] // self.block)
+        note("block", b)
         return block(self, b)
 
-    write_stack = framestack.write_stack
-
-    def slow_write_stack(path, shots, *args, **kwargs):
-        def paced():
-            for rec in shots:
-                time.sleep(0.001)
-                yield rec
-                written[0] += 1
-        return write_stack(path, paced(), *args, **kwargs)
+    def slow_put(self, shot, k):
+        time.sleep(0.001)
+        values = put(self, shot, k)
+        note("put", k)
+        return values
 
     monkeypatch.setattr(ChaoticExperiment, "_block", counted_block)
-    monkeypatch.setattr(framestack, "write_stack", slow_write_stack)
+    monkeypatch.setattr(framestack.StackWriter, "put", slow_put)
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "run"),
                  "--shots", "256"]) == 0
-    assert started[0] == 256 // 8 and written[0] == 256
-    assert max(leads) == 1
+    events = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(n) for _, what, n in events if what == "block") == list(range(32))
+    assert sorted(int(n) for _, what, n in events if what == "put") == list(range(256))
+    pids = {pid for pid, _, _ in events}
+    assert len(pids) == (2 if len(os.sched_getaffinity(0)) >= 2 else 1)
+    for pid in pids:
+        started, written, leads, parity = 0, 0, [], set()
+        for _, what, n in (e for e in events if e[0] == pid):
+            if what == "block":
+                started += 1
+                leads.append(started - written // 8)
+                parity.add(int(n) % len(pids))
+            else:
+                written += 1
+        assert max(leads) == 1 and len(parity) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity to narrow")
+@pytest.mark.parametrize("shots", ["12", "17"])
+@pytest.mark.parametrize("config", SHOT_CFGS)
+def test_stack_is_byte_identical_from_one_process_or_two(tmp_path, monkeypatch, config, shots):
+    # the stack of a run split between two processes is the one-process
+    # run's, byte for byte.  12 shots: on the copy stack, the coherent sum
+    # and the binning run a whole block of 8 and a partial one, on the FFT
+    # path 12 one-shot blocks; 17: three blocks, the last partial, and 17
+    # one-shot blocks, an odd count
+    ini = tmp_path / "run.ini"
+    ini.write_text(SHOT_CFGS[config])
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    stacks = []
+    for cpus in (os.sched_getaffinity(0), {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main(["simulate-chaotic", "--config", str(ini), "--shots", shots,
+                     "--out", str(out)]) == 0
+        stacks.append((out / "frames.twmg").read_bytes())
+        assert len(forks) == (len(cpus) >= 2)
+        forks.clear()
+    assert stacks[0] == stacks[1]
+
+
+def _by_process_count(monkeypatch, capsys, out, argv):
+    """(exit code, stderr) of `main(argv)` run with the machine's CPUs, two
+    processes where there are two, then with one CPU, one process; after
+    each, neither `out` nor a child process is left."""
+    results = []
+    for cpus in (os.sched_getaffinity(0), {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        results.append((main(argv), capsys.readouterr().err))
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return results
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity to narrow")
+@pytest.mark.parametrize("block", [0, 1, 2], ids=["parent", "helper", "parent-last"])
+def test_a_bad_record_fails_the_run_as_in_one_process(tmp_path, small_cfg, monkeypatch, capsys,
+                                                      block):
+    # a record with a set bit off i1_lit, -0.0 at an unlit pixel, in a block
+    # that the parent or the helper makes: the run exits as the one-process
+    # run does, with its message, and leaves no stack, no `--out` directory
+    # and no child
+    shots, bad = ChaoticExperiment.shots, 8 * block + 3
+
+    def bad_shots(self, n, start=0):
+        for rec in shots(self, n, start):
+            if rec.shot_index == bad:
+                unlit = np.setdiff1d(np.arange(rec.i1.size), self.i1_lit)[0]
+                rec.i1.reshape(-1)[unlit] = -0.0
+            yield rec
+
+    monkeypatch.setattr(ChaoticExperiment, "shots", bad_shots)
+    out = tmp_path / "made" / "run"
+    results = _by_process_count(monkeypatch, capsys, tmp_path / "made",
+                                ["simulate-chaotic", "--config", small_cfg, "--shots", "24",
+                                 "--out", str(out)])
+    assert results == [(2, f"error: shot {bad}: i1 is not +0.0 off its i1_lit pixels\n")] * 2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity to narrow")
+@pytest.mark.parametrize("case", [case for case in DEGENERATE_SETUPS
+                                  if case.startswith("saturation_level-") and
+                                  DEGENERATE_SETUPS[case].ini == BINNED_12_BIT])
+def test_a_dark_arm_fails_the_run_as_in_one_process(tmp_path, monkeypatch, capsys, case):
+    # the detector zeroes an arm in all 12 shots, two blocks: one made by
+    # each process where there are two CPUs.  The run is refused after the
+    # last shot as the one-process run is, with no stack, `--out` or child
+    setup = DEGENERATE_SETUPS[case]
+    monkeypatch.chdir(tmp_path)
+    for var, value in setup.env.items():
+        monkeypatch.setenv(var, value)
+    out = tmp_path / "out"
+    results = _by_process_count(monkeypatch, capsys, out,
+                                ["simulate-chaotic", "--config", str(prepare(setup, tmp_path)),
+                                 "--out", str(out)])
+    assert results[0] == results[1]
+    assert problems(setup, *results[0], out) == []
+
+
+def _live_in_group(pgid: int) -> list[int]:
+    """The processes of group `pgid` that have not ended, by /proc: an ended
+    process whose parent is gone stays a zombie until init reaps it."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists() or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs /proc and two CPUs")
+def test_the_helper_does_not_outlive_its_parent(tmp_path, small_cfg):
+    # a long run killed mid-loop with SIGKILL, which no handler sees: its
+    # helper ends at its next write to the pipe, within about a second
+    out = tmp_path / "run"
+    proc = subprocess.Popen([sys.executable, "-m", "twmghost.cli", "simulate-chaotic",
+                             "--config", small_cfg, "--shots", "1000000", "--out", str(out)],
+                            env=_package_env(), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_in_group(proc.pid)) < 2 or not (out / "frames.twmg").exists() \
+                or (out / "frames.twmg").stat().st_size < 1 << 20:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 1.5
+    try:
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break    # every process of the group has ended and been reaped
+            live = _live_in_group(proc.pid)
+            if not live:
+                break    # ended; left as a zombie where init does not reap orphans
+            assert time.monotonic() < deadline, f"{live} still running"
+            time.sleep(0.01)
+    finally:
+        # a helper that outlived its parent is not left running
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
 
 
 def test_shot_count_does_not_change_shot_bytes(tmp_path, small_cfg):

@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -265,14 +266,17 @@ def test_write_without_i1_lit_lights_every_pixel(tmp_path, rng, n):
 
 
 def test_writer_leaves_an_empty_lit_i1_all_hole(tmp_path, monkeypatch):
-    # no pixel lit: every i1 byte is seeked past, and reads back as zero
+    # no pixel lit: no i1 byte is written, and every one reads back as zero
     rng, lit = np.random.default_rng(3), np.array([], dtype=np.intp)
     recs = [ShotRecord(i1=np.zeros((8, 8)), i2=rng.random((8, 8)), shot_index=k)
             for k in range(3)]
-    stream, spans = _spanned(monkeypatch, recs)
+    writes = _positional_writes(monkeypatch)
     path = tmp_path / "s.twmg"
-    framestack.write_stack(path, stream, 8, 8, 3, 0, "x", i1_lit=lit)
-    assert spans == [0, 1, 2]
+    framestack.write_stack(path, recs, 8, 8, 3, 0, "x", i1_lit=lit)
+    header, offset = framestack.read_header(path)
+    i1_frames = [(offset + k * header.frame_bytes, 8 * 64) for k in range(3)]
+    assert writes and not [(at, n) for at, n in writes for first, size in i1_frames
+                           if at < first + size and first < at + n]
     framestack.write_stack(tmp_path / "dense.twmg", recs, 8, 8, 3, 0, "x")
     assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
     assert all(not f.any() and not np.signbit(f).any()
@@ -295,23 +299,32 @@ def test_writer_gives_a_pipe_the_dense_bytes(tmp_path, rng):
     assert got == [(tmp_path / "file.twmg").read_bytes()]
 
 
-def _spanned(monkeypatch, recs):
-    """`recs` as a stream for the writer, and the list, filled as it writes,
-    of the stack positions whose i1 it writes as a lit span."""
-    spans, taken = [], []
-    write_span = framestack._write_span
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_failed_write_to_a_pipe_leaves_the_pipe(tmp_path, rng):
+    # a failed write removes only the regular file it opened: a named pipe
+    # that a record of the wrong shape reaches is left in place
+    recs = _records(rng, n=3)
+    recs[1] = replace(recs[1], i2=recs[1].i2[:4])
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=fifo.read_bytes, daemon=True)
+    reader.start()
+    with pytest.raises(CorruptStack, match=r"^frame shape \(4, 8\) != \(8, 8\)"):
+        framestack.write_stack(fifo, recs, 8, 8, 3, 0, "x")
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
-    def counted(fh, frame, lit):
-        spans.append(len(taken) - 1)
-        write_span(fh, frame, lit)
 
-    def stream():
-        for rec in recs:
-            taken.append(rec.shot_index)
-            yield rec
+def _positional_writes(monkeypatch):
+    """A list that gets the (offset, length) of each positional write."""
+    writes, pwrite = [], os.pwrite
 
-    monkeypatch.setattr(framestack, "_write_span", counted)
-    return stream(), spans
+    def counted(fd, data, at):
+        writes.append((at, len(data)))
+        return pwrite(fd, data, at)
+
+    monkeypatch.setattr(os, "pwrite", counted)
+    return writes
 
 
 def test_auto_pick_from_the_trailer_holds_under_a_frame(tmp_path):

@@ -543,17 +543,27 @@ def test_i1_is_zero_off_its_lit_pixels_and_the_trailer_is_dense(tmp_path, config
                                                                      + dense.s2.tobytes())
 
 
-def _count_spans(monkeypatch):
-    """A list that gets one entry for each i1 frame written as a lit span."""
-    spans = []
-    write_span = framestack._write_span
+def _positional_writes(monkeypatch):
+    """A list that gets the (offset, length) of each positional write."""
+    writes, pwrite = [], os.pwrite
 
-    def counted(fh, frame, lit):
-        spans.append(len(lit))
-        write_span(fh, frame, lit)
+    def counted(fd, data, at):
+        writes.append((at, len(data)))
+        return pwrite(fd, data, at)
 
-    monkeypatch.setattr(framestack, "_write_span", counted)
-    return spans
+    monkeypatch.setattr(os, "pwrite", counted)
+    return writes
+
+
+def _i1_bytes_written(writes, path) -> list[int]:
+    """The bytes that `writes` put into each i1 frame of the stack at `path`."""
+    header, offset = framestack.read_header(path)
+    written = [0] * header.n_shots
+    for at, n in writes:
+        k, into = divmod(at - offset, header.frame_bytes)
+        if 0 <= k < header.n_shots and into < header.frame_bytes // 2:
+            written[k] += n
+    return written
 
 
 @pytest.mark.filterwarnings("ignore::twmghost.errors.ImageClipped")
@@ -573,15 +583,16 @@ def test_span_written_stack_equals_its_dense_rewrite(tmp_path, monkeypatch, n_mo
                             det=det, coherent_sum=coherent_sum)
     w, h = det.output_shape(64, 64)
     n = 10
-    spans = _count_spans(monkeypatch)
+    writes = _positional_writes(monkeypatch)
     path = tmp_path / "span.twmg"
     framestack.write_stack(path, exp.shots(n), w, h, n, 0, "test", i1_lit=exp.i1_lit)
-    assert spans == [len(exp.i1_lit)] * n
-    framestack.write_stack(tmp_path / "plain.twmg", exp.shots(n), w, h, n, 0, "test")
-    framestack.write_stack(tmp_path / "dense.twmg", framestack.iter_shots(path), w, h, n, 0,
-                           "test")
-    # each write without i1_lit wrote one whole-frame span per shot
-    assert spans == [len(exp.i1_lit)] * n + [w * h] * 2 * n
+    lit = exp.i1_lit
+    assert _i1_bytes_written(writes, path) == [8 * (lit[-1] - lit[0] + 1)] * n
+    # each write without i1_lit writes every byte of every i1
+    for name, shots in (("plain", exp.shots(n)), ("dense", framestack.iter_shots(path))):
+        writes.clear()
+        framestack.write_stack(tmp_path / f"{name}.twmg", shots, w, h, n, 0, "test")
+        assert _i1_bytes_written(writes, tmp_path / f"{name}.twmg") == [8 * w * h] * n
     assert path.read_bytes() == (tmp_path / "plain.twmg").read_bytes()
     assert path.read_bytes() == (tmp_path / "dense.twmg").read_bytes()
 
