@@ -10,9 +10,9 @@ Each subcommand imports only the modules it runs; at module level there
 are only the ones every command uses (`errors`, `framestack`, `masks`).
 The simulate commands import `config` and `pipeline` (and with them the
 source, propagation and geometry modules), `simulate-chaotic` also
-`shotloop`, `reconstruct` and `stats` import `statistics`, and `selftest`
-imports `selftest`.  So the stack readers neither load nor compile the
-simulator.
+`shotloop` and `stackwriter`, `reconstruct` and `stats` import
+`statistics`, and `selftest` imports `selftest`.  So the stack readers
+neither load nor compile the simulator or the stack writer.
 
 After set-up, `simulate-chaotic` runs its shot loop in two processes when
 the run has two shot blocks or more and two CPUs: it forks one helper,

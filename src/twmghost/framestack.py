@@ -4,7 +4,9 @@ Layout (little-endian):
 
     magic   4 bytes  b"TWMG"
     u32     format version (2, the only one read)
-    3 u32   W, H, n_shots
+    u32     W
+    u32     H
+    u32     n_shots
     u64     master seed
     u32     length of RNG algorithm name, then that many UTF-8 bytes
     payload n_shots * (I1 then I2), each W*H float64, row-major (x-major)
@@ -12,30 +14,45 @@ Layout (little-endian):
             summed in shot order by the writer from the frames written
 
 File length (payload and trailer) is validated against the header on read.
-A `StackWriter` checks each record and writes it at its fixed offset with
-`os.pwrite` (the header last), so the two processes of a `simulate-chaotic`
-run, which share the open file, write their blocks side by side; the
-trailer is summed in shot order at `i1_lit` alone, the flat pixels outside
-which every i1 is +0.0.  Only each i1's span from its first lit pixel
-through its last is written: the bytes around it read back as +0.0, so no
-byte depends on the lit set.  A pipe takes every byte in order.
-`write_stack` writes the records of one iterable.  A stack of an older
-version is rebuilt from its run's `manifest.ini`.
+The writer (`stackwriter.StackWriter`, through which `write_stack` writes)
+sums i1 and i1^2 itself, at `i1_lit` alone, the flat pixels outside which
+every shot's i1 is +0.0 (the simulator's Fourier arm, where each mode
+lights the same pixel in every shot; without it, every pixel): the trailer
+equals `Moments.of` of the i1 frames read back.  On a seekable file every
+write is an `os.pwrite` at the fixed offset of its bytes (the header last),
+so the two processes of a `simulate-chaotic` run, which share the open
+file, write their records side by side; and it writes only the span of
+each i1 from the first lit pixel through the last: the bytes before and
+after it are never written and read back as +0.0, so the file's size,
+layout and bytes do not depend on the lit set.  A pipe gets every byte in
+order.
+A stack of an older version is rebuilt from its run's `manifest.ini`.
 
-Readers seek to the bytes they need: `iter_shots`, `iter_frames(path, arm,
-start)`, `pixel_trace(path, pixel, arm)` (8 bytes a shot) and
-`arm_moments(path, arm)` (the trailer for i1, read in bands of rows).  Of a
-stack of n shots (a W x H frame is F = 8 W H bytes), `reconstruct
---ref-pixel auto` reads the trailer (2 F, a band of rows at a time), the
-reference pixel's i1 trace (8 n) and the i2 frames (n F, one at a time);
-`stats --mode temporal` the trailer (twice when no pixel varies; with
-`--arm i2`, the i2 frames) and the pixel's trace; `--mode spatial` one F.
+Readers, each seeking to the bytes it needs:
+
+* `iter_shots` - whole records, both arms of every shot;
+* `iter_frames(path, arm, start)` - one arm's frames from shot `start` on;
+* `pixel_trace(path, pixel, arm)` - one arm's value at one pixel in every
+  shot, 8 bytes per shot;
+* `arm_moments(path, arm)` - one arm's per-pixel sums of I and I^2: the
+  trailer for i1, read in bands of rows as they are walked, else one pass
+  of the arm's frames.
+
+What the CLI reads of a stack of n shots (a W x H frame is F = 8 W H bytes):
+
+* `reconstruct --ref-pixel auto`: the trailer (auto reference, 2 F, a band
+  of rows of each map at a time), the reference pixel's i1 trace (8 n) and
+  the i2 frames (n F, one at a time); with the pixel given, no trailer;
+* `stats --mode temporal`: the trailer (auto pixel, 2 F in row bands, read
+  twice when no pixel varies) and the pixel's trace (8 n); with `--pixel`
+  given, the trace alone; with `--arm i2` and no pixel, the i2 frames (n F)
+  in place of the trailer;
+* `stats --mode spatial --shot k`: one frame (F).
 """
 
 from __future__ import annotations
 
 import os
-import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,8 +110,11 @@ class Moments:
     of them: `s1` and `s2`, None until the first frame.
 
     `statistics.auto_reference_pixel` picks from its `bands`: `arm_moments`
-    of a stack, or `Moments.of(frames)` for frames in hand.  A stack's
-    trailer is bit-identical to `Moments.of` of its i1 frames read back."""
+    of a stack, or `Moments.of(frames)` for frames in hand.  The stack
+    writer sums i1 itself, at its lit pixels alone; each pixel gets the
+    same additions in the same order as here and a sum of zeros stays 0.0,
+    so its trailer is bit-identical to `Moments.of` of the frames read back.
+    """
 
     def __init__(self):
         self.n = 0
@@ -149,103 +169,13 @@ class _TrailerMoments(Moments):
                 yield row, band[0], band[1]
 
 
-class StackWriter:
-    """A stack being written at `path`, as a context manager: `put(shot, k)`
-    checks and writes record k, `add` sums the lit i1 values it returns in
-    shot order, as `Moments.add` sums frames (a sum of zeros stays 0.0), and
-    `finish` writes the trailer, then a file's header.  On a file each write
-    is an `os.pwrite` at its fixed offset, so processes sharing the open file
-    may put records in any order; a pipe (`positional` false) takes them in
-    turn.  If the body raises, a regular file opened is removed, never a pipe."""
-
-    def __init__(self, path, header: StackHeader, i1_lit: np.ndarray | None = None):
-        size = header.width * header.height
-        lit = np.arange(size) if i1_lit is None else i1_lit
-        # refused before the file is opened
-        if not (isinstance(lit, np.ndarray) and lit.ndim == 1 and lit.dtype.kind in "iu"
-                and (lit.size == 0 or (lit[0] >= 0 and lit[-1] < size))
-                and np.all(lit[1:] > lit[:-1])):
-            raise CorruptStack(f"i1_lit is not strictly increasing flat pixels in [0, {size})")
-        name = header.rng_algorithm.encode("utf-8")
-        self._head = _HEAD.pack(MAGIC, VERSION, header.width, header.height, header.n_shots,
-                                header.master_seed, len(name)) + name
-        self.path, self.header, self.lit, self.n = path, header, lit, 0
-        # a file gets each i1 from its first lit pixel through its last, a pipe all of it
-        self._span = (int(lit[0]), int(lit[-1]) + 1) if lit.size else (0, 0)
-        # i1's sums at the lit pixels, a square scratch and the lit values of the shot in hand
-        self._s1, self._s2, self._square, self._values = (np.zeros(lit.size) for _ in range(4))
-
-    def __enter__(self) -> "StackWriter":
-        # opened outside the clean-up: a path that cannot be opened is left alone
-        self._fh = open(self.path, "wb")
-        self._regular = stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode)
-        self.positional = self._fh.seekable()
-        if not self.positional:
-            self._span = (0, self.header.width * self.header.height)
-            self._fh.write(self._head)
-        return self
-
-    def __exit__(self, failed, *_):
-        self._fh.close()
-        if failed and self._regular:
-            Path(self.path).unlink(missing_ok=True)
-
-    def put(self, shot: ShotRecord, k: int) -> np.ndarray:
-        """Check `shot` as record k and write it; its lit i1 values, in a buffer
-        that the next call reuses.  CorruptStack naming the shot if it is not
-        shot k, a frame is not W x H, or i1 has a bit set off the lit pixels,
-        -0.0 included: a file gets i1's lit span alone, the rest reading +0.0."""
-        if shot.shot_index != k:
-            raise CorruptStack(f"shot {shot.shot_index} arrived at stack position {k}: "
-                               f"shots must come in order from 0")
-        header, values = self.header, self._values
-        i1, i2 = (np.ascontiguousarray(f, dtype="<f8") for f in (shot.i1, shot.i2))
-        for a in (i1, i2):
-            if a.shape != (header.width, header.height):
-                raise CorruptStack(f"frame shape {a.shape} != ({header.width}, {header.height})")
-        # "wrap" is unbuffered; a checked lit is within the frame
-        np.take(i1.reshape(-1), self.lit, out=values, mode="wrap")
-        # one bit count (4 us on a 128 x 128 frame) finds a set bit off lit
-        if np.count_nonzero(i1.view(np.uint64)) != np.count_nonzero(values.view(np.uint64)):
-            raise CorruptStack(f"shot {k}: i1 is not +0.0 off its i1_lit pixels")
-        at, (first, end) = len(self._head) + k * header.frame_bytes, self._span
-        self._out(i1.reshape(-1)[first:end].data, at + 8 * first)
-        self._out(i2.data, at + i1.nbytes)
-        return values
-
-    def add(self, values: np.ndarray):
-        self._s1 += values
-        self._s2 += np.multiply(values, values, out=self._square)
-        self.n += 1
-
-    def finish(self):
-        """The W x H sum of I, then of I^2, each in turn in one zeroed frame,
-        then a file's header; CorruptStack unless every shot was added."""
-        if self.n != self.header.n_shots:
-            raise CorruptStack(f"wrote {self.n} shots, header said {self.header.n_shots}")
-        trailer = np.zeros(self.header.width * self.header.height, dtype="<f8")
-        at = len(self._head) + self.n * self.header.frame_bytes
-        for k, sums in enumerate((self._s1, self._s2)):
-            trailer[self.lit] = sums
-            self._out(trailer.data, at + k * trailer.nbytes)
-        if self.positional:
-            self._out(self._head, 0)
-
-    def _out(self, data, at: int):
-        if not self.positional:
-            return self._fh.write(data)
-        view = memoryview(data).cast("B")
-        while view:
-            n = os.pwrite(self._fh.fileno(), view, at)
-            view, at = view[n:], at + n
-
-
 def write_stack(path, shots: Iterable[ShotRecord], width: int, height: int,
                 n_shots: int, master_seed: int, rng_algorithm: str,
                 i1_lit: np.ndarray | None = None) -> StackHeader:
-    """Write `shots` through one `StackWriter`, in shot_index order from 0
-    (position k is read back as shot k); a header field out of its range is
-    a CorruptStack raised before the file is opened."""
+    """Write `shots` through one `stackwriter.StackWriter`, in shot_index
+    order from 0 (position k is read back as shot k); a header field out of
+    its range is a CorruptStack raised before the file is opened."""
+    from .stackwriter import StackWriter
     header = StackHeader(width, height, n_shots, master_seed, rng_algorithm)
     with StackWriter(path, header, i1_lit) as out:
         for shot in shots:

@@ -8,7 +8,8 @@ pipe, one CPU, or a platform without either call, such as macOS or
 Windows) it runs the same loop in this one.  Block b is made by process
 b % 2, each through the one shot path `ChaoticExperiment.shots(n, start)`,
 and each record is checked and written at its fixed offset by the one
-`StackWriter.put` that `framestack.write_stack` uses.  Threads lost this
+`stackwriter.StackWriter.put`, through which `framestack.write_stack`
+writes too.  Threads lost this
 loop to the GIL (numpy's FFT holds it, and a writer thread waits for it
 after every write); two processes share no GIL, only the open stack file
 and a pipe.
@@ -38,8 +39,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .framestack import StackHeader, StackWriter
+from .framestack import StackHeader
 from .pipeline import ChaoticExperiment
+from .stackwriter import StackWriter
 
 
 def write_chaotic_stack(exp: ChaoticExperiment, path, n_shots: int,

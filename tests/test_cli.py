@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import twmghost
-from twmghost import cli, framestack, masks, statistics
+from twmghost import cli, framestack, masks, stackwriter, statistics
 from twmghost.chaotic_source import RNG_ALGORITHM
 from twmghost.cli import main
 from twmghost.config import DEFAULTS, load_config
@@ -454,7 +454,7 @@ def test_shot_loop_makes_each_block_once_and_one_at_a_time(tmp_path, small_cfg, 
     # it has written every shot of its block before, so one block's frames
     # are alive in a process at a time
     log = tmp_path / "events"
-    block, put = ChaoticExperiment._block, framestack.StackWriter.put
+    block, put = ChaoticExperiment._block, stackwriter.StackWriter.put
 
     def note(what, n):
         # one appended write per line: the two processes' lines never mix
@@ -472,7 +472,7 @@ def test_shot_loop_makes_each_block_once_and_one_at_a_time(tmp_path, small_cfg, 
         return values
 
     monkeypatch.setattr(ChaoticExperiment, "_block", counted_block)
-    monkeypatch.setattr(framestack.StackWriter, "put", slow_put)
+    monkeypatch.setattr(stackwriter.StackWriter, "put", slow_put)
     assert main(["simulate-chaotic", "--config", small_cfg, "--out", str(tmp_path / "run"),
                  "--shots", "256"]) == 0
     events = [line.split() for line in log.read_text().splitlines()]
@@ -1288,8 +1288,10 @@ def test_cli_import_leaves_out_scipy_stats():
 
 # the modules of the coherent chain and the shot loop, which the stack
 # readers do not run
+# the modules of the simulate commands, the stack writer among them
 SIMULATOR = ("twmghost.pipeline", "twmghost.config", "twmghost.chaotic_source",
-             "twmghost.propagation", "twmghost.geometry")
+             "twmghost.propagation", "twmghost.geometry", "twmghost.shotloop",
+             "twmghost.stackwriter")
 
 
 def _loaded_after(code, names, then=""):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twmghost import framestack, masks, statistics
+from twmghost import framestack, masks, stackwriter, statistics
 from twmghost.config import DEFAULTS, load_config, manifest_text
 from twmghost.errors import CorruptStack, InsufficientSamples, InvalidSpec, ShapeMismatch
 from twmghost.pipeline import ShotRecord
@@ -108,7 +108,7 @@ def test_writer_refuses_a_header_field_out_of_range(tmp_path, monkeypatch, field
     # they cannot hold is refused before the file is opened
     fields = {"width": 8, "height": 8, "n_shots": 0, "master_seed": 0, field: value}
     opened = []
-    monkeypatch.setattr(framestack, "open", lambda *a: opened.append(a) or open(*a),
+    monkeypatch.setattr(stackwriter, "open", lambda *a: opened.append(a) or open(*a),
                         raising=False)
     path = tmp_path / "s.twmg"
     with pytest.raises(CorruptStack, match=f"^{field} {value} does not fit"):
@@ -223,7 +223,7 @@ def test_writer_refuses_a_bad_i1_lit(tmp_path, rng, monkeypatch, bad_lit, shot):
     stream = iter(recs)
     path = tmp_path / "s.twmg"
     opened = []
-    monkeypatch.setattr(framestack, "open", lambda *a: opened.append(a) or open(*a),
+    monkeypatch.setattr(stackwriter, "open", lambda *a: opened.append(a) or open(*a),
                         raising=False)
     match = "^i1_lit is not" if shot is None else f"^shot {shot}: i1 is not"
     with pytest.raises(CorruptStack, match=match):
