@@ -128,14 +128,14 @@ class _Helper:
         os.close(write)
         self._pipe = os.fdopen(read, "rb")
 
-    @staticmethod
-    def _run(exp: ChaoticExperiment, out: StackWriter, n_shots: int, read: int, write: int):
+    def _run(self, exp: ChaoticExperiment, out: StackWriter, n_shots: int, read: int,
+             write: int):
         """The helper's life; it never returns."""
-        code = 1
+        code, row = 1, self._row
         try:
             os.close(read)
             pipe = os.fdopen(write, "wb")
-            lit, row = [False, False], np.empty(out.lit.size + 2)
+            lit = [False, False]
             for b in range(1, -(-n_shots // exp.block), 2):
                 for values in _put_block(exp, out, b, n_shots, lit):
                     row[:-2], row[-2:] = values, lit
@@ -156,8 +156,9 @@ class _Helper:
         self._signal.pthread_sigmask(self._signal.SIG_SETMASK, self._mask)
 
     def shot(self) -> np.ndarray:
-        """The helper's row of its next shot, valid until the next call, or
-        the error it raised in its place."""
+        """The helper's row of its next shot (its lit i1 values, then i1's
+        and i2's flags), valid until the next call, or the error it raised
+        in its place."""
         tag = self._pipe.read(1)
         if tag == b"E":
             raise pickle.loads(self._pipe.read())
